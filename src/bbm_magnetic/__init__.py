@@ -46,7 +46,6 @@ from .geometry import (
     direction,
     interval,
     tensor_grid,
-    unit_sphere_nodes,
 )
 from .harness import (
     SweepConfig,

@@ -140,7 +140,6 @@ def _zero_potential(dim: int) -> VectorPotential:
         dim,
         value=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
         divergence=lambda p: np.zeros(np.asarray(p).shape[:-1]),
-        jacobian=lambda p: np.zeros(np.asarray(p).shape[:-1] + (dim, dim)),
         label="zero",
     )
 
@@ -150,7 +149,6 @@ def _const1d(alpha: float) -> VectorPotential:
         1,
         value=lambda p: np.full_like(np.asarray(p, dtype=float), alpha),
         divergence=lambda p: np.zeros(np.asarray(p).shape[:-1]),
-        jacobian=lambda p: np.zeros(np.asarray(p).shape[:-1] + (1, 1)),
         label=f"const:alpha={alpha:g}",
     )
 
@@ -160,7 +158,6 @@ def _linear1d(alpha: float) -> VectorPotential:
         1,
         value=lambda p: alpha * np.asarray(p, dtype=float),
         divergence=lambda p: np.full(np.asarray(p).shape[:-1], alpha),
-        jacobian=lambda p: np.full(np.asarray(p).shape[:-1] + (1, 1), alpha),
         label=f"linear:alpha={alpha:g}",
     )
 
@@ -170,15 +167,10 @@ def _landau(beta: float) -> VectorPotential:
         p = np.asarray(p, dtype=float)
         return np.stack([-0.5 * beta * p[..., 1], 0.5 * beta * p[..., 0]], axis=-1)
 
-    def jac(p):
-        base = np.array([[0.0, -0.5 * beta], [0.5 * beta, 0.0]])
-        return np.broadcast_to(base, np.asarray(p).shape[:-1] + (2, 2)).copy()
-
     return VectorPotential(
         2,
         value=val,
         divergence=lambda p: np.zeros(np.asarray(p).shape[:-1]),
-        jacobian=jac,
         label=f"landau:beta={beta:g}",
     )
 

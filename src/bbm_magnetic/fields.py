@@ -3,7 +3,7 @@
 Every field is an analytic closure over all of R^N, vectorized over point
 arrays of shape (..., N).  Values are complex, gradients complex (..., N),
 Hessians complex (..., N, N).  Potentials are real vector fields with
-optional divergence and Jacobian metadata.  Quadrature error is therefore
+optional divergence metadata.  Quadrature error is therefore
 entirely the integrator's: there is no interpolation anywhere.
 """
 
@@ -22,6 +22,9 @@ __all__ = [
     "VectorPotential",
     "GaugeFunction",
     "midpoint_phase",
+    "magnetic_gradient",
+    "magnetic_density",
+    "require_dimension",
     "gauge_transform",
     "modulus_field",
     "scaled_field",
@@ -59,12 +62,11 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorPotential:
-    """Real vector field A with optional divergence and Jacobian closures."""
+    """Real vector field A with an optional divergence closure."""
 
     dim: int
     value: Callable[[np.ndarray], np.ndarray]
     divergence: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     label: str = ""
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -136,7 +138,6 @@ def gauge_transform(
         dim=A.dim,
         value=new_pot,
         divergence=A.divergence,
-        jacobian=A.jacobian,
         label=f"{A.label}+affine" if A.label else "affine-shift",
     )
     lifted = replace(
@@ -182,3 +183,24 @@ def require_gradient(u: ScalarField, context: str) -> Callable[[np.ndarray], np.
     if u.gradient is None:
         raise ConfigurationError(f"{context} needs a field with an analytic gradient")
     return u.gradient
+
+
+def magnetic_gradient(u: ScalarField, A: VectorPotential, points: np.ndarray) -> np.ndarray:
+    """The magnetic gradient grad u - i A u at the points, shape (..., N)."""
+    grad = require_gradient(u, "the magnetic gradient")
+    return grad(points) - 1j * A(points) * u.value(points)[..., None]
+
+
+def magnetic_density(u: ScalarField, A: VectorPotential, points: np.ndarray) -> np.ndarray:
+    """The local magnetic energy density |grad u - i A u|^2 at the points."""
+    return np.sum(np.abs(magnetic_gradient(u, A, points)) ** 2, axis=-1)
+
+
+def require_dimension(dim: int, u: ScalarField, A: Optional[VectorPotential] = None) -> None:
+    """Reject a field or potential that does not live in dimension ``dim``."""
+    for kind, obj in (("field", u), ("potential", A)):
+        if obj is not None and obj.dim != dim:
+            name = f" {obj.label!r}" if obj.label else ""
+            raise ConfigurationError(
+                f"{kind}{name} is {obj.dim}-dimensional, the domain is {dim}-dimensional"
+            )

@@ -13,20 +13,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import dimensional_constants
 from .errors import ConfigurationError
-from .fields import ScalarField, VectorPotential, midpoint_phase, require_gradient
+from .fields import (
+    ScalarField,
+    VectorPotential,
+    magnetic_density,
+    midpoint_phase,
+    require_dimension,
+)
 from .geometry import Domain, TensorGrid, tensor_grid
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
-    _near_field_values,
+    _layered_radial,
     _run_two_level,
     double_integral_singular,
+    near_field_hook,
     pairwise_sum,
     tail_integral_many,
 )
@@ -64,41 +70,25 @@ def _difference_sq(u: ScalarField, A: VectorPotential) -> Callable:
     return pair
 
 
-def _seminorm_hook(u: ScalarField, A: VectorPotential, s: float, spec: QuadratureSpec):
-    if spec.near_field != "taylor-correct":
-        return None
-    if u.gradient is None:
-        raise ConfigurationError(
-            "taylor-correct near-field mode needs an analytic gradient; "
-            "use near_field='drop' for fields without one"
-        )
-    return lambda X, eps_x: _near_field_values(u, A, X, eps_x, s)
-
-
 def magnetic_seminorm_sq(
     u: ScalarField, A: VectorPotential, d: Domain, s: float, spec: QuadratureSpec
 ) -> FunctionalValue:
     """Squared magnetic Gagliardo seminorm over Omega x Omega."""
-    res = double_integral_singular(
-        _difference_sq(u, A), d, s, spec, near_field=_seminorm_hook(u, A, s, spec)
-    )
+    require_dimension(d.dimension, u, A)
+    hook = near_field_hook(u, A, spec, lambda eps: eps ** (2.0 - 2.0 * s), 2.0 - 2.0 * s)
+    res = double_integral_singular(_difference_sq(u, A), d, s, spec, near_field=hook)
     return FunctionalValue(res.value, res)
-
-
-def _energy_density(u: ScalarField, A: VectorPotential, points: np.ndarray) -> np.ndarray:
-    grad = require_gradient(u, "local magnetic energy")
-    d_ax = grad(points) - 1j * A(points) * u.value(points)[..., None]
-    return np.sum(np.abs(d_ax) ** 2, axis=-1)
 
 
 def local_magnetic_energy(
     u: ScalarField, A: VectorPotential, d: Domain, grid: TensorGrid
 ) -> FunctionalValue:
     """Tensor-grid quadrature of |grad u - i A u|^2 over the domain."""
-    dens = _energy_density(u, A, grid.points)
+    require_dimension(d.dimension, u, A)
+    dens = magnetic_density(u, A, grid.points)
     value = float(pairwise_sum(grid.weights * dens))
     coarse_grid = tensor_grid(d, max(2, grid.nodes_per_axis // 2))
-    coarse = float(pairwise_sum(coarse_grid.weights * _energy_density(u, A, coarse_grid.points)))
+    coarse = float(pairwise_sum(coarse_grid.weights * magnetic_density(u, A, coarse_grid.points)))
     return FunctionalValue(
         value, IntegralResult(value, abs(value - coarse), grid.points.shape[0])
     )
@@ -106,6 +96,7 @@ def local_magnetic_energy(
 
 def l2_norm_sq(u: ScalarField, grid: TensorGrid) -> float:
     """Squared L2 norm of u over the grid's domain."""
+    require_dimension(grid.domain.dimension, u)
     return float(pairwise_sum(grid.weights * np.abs(u.value(grid.points)) ** 2))
 
 
@@ -117,6 +108,7 @@ def fullspace_seminorm_sq(
     Splits into the Omega x Omega part plus the exact cross term
     2 * int |u(x)|^2 * tail(x) dx, since u is extended by zero.
     """
+    require_dimension(d.dimension, u, A)
     if not u.is_compact:
         raise ValueError("full-space seminorm requires a compact-in-domain field")
     dom = magnetic_seminorm_sq(u, A, d, s, spec)
@@ -162,7 +154,6 @@ class MollifierFamily:
     dim: int
     members: tuple[RadialMollifier, ...]
     params: tuple[float, ...]
-    cutoff_radius: Optional[float] = None
 
 
 def smoothstep_cutoff(r: np.ndarray, r_domain: float) -> np.ndarray:
@@ -205,7 +196,7 @@ def bbm_family(s_sequence: Sequence[float], r_domain: float, dim: int) -> Mollif
         members.append(
             RadialMollifier(dim, fn, near_moment, 2.0 * r_domain, s, f"bbm:s={s:g}")
         )
-    return MollifierFamily("bbm", dim, tuple(members), tuple(s_arr), r_domain)
+    return MollifierFamily("bbm", dim, tuple(members), tuple(s_arr))
 
 
 def gaussian_family(indices: Sequence[int], dim: int) -> MollifierFamily:
@@ -238,18 +229,16 @@ def gaussian_family(indices: Sequence[int], dim: int) -> MollifierFamily:
     return MollifierFamily("gaussian", dim, tuple(members), tuple(float(n) for n in idx))
 
 
-def _radial_integral(fn: Callable, lo: float, hi: float, nodes: int = 24) -> float:
+# Radial layout of the mollifier moment integrals: halving layers, 24 nodes each.
+_MOMENT_SPEC = QuadratureSpec(radial_nodes=24, geometric_ratio=0.5)
+
+
+def _radial_integral(fn: Callable, lo: float, hi: float) -> float:
     """Geometric-layer Gauss-Legendre quadrature of fn on [lo, hi]."""
     if hi <= lo:
         return 0.0
-    xi, wgl = np.polynomial.legendre.leggauss(nodes)
-    n_layers = max(1, int(math.ceil(math.log2(hi / lo))))
-    bounds = hi * 0.5 ** np.arange(n_layers + 1)
-    bounds[-1] = lo
-    a, b = bounds[1:], bounds[:-1]
-    half, mid = 0.5 * (b - a), 0.5 * (b + a)
-    r = mid[:, None] + half[:, None] * xi
-    return float(np.sum(fn(r) * (half[:, None] * wgl)))
+    r, w = _layered_radial(np.array(hi), np.array(lo), _MOMENT_SPEC)
+    return float(np.sum(fn(r) * w))
 
 
 @dataclass(frozen=True)
@@ -293,6 +282,7 @@ def mollified_functional(
 ) -> FunctionalValue:
     """Integral of |u(x) - phase u(y)|^2 / |x-y|^2 * rho(|x-y|) over the
     domain square, for a single nonnegative radial kernel."""
+    require_dimension(d.dimension, u, A)
     if rho.dim != d.dimension:
         raise ConfigurationError("mollifier dimension does not match the domain")
     probe = np.linspace(1e-6, rho.support_radius, 64)
@@ -301,17 +291,7 @@ def mollified_functional(
 
     n = d.dimension
     weight = lambda r: rho.fn(r) * r ** (n - 3)
-
-    hook = None
-    if spec.near_field == "taylor-correct" and u.gradient is not None:
-        q = dimensional_constants(n).second_moment
-
-        def hook(X, eps_x):
-            grad = u.gradient(X)
-            d_ax = grad - 1j * A(X) * u.value(X)[..., None]
-            mag2 = np.sum(np.abs(d_ax) ** 2, axis=-1)
-            return mag2 * q * np.asarray(rho.near_moment(eps_x), dtype=float)
-
+    hook = near_field_hook(u, A, spec, lambda eps: np.asarray(rho.near_moment(eps), dtype=float))
     res = _run_two_level(_difference_sq(u, A), d, spec, weight, hook)
     return FunctionalValue(res.value, res)
 
@@ -329,6 +309,7 @@ def translation_difference_sq(
     The field must be compactly supported (extension by zero is exact for
     the built-in corpus, whose closures are global), and |h| <= 1.
     """
+    require_dimension(grid.domain.dimension, u, A)
     h = np.atleast_1d(np.asarray(h, dtype=float))
     if float(np.linalg.norm(h)) > 1.0:
         raise ValueError("translation check requires |h| <= 1")
@@ -353,6 +334,7 @@ def uniform_bound_check(
     Boundedness of these ratios over s, including values near 1, is the
     empirical form of the uniform (1-s) seminorm bound.
     """
+    require_dimension(d.dimension, u, A)
     grid = tensor_grid(d, spec.outer_nodes)
     denom = l2_norm_sq(u, grid) + local_magnetic_energy(u, A, d, grid).value
     if denom == 0.0:

@@ -26,7 +26,6 @@ __all__ = [
     "direction",
     "boundary_distance",
     "boundary_distances",
-    "unit_sphere_nodes",
     "sphere_rule",
     "sphere_area",
     "tensor_grid",
@@ -75,6 +74,8 @@ class Domain:
             raise ConfigurationError("box extents must match the dimension")
         if not np.all(extents > 0.0):
             raise ConfigurationError("all extents must be strictly positive")
+        if not (np.all(np.isfinite(center)) and np.all(np.isfinite(extents))):
+            raise ConfigurationError("domain center and extents must be finite")
 
     @property
     def dimension(self) -> int:
@@ -148,33 +149,33 @@ def direction(v) -> Direction:
     return Direction(v / nrm)
 
 
-def boundary_distances(d: Domain, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Distances from an interior point to the boundary along unit directions.
+def boundary_distances(d: Domain, X: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Exit distances for every (outer point, direction) pair.
 
-    Vectorized over a (M, N) array of directions; returns shape (M,).
+    X holds C points of shape (C, N) inside the domain and dirs M unit
+    vectors of shape (M, N); returns shape (C, M).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    if not bool(d.contains(x)):
-        raise ValueError(f"point {x.tolist()} is not strictly inside the domain")
     if d.kind == "ball":
-        rel = x - d.center
+        rel = X - d.center
         r = float(d.extents[0])
-        b = dirs @ rel
-        disc = b**2 + r**2 - float(rel @ rel)
+        b = rel @ dirs.T
+        disc = b**2 + (r**2 - np.sum(rel * rel, axis=-1))[:, None]
         return -b + np.sqrt(disc)
     # Axis-aligned box: first positive wall crossing per axis.
     lo, hi = d.bounding_box()
     with np.errstate(divide="ignore"):
-        t_hi = (hi - x) / dirs
-        t_lo = (lo - x) / dirs
-    t_exit = np.where(dirs > 0.0, t_hi, np.where(dirs < 0.0, t_lo, np.inf))
+        t_hi = (hi - X[:, None, :]) / dirs[None, :, :]
+        t_lo = (lo - X[:, None, :]) / dirs[None, :, :]
+    t_exit = np.where(dirs[None, :, :] > 0.0, t_hi, np.where(dirs[None, :, :] < 0.0, t_lo, np.inf))
     return np.min(t_exit, axis=-1)
 
 
 def boundary_distance(d: Domain, x, w: Direction) -> float:
     """Distance R with x + R*w on the boundary and x + t*w interior for t < R."""
-    return float(boundary_distances(d, x, w.unit[None, :])[0])
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not bool(d.contains(x)):
+        raise ValueError(f"point {x.tolist()} is not strictly inside the domain")
+    return float(boundary_distances(d, x[None, :], w.unit[None, :])[0, 0])
 
 
 def sphere_rule(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,12 +214,6 @@ def sphere_rule(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     )
     wts = np.outer(wt, np.full(n_azi, 2.0 * math.pi / n_azi)).ravel()
     return dirs, wts
-
-
-def unit_sphere_nodes(dim: int, count: int) -> list[tuple[Direction, float]]:
-    """Sphere rule as (Direction, weight) pairs; weights sum to |S^{dim-1}|."""
-    dirs, wts = sphere_rule(dim, count)
-    return [(Direction(dirs[i]), float(wts[i])) for i in range(len(wts))]
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +23,9 @@ from . import __version__
 from .constants import bbm_constant
 from .corpus import resolve_field, resolve_potential
 from .errors import ConditionViolation, ConfigurationError, IntegrationError
+from .fields import magnetic_gradient, require_dimension
 from .functionals import (
+    FunctionalValue,
     MollifierFamily,
     bbm_family,
     check_mollifier,
@@ -35,7 +37,8 @@ from .functionals import (
     mollified_functional,
     translation_difference_sq,
 )
-from .geometry import Domain, ball, box, direction, interval, tensor_grid
+from .geometry import Domain, TensorGrid, ball, box, direction, interval, tensor_grid
+from .operator import operator_limit_scan
 from .quadrature import QuadratureSpec, pairwise_sum
 
 __all__ = [
@@ -54,16 +57,9 @@ __all__ = [
     "report_from_dict",
 ]
 
-SWEEP_KINDS = (
-    "bbm-domain",
-    "bbm-fullspace",
-    "mollifier",
-    "lemma-translation",
-    "lemma-uniform",
-    "operator-limit",
-)
-
 DEFAULT_S_LIST = (0.8, 0.9, 0.95, 0.99)
+DEFAULT_H_LIST = (0.1, 0.05, 0.025, 0.0125)
+REPORT_FORMATS = ("csv", "json")
 # Trend thresholds for the mollifier admission checks.
 _NORMALIZ_TOL = 0.1
 _TAIL_TOL = 0.1
@@ -86,7 +82,7 @@ class SweepConfig:
     domain: Domain
     s_list: tuple[float, ...] = DEFAULT_S_LIST
     family: Optional[dict] = None
-    h_list: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
+    h_list: tuple[float, ...] = DEFAULT_H_LIST
     direction: Optional[tuple[float, ...]] = None
     point: Optional[tuple[float, ...]] = None
     delta: float = 0.1
@@ -100,6 +96,13 @@ class SweepConfig:
         s = self.s_list
         if any(not 0.0 < v < 1.0 for v in s) or any(b <= a for a, b in zip(s, s[1:])):
             raise ConfigurationError("s_list must be strictly increasing inside (0, 1)")
+        if not self.h_list or any(not 0.0 < h <= 1.0 for h in self.h_list):
+            raise ConfigurationError("h_list must be a nonempty list of shifts in (0, 1]")
+        if not self.delta > 0.0:
+            raise ConfigurationError("delta must be positive")
+        if self.fmt not in REPORT_FORMATS:
+            raise ConfigurationError(f"unknown report format {self.fmt!r}; known: {REPORT_FORMATS}")
+        _check_family(self.family)
 
 
 @dataclass(frozen=True)
@@ -122,20 +125,83 @@ class SweepReport:
     extrapolated_limit: float
     extrapolation_residual: float
     metadata: dict
-    wall_time: float = 0.0  # in-memory diagnostic; never serialized
 
 
-def _domain_from_dict(d: dict) -> Domain:
-    kind = d.get("kind")
+# ---------------------------------------------------------------------------
+# Configs
+# ---------------------------------------------------------------------------
+
+_CONFIG_KEYS = ("kind", "field", "potential", "domain", "s_list", "family", "h_list",
+                "direction", "point", "delta", "quadrature", "output", "format")
+_DOMAIN_KEYS = {
+    "interval": ("kind", "center", "extents"),
+    "box": ("kind", "center", "extents"),
+    "ball": ("kind", "center", "radius"),
+}
+_FAMILY_KINDS = ("gaussian", "bbm")
+
+
+def _section(raw, known, where: str) -> dict:
+    """raw as a JSON object whose keys are all in ``known``."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{where} must be an object, got {raw!r}")
+    unknown = [k for k in raw if k not in known]
+    if unknown:
+        raise ConfigurationError(f"unknown {where} key(s) {unknown}; known: {list(known)}")
+    return raw
+
+
+def _number(value, what: str) -> float:
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+
+
+def _text(value, what: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise ConfigurationError(f"{what} must be a string, got {value!r}")
+
+
+def _numbers(value, what: str, size: Optional[int] = None, item=_number) -> tuple:
+    if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+        count = "" if size is None else f"{size} "
+        raise ConfigurationError(f"{what} must be a list of {count}numbers, got {value!r}")
+    return tuple(item(v, what) for v in value)
+
+
+# Checkers by QuadratureSpec field annotation, and by family descriptor key.
+_SPEC_CHECKERS = {f.name: {"int": _integer, "float": _number, "str": _text}[f.type]
+                  for f in fields(QuadratureSpec)}
+_FAMILY_CHECKERS = {"kind": _text, "indices": partial(_numbers, item=_integer),
+                    "s_list": _numbers, "r_domain": _number}
+
+
+def _domain_from_dict(raw) -> Domain:
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if kind not in tuple(_DOMAIN_KEYS):  # a tuple: kind may be an unhashable JSON value
+        raise ConfigurationError(f"unknown domain kind {kind!r}")
+    d = _section(raw, _DOMAIN_KEYS[kind], f"{kind} domain")
     if kind == "interval":
-        center = float(d.get("center", [0.0])[0])
-        ext = float(d.get("extents", [1.0])[0])
+        (center,) = _numbers(d.get("center", [0.0]), "domain center", 1)
+        (ext,) = _numbers(d.get("extents", [1.0]), "domain extents", 1)
         return interval(center - ext, center + ext)
+    missing = [k for k in _DOMAIN_KEYS[kind] if k not in d]
+    if missing:
+        raise ConfigurationError(f"{kind} domain missing required key(s) {missing}")
+    center = _numbers(d["center"], "domain center")
     if kind == "box":
-        return box(d["center"], d["extents"])
-    if kind == "ball":
-        return ball(d["center"], float(d["radius"]))
-    raise ConfigurationError(f"unknown domain kind {kind!r}")
+        return box(center, _numbers(d["extents"], "domain extents"))
+    return ball(center, _number(d["radius"], "domain radius"))
 
 
 def _domain_to_dict(d: Domain) -> dict:
@@ -144,34 +210,58 @@ def _domain_to_dict(d: Domain) -> dict:
     return {"kind": d.kind, "center": d.center.tolist(), "extents": d.extents.tolist()}
 
 
+def _check_family(desc: Optional[dict]) -> None:
+    """Check a mollifier family descriptor's keys and value types."""
+    if desc is None:
+        return
+    for key, value in _section(desc, _FAMILY_CHECKERS, "family").items():
+        _FAMILY_CHECKERS[key](value, f"family {key}")
+    if desc.get("kind", "gaussian") not in _FAMILY_KINDS:
+        raise ConfigurationError(f"unknown mollifier family kind {desc['kind']!r}")
+
+
 def config_from_dict(raw: dict) -> SweepConfig:
-    """Build a SweepConfig from a JSON-style dict, filling package defaults."""
-    try:
-        dom = _domain_from_dict(raw["domain"])
-    except KeyError as exc:
-        raise ConfigurationError(f"config missing required key: {exc}") from exc
-    spec = default_spec(dom.dimension)
-    spec = replace(spec, **raw.get("quadrature", {}))
+    """Build a SweepConfig from a JSON-style dict, filling package defaults.
+
+    Unknown keys and ill-typed or out-of-range values raise
+    ConfigurationError, so a bad config fails before any computation.
+    """
+    raw = _section(raw, _CONFIG_KEYS, "config")
+    if "domain" not in raw:
+        raise ConfigurationError("config missing required key: 'domain'")
+    dom = _domain_from_dict(raw["domain"])
+    quad = _section(raw.get("quadrature", {}), _SPEC_CHECKERS, "quadrature")
+    knobs = {k: _SPEC_CHECKERS[k](v, f"quadrature {k}") for k, v in quad.items()}
+    vectors = {
+        key: None if raw.get(key) is None else _numbers(raw[key], key, dom.dimension)
+        for key in ("direction", "point")
+    }
+    output = raw.get("output")
     return SweepConfig(
-        kind=raw.get("kind", "bbm-domain"),
-        field_label=raw.get("field", "gauss1d"),
-        potential_label=raw.get("potential", "zero"),
+        kind=_text(raw.get("kind", "bbm-domain"), "kind"),
+        field_label=_text(raw.get("field", "gauss1d"), "field"),
+        potential_label=_text(raw.get("potential", "zero"), "potential"),
         domain=dom,
-        s_list=tuple(raw.get("s_list", DEFAULT_S_LIST)),
+        s_list=_numbers(raw.get("s_list", DEFAULT_S_LIST), "s_list"),
         family=raw.get("family"),
-        h_list=tuple(raw.get("h_list", (0.1, 0.05, 0.025, 0.0125))),
-        direction=tuple(raw["direction"]) if "direction" in raw else None,
-        point=tuple(raw["point"]) if "point" in raw else None,
-        delta=float(raw.get("delta", 0.1)),
-        spec=spec,
-        output=raw.get("output"),
-        fmt=raw.get("format", "csv"),
+        h_list=_numbers(raw.get("h_list", DEFAULT_H_LIST), "h_list"),
+        direction=vectors["direction"],
+        point=vectors["point"],
+        delta=_number(raw.get("delta", 0.1), "delta"),
+        spec=replace(default_spec(dom.dimension), **knobs),
+        output=None if output is None else _text(output, "output"),
+        fmt=_text(raw.get("format", "csv"), "format"),
     )
 
 
 def load_config(path: str | Path) -> SweepConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return config_from_dict(json.load(fh))
+
+
+# ---------------------------------------------------------------------------
+# Sweeps
+# ---------------------------------------------------------------------------
 
 
 def extrapolate_limit(rows: Sequence[tuple[float, float]]) -> tuple[float, float]:
@@ -198,11 +288,13 @@ def _fit_closest(small: list[tuple[float, float]]) -> tuple[float, float]:
 
 
 def _make_rows(params, values, scale_fn, target: float) -> list[SweepRow]:
+    """Report rows; an IntegrationError in place of a value is a failed row
+    that carries the error message."""
     rows = []
     for p, entry in zip(params, values):
-        if entry is None:
+        if isinstance(entry, IntegrationError):
             rows.append(SweepRow(float(p), math.nan, math.nan, target, math.nan, math.nan,
-                                 failed=True, note="integration failure"))
+                                 failed=True, note=str(entry)))
             continue
         scaled = scale_fn(p, entry)
         abs_err = abs(scaled - target)
@@ -238,43 +330,48 @@ def _metadata(cfg: SweepConfig, node_counts: list[int]) -> dict:
     }
 
 
-def run_bbm_sweep(cfg: SweepConfig, threads: int = 1) -> SweepReport:
-    """Scaled-seminorm sweep versus the local-energy target K_N * E."""
-    t0 = time.perf_counter()
-    u = resolve_field(cfg.field_label)
+@dataclass(frozen=True)
+class _Plan:
+    """One sweep kind's part of the shared driver.  ``row`` maps an item to a
+    FunctionalValue or a float and may raise IntegrationError; ``small`` maps
+    a row parameter to the t of the limit fit; ``node_counts`` None means the
+    per-row engine node counts."""
+
+    items: Sequence
+    params: Sequence[float]
+    row: Callable
+    scale: Callable[[float, float], float]
+    target: float
+    small: Callable[[float], float]
+    node_counts: Optional[list] = None
+    extra: dict = field(default_factory=dict)
+
+
+def _one_minus(s: float) -> float:
+    return 1.0 - s
+
+
+def _energy_grid(cfg: SweepConfig, u, A) -> tuple[float, TensorGrid]:
+    grid = tensor_grid(cfg.domain, cfg.spec.outer_nodes)
+    return local_magnetic_energy(u, A, cfg.domain, grid).value, grid
+
+
+def _plan_bbm(cfg: SweepConfig, u, A) -> _Plan:
+    """Scaled seminorms versus the local-energy target K_N * E."""
     d = cfg.domain
-    A = resolve_potential(cfg.potential_label, d.dimension)
-    grid = tensor_grid(d, cfg.spec.outer_nodes)
-    energy = local_magnetic_energy(u, A, d, grid).value
-    target = bbm_constant(d.dimension) * energy
+    energy, _ = _energy_grid(cfg, u, A)
     seminorm = fullspace_seminorm_sq if cfg.kind == "bbm-fullspace" else magnetic_seminorm_sq
-
-    def one(s: float):
-        try:
-            return seminorm(u, A, d, s, cfg.spec)
-        except IntegrationError:
-            return None
-
-    results = _parallel_map(one, cfg.s_list, threads)
-    values = [None if r is None else r.value for r in results]
-    rows = _make_rows(cfg.s_list, values, lambda s, v: (1.0 - s) * v, target)
-    good = [(1.0 - r.param, r.scaled) for r in rows if not r.failed]
-    limit, resid = _fit_closest(good)
-    nodes = [0 if r is None else r.diagnostics.node_count for r in results]
-    return SweepReport(cfg.kind, tuple(rows), target, limit, resid,
-                       _metadata(cfg, nodes), time.perf_counter() - t0)
+    return _Plan(cfg.s_list, cfg.s_list, lambda s: seminorm(u, A, d, s, cfg.spec),
+                 lambda s, v: (1.0 - s) * v, bbm_constant(d.dimension) * energy, _one_minus)
 
 
 def _family_from_descriptor(cfg: SweepConfig) -> MollifierFamily:
-    desc = cfg.family or {"kind": "gaussian", "indices": [2, 4, 6, 8, 12, 16, 24]}
-    kind = desc.get("kind", "gaussian")
+    desc = cfg.family or {}
     dim = cfg.domain.dimension
-    if kind == "gaussian":
-        return gaussian_family([int(n) for n in desc.get("indices", [2, 4, 6, 8, 12, 16, 24])], dim)
-    if kind == "bbm":
-        r_dom = float(desc.get("r_domain", cfg.domain.diameter()))
-        return bbm_family([float(s) for s in desc.get("s_list", cfg.s_list)], r_dom, dim)
-    raise ConfigurationError(f"unknown mollifier family kind {kind!r}")
+    if desc.get("kind", "gaussian") == "gaussian":
+        return gaussian_family(desc.get("indices", [2, 4, 6, 8, 12, 16, 24]), dim)
+    r_dom = float(desc.get("r_domain", cfg.domain.diameter()))
+    return bbm_family([float(s) for s in desc.get("s_list", cfg.s_list)], r_dom, dim)
 
 
 def _admit_family(fam: MollifierFamily, dim: int, delta: float) -> list:
@@ -295,126 +392,110 @@ def _admit_family(fam: MollifierFamily, dim: int, delta: float) -> list:
     return checks
 
 
+def _plan_mollifier(cfg: SweepConfig, u, A, family: Optional[MollifierFamily] = None) -> _Plan:
+    """Mollified functionals of an admitted family versus 2 K_N * E."""
+    d = cfg.domain
+    fam = family if family is not None else _family_from_descriptor(cfg)
+    checks = _admit_family(fam, d.dimension, cfg.delta)
+    energy, _ = _energy_grid(cfg, u, A)
+    small = _one_minus if fam.kind == "bbm" else (lambda n: 1.0 / n)
+    return _Plan(fam.members, fam.params,
+                 lambda member: mollified_functional(u, A, d, member, cfg.spec),
+                 lambda p, v: v, 2.0 * bbm_constant(d.dimension) * energy, small,
+                 extra={"mollifier_checks": [asdict(c) for c in checks]})
+
+
+def _plan_translation(cfg: SweepConfig, u, A) -> _Plan:
+    """Translation differences over |h|^2 versus the directional energy."""
+    d = cfg.domain
+    omega = direction(cfg.direction if cfg.direction else np.eye(d.dimension)[0]).unit
+    # Integrate over the bounding box inflated by the largest shift, so the
+    # shifted supports stay covered.
+    lo, hi = d.bounding_box()
+    grid = tensor_grid(box(d.center, (hi - lo) / 2.0 + max(cfg.h_list)), cfg.spec.outer_nodes)
+    dens = np.abs(magnetic_gradient(u, A, grid.points) @ omega) ** 2
+    h_sorted = tuple(sorted(cfg.h_list))
+    return _Plan(h_sorted, h_sorted, lambda h: translation_difference_sq(u, A, h * omega, grid),
+                 lambda h, v: v / h**2, float(pairwise_sum(grid.weights * dens)),
+                 lambda h: h, node_counts=[grid.points.shape[0]])
+
+
+def _plan_uniform(cfg: SweepConfig, u, A) -> _Plan:
+    """(1-s) full-space seminorms over ||u||^2 + E, which must stay bounded."""
+    d = cfg.domain
+    energy, grid = _energy_grid(cfg, u, A)
+    denom = l2_norm_sq(u, grid) + energy
+    target = bbm_constant(d.dimension) * energy / denom if denom > 0.0 else 0.0
+    scale = (lambda s, v: (1.0 - s) * v / denom) if denom > 0.0 else (lambda s, v: 0.0)
+    return _Plan(cfg.s_list, cfg.s_list, lambda s: fullspace_seminorm_sq(u, A, d, s, cfg.spec),
+                 scale, target, _one_minus, node_counts=[grid.points.shape[0]])
+
+
+def _plan_operator(cfg: SweepConfig, u, A) -> _Plan:
+    """|fractional - local| operator values at a point, which tend to 0."""
+    d = cfg.domain
+    x = np.asarray(cfg.point if cfg.point else d.center, dtype=float)
+
+    def row(s: float) -> float:
+        (sample,) = operator_limit_scan(u, A, x, [s], cfg.spec, ref_length=d.diameter())
+        return sample.discrepancy
+
+    return _Plan(cfg.s_list, cfg.s_list, row, lambda s, v: v, 0.0, _one_minus, node_counts=[])
+
+
+def _attempt(row: Callable, item):
+    try:
+        return row(item)
+    except IntegrationError as exc:
+        return exc
+
+
+def _sweep(cfg: SweepConfig, planner: Callable, threads: int) -> SweepReport:
+    """Resolve the field and potential, plan the kind, compute the rows (a
+    row's IntegrationError becomes a failed row) and fit the limit."""
+    u = resolve_field(cfg.field_label)
+    d = cfg.domain
+    A = resolve_potential(cfg.potential_label, d.dimension)
+    require_dimension(d.dimension, u, A)
+    plan = planner(cfg, u, A)
+    results = _parallel_map(partial(_attempt, plan.row), plan.items, threads)
+    values = [r.value if isinstance(r, FunctionalValue) else r for r in results]
+    rows = _make_rows(plan.params, values, plan.scale, plan.target)
+    limit, resid = _fit_closest([(plan.small(r.param), r.scaled) for r in rows if not r.failed])
+    nodes = plan.node_counts
+    if nodes is None:
+        nodes = [r.diagnostics.node_count if isinstance(r, FunctionalValue) else 0
+                 for r in results]
+    meta = {**_metadata(cfg, nodes), **plan.extra}
+    return SweepReport(cfg.kind, tuple(rows), plan.target, limit, resid, meta)
+
+
+_PLANS = {
+    "bbm-domain": _plan_bbm,
+    "bbm-fullspace": _plan_bbm,
+    "mollifier": _plan_mollifier,
+    "lemma-translation": _plan_translation,
+    "lemma-uniform": _plan_uniform,
+    "operator-limit": _plan_operator,
+}
+SWEEP_KINDS = tuple(_PLANS)
+
+
+def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepReport:
+    """Run a sweep of the configured kind."""
+    return _sweep(cfg, _PLANS[cfg.kind], threads)
+
+
+def run_bbm_sweep(cfg: SweepConfig, threads: int = 1) -> SweepReport:
+    """Scaled-seminorm sweep versus the local-energy target K_N * E."""
+    return _sweep(cfg, _plan_bbm, threads)
+
+
 def run_mollifier_sweep(
     cfg: SweepConfig, family: Optional[MollifierFamily] = None, threads: int = 1
 ) -> SweepReport:
     """Mollified-functional sweep versus the target 2 K_N * E."""
-    t0 = time.perf_counter()
-    u = resolve_field(cfg.field_label)
-    d = cfg.domain
-    A = resolve_potential(cfg.potential_label, d.dimension)
-    fam = family if family is not None else _family_from_descriptor(cfg)
-    checks = _admit_family(fam, d.dimension, cfg.delta)
-
-    grid = tensor_grid(d, cfg.spec.outer_nodes)
-    energy = local_magnetic_energy(u, A, d, grid).value
-    target = 2.0 * bbm_constant(d.dimension) * energy
-
-    def one(member):
-        try:
-            return mollified_functional(u, A, d, member, cfg.spec)
-        except IntegrationError:
-            return None
-
-    results = _parallel_map(one, fam.members, threads)
-    values = [None if r is None else r.value for r in results]
-    rows = _make_rows(fam.params, values, lambda p, v: v, target)
-    if fam.kind == "bbm":
-        small = [(1.0 - r.param, r.scaled) for r in rows if not r.failed]
-    else:
-        small = [(1.0 / r.param, r.scaled) for r in rows if not r.failed]
-    limit, resid = _fit_closest(small)
-    meta = _metadata(cfg, [0 if r is None else r.diagnostics.node_count for r in results])
-    meta["mollifier_checks"] = [asdict(c) for c in checks]
-    return SweepReport(cfg.kind, tuple(rows), target, limit, resid,
-                       meta, time.perf_counter() - t0)
-
-
-def _run_translation_sweep(cfg: SweepConfig, threads: int) -> SweepReport:
-    t0 = time.perf_counter()
-    u = resolve_field(cfg.field_label)
-    d = cfg.domain
-    A = resolve_potential(cfg.potential_label, d.dimension)
-    omega = direction(cfg.direction if cfg.direction else np.eye(d.dimension)[0]).unit
-    # Integrate over the bounding box inflated by the largest shift, so the
-    # shifted supports stay covered.
-    pad = max(cfg.h_list)
-    half = (d.bounding_box()[1] - d.bounding_box()[0]) / 2.0 + pad
-    box_d = box(d.center, half)
-    grid = tensor_grid(box_d, cfg.spec.outer_nodes)
-
-    grad = u.gradient
-    if grad is None:
-        raise ConfigurationError("translation sweep needs an analytic gradient")
-    d_ax = grad(grid.points) - 1j * A(grid.points) * u.value(grid.points)[..., None]
-    target = float(pairwise_sum(grid.weights * np.abs(d_ax @ omega) ** 2))
-
-    def one(h_mag: float):
-        return translation_difference_sq(u, A, h_mag * omega, grid)
-
-    h_sorted = tuple(sorted(cfg.h_list))
-    values = _parallel_map(one, h_sorted, threads)
-    rows = _make_rows(h_sorted, values, lambda h, v: v / h**2, target)
-    limit, resid = _fit_closest([(r.param, r.scaled) for r in rows])
-    return SweepReport(cfg.kind, tuple(rows), target, limit, resid,
-                       _metadata(cfg, [grid.points.shape[0]]), time.perf_counter() - t0)
-
-
-def _run_uniform_sweep(cfg: SweepConfig, threads: int) -> SweepReport:
-    t0 = time.perf_counter()
-    u = resolve_field(cfg.field_label)
-    d = cfg.domain
-    A = resolve_potential(cfg.potential_label, d.dimension)
-    grid = tensor_grid(d, cfg.spec.outer_nodes)
-    energy = local_magnetic_energy(u, A, d, grid).value
-    denom = l2_norm_sq(u, grid) + energy
-    target = bbm_constant(d.dimension) * energy / denom if denom > 0.0 else 0.0
-
-    def one(s: float):
-        return fullspace_seminorm_sq(u, A, d, s, cfg.spec).value
-
-    values = _parallel_map(one, cfg.s_list, threads)
-    scale = (lambda s, v: (1.0 - s) * v / denom) if denom > 0.0 else (lambda s, v: 0.0)
-    rows = _make_rows(cfg.s_list, values, scale, target)
-    limit, resid = _fit_closest([(1.0 - r.param, r.scaled) for r in rows])
-    return SweepReport(cfg.kind, tuple(rows), target, limit, resid,
-                       _metadata(cfg, [grid.points.shape[0]]), time.perf_counter() - t0)
-
-
-def _run_operator_sweep(cfg: SweepConfig, threads: int) -> SweepReport:
-    from .operator import local_magnetic_apply, fractional_magnetic_apply
-
-    t0 = time.perf_counter()
-    u = resolve_field(cfg.field_label)
-    d = cfg.domain
-    A = resolve_potential(cfg.potential_label, d.dimension)
-    x = np.asarray(cfg.point if cfg.point else d.center, dtype=float)
-    loc = local_magnetic_apply(u, A, x)
-
-    def one(s: float):
-        return fractional_magnetic_apply(u, A, x, s, cfg.spec, ref_length=d.diameter())
-
-    values = _parallel_map(one, cfg.s_list, threads)
-    discrepancies = [abs(v - loc) for v in values]
-    rows = _make_rows(cfg.s_list, discrepancies, lambda s, v: v, 0.0)
-    limit, resid = _fit_closest([(1.0 - r.param, r.scaled) for r in rows])
-    return SweepReport(cfg.kind, tuple(rows), 0.0, limit, resid,
-                       _metadata(cfg, []), time.perf_counter() - t0)
-
-
-def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepReport:
-    """Dispatch a sweep by its configured kind."""
-    if cfg.kind in ("bbm-domain", "bbm-fullspace"):
-        return run_bbm_sweep(cfg, threads)
-    if cfg.kind == "mollifier":
-        return run_mollifier_sweep(cfg, threads=threads)
-    if cfg.kind == "lemma-translation":
-        return _run_translation_sweep(cfg, threads)
-    if cfg.kind == "lemma-uniform":
-        return _run_uniform_sweep(cfg, threads)
-    if cfg.kind == "operator-limit":
-        return _run_operator_sweep(cfg, threads)
-    raise ConfigurationError(f"unknown sweep kind {cfg.kind!r}")
+    return _sweep(cfg, partial(_plan_mollifier, family=family), threads)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +506,7 @@ _CSV_HEADER = "param,value,scaled,target,abs_err,rel_err"
 
 
 def report_to_dict(r: SweepReport) -> dict:
-    """JSON-ready form of a report; volatile wall time is deliberately left
-    out so identical configs serialize to identical bytes."""
+    """JSON-ready form of a report."""
     return {
         "kind": r.kind,
         "target": r.target,
@@ -456,7 +536,7 @@ def render_report(r: SweepReport, fmt: str) -> str:
         return "\n".join(lines) + "\n"
     if fmt == "json":
         return json.dumps(report_to_dict(r), indent=2, sort_keys=True) + "\n"
-    raise ConfigurationError(f"unknown report format {fmt!r}")
+    raise ConfigurationError(f"unknown report format {fmt!r}; known: {REPORT_FORMATS}")
 
 
 def emit_report(r: SweepReport, fmt: str, path: str | Path) -> None:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .constants import dimensional_constants
 from .errors import ConfigurationError, IntegrationError
-from .fields import ScalarField, VectorPotential, require_gradient
-from .geometry import Domain, sphere_rule, tensor_grid
+from .fields import ScalarField, VectorPotential, magnetic_density
+from .geometry import Domain, boundary_distances, sphere_rule, tensor_grid
 
 __all__ = [
     "QuadratureSpec",
@@ -54,7 +54,6 @@ class QuadratureSpec:
     angular_nodes: int = 32
     radial_nodes: int = 8
     eps: float = 1e-4
-    radial_layout: str = "geometric"
     geometric_ratio: float = 0.5
     near_field: str = "taylor-correct"
 
@@ -65,8 +64,6 @@ class QuadratureSpec:
             raise ConfigurationError("eps must lie in (0, 1) as a diameter fraction")
         if not 0.0 < self.geometric_ratio < 1.0:
             raise ConfigurationError("geometric ratio must lie in (0, 1)")
-        if self.radial_layout not in ("geometric", "graded"):
-            raise ConfigurationError(f"unknown radial layout {self.radial_layout!r}")
         if self.near_field not in ("drop", "taylor-correct"):
             raise ConfigurationError(f"unknown near-field mode {self.near_field!r}")
 
@@ -94,22 +91,6 @@ def pairwise_sum(values: np.ndarray):
     return a[0]
 
 
-def _boundary_distances_grid(d: Domain, X: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Exit distances for every (outer point, direction) pair: (C, M)."""
-    if d.kind == "ball":
-        rel = X - d.center
-        r = float(d.extents[0])
-        b = rel @ dirs.T
-        disc = b**2 + (r**2 - np.sum(rel * rel, axis=-1))[:, None]
-        return -b + np.sqrt(disc)
-    lo, hi = d.bounding_box()
-    with np.errstate(divide="ignore"):
-        t_hi = (hi - X[:, None, :]) / dirs[None, :, :]
-        t_lo = (lo - X[:, None, :]) / dirs[None, :, :]
-    t_exit = np.where(dirs[None, :, :] > 0.0, t_hi, np.where(dirs[None, :, :] < 0.0, t_lo, np.inf))
-    return np.min(t_exit, axis=-1)
-
-
 def _layered_radial(
     R: np.ndarray, eps_x: np.ndarray, spec: QuadratureSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -125,16 +106,6 @@ def _layered_radial(
     n_layers = np.ceil(np.log(R / eps) / math.log(1.0 / ratio)).astype(int)
     n_layers = np.maximum(n_layers, 1)
     l_max = int(n_layers.max())
-    if spec.radial_layout == "graded":
-        # Single log-space panel with the full node budget.
-        k_tot = spec.radial_nodes * l_max
-        xi, wgl = np.polynomial.legendre.leggauss(k_tot)
-        t_lo, t_hi = np.log(eps), np.log(R)
-        half = 0.5 * (t_hi - t_lo)
-        tau = 0.5 * (t_hi + t_lo)[..., None] + half[..., None] * xi
-        r = np.exp(tau)
-        w = half[..., None] * wgl * r
-        return r, w
     j = np.arange(l_max)
     shape_hi = R[..., None] * ratio**j  # (..., M, L)
     valid = j < n_layers[..., None]
@@ -148,15 +119,31 @@ def _layered_radial(
     return r.reshape(new_shape), w.reshape(new_shape)
 
 
-def _near_field_values(
-    u: ScalarField, A: VectorPotential, X: np.ndarray, eps_x: np.ndarray, s: float
-) -> np.ndarray:
-    """Vectorized sub-cutoff correction for the seminorm inner integral."""
-    grad = require_gradient(u, "near-field correction")
+def near_field_hook(
+    u: ScalarField,
+    A: VectorPotential,
+    spec: QuadratureSpec,
+    moment: Callable[[np.ndarray], np.ndarray],
+    divisor: float = 1.0,
+) -> Optional[Callable]:
+    """Analytic sub-cutoff term of a radial-kernel double integral, or None
+    in "drop" mode.
+
+    Inside the ball B(x, eps) the magnetic difference is
+    (grad u - i A u)(x) . (y - x) to leading order, so the ball contributes
+    |grad u - i A u|^2 * Q_N * moment(eps) / divisor, where moment(eps) is
+    the kernel's small-ball radial moment.  The seminorm passes
+    eps^(2-2s) and its divisor 2-2s separately.
+    """
+    if spec.near_field != "taylor-correct":
+        return None
+    if u.gradient is None:
+        raise ConfigurationError(
+            "taylor-correct near-field mode needs an analytic gradient; "
+            "use near_field='drop' for fields without one"
+        )
     q = dimensional_constants(u.dim).second_moment
-    d_ax = grad(X) - 1j * A(X) * u.value(X)[..., None]
-    mag2 = np.sum(np.abs(d_ax) ** 2, axis=-1)
-    return mag2 * q * eps_x ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+    return lambda X, eps_x: magnetic_density(u, A, X) * q * moment(eps_x) / divisor
 
 
 def near_field_correction(
@@ -169,7 +156,9 @@ def near_field_correction(
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(_near_field_values(u, A, x[None, :], np.array([eps]), s)[0])
+    spec = QuadratureSpec(near_field="taylor-correct")
+    hook = near_field_hook(u, A, spec, lambda e: e ** (2.0 - 2.0 * s), 2.0 - 2.0 * s)
+    return float(hook(x[None, :], np.array([eps]))[0])
 
 
 def _domain_pass(
@@ -191,7 +180,7 @@ def _domain_pass(
     chunk = max(1, _CHUNK_BUDGET // per_point)
     for start in range(0, n_out, chunk):
         X = grid.points[start : start + chunk]
-        R = _boundary_distances_grid(d, X, dirs)
+        R = boundary_distances(d, X, dirs)
         # Shrink the cutoff near the boundary so the corrected ball stays
         # inside the domain.
         eps_x = np.minimum(eps_abs, 0.5 * R.min(axis=1))
@@ -271,24 +260,23 @@ def double_integral_singular(
     return _run_two_level(integrand, d, spec, weight, hook)
 
 
-def tail_integral(d: Domain, x, s: float, angular_nodes: int) -> float:
-    """Exact-in-r integral of |x - y|^(-N-2s) over the domain complement.
+def tail_integral_many(d: Domain, X: np.ndarray, s: float, angular_nodes: int) -> np.ndarray:
+    """Exact-in-r integral of |x - y|^(-N-2s) over the domain complement,
+    for each interior point x in the rows of X.
 
     Uses int_R^inf r^(-1-2s) dr = R^(-2s) / (2s) along each direction, with
     R the directional boundary distance; valid because the domain is convex.
     """
+    dirs, wts = sphere_rule(d.dimension, angular_nodes)
+    R = boundary_distances(d, np.asarray(X, dtype=float), dirs)
+    return (R ** (-2.0 * s)) @ wts / (2.0 * s)
+
+
+def tail_integral(d: Domain, x, s: float, angular_nodes: int) -> float:
+    """tail_integral_many at the single point x, which must be interior."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional order s={s} outside (0, 1)")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not bool(d.contains(x)):
         raise ValueError(f"tail integral diverges: {x.tolist()} is not interior")
-    dirs, wts = sphere_rule(d.dimension, angular_nodes)
-    R = _boundary_distances_grid(d, x[None, :], dirs)[0]
-    return float(np.dot(wts, R ** (-2.0 * s))) / (2.0 * s)
-
-
-def tail_integral_many(d: Domain, X: np.ndarray, s: float, angular_nodes: int) -> np.ndarray:
-    """Vectorized tail_integral over rows of X, for the full-space seminorm."""
-    dirs, wts = sphere_rule(d.dimension, angular_nodes)
-    R = _boundary_distances_grid(d, np.asarray(X, dtype=float), dirs)
-    return (R ** (-2.0 * s)) @ wts / (2.0 * s)
+    return float(tail_integral_many(d, x[None, :], s, angular_nodes)[0])

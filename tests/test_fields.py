@@ -70,7 +70,7 @@ def test_compact_fields_vanish_on_boundary_shell(label):
 
 
 @pytest.mark.parametrize("label", POTENTIALS_1D)
-def test_potential_divergence_matches_jacobian_trace(label):
+def test_potential_divergence_matches_finite_differences(label):
     A = resolve_potential(label, 1)
     rng = np.random.default_rng(5)
     pts = _interior_points(1, 20, rng)

@@ -161,6 +161,42 @@ def test_bbm_member_identity_with_seminorm():
         assert abs(mv - sv) / sv < 1e-10
 
 
+def test_mollified_taylor_correct_requires_gradient():
+    # the mollified functional shares the seminorm's near-field hook, so a
+    # gradient-free field is refused in taylor-correct mode instead of losing
+    # its sub-cutoff term; in drop mode the bbm identity still holds
+    bare = ScalarField(1, value=lambda p: np.exp(-p[..., 0] ** 2).astype(complex))
+    A = resolve_potential("linear:alpha=1", 1)
+    member = bbm_family([0.9], r_domain=D1.diameter(), dim=1).members[0]
+    with pytest.raises(ConfigurationError):
+        mollified_functional(bare, A, D1, member, SPEC1)
+    drop = replace(SPEC1, near_field="drop")
+    mv = mollified_functional(bare, A, D1, member, drop).value
+    sv = 2.0 * (1.0 - 0.9) * magnetic_seminorm_sq(bare, A, D1, 0.9, drop).value
+    assert abs(mv - sv) / sv < 1e-10
+
+
+def test_functionals_reject_dimension_mismatch():
+    u1, u2 = resolve_field("gauss1d"), resolve_field("gauss2d")
+    A1, A2 = resolve_potential("zero", 1), resolve_potential("landau:beta=1", 2)
+    grid = tensor_grid(D1, 8)
+    member = bbm_family([0.9], r_domain=D1.diameter(), dim=1).members[0]
+    for u, A in ((u2, A1), (u1, A2)):
+        calls = [
+            lambda: magnetic_seminorm_sq(u, A, D1, 0.5, SPEC1),
+            lambda: local_magnetic_energy(u, A, D1, grid),
+            lambda: fullspace_seminorm_sq(u, A, D1, 0.5, SPEC1),
+            lambda: mollified_functional(u, A, D1, member, SPEC1),
+            lambda: translation_difference_sq(u, A, [0.1], grid),
+            lambda: uniform_bound_check(u, A, D1, [0.5], SPEC1),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigurationError, match="dimensional"):
+                call()
+    with pytest.raises(ConfigurationError, match="dimensional"):
+        l2_norm_sq(u2, grid)
+
+
 def test_bbm_family_pointwise_value():
     # exponent N + 2s - 2 vanishes for N=1, s=1/2: rho = 2(1-s) = 1 below r_domain
     fam = bbm_family([0.5], r_domain=2.0, dim=1)

@@ -14,7 +14,6 @@ from bbm_magnetic.geometry import (
     interval,
     sphere_rule,
     tensor_grid,
-    unit_sphere_nodes,
 )
 
 
@@ -130,10 +129,10 @@ def test_chord_property_ball():
 
 
 def test_sphere_nodes_dim1():
-    nodes = unit_sphere_nodes(1, 5)
-    assert len(nodes) == 2
-    assert {float(v.unit[0]) for v, _ in nodes} == {1.0, -1.0}
-    assert all(w == 1.0 for _, w in nodes)
+    dirs, wts = sphere_rule(1, 5)
+    assert dirs.shape == (2, 1)
+    assert set(dirs[:, 0].tolist()) == {1.0, -1.0}
+    assert wts.tolist() == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("dim,count,area", [(1, 1, 2.0), (2, 8, 2 * math.pi), (3, 128, 4 * math.pi)])

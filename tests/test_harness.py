@@ -5,11 +5,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import bbm_magnetic
+from bbm_magnetic import harness
 from bbm_magnetic.corpus import resolve_field, resolve_potential
-from bbm_magnetic.errors import ConditionViolation, ConfigurationError
+from bbm_magnetic.errors import ConditionViolation, ConfigurationError, IntegrationError
 from bbm_magnetic.functionals import (
     MollifierFamily,
     RadialMollifier,
@@ -18,6 +21,7 @@ from bbm_magnetic.functionals import (
 )
 from bbm_magnetic.geometry import interval
 from bbm_magnetic.harness import (
+    SWEEP_KINDS,
     SweepConfig,
     SweepReport,
     config_from_dict,
@@ -95,6 +99,80 @@ def test_config_from_dict_defaults_and_echo():
     assert cfg.s_list == (0.8, 0.9, 0.95, 0.99)
 
 
+_INTERVAL = {"kind": "interval", "center": [0.0], "extents": [1.0]}
+_GOOD = {"kind": "bbm-domain", "field": "gauss1d", "potential": "zero", "domain": _INTERVAL}
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"s-list": [0.8, 0.9]}, "unknown config key"),
+    ({"quadrature": {"foo": 1}}, "unknown quadrature key"),
+    ({"quadrature": {"radial_layout": "graded"}}, "unknown quadrature key"),
+    ({"quadrature": {"outer_nodes": "8"}}, "must be an integer"),
+    ({"format": "yaml"}, "unknown report format"),
+    ({"domain": {**_INTERVAL, "radius": 1.0}}, "unknown interval domain key"),
+    ({"s_list": "0.9"}, "must be a list of numbers"),
+    ({"family": {"kind": "gaussian", "indices": [2.5]}}, "must be an integer"),
+])
+def test_config_from_dict_rejects_bad_input(change, message):
+    config_from_dict(_GOOD)
+    with pytest.raises(ConfigurationError, match=message):
+        config_from_dict({**_GOOD, **change})
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_NUMBERS = st.lists(st.floats() | st.integers(), max_size=4)
+_S_LIST = st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4, unique=True).map(sorted)
+_DOMAIN = st.sampled_from([
+    {"kind": "interval", "center": [0.0], "extents": [1.0]},
+    {"kind": "box", "center": [0.0, 0.0], "extents": [1.0, 1.0]},
+    {"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+]) | st.fixed_dictionaries(
+    {"kind": st.sampled_from(["interval", "box", "ball", "cube"]) | _JSON},
+    optional={"center": _NUMBERS | _JSON, "extents": _NUMBERS | _JSON,
+              "radius": st.floats() | _JSON, "side": _JSON},
+) | _JSON
+# Mostly well-formed values, so that examples get past the first check.
+_CONFIG_VALUES = {
+    "kind": st.sampled_from(SWEEP_KINDS) | _JSON,
+    "field": st.sampled_from(["gauss1d", "gauss2d"]) | _JSON,
+    "potential": st.sampled_from(["zero", "linear:alpha=1"]) | _JSON,
+    "s_list": _S_LIST | _NUMBERS | _JSON,
+    "family": st.fixed_dictionaries({}, optional={
+        "kind": st.sampled_from(["gaussian", "bbm", "box"]) | _JSON,
+        "indices": st.lists(st.integers(1, 30), max_size=3) | _NUMBERS | _JSON,
+        "s_list": _S_LIST | _JSON,
+        "r_domain": st.floats() | _JSON,
+    }) | _JSON,
+    "h_list": st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3) | _NUMBERS | _JSON,
+    "direction": _NUMBERS | _JSON,
+    "point": _NUMBERS | _JSON,
+    "delta": st.floats() | _JSON,
+    "quadrature": st.dictionaries(
+        st.sampled_from(["outer_nodes", "angular_nodes", "radial_nodes", "eps",
+                         "geometric_ratio", "near_field", "radial_layout"]),
+        st.integers(0, 64) | st.floats(0.0, 1.0) | st.sampled_from(["drop", "taylor-correct"]) | _JSON,
+        max_size=4,
+    ) | _JSON,
+    "output": st.text(max_size=6) | _JSON,
+    "format": st.sampled_from(["csv", "json", "yaml"]) | _JSON,
+}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.fixed_dictionaries({"domain": _DOMAIN}, optional=_CONFIG_VALUES)
+       | st.dictionaries(st.sampled_from(["s-list", "domain", "kind"]), _JSON) | _JSON)
+def test_config_parser_ends_in_config_or_configuration_error(raw):
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigurationError:
+        return
+    assert isinstance(cfg, SweepConfig)
+
+
 def test_bbm_sweep_rows_and_target_consistency():
     rep = run_bbm_sweep(_cfg())
     assert [r.param for r in rep.rows] == [0.8, 0.9, 0.95, 0.99]
@@ -125,6 +203,29 @@ def test_threads_do_not_change_values():
     assert [r.value for r in rep1.rows] == [r.value for r in rep8.rows]
     assert render_report(rep1, "csv") == render_report(rep8, "csv")
     assert render_report(rep1, "json") == render_report(rep8, "json")
+
+
+@pytest.mark.parametrize("kind,functional,extra", [
+    ("bbm-domain", "magnetic_seminorm_sq", {}),
+    ("lemma-uniform", "fullspace_seminorm_sq",
+     {"field_label": "bump1d", "s_list": (0.5, 0.7, 0.9, 0.99)}),
+])
+def test_integration_error_becomes_failed_row(monkeypatch, kind, functional, extra):
+    real = getattr(harness, functional)
+
+    def flaky(u, A, d, s, spec):
+        if s == 0.9:
+            raise IntegrationError("integrand produced NaN at y=[0.5]")
+        return real(u, A, d, s, spec)
+
+    monkeypatch.setattr(harness, functional, flaky)
+    rep = run_sweep(_cfg(kind=kind, **extra))
+    failed = [r for r in rep.rows if r.failed]
+    assert [r.param for r in failed] == [0.9]
+    assert failed[0].note == "integrand produced NaN at y=[0.5]"
+    assert math.isnan(failed[0].value)
+    assert all(math.isfinite(r.value) and r.note == "" for r in rep.rows if not r.failed)
+    assert math.isfinite(rep.extrapolated_limit)
 
 
 def test_mollifier_sweep_gaussian_family_converges():
@@ -298,6 +399,14 @@ def test_cli_sweep_threads_byte_identical(tmp_path):
             outs[(fmt, threads)] = path.read_bytes()
     assert outs[("csv", "1")] == outs[("csv", "8")]
     assert outs[("json", "1")] == outs[("json", "8")]
+
+
+def test_cli_sweep_dimension_mismatch_exits_2(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_GOOD, "field": "gauss2d", "potential": "linear:alpha=1"}))
+    res = _run_cli("sweep", "--config", str(cfg_path))
+    assert res.returncode == 2
+    assert "2-dimensional" in res.stderr
 
 
 def test_cli_sweep_condition_violation_exits_1(tmp_path):

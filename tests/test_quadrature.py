@@ -72,14 +72,6 @@ def test_squared_distance_kernel_s_three_quarters():
     assert abs(res.value - exact) / exact < 1e-5
 
 
-def test_graded_layout_agrees_with_geometric():
-    exact = 16.0 * math.sqrt(2.0) / 3.0
-    spec = QuadratureSpec(outer_nodes=96, angular_nodes=2, radial_nodes=10,
-                          eps=1e-8, radial_layout="graded", near_field="drop")
-    res = double_integral_singular(_sq_diff, D1, 0.75, spec)
-    assert abs(res.value - exact) / exact < 1e-3
-
-
 def test_invalid_s_rejected():
     spec = QuadratureSpec(outer_nodes=8, angular_nodes=2, radial_nodes=4)
     with pytest.raises(ValueError):
