@@ -55,7 +55,6 @@ from .harness import (
     emit_report,
     extrapolate_limit,
     load_config,
-    run_bbm_sweep,
     run_mollifier_sweep,
     run_sweep,
 )
@@ -64,13 +63,11 @@ from .operator import (
     fractional_magnetic_apply,
     local_magnetic_apply,
     operator_limit_scan,
-    pv_correction_bound,
 )
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
     double_integral_singular,
-    near_field_correction,
     pairwise_sum,
     tail_integral,
 )

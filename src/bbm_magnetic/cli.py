@@ -27,7 +27,7 @@ from .constants import (
 from .corpus import resolve_field, resolve_potential
 from .errors import ConditionViolation, ConfigurationError, IntegrationError
 from .functionals import bbm_family, check_mollifier, gaussian_family
-from .harness import default_spec, emit_report, load_config, render_report, run_sweep
+from .harness import default_spec, emit_report, load_config, render_report, run_sweep, write_text
 from .operator import operator_limit_scan
 
 
@@ -40,8 +40,7 @@ def _parse_floats(text: str) -> list[float]:
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_text(text, out)
     else:
         sys.stdout.write(text)
 

@@ -29,11 +29,11 @@ from .geometry import Domain, TensorGrid, tensor_grid
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
-    _layered_radial,
     _run_two_level,
     double_integral_singular,
     near_field_hook,
     pairwise_sum,
+    radial_integral,
     tail_integral_many,
 )
 
@@ -229,18 +229,6 @@ def gaussian_family(indices: Sequence[int], dim: int) -> MollifierFamily:
     return MollifierFamily("gaussian", dim, tuple(members), tuple(float(n) for n in idx))
 
 
-# Radial layout of the mollifier moment integrals: halving layers, 24 nodes each.
-_MOMENT_SPEC = QuadratureSpec(radial_nodes=24, geometric_ratio=0.5)
-
-
-def _radial_integral(fn: Callable, lo: float, hi: float) -> float:
-    """Geometric-layer Gauss-Legendre quadrature of fn on [lo, hi]."""
-    if hi <= lo:
-        return 0.0
-    r, w = _layered_radial(np.array(hi), np.array(lo), _MOMENT_SPEC)
-    return float(np.sum(fn(r) * w))
-
-
 @dataclass(frozen=True)
 class MollifierCheck:
     """Per-member moment report for the normalization and concentration
@@ -266,13 +254,13 @@ def check_mollifier(fam: MollifierFamily, dim: int, delta: float) -> list[Mollif
         # small-ball moment covers [0, a], where power kernels near s = 1
         # keep mass no grid can see.
         a = min(1e-3 * rsup, 0.5 * delta)
-        m0 = float(member.near_moment(a)) + _radial_integral(
+        m0 = float(member.near_moment(a)) + radial_integral(
             lambda r: member.fn(r) * r ** (dim - 1), a, rsup
         )
-        tail = _radial_integral(lambda r: member.fn(r) * r ** (dim - 1), delta, max(rsup, delta))
+        tail = radial_integral(lambda r: member.fn(r) * r ** (dim - 1), delta, max(rsup, delta))
         tiny = 1e-12 * min(delta, rsup)
-        m1 = _radial_integral(lambda r: member.fn(r) * r**dim, tiny, delta)
-        m2 = _radial_integral(lambda r: member.fn(r) * r ** (dim + 1), tiny, delta)
+        m1 = radial_integral(lambda r: member.fn(r) * r**dim, tiny, delta)
+        m2 = radial_integral(lambda r: member.fn(r) * r ** (dim + 1), tiny, delta)
         out.append(MollifierCheck(member.param, m0, tail, m1, m2))
     return out
 

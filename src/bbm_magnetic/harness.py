@@ -49,10 +49,10 @@ __all__ = [
     "config_from_dict",
     "load_config",
     "run_sweep",
-    "run_bbm_sweep",
     "run_mollifier_sweep",
     "extrapolate_limit",
     "emit_report",
+    "write_text",
     "report_to_dict",
     "report_from_dict",
 ]
@@ -255,8 +255,12 @@ def config_from_dict(raw: dict) -> SweepConfig:
 
 
 def load_config(path: str | Path) -> SweepConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    return config_from_dict(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +441,7 @@ def _plan_operator(cfg: SweepConfig, u, A) -> _Plan:
     x = np.asarray(cfg.point if cfg.point else d.center, dtype=float)
 
     def row(s: float) -> float:
-        (sample,) = operator_limit_scan(u, A, x, [s], cfg.spec, ref_length=d.diameter())
+        (sample,) = operator_limit_scan(u, A, x, [s], cfg.spec)
         return sample.discrepancy
 
     return _Plan(cfg.s_list, cfg.s_list, row, lambda s, v: v, 0.0, _one_minus, node_counts=[])
@@ -484,11 +488,6 @@ SWEEP_KINDS = tuple(_PLANS)
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepReport:
     """Run a sweep of the configured kind."""
     return _sweep(cfg, _PLANS[cfg.kind], threads)
-
-
-def run_bbm_sweep(cfg: SweepConfig, threads: int = 1) -> SweepReport:
-    """Scaled-seminorm sweep versus the local-energy target K_N * E."""
-    return _sweep(cfg, _plan_bbm, threads)
 
 
 def run_mollifier_sweep(
@@ -539,11 +538,15 @@ def render_report(r: SweepReport, fmt: str) -> str:
     raise ConfigurationError(f"unknown report format {fmt!r}; known: {REPORT_FORMATS}")
 
 
-def emit_report(r: SweepReport, fmt: str, path: str | Path) -> None:
-    """Write the report; reruns of the same config write identical bytes."""
-    text = render_report(r, fmt)
+def write_text(text: str, path: str | Path) -> None:
+    """Write text with LF line ends; an unwritable path is a ConfigurationError."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigurationError(f"cannot write report to {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+
+
+def emit_report(r: SweepReport, fmt: str, path: str | Path) -> None:
+    """Write the report; reruns of the same config write identical bytes."""
+    write_text(render_report(r, fmt), path)

@@ -2,7 +2,8 @@
 local magnetic Schrodinger operator, plus an s -> 1 consistency scan.
 
 The fractional operator is evaluated as a principal value in three pieces:
-a radial-angular annulus integral between the cutoff ball and a far radius,
+a radial-angular annulus integral between the cutoff ball and a far radius
+(the quadrature engine's ``radial_angular``),
 an analytic far tail using the field's decay, and a symmetric second-order
 estimate of the cutoff ball itself.  The ball term matters: its size is
 proportional to eps^(2-2s), which no representable cutoff makes negligible
@@ -12,26 +13,25 @@ as s approaches 1, so dropping it would wreck the local-limit comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .constants import fractional_constant
 from .errors import ConfigurationError, IntegrationError
-from .fields import ScalarField, VectorPotential, midpoint_phase
+from .fields import ScalarField, VectorPotential, midpoint_phase, require_dimension
 from .geometry import sphere_rule
-from .quadrature import QuadratureSpec, _layered_radial
+from .quadrature import QuadratureSpec, radial_angular
 
 __all__ = [
     "OperatorSample",
     "fractional_magnetic_apply",
     "local_magnetic_apply",
     "operator_limit_scan",
-    "pv_correction_bound",
 ]
 
-# Reference length for cutoff/far-field scaling; the corpus problems live on
-# domains of diameter 2.
+# Length that scales the cutoff, the far radius and the decay probes; the
+# corpus problems live on domains of diameter 2.
 _REF_LENGTH = 2.0
 _FAR_FACTOR = 20.0
 _DECAY_TOL = 1e-10
@@ -44,6 +44,7 @@ def local_magnetic_apply(u: ScalarField, A: VectorPotential, x) -> complex:
     if A.divergence is None:
         raise ConfigurationError("local magnetic operator needs divergence metadata")
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    require_dimension(x.size, u, A)
     hess = u.hessian(x)
     lap = np.trace(hess, axis1=-2, axis2=-1)
     grad = u.gradient(x) if u.gradient is not None else None
@@ -65,19 +66,17 @@ def _fractional_parts(
     x: np.ndarray,
     s: float,
     spec: QuadratureSpec,
-    ref_length: float,
-    far_radius: Optional[float],
 ) -> tuple[complex, complex, complex]:
     """(annulus, ball estimate, far tail) of the principal-value integral."""
     n = u.dim
-    eps_abs = spec.eps * ref_length
-    r_far = _FAR_FACTOR * ref_length if far_radius is None else float(far_radius)
+    eps_abs = spec.eps * _REF_LENGTH
+    r_far = _FAR_FACTOR * _REF_LENGTH
     dirs, wdir = sphere_rule(n, spec.angular_nodes)
 
     probes = [x[None, :]]
     for scale in (0.5, 1.0, 2.0):
-        probes.append(x[None, :] + scale * ref_length * np.eye(n))
-        probes.append(x[None, :] - scale * ref_length * np.eye(n))
+        probes.append(x[None, :] + scale * _REF_LENGTH * np.eye(n))
+        probes.append(x[None, :] - scale * _REF_LENGTH * np.eye(n))
     u_scale = max(float(np.max(np.abs(u.value(np.vstack(probes))))), 1e-300)
 
     ux = complex(u.value(x[None, :])[0])
@@ -96,10 +95,12 @@ def _fractional_parts(
         )
     far = complex(far_diff @ wdir) * r_far ** (-2.0 * s) / (2.0 * s)
 
-    r, w = _layered_radial(np.full(dirs.shape[0], r_far), np.full(dirs.shape[0], eps_abs), spec)
-    y = x + r[..., None] * dirs[:, None, :]
-    g = ux - midpoint_phase(A, x, y) * u.value(y)
-    annulus = complex(np.sum(g * (w * r ** (-1.0 - 2.0 * s)), axis=-1) @ wdir)
+    (per_dir,), _ = radial_angular(
+        lambda xs, y: ux - midpoint_phase(A, xs, y) * u.value(y),
+        x[None, :], np.full((1, dirs.shape[0]), r_far), np.array([eps_abs]), dirs, spec,
+        lambda r: r ** (-1.0 - 2.0 * s),
+    )
+    annulus = complex(per_dir @ wdir)
 
     y_plus = x + eps_abs * dirs
     y_minus = x - eps_abs * dirs
@@ -118,31 +119,16 @@ def fractional_magnetic_apply(
     x,
     s: float,
     spec: QuadratureSpec,
-    ref_length: float = _REF_LENGTH,
-    far_radius: Optional[float] = None,
 ) -> complex:
     """Principal-value evaluation of the fractional magnetic operator at x."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional order s={s} outside (0, 1)")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    annulus, ball, far = _fractional_parts(u, A, x, s, spec, ref_length, far_radius)
+    require_dimension(x.size, u, A)
+    annulus, ball, far = _fractional_parts(u, A, x, s, spec)
     if spec.near_field != "taylor-correct":
         ball = 0.0
     return fractional_constant(u.dim, s) * (annulus + ball + far)
-
-
-def pv_correction_bound(
-    u: ScalarField,
-    A: VectorPotential,
-    x,
-    s: float,
-    spec: QuadratureSpec,
-    ref_length: float = _REF_LENGTH,
-) -> float:
-    """Magnitude of the cutoff-ball term, as reported by taylor-correct mode."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _, ball, _ = _fractional_parts(u, A, x, s, spec, ref_length, None)
-    return abs(fractional_constant(u.dim, s) * ball)
 
 
 @dataclass(frozen=True)
@@ -160,7 +146,6 @@ def operator_limit_scan(
     x,
     s_list: Sequence[float],
     spec: QuadratureSpec,
-    ref_length: float = _REF_LENGTH,
 ) -> list[OperatorSample]:
     """Fractional vs local operator values along an increasing s sequence."""
     s_vals = [float(s) for s in s_list]
@@ -170,6 +155,6 @@ def operator_limit_scan(
     loc = local_magnetic_apply(u, A, x)
     out = []
     for s in s_vals:
-        frac = fractional_magnetic_apply(u, A, x, s, spec, ref_length)
+        frac = fractional_magnetic_apply(u, A, x, s, spec)
         out.append(OperatorSample(tuple(x.tolist()), s, frac, loc, abs(frac - loc)))
     return out

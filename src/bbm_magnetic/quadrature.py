@@ -32,12 +32,17 @@ __all__ = [
     "IntegralResult",
     "pairwise_sum",
     "double_integral_singular",
-    "near_field_correction",
+    "radial_angular",
+    "radial_integral",
     "tail_integral",
 ]
 
 # Cap on points handled per outer-node chunk; keeps peak memory modest.
 _CHUNK_BUDGET = 400_000
+# Each radial layer spans [ratio * hi, hi], so layers halve toward the cutoff.
+_GEOMETRIC_RATIO = 0.5
+# Gauss-Legendre nodes per layer of the one-dimensional moment integrals.
+_MOMENT_NODES = 24
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,6 @@ class QuadratureSpec:
     angular_nodes: int = 32
     radial_nodes: int = 8
     eps: float = 1e-4
-    geometric_ratio: float = 0.5
     near_field: str = "taylor-correct"
 
     def __post_init__(self):
@@ -62,8 +66,6 @@ class QuadratureSpec:
             raise ConfigurationError("all node counts must be >= 1")
         if not 0.0 < self.eps < 1.0:
             raise ConfigurationError("eps must lie in (0, 1) as a diameter fraction")
-        if not 0.0 < self.geometric_ratio < 1.0:
-            raise ConfigurationError("geometric ratio must lie in (0, 1)")
         if self.near_field not in ("drop", "taylor-correct"):
             raise ConfigurationError(f"unknown near-field mode {self.near_field!r}")
 
@@ -92,16 +94,17 @@ def pairwise_sum(values: np.ndarray):
 
 
 def _layered_radial(
-    R: np.ndarray, eps_x: np.ndarray, spec: QuadratureSpec
+    R: np.ndarray, eps_x: np.ndarray, nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Radial nodes and dr-weights covering [eps_x, R] per direction.
+    """Radial nodes and dr-weights covering [eps_x, R] per direction, with
+    ``nodes`` Gauss-Legendre nodes per geometric layer.
 
     R has shape (..., M); eps_x must broadcast against R.  Returns r and w of
     shape (..., M, K).  Layers a direction does not need carry zero weight,
     so ragged layer counts vectorize as padding.
     """
-    ratio = spec.geometric_ratio
-    xi, wgl = np.polynomial.legendre.leggauss(spec.radial_nodes)
+    ratio = _GEOMETRIC_RATIO
+    xi, wgl = np.polynomial.legendre.leggauss(nodes)
     eps = np.broadcast_to(np.asarray(eps_x, dtype=float), R.shape)
     n_layers = np.ceil(np.log(R / eps) / math.log(1.0 / ratio)).astype(int)
     n_layers = np.maximum(n_layers, 1)
@@ -115,8 +118,52 @@ def _layered_radial(
     mid = np.where(valid, 0.5 * (hi + lo), eps[..., None])
     r = mid[..., None] + half[..., None] * xi  # (..., M, L, K)
     w = half[..., None] * wgl
-    new_shape = R.shape + (l_max * spec.radial_nodes,)
+    new_shape = R.shape + (l_max * nodes,)
     return r.reshape(new_shape), w.reshape(new_shape)
+
+
+def radial_integral(fn: Callable, lo: float, hi: float) -> float:
+    """Geometric-layer Gauss-Legendre quadrature of fn on [lo, hi]."""
+    if hi <= lo:
+        return 0.0
+    r, w = _layered_radial(np.array(hi), np.array(lo), _MOMENT_NODES)
+    return float(np.sum(fn(r) * w))
+
+
+def radial_angular(
+    pair_fn: Callable,
+    X: np.ndarray,
+    R: np.ndarray,
+    eps_x: np.ndarray,
+    dirs: np.ndarray,
+    spec: QuadratureSpec,
+    radial_weight: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, int]:
+    """Integrals of pair_fn(x, x + r*omega) * radial_weight(r) over r in
+    [eps_x, R], per point and direction, and the number of integrand values.
+
+    X holds C points (C, N), dirs the M unit directions (M, N), R the exit
+    distances (C, M) and eps_x the cutoffs (C,).  Returns shape (C, M);
+    a NaN integrand value raises IntegrationError.
+    """
+    per_point = dirs.shape[0] * spec.radial_nodes * 40  # rough K upper bound
+    chunk = max(1, _CHUNK_BUDGET // per_point)
+    sums, count = [], 0
+    # The loop's arrays live until the next chunk replaces them, so the
+    # allocator reuses their pages instead of returning and refaulting them.
+    for start in range(0, X.shape[0], chunk):
+        cut = slice(start, start + chunk)
+        Xc = X[cut, None, None, :]
+        r, w = _layered_radial(R[cut], eps_x[cut, None], spec.radial_nodes)
+        y = Xc + r[..., None] * dirs[None, :, None, :]
+        vals = pair_fn(Xc, y)
+        if np.isnan(vals).any():
+            idx = np.argwhere(np.isnan(vals))[0]
+            bad = y[tuple(idx)]
+            raise IntegrationError(f"integrand produced NaN at y={bad.tolist()}")
+        sums.append(np.sum(vals * (w * radial_weight(r)), axis=-1))
+        count += vals.size
+    return np.concatenate(sums), count
 
 
 def near_field_hook(
@@ -146,21 +193,6 @@ def near_field_hook(
     return lambda X, eps_x: magnetic_density(u, A, X) * q * moment(eps_x) / divisor
 
 
-def near_field_correction(
-    u: ScalarField, A: VectorPotential, x, eps: float, s: float
-) -> float:
-    """Leading contribution of the ball B(x, eps) to the seminorm inner
-    integral: |grad u(x) - i A(x) u(x)|^2 * Q_N * eps^(2-2s) / (2-2s)."""
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"fractional order s={s} outside (0, 1)")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    spec = QuadratureSpec(near_field="taylor-correct")
-    hook = near_field_hook(u, A, spec, lambda e: e ** (2.0 - 2.0 * s), 2.0 - 2.0 * s)
-    return float(hook(x[None, :], np.array([eps]))[0])
-
-
 def _domain_pass(
     pair_fn: Callable,
     d: Domain,
@@ -171,32 +203,15 @@ def _domain_pass(
     """One full evaluation at the given spec; returns (value, node count)."""
     grid = tensor_grid(d, spec.outer_nodes)
     dirs, wdir = sphere_rule(d.dimension, spec.angular_nodes)
-    eps_abs = spec.eps * d.diameter()
-    n_out = grid.points.shape[0]
-    partials = np.zeros(n_out)
-    nodes_used = 0
-
-    per_point = dirs.shape[0] * spec.radial_nodes * 40  # rough K upper bound
-    chunk = max(1, _CHUNK_BUDGET // per_point)
-    for start in range(0, n_out, chunk):
-        X = grid.points[start : start + chunk]
-        R = boundary_distances(d, X, dirs)
-        # Shrink the cutoff near the boundary so the corrected ball stays
-        # inside the domain.
-        eps_x = np.minimum(eps_abs, 0.5 * R.min(axis=1))
-        r, w = _layered_radial(R, eps_x[:, None], spec)
-        y = X[:, None, None, :] + r[..., None] * dirs[None, :, None, :]
-        vals = pair_fn(X[:, None, None, :], y)
-        if np.isnan(vals).any():
-            idx = np.argwhere(np.isnan(vals))[0]
-            bad = y[tuple(idx)]
-            raise IntegrationError(f"integrand produced NaN at y={bad.tolist()}")
-        inner = np.sum(vals * (w * radial_weight(r)), axis=-1) @ wdir
-        if near_field is not None:
-            inner = inner + near_field(X, eps_x)
-        partials[start : start + chunk] = grid.weights[start : start + chunk] * inner
-        nodes_used += int(np.prod(vals.shape))
-    return float(pairwise_sum(partials)), nodes_used
+    R = boundary_distances(d, grid.points, dirs)
+    # Shrink the cutoff near the boundary so the corrected ball stays inside
+    # the domain.
+    eps_x = np.minimum(spec.eps * d.diameter(), 0.5 * R.min(axis=1))
+    per_dir, count = radial_angular(pair_fn, grid.points, R, eps_x, dirs, spec, radial_weight)
+    inner = per_dir @ wdir
+    if near_field is not None:
+        inner = inner + near_field(grid.points, eps_x)
+    return float(pairwise_sum(grid.weights * inner)), count
 
 
 def _coarsened(spec: QuadratureSpec, dim: int) -> QuadratureSpec:

@@ -28,7 +28,7 @@ from bbm_magnetic.functionals import (
     uniform_bound_check,
 )
 from bbm_magnetic.geometry import box, interval, tensor_grid
-from bbm_magnetic.harness import SweepConfig, default_spec, run_bbm_sweep, run_mollifier_sweep, run_sweep
+from bbm_magnetic.harness import SweepConfig, default_spec, run_mollifier_sweep, run_sweep
 from bbm_magnetic.operator import fractional_magnetic_apply, operator_limit_scan
 
 from .oracles import spectral_fractional_gaussian
@@ -80,7 +80,7 @@ def test_criterion_2_classical_bbm_reduction():
         assert rel < 1e-3, f"s={s}: {rel}"
     cfg = SweepConfig(kind="bbm-domain", field_label="gauss1d", potential_label="zero",
                       domain=D1, spec=SPEC1)
-    rep = run_bbm_sweep(cfg)
+    rep = run_sweep(cfg)
     lim_rel = abs(rep.extrapolated_limit - GAUSS1D_ENERGY) / GAUSS1D_ENERGY
     assert lim_rel < 0.01
     _report(2, f"per-point vs brute oracle <= {worst:.2e}, extrapolated limit off by {lim_rel:.2e}")
@@ -89,7 +89,7 @@ def test_criterion_2_classical_bbm_reduction():
 def test_criterion_3_magnetic_bbm_sweeps():
     cfg1 = SweepConfig(kind="bbm-domain", field_label="gauss1d",
                        potential_label="linear:alpha=1", domain=D1, spec=SPEC1)
-    rep1 = run_bbm_sweep(cfg1)
+    rep1 = run_sweep(cfg1)
     errs1 = [r.rel_err for r in rep1.rows]
     assert all(b < a for a, b in zip(errs1, errs1[1:]))
     rel1 = abs(rep1.extrapolated_limit - rep1.target) / rep1.target
@@ -98,7 +98,7 @@ def test_criterion_3_magnetic_bbm_sweeps():
     cfg2 = SweepConfig(kind="bbm-domain", field_label="gauss2d",
                        potential_label="landau:beta=1",
                        domain=box([0.0, 0.0], [1.0, 1.0]), spec=SPEC2)
-    rep2 = run_bbm_sweep(cfg2)
+    rep2 = run_sweep(cfg2)
     errs2 = [r.rel_err for r in rep2.rows]
     assert all(b < a for a, b in zip(errs2, errs2[1:]))
     rel2 = abs(rep2.extrapolated_limit - rep2.target) / rep2.target
@@ -112,7 +112,7 @@ def test_criterion_4_fullspace_limit():
     cfg = SweepConfig(kind="bbm-fullspace", field_label="bump1d",
                       potential_label="linear:alpha=1", domain=D1,
                       s_list=s_list, spec=SPEC1)
-    rep = run_bbm_sweep(cfg)
+    rep = run_sweep(cfg)
     u = resolve_field("bump1d")
     A = resolve_potential("linear:alpha=1", 1)
     tails = []

@@ -21,6 +21,7 @@ from bbm_magnetic.functionals import (
     uniform_bound_check,
 )
 from bbm_magnetic.geometry import box, interval, tensor_grid
+from bbm_magnetic.operator import fractional_magnetic_apply, local_magnetic_apply
 from bbm_magnetic.quadrature import QuadratureSpec
 
 from .oracles import brute_gagliardo_1d, gauss1d_energy_closed_form
@@ -189,6 +190,8 @@ def test_functionals_reject_dimension_mismatch():
             lambda: mollified_functional(u, A, D1, member, SPEC1),
             lambda: translation_difference_sq(u, A, [0.1], grid),
             lambda: uniform_bound_check(u, A, D1, [0.5], SPEC1),
+            lambda: fractional_magnetic_apply(u, A, [0.0], 0.5, SPEC1),
+            lambda: local_magnetic_apply(u, A, [0.0]),
         ]
         for call in calls:
             with pytest.raises(ConfigurationError, match="dimensional"):

@@ -31,7 +31,6 @@ from bbm_magnetic.harness import (
     render_report,
     report_from_dict,
     report_to_dict,
-    run_bbm_sweep,
     run_mollifier_sweep,
     run_sweep,
 )
@@ -112,6 +111,7 @@ _GOOD = {"kind": "bbm-domain", "field": "gauss1d", "potential": "zero", "domain"
     ({"domain": {**_INTERVAL, "radius": 1.0}}, "unknown interval domain key"),
     ({"s_list": "0.9"}, "must be a list of numbers"),
     ({"family": {"kind": "gaussian", "indices": [2.5]}}, "must be an integer"),
+    ({"quadrature": {"geometric_ratio": 0.5}}, "unknown quadrature key"),
 ])
 def test_config_from_dict_rejects_bad_input(change, message):
     config_from_dict(_GOOD)
@@ -174,7 +174,7 @@ def test_config_parser_ends_in_config_or_configuration_error(raw):
 
 
 def test_bbm_sweep_rows_and_target_consistency():
-    rep = run_bbm_sweep(_cfg())
+    rep = run_sweep(_cfg())
     assert [r.param for r in rep.rows] == [0.8, 0.9, 0.95, 0.99]
     for r in rep.rows:
         assert_allclose(r.scaled, (1.0 - r.param) * r.value, rtol=1e-15)
@@ -198,8 +198,8 @@ def test_zero_target_rows_have_zero_errors():
 
 def test_threads_do_not_change_values():
     cfg = _cfg()
-    rep1 = run_bbm_sweep(cfg, threads=1)
-    rep8 = run_bbm_sweep(cfg, threads=8)
+    rep1 = run_sweep(cfg, threads=1)
+    rep8 = run_sweep(cfg, threads=8)
     assert [r.value for r in rep1.rows] == [r.value for r in rep8.rows]
     assert render_report(rep1, "csv") == render_report(rep8, "csv")
     assert render_report(rep1, "json") == render_report(rep8, "json")
@@ -308,7 +308,7 @@ def test_empty_report_renders_header_only():
 
 
 def test_json_round_trip_identity():
-    rep = run_bbm_sweep(_cfg(s_list=(0.8, 0.9, 0.95)))
+    rep = run_sweep(_cfg(s_list=(0.8, 0.9, 0.95)))
     blob = render_report(rep, "json")
     back = report_from_dict(json.loads(blob))
     assert report_to_dict(back) == report_to_dict(rep)
@@ -318,8 +318,8 @@ def test_json_round_trip_identity():
 def test_emit_report_bytes_stable(tmp_path):
     cfg = _cfg(s_list=(0.8, 0.9, 0.95))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_report(run_bbm_sweep(cfg), "csv", p1)
-    emit_report(run_bbm_sweep(cfg), "csv", p2)
+    emit_report(run_sweep(cfg), "csv", p1)
+    emit_report(run_sweep(cfg), "csv", p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -361,6 +361,18 @@ def test_cli_constants_bad_dim_exits_2():
     assert "configuration error" in out.stderr
 
 
+def test_cli_constants_unwritable_out_exits_2(tmp_path):
+    out = _run_cli("constants", "--dim", "1", "--out", str(tmp_path / "no-such-dir" / "x.json"))
+    assert out.returncode == 2
+    assert "configuration error: cannot write" in out.stderr
+
+
+def test_cli_sweep_missing_config_exits_2(tmp_path):
+    out = _run_cli("sweep", "--config", str(tmp_path / "missing.json"))
+    assert out.returncode == 2
+    assert "configuration error: cannot read config" in out.stderr
+
+
 def test_cli_operator_rows():
     out = _run_cli("operator", "--field", "gauss1d", "--potential", "zero",
                    "--dim", "1", "--point", "0", "--s-list", "0.5,0.7")
@@ -368,6 +380,13 @@ def test_cli_operator_rows():
     lines = out.stdout.strip().splitlines()
     assert lines[0] == "s,frac_re,frac_im,local_re,local_im,discrepancy"
     assert len(lines) == 3
+
+
+def test_cli_operator_dimension_mismatch_exits_2():
+    out = _run_cli("operator", "--field", "gauss1d", "--potential", "zero",
+                   "--dim", "2", "--point", "0,0", "--s-list", "0.7,0.9")
+    assert out.returncode == 2
+    assert "1-dimensional" in out.stderr
 
 
 def test_cli_mollifier_check():

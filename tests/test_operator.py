@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bbm_magnetic.constants import fractional_constant
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConfigurationError, IntegrationError
 from bbm_magnetic.fields import ScalarField
@@ -11,7 +12,6 @@ from bbm_magnetic.operator import (
     fractional_magnetic_apply,
     local_magnetic_apply,
     operator_limit_scan,
-    pv_correction_bound,
 )
 from bbm_magnetic.quadrature import QuadratureSpec
 
@@ -153,20 +153,36 @@ def test_far_field_refusal_for_non_decaying_field():
         fractional_magnetic_apply(u, A, [0.0], 0.5, SPEC)
 
 
+def _gauss1d_ball_term(s):
+    # c(1, s) * 2 * eps^(2-2s) / (2-2s): the cutoff-ball term of e^{-x^2} at 0,
+    # where -u''(0) = 2, with the operator's cutoff eps = 2 * spec.eps.
+    eps = 2.0 * SPEC.eps
+    return fractional_constant(1, s) * 2.0 * eps ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+
+
 def test_eps_robustness_within_reported_bound():
     u = resolve_field("gauss1d")
     A = resolve_potential("zero", 1)
-    bound = pv_correction_bound(u, A, [0.0], 0.9, SPEC)
     v1 = fractional_magnetic_apply(u, A, [0.0], 0.9, SPEC)
     v2 = fractional_magnetic_apply(u, A, [0.0], 0.9, replace(SPEC, eps=SPEC.eps / 2.0))
-    assert abs(v1 - v2) < 10.0 * bound
+    assert abs(v1 - v2) < 10.0 * _gauss1d_ball_term(0.9)
 
 
 def test_drop_mode_omits_ball_term():
     u = resolve_field("gauss1d")
     A = resolve_potential("zero", 1)
-    s = 0.9
-    v_corr = fractional_magnetic_apply(u, A, [0.0], s, SPEC)
-    v_drop = fractional_magnetic_apply(u, A, [0.0], s, replace(SPEC, near_field="drop"))
-    bound = pv_correction_bound(u, A, [0.0], s, SPEC)
-    assert_allclose(abs(v_corr - v_drop), bound, rtol=1e-12)
+    for s in (0.5, 0.9, 0.99):
+        v_corr = fractional_magnetic_apply(u, A, [0.0], s, SPEC)
+        v_drop = fractional_magnetic_apply(u, A, [0.0], s, replace(SPEC, near_field="drop"))
+        assert_allclose(abs(v_corr - v_drop), _gauss1d_ball_term(s), rtol=1e-7)
+
+
+def test_nan_on_the_annulus_raises():
+    # NaN for 1 < |y| < 2 only: the cutoff ball and the far rim stay finite
+    def value(p):
+        r = np.abs(p[..., 0])
+        return np.where((r > 1.0) & (r < 2.0), np.nan, np.exp(-r * r)).astype(complex)
+
+    u = ScalarField(1, value=value, label="holed")
+    with pytest.raises(IntegrationError, match="NaN"):
+        fractional_magnetic_apply(u, resolve_potential("zero", 1), [0.0], 0.7, SPEC)

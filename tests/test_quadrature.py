@@ -13,7 +13,7 @@ from bbm_magnetic.geometry import interval
 from bbm_magnetic.quadrature import (
     QuadratureSpec,
     double_integral_singular,
-    near_field_correction,
+    near_field_hook,
     pairwise_sum,
     tail_integral,
 )
@@ -28,8 +28,6 @@ def _sq_diff(x, y):
 def test_spec_validation():
     with pytest.raises(ConfigurationError):
         QuadratureSpec(eps=1.5)
-    with pytest.raises(ConfigurationError):
-        QuadratureSpec(geometric_ratio=1.0)
     with pytest.raises(ConfigurationError):
         QuadratureSpec(radial_nodes=0)
     with pytest.raises(ConfigurationError):
@@ -96,36 +94,42 @@ def test_nan_integrand_reported():
         double_integral_singular(bad, D1, 0.5, spec)
 
 
+# The seminorm's sub-cutoff term at the origin with cutoff 0.01 is
+# |grad u - iAu|^2 * Q_N * eps^(2-2s) / (2-2s): the engine's hook with the
+# seminorm's moment eps^(2-2s) and divisor 2-2s.
+ORIGIN, EPS = np.zeros((1, 1)), np.array([0.01])
+ZERO_A = resolve_potential("zero", 1)
+TAYLOR = QuadratureSpec(near_field="taylor-correct")
+
+
+def _linear():
+    return ScalarField(1, value=lambda p: p[..., 0].astype(complex),
+                       gradient=lambda p: np.ones(p.shape, dtype=complex))
+
+
 def test_near_field_correction_trivial_zero():
-    u = resolve_field("gauss1d")
-    A = resolve_potential("zero", 1)
-    # the gaussian has zero gradient at the origin, so D = 0 there
-    assert near_field_correction(u, A, [0.0], 0.01, 0.5) == 0.0
+    # the gaussian has zero gradient at the origin, so D = 0 there (s = 0.5)
+    hook = near_field_hook(resolve_field("gauss1d"), ZERO_A, TAYLOR, lambda e: e, 1.0)
+    assert hook(ORIGIN, EPS)[0] == 0.0
 
 
 def test_near_field_correction_hand_value():
     # |grad u - iAu|^2 = 1 with Q_1 = 2, eps = 0.01, s = 0.5 -> 0.02
-    lin = ScalarField(1, value=lambda p: p[..., 0].astype(complex),
-                      gradient=lambda p: np.ones(p.shape, dtype=complex))
-    A = resolve_potential("zero", 1)
-    assert_allclose(near_field_correction(lin, A, [0.0], 0.01, 0.5), 0.02, rtol=1e-14)
+    hook = near_field_hook(_linear(), ZERO_A, TAYLOR, lambda e: e, 1.0)
+    assert_allclose(hook(ORIGIN, EPS)[0], 0.02, rtol=1e-14)
 
 
 def test_near_field_correction_localizes_as_s_to_one():
     # (1-s) times the correction tends to K_N |D|^2 with eps fixed
-    lin = ScalarField(1, value=lambda p: p[..., 0].astype(complex),
-                      gradient=lambda p: np.ones(p.shape, dtype=complex))
-    A = resolve_potential("zero", 1)
     s = 1.0 - 1e-9
-    got = (1.0 - s) * near_field_correction(lin, A, [0.0], 0.01, s)
-    assert_allclose(got, bbm_constant(1), rtol=1e-6)
+    hook = near_field_hook(_linear(), ZERO_A, TAYLOR, lambda e: e ** (2.0 - 2.0 * s), 2.0 - 2.0 * s)
+    assert_allclose((1.0 - s) * hook(ORIGIN, EPS)[0], bbm_constant(1), rtol=1e-6)
 
 
 def test_near_field_correction_requires_gradient():
     bare = ScalarField(1, value=lambda p: p[..., 0].astype(complex))
-    A = resolve_potential("zero", 1)
     with pytest.raises(ConfigurationError):
-        near_field_correction(bare, A, [0.0], 0.01, 0.5)
+        near_field_hook(bare, ZERO_A, TAYLOR, lambda e: e, 1.0)
 
 
 def test_tail_integral_centered():
