@@ -28,11 +28,14 @@ from .functionals import (
     bbm_family,
     check_mollifier,
     fullspace_seminorm_sq,
+    fullspace_seminorms_sq,
     gaussian_family,
     l2_norm_sq,
     local_magnetic_energy,
     magnetic_seminorm_sq,
+    magnetic_seminorms_sq,
     mollified_functional,
+    mollified_functionals,
     translation_difference_sq,
     uniform_bound_check,
 )

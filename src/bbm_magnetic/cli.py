@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -33,9 +34,12 @@ from .operator import operator_limit_scan
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigurationError(f"expected comma-separated numbers, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigurationError(f"expected finite numbers, got {text!r}")
+    return values
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -79,6 +83,8 @@ def _cmd_operator(args) -> int:
     if point.size != args.dim:
         raise ConfigurationError(f"point has {point.size} coordinates, expected {args.dim}")
     s_list = _parse_floats(args.s_list)
+    if not s_list:
+        raise ConfigurationError(f"--s-list needs at least one s value, got {args.s_list!r}")
     spec = default_spec(args.dim)
     samples = operator_limit_scan(u, A, point, s_list, spec)
     if args.format == "json":

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError
-from .geometry import sphere_area
+from .geometry import check_dimension, sphere_area
 
 __all__ = [
     "DimensionalConstants",
@@ -41,8 +40,7 @@ def dimensional_constants(dim: int) -> DimensionalConstants:
 
 def bbm_constant(dim: int) -> float:
     """K_N = |S^{N-1}| / (2N) = pi^{N/2} / (N Gamma(N/2))."""
-    if dim not in (1, 2, 3):
-        raise ConfigurationError(f"unsupported dimension {dim}; expected 1, 2 or 3")
+    check_dimension(dim)
     return math.pi ** (dim / 2.0) / (dim * math.gamma(dim / 2.0))
 
 
@@ -53,8 +51,7 @@ def fractional_constant(dim: int, s: float) -> float:
     reflection identity |Gamma(-s)| = Gamma(2 - s) / (s (1 - s)), but free of
     the Gamma pole at s = 1.
     """
-    if dim not in (1, 2, 3):
-        raise ConfigurationError(f"unsupported dimension {dim}; expected 1, 2 or 3")
+    check_dimension(dim)
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional order s={s} outside (0, 1)")
     return (
@@ -68,6 +65,5 @@ def fractional_constant(dim: int, s: float) -> float:
 
 def fractional_constant_limit(dim: int) -> float:
     """Limit of c(N, s)/(1 - s) as s -> 1: 4 N Gamma(N/2) / (2 pi^{N/2})."""
-    if dim not in (1, 2, 3):
-        raise ConfigurationError(f"unsupported dimension {dim}; expected 1, 2 or 3")
+    check_dimension(dim)
     return 4.0 * dim * math.gamma(dim / 2.0) / (2.0 * math.pi ** (dim / 2.0))

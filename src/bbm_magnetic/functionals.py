@@ -7,13 +7,18 @@ engine, differing only in the radial weight.  That is what makes the
 algebraic identity between the power-kernel mollifier family and
 2(1-s) times the seminorm hold to near machine precision here: identical
 nodes, identical summation order.
+
+The plural functions (``magnetic_seminorms_sq``, ``fullspace_seminorms_sq``,
+``mollified_functionals``) evaluate a whole s-list or kernel list from one
+integrand evaluation per engine pass; element k of their result equals the
+single-value function at the k-th s value or kernel, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -25,12 +30,14 @@ from .fields import (
     midpoint_phase,
     require_dimension,
 )
-from .geometry import Domain, TensorGrid, tensor_grid
+from .geometry import Domain, TensorGrid, check_dimension, gauss_legendre, tensor_grid
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
+    _run_batch,
     _run_two_level,
     double_integral_singular,
+    double_integrals_singular,
     near_field_hook,
     pairwise_sum,
     radial_integral,
@@ -43,9 +50,12 @@ __all__ = [
     "MollifierFamily",
     "MollifierCheck",
     "magnetic_seminorm_sq",
+    "magnetic_seminorms_sq",
     "local_magnetic_energy",
     "fullspace_seminorm_sq",
+    "fullspace_seminorms_sq",
     "mollified_functional",
+    "mollified_functionals",
     "bbm_family",
     "gaussian_family",
     "check_mollifier",
@@ -70,14 +80,29 @@ def _difference_sq(u: ScalarField, A: VectorPotential) -> Callable:
     return pair
 
 
+def _seminorm_hook(u: ScalarField, A: VectorPotential, spec: QuadratureSpec, s: float):
+    return near_field_hook(u, A, spec, lambda eps: eps ** (2.0 - 2.0 * s), 2.0 - 2.0 * s)
+
+
 def magnetic_seminorm_sq(
     u: ScalarField, A: VectorPotential, d: Domain, s: float, spec: QuadratureSpec
 ) -> FunctionalValue:
     """Squared magnetic Gagliardo seminorm over Omega x Omega."""
     require_dimension(d.dimension, u, A)
-    hook = near_field_hook(u, A, spec, lambda eps: eps ** (2.0 - 2.0 * s), 2.0 - 2.0 * s)
+    hook = _seminorm_hook(u, A, spec, s)
     res = double_integral_singular(_difference_sq(u, A), d, s, spec, near_field=hook)
     return FunctionalValue(res.value, res)
+
+
+def magnetic_seminorms_sq(
+    u: ScalarField, A: VectorPotential, d: Domain, s_list: Sequence[float], spec: QuadratureSpec
+) -> list[FunctionalValue]:
+    """magnetic_seminorm_sq at every s in s_list, from one integrand
+    evaluation per engine pass."""
+    require_dimension(d.dimension, u, A)
+    hooks = [_seminorm_hook(u, A, spec, s) for s in s_list]
+    results = double_integrals_singular(_difference_sq(u, A), d, s_list, spec, hooks)
+    return [FunctionalValue(res.value, res) for res in results]
 
 
 def local_magnetic_energy(
@@ -108,26 +133,37 @@ def fullspace_seminorm_sq(
     Splits into the Omega x Omega part plus the exact cross term
     2 * int |u(x)|^2 * tail(x) dx, since u is extended by zero.
     """
+    (value,) = fullspace_seminorms_sq(u, A, d, [s], spec)
+    return value
+
+
+def fullspace_seminorms_sq(
+    u: ScalarField, A: VectorPotential, d: Domain, s_list: Sequence[float], spec: QuadratureSpec
+) -> list[FunctionalValue]:
+    """fullspace_seminorm_sq at every s in s_list, from one integrand
+    evaluation per engine pass."""
     require_dimension(d.dimension, u, A)
     if not u.is_compact:
         raise ValueError("full-space seminorm requires a compact-in-domain field")
-    dom = magnetic_seminorm_sq(u, A, d, s, spec)
 
-    def cross_on(n_axis: int) -> float:
+    def cross_on(n_axis: int, s: float) -> float:
         grid = tensor_grid(d, n_axis)
         u2 = np.abs(u.value(grid.points)) ** 2
         tails = tail_integral_many(d, grid.points, s, spec.angular_nodes)
         return 2.0 * float(pairwise_sum(grid.weights * u2 * tails))
 
-    cross = cross_on(spec.outer_nodes)
-    cross_err = abs(cross - cross_on(max(4, spec.outer_nodes // 2)))
-    value = dom.value + cross
-    diag = IntegralResult(
-        value,
-        dom.diagnostics.estimated_error + cross_err,
-        dom.diagnostics.node_count + spec.outer_nodes**d.dimension,
-    )
-    return FunctionalValue(value, diag)
+    out = []
+    for s, dom in zip(s_list, magnetic_seminorms_sq(u, A, d, s_list, spec)):
+        cross = cross_on(spec.outer_nodes, s)
+        cross_err = abs(cross - cross_on(max(4, spec.outer_nodes // 2), s))
+        value = dom.value + cross
+        diag = IntegralResult(
+            value,
+            dom.diagnostics.estimated_error + cross_err,
+            dom.diagnostics.node_count + spec.outer_nodes**d.dimension,
+        )
+        out.append(FunctionalValue(value, diag))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +206,7 @@ def bbm_family(s_sequence: Sequence[float], r_domain: float, dim: int) -> Mollif
     domains of diameter <= r_domain the mollified functional equals
     2(1-s_n) times the squared s_n-seminorm.
     """
+    check_dimension(dim)
     s_arr = list(s_sequence)
     if not s_arr or any(not 0.0 < s < 1.0 for s in s_arr):
         raise ValueError("bbm family needs s values in (0, 1)")
@@ -202,10 +239,11 @@ def bbm_family(s_sequence: Sequence[float], r_domain: float, dim: int) -> Mollif
 def gaussian_family(indices: Sequence[int], dim: int) -> MollifierFamily:
     """Gaussian kernels of width 1/n, normalized so the zeroth radial moment
     is exactly one for every member."""
+    check_dimension(dim)
     idx = sorted(int(n) for n in indices)
     if not idx or idx[0] < 1:
         raise ValueError("gaussian family needs positive integer indices")
-    xi, wgl = np.polynomial.legendre.leggauss(32)
+    xi, wgl = gauss_legendre(32)
 
     members = []
     for n in idx:
@@ -265,12 +303,10 @@ def check_mollifier(fam: MollifierFamily, dim: int, delta: float) -> list[Mollif
     return out
 
 
-def mollified_functional(
+def _mollifier_member(
     u: ScalarField, A: VectorPotential, d: Domain, rho: RadialMollifier, spec: QuadratureSpec
-) -> FunctionalValue:
-    """Integral of |u(x) - phase u(y)|^2 / |x-y|^2 * rho(|x-y|) over the
-    domain square, for a single nonnegative radial kernel."""
-    require_dimension(d.dimension, u, A)
+) -> tuple[Callable, Optional[Callable]]:
+    """The engine's radial weight and near-field hook for the kernel rho."""
     if rho.dim != d.dimension:
         raise ConfigurationError("mollifier dimension does not match the domain")
     probe = np.linspace(1e-6, rho.support_radius, 64)
@@ -280,8 +316,33 @@ def mollified_functional(
     n = d.dimension
     weight = lambda r: rho.fn(r) * r ** (n - 3)
     hook = near_field_hook(u, A, spec, lambda eps: np.asarray(rho.near_moment(eps), dtype=float))
+    return weight, hook
+
+
+def mollified_functional(
+    u: ScalarField, A: VectorPotential, d: Domain, rho: RadialMollifier, spec: QuadratureSpec
+) -> FunctionalValue:
+    """Integral of |u(x) - phase u(y)|^2 / |x-y|^2 * rho(|x-y|) over the
+    domain square, for a single nonnegative radial kernel."""
+    require_dimension(d.dimension, u, A)
+    weight, hook = _mollifier_member(u, A, d, rho, spec)
     res = _run_two_level(_difference_sq(u, A), d, spec, weight, hook)
     return FunctionalValue(res.value, res)
+
+
+def mollified_functionals(
+    u: ScalarField,
+    A: VectorPotential,
+    d: Domain,
+    members: Sequence[RadialMollifier],
+    spec: QuadratureSpec,
+) -> list[FunctionalValue]:
+    """mollified_functional for every kernel in members, from one integrand
+    evaluation per engine pass."""
+    require_dimension(d.dimension, u, A)
+    batch = [_mollifier_member(u, A, d, rho, spec) for rho in members]
+    return [FunctionalValue(res.value, res)
+            for res in _run_batch(_difference_sq(u, A), d, spec, batch)]
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +388,6 @@ def uniform_bound_check(
     denom = l2_norm_sq(u, grid) + local_magnetic_energy(u, A, d, grid).value
     if denom == 0.0:
         return [(float(s), 0.0) for s in s_list]
-    out = []
-    for s in s_list:
-        full = fullspace_seminorm_sq(u, A, d, float(s), spec).value
-        out.append((float(s), (1.0 - float(s)) * full / denom))
-    return out
+    s_vals = [float(s) for s in s_list]
+    fulls = fullspace_seminorms_sq(u, A, d, s_vals, spec)
+    return [(s, (1.0 - s) * full.value / denom) for s, full in zip(s_vals, fulls)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,18 +27,33 @@ __all__ = [
     "direction",
     "boundary_distance",
     "boundary_distances",
+    "check_dimension",
+    "gauss_legendre",
     "sphere_rule",
     "sphere_area",
     "tensor_grid",
 ]
 
-_SUPPORTED_DIMS = (1, 2, 3)
+
+def check_dimension(dim: int) -> None:
+    """Raise ConfigurationError unless dim is 1, 2 or 3."""
+    if dim not in (1, 2, 3):
+        raise ConfigurationError(f"unsupported dimension {dim}; expected 1, 2 or 3")
+
+
+@lru_cache(maxsize=64)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once
+    per n (the eigenvalue solve behind them dominates small grids)."""
+    xi, wi = np.polynomial.legendre.leggauss(n)
+    xi.flags.writeable = False
+    wi.flags.writeable = False
+    return xi, wi
 
 
 def sphere_area(dim: int) -> float:
     """Surface measure of the unit sphere S^{dim-1} (2, 2*pi, 4*pi)."""
-    if dim not in _SUPPORTED_DIMS:
-        raise ConfigurationError(f"unsupported dimension {dim}; expected 1, 2 or 3")
+    check_dimension(dim)
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
@@ -63,8 +79,7 @@ class Domain:
         if center.ndim != 1:
             raise ConfigurationError("domain center must be a flat vector")
         n = center.size
-        if n not in _SUPPORTED_DIMS:
-            raise ConfigurationError(f"unsupported dimension {n}; expected 1, 2 or 3")
+        check_dimension(n)
         if self.kind == "interval" and n != 1:
             raise ConfigurationError("intervals are one-dimensional")
         if self.kind == "ball":
@@ -186,8 +201,7 @@ def sphere_rule(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     integrands), weight 2*pi/count.
     dim=3: product rule, Gauss-Legendre in cos(theta) times uniform azimuth.
     """
-    if dim not in _SUPPORTED_DIMS:
-        raise ConfigurationError(f"unsupported dimension {dim}; expected 1, 2 or 3")
+    check_dimension(dim)
     if count < 1:
         raise ConfigurationError("sphere rule needs count >= 1")
     if dim == 1:
@@ -201,7 +215,7 @@ def sphere_rule(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     # dim == 3: polar count from the total budget, azimuthal twice that.
     n_pol = max(2, int(round(math.sqrt(count / 2.0))))
     n_azi = 2 * n_pol
-    t, wt = np.polynomial.legendre.leggauss(n_pol)  # t = cos(theta)
+    t, wt = gauss_legendre(n_pol)  # t = cos(theta)
     phi = 2.0 * math.pi * np.arange(n_azi) / n_azi
     st = np.sqrt(1.0 - t**2)
     dirs = np.stack(
@@ -234,7 +248,7 @@ def tensor_grid(d: Domain, nodes_per_axis: int) -> TensorGrid:
     if nodes_per_axis < 1:
         raise ConfigurationError("tensor grid needs at least one node per axis")
     lo, hi = d.bounding_box()
-    xi, wi = np.polynomial.legendre.leggauss(nodes_per_axis)
+    xi, wi = gauss_legendre(nodes_per_axis)
     axes_x, axes_w = [], []
     for a, b in zip(lo, hi):
         half, mid = (b - a) / 2.0, (b + a) / 2.0

@@ -1,10 +1,13 @@
 """Experiment drivers: s-sweeps, mollifier sweeps, lemma checks, limit
 extrapolation, and deterministic CSV/JSON reports.
 
-Every sweep row is an independent pure computation, so rows may be computed
-by a thread pool; the report is always assembled in parameter order and all
-floating-point reductions inside a row use fixed-order summation, which is
-why reruns (at any thread count) produce byte-identical artifacts.
+A sweep splits its rows into at most ``threads`` contiguous batches and
+computes the batches on a thread pool.  The seminorm and mollifier kinds
+evaluate a batch with one integrand evaluation per engine pass; the other
+kinds compute its rows one by one.  A row's value does not depend on the
+batch it shares, the report is always assembled in parameter order and all
+floating-point reductions use fixed-order summation, which is why reruns
+(at any thread count) produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -29,12 +32,12 @@ from .functionals import (
     MollifierFamily,
     bbm_family,
     check_mollifier,
-    fullspace_seminorm_sq,
+    fullspace_seminorms_sq,
     gaussian_family,
     l2_norm_sq,
     local_magnetic_energy,
-    magnetic_seminorm_sq,
-    mollified_functional,
+    magnetic_seminorms_sq,
+    mollified_functionals,
     translation_difference_sq,
 )
 from .geometry import Domain, TensorGrid, ball, box, direction, interval, tensor_grid
@@ -307,6 +310,16 @@ def _make_rows(params, values, scale_fn, target: float) -> list[SweepRow]:
     return rows
 
 
+def _batches(items: Sequence, threads: int) -> list[Sequence]:
+    """items split into at most ``threads`` contiguous, near-equal batches."""
+    n = len(items)
+    if n == 0:
+        return []
+    count = min(max(threads, 1), n)
+    bounds = [n * k // count for k in range(count + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def _parallel_map(fn, items, threads: int):
     if threads <= 1:
         return [fn(it) for it in items]
@@ -336,19 +349,34 @@ def _metadata(cfg: SweepConfig, node_counts: list[int]) -> dict:
 
 @dataclass(frozen=True)
 class _Plan:
-    """One sweep kind's part of the shared driver.  ``row`` maps an item to a
-    FunctionalValue or a float and may raise IntegrationError; ``small`` maps
-    a row parameter to the t of the limit fit; ``node_counts`` None means the
+    """One sweep kind's part of the shared driver.  ``batch`` maps a
+    contiguous run of items to their FunctionalValues or floats; an
+    IntegrationError it raises fails every row of the run, and one it
+    returns in an item's place fails that row alone.  ``small`` maps a row
+    parameter to the t of the limit fit; ``node_counts`` None means the
     per-row engine node counts."""
 
     items: Sequence
     params: Sequence[float]
-    row: Callable
+    batch: Callable
     scale: Callable[[float, float], float]
     target: float
     small: Callable[[float], float]
     node_counts: Optional[list] = None
     extra: dict = field(default_factory=dict)
+
+
+def _attempt(fn: Callable, arg):
+    try:
+        return fn(arg)
+    except IntegrationError as exc:
+        return exc
+
+
+def _each(row: Callable) -> Callable:
+    """A batch function that computes its items one by one, so that an
+    IntegrationError fails only the row that raised it."""
+    return lambda items: [_attempt(row, item) for item in items]
 
 
 def _one_minus(s: float) -> float:
@@ -364,8 +392,8 @@ def _plan_bbm(cfg: SweepConfig, u, A) -> _Plan:
     """Scaled seminorms versus the local-energy target K_N * E."""
     d = cfg.domain
     energy, _ = _energy_grid(cfg, u, A)
-    seminorm = fullspace_seminorm_sq if cfg.kind == "bbm-fullspace" else magnetic_seminorm_sq
-    return _Plan(cfg.s_list, cfg.s_list, lambda s: seminorm(u, A, d, s, cfg.spec),
+    seminorms = fullspace_seminorms_sq if cfg.kind == "bbm-fullspace" else magnetic_seminorms_sq
+    return _Plan(cfg.s_list, cfg.s_list, lambda s_list: seminorms(u, A, d, s_list, cfg.spec),
                  lambda s, v: (1.0 - s) * v, bbm_constant(d.dimension) * energy, _one_minus)
 
 
@@ -404,7 +432,7 @@ def _plan_mollifier(cfg: SweepConfig, u, A, family: Optional[MollifierFamily] = 
     energy, _ = _energy_grid(cfg, u, A)
     small = _one_minus if fam.kind == "bbm" else (lambda n: 1.0 / n)
     return _Plan(fam.members, fam.params,
-                 lambda member: mollified_functional(u, A, d, member, cfg.spec),
+                 lambda members: mollified_functionals(u, A, d, members, cfg.spec),
                  lambda p, v: v, 2.0 * bbm_constant(d.dimension) * energy, small,
                  extra={"mollifier_checks": [asdict(c) for c in checks]})
 
@@ -419,7 +447,8 @@ def _plan_translation(cfg: SweepConfig, u, A) -> _Plan:
     grid = tensor_grid(box(d.center, (hi - lo) / 2.0 + max(cfg.h_list)), cfg.spec.outer_nodes)
     dens = np.abs(magnetic_gradient(u, A, grid.points) @ omega) ** 2
     h_sorted = tuple(sorted(cfg.h_list))
-    return _Plan(h_sorted, h_sorted, lambda h: translation_difference_sq(u, A, h * omega, grid),
+    return _Plan(h_sorted, h_sorted,
+                 _each(lambda h: translation_difference_sq(u, A, h * omega, grid)),
                  lambda h, v: v / h**2, float(pairwise_sum(grid.weights * dens)),
                  lambda h: h, node_counts=[grid.points.shape[0]])
 
@@ -431,7 +460,8 @@ def _plan_uniform(cfg: SweepConfig, u, A) -> _Plan:
     denom = l2_norm_sq(u, grid) + energy
     target = bbm_constant(d.dimension) * energy / denom if denom > 0.0 else 0.0
     scale = (lambda s, v: (1.0 - s) * v / denom) if denom > 0.0 else (lambda s, v: 0.0)
-    return _Plan(cfg.s_list, cfg.s_list, lambda s: fullspace_seminorm_sq(u, A, d, s, cfg.spec),
+    return _Plan(cfg.s_list, cfg.s_list,
+                 lambda s_list: fullspace_seminorms_sq(u, A, d, s_list, cfg.spec),
                  scale, target, _one_minus, node_counts=[grid.points.shape[0]])
 
 
@@ -444,14 +474,8 @@ def _plan_operator(cfg: SweepConfig, u, A) -> _Plan:
         (sample,) = operator_limit_scan(u, A, x, [s], cfg.spec)
         return sample.discrepancy
 
-    return _Plan(cfg.s_list, cfg.s_list, row, lambda s, v: v, 0.0, _one_minus, node_counts=[])
-
-
-def _attempt(row: Callable, item):
-    try:
-        return row(item)
-    except IntegrationError as exc:
-        return exc
+    return _Plan(cfg.s_list, cfg.s_list, _each(row), lambda s, v: v, 0.0, _one_minus,
+                 node_counts=[])
 
 
 def _sweep(cfg: SweepConfig, planner: Callable, threads: int) -> SweepReport:
@@ -462,7 +486,10 @@ def _sweep(cfg: SweepConfig, planner: Callable, threads: int) -> SweepReport:
     A = resolve_potential(cfg.potential_label, d.dimension)
     require_dimension(d.dimension, u, A)
     plan = planner(cfg, u, A)
-    results = _parallel_map(partial(_attempt, plan.row), plan.items, threads)
+    batches = _batches(plan.items, threads)
+    results = []
+    for batch, out in zip(batches, _parallel_map(partial(_attempt, plan.batch), batches, threads)):
+        results.extend([out] * len(batch) if isinstance(out, IntegrationError) else out)
     values = [r.value if isinstance(r, FunctionalValue) else r for r in results]
     rows = _make_rows(plan.params, values, plan.scale, plan.target)
     limit, resid = _fit_closest([(plan.small(r.param), r.scaled) for r in rows if not r.failed])

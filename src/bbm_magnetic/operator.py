@@ -98,9 +98,9 @@ def _fractional_parts(
     (per_dir,), _ = radial_angular(
         lambda xs, y: ux - midpoint_phase(A, xs, y) * u.value(y),
         x[None, :], np.full((1, dirs.shape[0]), r_far), np.array([eps_abs]), dirs, spec,
-        lambda r: r ** (-1.0 - 2.0 * s),
+        [lambda r: r ** (-1.0 - 2.0 * s)], complex,
     )
-    annulus = complex(per_dir @ wdir)
+    annulus = complex(per_dir[0] @ wdir)
 
     y_plus = x + eps_abs * dirs
     y_minus = x - eps_abs * dirs

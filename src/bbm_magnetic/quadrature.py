@@ -10,6 +10,12 @@ cannot survive s -> 1; this layout can, because the mass that concentrates
 below the cutoff is restored analytically (second-order Taylor correction)
 rather than resolved by nodes.
 
+Only the radial weight and the near-field term depend on s (or on the
+mollifier kernel); the integrand and the nodes do not.  So the engine takes
+a batch of members, each a radial weight and a near-field hook, evaluates
+the integrand once per pass and contracts it against every member.  Each
+member's sums do not depend on which other members share its batch.
+
 Summation is a fixed-order pairwise tree over outer nodes, so results are
 bit-for-bit reproducible regardless of how callers schedule the work.
 """
@@ -18,20 +24,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .constants import dimensional_constants
 from .errors import ConfigurationError, IntegrationError
 from .fields import ScalarField, VectorPotential, magnetic_density
-from .geometry import Domain, boundary_distances, sphere_rule, tensor_grid
+from .geometry import Domain, boundary_distances, gauss_legendre, sphere_rule, tensor_grid
 
 __all__ = [
     "QuadratureSpec",
     "IntegralResult",
     "pairwise_sum",
     "double_integral_singular",
+    "double_integrals_singular",
     "radial_angular",
     "radial_integral",
     "tail_integral",
@@ -104,7 +111,7 @@ def _layered_radial(
     so ragged layer counts vectorize as padding.
     """
     ratio = _GEOMETRIC_RATIO
-    xi, wgl = np.polynomial.legendre.leggauss(nodes)
+    xi, wgl = gauss_legendre(nodes)
     eps = np.broadcast_to(np.asarray(eps_x, dtype=float), R.shape)
     n_layers = np.ceil(np.log(R / eps) / math.log(1.0 / ratio)).astype(int)
     n_layers = np.maximum(n_layers, 1)
@@ -130,6 +137,10 @@ def radial_integral(fn: Callable, lo: float, hi: float) -> float:
     return float(np.sum(fn(r) * w))
 
 
+# A batch member: a radial weight and a near-field hook (or None).
+_Member = tuple[Callable[[np.ndarray], np.ndarray], Optional[Callable]]
+
+
 def radial_angular(
     pair_fn: Callable,
     X: np.ndarray,
@@ -137,20 +148,29 @@ def radial_angular(
     eps_x: np.ndarray,
     dirs: np.ndarray,
     spec: QuadratureSpec,
-    radial_weight: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, int]:
-    """Integrals of pair_fn(x, x + r*omega) * radial_weight(r) over r in
-    [eps_x, R], per point and direction, and the number of integrand values.
+    radial_weights: Sequence[Callable[[np.ndarray], np.ndarray]],
+    dtype: type = float,
+) -> tuple[list[np.ndarray], int]:
+    """Integrals of pair_fn(x, x + r*omega) * weight(r) over r in
+    [eps_x, R], per point and direction, for each weight in radial_weights,
+    and the number of integrand values.
 
     X holds C points (C, N), dirs the M unit directions (M, N), R the exit
-    distances (C, M) and eps_x the cutoffs (C,).  Returns shape (C, M);
-    a NaN integrand value raises IntegrationError.
+    distances (C, M) and eps_x the cutoffs (C,); pair_fn returns values of
+    the given dtype.  Returns one (C, M) array per weight; a NaN integrand
+    value raises IntegrationError.  The integrand is evaluated once for all
+    the weights.
     """
     per_point = dirs.shape[0] * spec.radial_nodes * 40  # rough K upper bound
     chunk = max(1, _CHUNK_BUDGET // per_point)
-    sums, count = [], 0
+    # The results are allocated before the first chunk: per-chunk pieces
+    # allocated between the chunks' large arrays pin heap pages, which
+    # raised the peak memory of a four-member 2D Landau sweep by 1-2 MB.
+    sums, count = [np.empty(R.shape, dtype=dtype) for _ in radial_weights], 0
     # The loop's arrays live until the next chunk replaces them, so the
     # allocator reuses their pages instead of returning and refaulting them.
+    # The weights are applied one after another, so a chunk's peak memory
+    # is that of a single weight.
     for start in range(0, X.shape[0], chunk):
         cut = slice(start, start + chunk)
         Xc = X[cut, None, None, :]
@@ -161,9 +181,10 @@ def radial_angular(
             idx = np.argwhere(np.isnan(vals))[0]
             bad = y[tuple(idx)]
             raise IntegrationError(f"integrand produced NaN at y={bad.tolist()}")
-        sums.append(np.sum(vals * (w * radial_weight(r)), axis=-1))
+        for member_sums, weight in zip(sums, radial_weights):
+            np.sum(vals * (w * weight(r)), axis=-1, out=member_sums[cut])
         count += vals.size
-    return np.concatenate(sums), count
+    return sums, count
 
 
 def near_field_hook(
@@ -194,24 +215,25 @@ def near_field_hook(
 
 
 def _domain_pass(
-    pair_fn: Callable,
-    d: Domain,
-    spec: QuadratureSpec,
-    radial_weight: Callable[[np.ndarray], np.ndarray],
-    near_field: Optional[Callable],
-) -> tuple[float, int]:
-    """One full evaluation at the given spec; returns (value, node count)."""
+    pair_fn: Callable, d: Domain, spec: QuadratureSpec, members: Sequence[_Member]
+) -> tuple[list[float], int]:
+    """One full evaluation at the given spec; returns (one value per member,
+    node count)."""
     grid = tensor_grid(d, spec.outer_nodes)
     dirs, wdir = sphere_rule(d.dimension, spec.angular_nodes)
     R = boundary_distances(d, grid.points, dirs)
     # Shrink the cutoff near the boundary so the corrected ball stays inside
     # the domain.
     eps_x = np.minimum(spec.eps * d.diameter(), 0.5 * R.min(axis=1))
-    per_dir, count = radial_angular(pair_fn, grid.points, R, eps_x, dirs, spec, radial_weight)
-    inner = per_dir @ wdir
-    if near_field is not None:
-        inner = inner + near_field(grid.points, eps_x)
-    return float(pairwise_sum(grid.weights * inner)), count
+    weights = [weight for weight, _ in members]
+    per_dir, count = radial_angular(pair_fn, grid.points, R, eps_x, dirs, spec, weights)
+    values = []
+    for integrals, (_, near_field) in zip(per_dir, members):
+        inner = integrals @ wdir
+        if near_field is not None:
+            inner = inner + near_field(grid.points, eps_x)
+        values.append(float(pairwise_sum(grid.weights * inner)))
+    return values, count
 
 
 def _coarsened(spec: QuadratureSpec, dim: int) -> QuadratureSpec:
@@ -227,10 +249,18 @@ def _coarsened(spec: QuadratureSpec, dim: int) -> QuadratureSpec:
     )
 
 
+def _run_batch(pair_fn, d, spec, members: Sequence[_Member]) -> list[IntegralResult]:
+    """Fine and coarse passes over a batch of members: one IntegralResult
+    per member, from one integrand evaluation per pass."""
+    fine, nodes = _domain_pass(pair_fn, d, spec, members)
+    coarse, _ = _domain_pass(pair_fn, d, _coarsened(spec, d.dimension), members)
+    return [IntegralResult(f, abs(f - c), nodes) for f, c in zip(fine, coarse)]
+
+
 def _run_two_level(pair_fn, d, spec, radial_weight, near_field) -> IntegralResult:
-    fine, nodes = _domain_pass(pair_fn, d, spec, radial_weight, near_field)
-    coarse, _ = _domain_pass(pair_fn, d, _coarsened(spec, d.dimension), radial_weight, near_field)
-    return IntegralResult(fine, abs(fine - coarse), nodes)
+    """_run_batch for the one member (radial_weight, near_field)."""
+    (res,) = _run_batch(pair_fn, d, spec, [(radial_weight, near_field)])
+    return res
 
 
 def _check_diagonal(pair_fn, d: Domain, spec: QuadratureSpec) -> None:
@@ -252,6 +282,30 @@ def _check_diagonal(pair_fn, d: Domain, spec: QuadratureSpec) -> None:
         )
 
 
+def _power_weight(s: float) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda r: r ** (-1.0 - 2.0 * s)
+
+
+def double_integrals_singular(
+    integrand: Callable,
+    d: Domain,
+    s_list: Sequence[float],
+    spec: QuadratureSpec,
+    near_fields: Sequence[Optional[Callable]],
+) -> list[IntegralResult]:
+    """double_integral_singular at each s in s_list, with near_fields[k] the
+    hook at s_list[k]; the integrand is evaluated once per pass for all."""
+    if len(near_fields) != len(s_list):
+        raise ValueError("need one near-field hook (or None) per s value")
+    for s in s_list:
+        if not 0.0 < s < 1.0:
+            raise ValueError(f"fractional order s={s} outside (0, 1)")
+    _check_diagonal(integrand, d, spec)
+    taylor = spec.near_field == "taylor-correct"
+    members = [(_power_weight(s), hook if taylor else None) for s, hook in zip(s_list, near_fields)]
+    return _run_batch(integrand, d, spec, members)
+
+
 def double_integral_singular(
     integrand: Callable,
     d: Domain,
@@ -267,12 +321,8 @@ def double_integral_singular(
     sub-cutoff contribution per outer point; it is only applied in
     "taylor-correct" mode.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"fractional order s={s} outside (0, 1)")
-    _check_diagonal(integrand, d, spec)
-    weight = lambda r: r ** (-1.0 - 2.0 * s)
-    hook = near_field if spec.near_field == "taylor-correct" else None
-    return _run_two_level(integrand, d, spec, weight, hook)
+    (res,) = double_integrals_singular(integrand, d, [s], spec, [near_field])
+    return res
 
 
 def tail_integral_many(d: Domain, X: np.ndarray, s: float, angular_nodes: int) -> np.ndarray:

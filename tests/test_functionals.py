@@ -7,16 +7,26 @@ from numpy.testing import assert_allclose
 from bbm_magnetic.constants import bbm_constant
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConfigurationError
-from bbm_magnetic.fields import GaugeFunction, ScalarField, gauge_transform, modulus_field, scaled_field
+from bbm_magnetic.fields import (
+    GaugeFunction,
+    ScalarField,
+    VectorPotential,
+    gauge_transform,
+    modulus_field,
+    scaled_field,
+)
 from bbm_magnetic.functionals import (
     bbm_family,
     check_mollifier,
     fullspace_seminorm_sq,
+    fullspace_seminorms_sq,
     gaussian_family,
     l2_norm_sq,
     local_magnetic_energy,
     magnetic_seminorm_sq,
+    magnetic_seminorms_sq,
     mollified_functional,
+    mollified_functionals,
     translation_difference_sq,
     uniform_bound_check,
 )
@@ -205,6 +215,15 @@ def test_bbm_family_pointwise_value():
     fam = bbm_family([0.5], r_domain=2.0, dim=1)
     r = np.array([0.5, 1.0, 1.9])
     assert_allclose(fam.members[0].fn(r), 1.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [0, 4])
+def test_family_builders_reject_unsupported_dimension(dim):
+    message = f"unsupported dimension {dim}; expected 1, 2 or 3"
+    with pytest.raises(ConfigurationError, match=message):
+        gaussian_family([2, 4], dim)
+    with pytest.raises(ConfigurationError, match=message):
+        bbm_family([0.8, 0.9], 2.0, dim)
 
 
 def test_bbm_family_normalization_trend():
@@ -412,3 +431,64 @@ def test_three_dimensional_ball_smoke():
         scaled = (1.0 - s) * magnetic_seminorm_sq(u, A, d, s, spec).value
         gaps.append(abs(scaled - target) / target)
     assert gaps[1] < gaps[0] < 0.2
+
+
+# ---------------------------------------------------------------------------
+# Batches: element k equals the single-value call at the k-th s or kernel
+# ---------------------------------------------------------------------------
+
+
+def _gauss3d():
+    return ScalarField(3, value=lambda p: np.exp(-np.sum(p * p, axis=-1)).astype(complex),
+                       gradient=lambda p: (-2.0 * p * np.exp(-np.sum(p * p, axis=-1))[..., None]).astype(complex))
+
+
+def _symmetric3d():
+    return VectorPotential(3, lambda p: 0.5 * np.stack(
+        [-p[..., 1], p[..., 0], np.zeros(p.shape[:-1])], axis=-1), label="symmetric")
+
+
+def _batch_cases():
+    from bbm_magnetic.geometry import ball
+
+    spec2 = QuadratureSpec(outer_nodes=8, angular_nodes=12, radial_nodes=4)
+    return {
+        "interval": (resolve_field("gauss1d"), resolve_potential("linear:alpha=1", 1), D1,
+                     QuadratureSpec(outer_nodes=24, angular_nodes=2, radial_nodes=6)),
+        "box2d": (resolve_field("gauss2d"), resolve_potential("landau:beta=1", 2),
+                  box([0.0, 0.0], [1.0, 1.0]), spec2),
+        "ball2d": (resolve_field("gauss2d"), resolve_potential("landau:beta=1", 2),
+                   ball([0.1, -0.2], 1.0), spec2),
+        "ball3d": (_gauss3d(), _symmetric3d(), ball([0.0, 0.0, 0.0], 1.0),
+                   QuadratureSpec(outer_nodes=4, angular_nodes=16, radial_nodes=3)),
+    }
+
+
+def _assert_same(batched, single):
+    assert batched.value == single.value
+    assert batched.diagnostics.estimated_error == single.diagnostics.estimated_error
+    assert batched.diagnostics.node_count == single.diagnostics.node_count
+
+
+@pytest.mark.parametrize("near_field", ["taylor-correct", "drop"])
+@pytest.mark.parametrize("case", ["interval", "box2d", "ball2d", "ball3d"])
+def test_batched_functionals_equal_single_calls(case, near_field):
+    u, A, d, spec = _batch_cases()[case]
+    spec = replace(spec, near_field=near_field)
+    s_list = [0.6, 0.9, 0.99]
+    for k, value in enumerate(magnetic_seminorms_sq(u, A, d, s_list, spec)):
+        _assert_same(value, magnetic_seminorm_sq(u, A, d, s_list[k], spec))
+    families = [gaussian_family([2, 8], d.dimension),
+                bbm_family([0.7, 0.95], d.diameter(), d.dimension)]
+    for fam in families:
+        for rho, value in zip(fam.members, mollified_functionals(u, A, d, fam.members, spec)):
+            _assert_same(value, mollified_functional(u, A, d, rho, spec))
+
+
+@pytest.mark.parametrize("near_field", ["taylor-correct", "drop"])
+def test_batched_fullspace_equals_single_calls(near_field):
+    u, A = resolve_field("bump1d"), resolve_potential("linear:alpha=1", 1)
+    spec = replace(SPEC1, outer_nodes=32, near_field=near_field)
+    s_list = [0.5, 0.9, 0.999]
+    for s, value in zip(s_list, fullspace_seminorms_sq(u, A, D1, s_list, spec)):
+        _assert_same(value, fullspace_seminorm_sq(u, A, D1, s, spec))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import bbm_magnetic
-from bbm_magnetic import harness
+from bbm_magnetic import cli, harness
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConditionViolation, ConfigurationError, IntegrationError
 from bbm_magnetic.functionals import (
@@ -205,27 +205,53 @@ def test_threads_do_not_change_values():
     assert render_report(rep1, "json") == render_report(rep8, "json")
 
 
+_NAN_NOTE = "integrand produced NaN at y=[0.5]"
+
+
+def _fail_batches_holding(monkeypatch, functional, bad):
+    """Make harness.<functional>(u, A, d_or_x, s_list, spec) raise for any
+    s_list that holds bad."""
+    real = getattr(harness, functional)
+
+    def flaky(u, A, where, s_list, spec):
+        if bad in s_list:
+            raise IntegrationError(_NAN_NOTE)
+        return real(u, A, where, s_list, spec)
+
+    monkeypatch.setattr(harness, functional, flaky)
+
+
 @pytest.mark.parametrize("kind,functional,extra", [
-    ("bbm-domain", "magnetic_seminorm_sq", {}),
-    ("lemma-uniform", "fullspace_seminorm_sq",
+    ("bbm-domain", "magnetic_seminorms_sq", {}),
+    ("lemma-uniform", "fullspace_seminorms_sq",
      {"field_label": "bump1d", "s_list": (0.5, 0.7, 0.9, 0.99)}),
 ])
 def test_integration_error_becomes_failed_row(monkeypatch, kind, functional, extra):
-    real = getattr(harness, functional)
-
-    def flaky(u, A, d, s, spec):
-        if s == 0.9:
-            raise IntegrationError("integrand produced NaN at y=[0.5]")
-        return real(u, A, d, s, spec)
-
-    monkeypatch.setattr(harness, functional, flaky)
-    rep = run_sweep(_cfg(kind=kind, **extra))
+    _fail_batches_holding(monkeypatch, functional, 0.9)
+    cfg = _cfg(kind=kind, **extra)
+    rep = run_sweep(cfg, threads=len(cfg.s_list))  # one s per batch
     failed = [r for r in rep.rows if r.failed]
     assert [r.param for r in failed] == [0.9]
-    assert failed[0].note == "integrand produced NaN at y=[0.5]"
+    assert failed[0].note == _NAN_NOTE
     assert math.isnan(failed[0].value)
     assert all(math.isfinite(r.value) and r.note == "" for r in rep.rows if not r.failed)
     assert math.isfinite(rep.extrapolated_limit)
+
+
+@pytest.mark.parametrize("kind,functional,extra,failed", [
+    ("bbm-domain", "magnetic_seminorms_sq", {}, [0.8, 0.9, 0.95, 0.99]),
+    ("lemma-uniform", "fullspace_seminorms_sq",
+     {"field_label": "bump1d", "s_list": (0.5, 0.7, 0.9, 0.99)}, [0.5, 0.7, 0.9, 0.99]),
+    # operator rows are computed one by one, so one row fails alone
+    ("operator-limit", "operator_limit_scan", {"s_list": (0.7, 0.8, 0.9, 0.95)}, [0.9]),
+])
+def test_integration_error_fails_the_rows_of_its_batch(monkeypatch, kind, functional, extra,
+                                                       failed):
+    _fail_batches_holding(monkeypatch, functional, 0.9)
+    rep = run_sweep(_cfg(kind=kind, **extra), threads=1)
+    assert [r.param for r in rep.rows if r.failed] == failed
+    assert all(r.note == _NAN_NOTE and math.isnan(r.value) for r in rep.rows if r.failed)
+    assert math.isnan(rep.extrapolated_limit) == (len(rep.rows) - len(failed) < 3)
 
 
 def test_mollifier_sweep_gaussian_family_converges():
@@ -387,6 +413,28 @@ def test_cli_operator_dimension_mismatch_exits_2():
                    "--dim", "2", "--point", "0,0", "--s-list", "0.7,0.9")
     assert out.returncode == 2
     assert "1-dimensional" in out.stderr
+
+
+_OPERATOR = ["operator", "--field", "gauss1d", "--potential", "zero", "--dim", "1"]
+
+
+@pytest.mark.parametrize("args,message", [
+    (_OPERATOR + ["--point", "nan", "--s-list", "0.7"], "finite"),
+    (_OPERATOR + ["--point", "inf", "--s-list", "0.7"], "finite"),
+    (_OPERATOR + ["--point", "0", "--s-list", ","], "at least one s value"),
+    (["mollifier-check", "--family", "gaussian", "--dim", "0", "--delta", "0.1"],
+     "unsupported dimension 0; expected 1, 2 or 3"),
+    (["mollifier-check", "--family", "bbm", "--dim", "4", "--delta", "0.1"],
+     "unsupported dimension 4; expected 1, 2 or 3"),
+], ids=["nan-point", "inf-point", "empty-s-list", "gaussian-dim-0", "bbm-dim-4"])
+def test_cli_rejects_bad_input_before_compute(monkeypatch, capsys, args, message):
+    def no_compute(*_args, **_kwargs):
+        raise AssertionError("computed on bad input")
+
+    monkeypatch.setattr(cli, "operator_limit_scan", no_compute)
+    monkeypatch.setattr(cli, "check_mollifier", no_compute)
+    assert cli.main(args) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_mollifier_check():

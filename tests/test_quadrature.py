@@ -12,6 +12,8 @@ from bbm_magnetic.functionals import magnetic_seminorm_sq
 from bbm_magnetic.geometry import interval
 from bbm_magnetic.quadrature import (
     QuadratureSpec,
+    _run_batch,
+    _run_two_level,
     double_integral_singular,
     near_field_hook,
     pairwise_sum,
@@ -176,3 +178,23 @@ def test_bitwise_determinism_across_reruns():
     a = magnetic_seminorm_sq(u, A, D1, 0.7, spec).value
     b = magnetic_seminorm_sq(u, A, D1, 0.7, spec).value
     assert a == b
+
+
+def test_batch_evaluates_the_integrand_as_often_as_one_member():
+    def counting(calls):
+        def pair(x, y):
+            vals = _sq_diff(x, y)
+            calls.append(vals.size)
+            return vals
+        return pair
+
+    spec = QuadratureSpec(outer_nodes=24, angular_nodes=2, radial_nodes=6)
+    members = [(lambda r, s=s: r ** (-1.0 - 2.0 * s), None) for s in (0.5, 0.8, 0.95, 0.99)]
+    one, batch = [], []
+    single = _run_two_level(counting(one), D1, spec, *members[0])
+    results = _run_batch(counting(batch), D1, spec, members)
+    assert len(batch) == len(one) > 0
+    assert sum(batch) == sum(one)
+    assert results[0] == single
+    for s, res in zip((0.8, 0.95, 0.99), results[1:]):
+        assert res == double_integral_singular(_sq_diff, D1, s, spec)
