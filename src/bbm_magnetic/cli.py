@@ -42,6 +42,13 @@ def _parse_floats(text: str) -> list[float]:
     return values
 
 
+def _parse_ints(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigurationError(f"expected comma-separated integers, got {text!r}") from exc
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         write_text(text, out)
@@ -112,7 +119,7 @@ def _cmd_operator(args) -> int:
 
 def _cmd_mollifier_check(args) -> int:
     if args.family == "gaussian":
-        indices = [int(v) for v in _parse_floats(args.indices or "2,4,6,8,12,16")]
+        indices = _parse_ints(args.indices or "2,4,6,8,12,16")
         fam = gaussian_family(indices, args.dim)
     elif args.family == "bbm":
         s_list = _parse_floats(args.s_list or "0.8,0.9,0.95,0.99")

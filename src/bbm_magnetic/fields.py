@@ -5,6 +5,12 @@ arrays of shape (..., N).  Values are complex, gradients complex (..., N),
 Hessians complex (..., N, N).  Potentials are real vector fields with
 optional divergence metadata.  Quadrature error is therefore
 entirely the integrator's: there is no interpolation anywhere.
+
+A closure's point array may be a non-contiguous view: the quadrature
+engine stores its inner points coordinate-major and hands over the
+(..., N) view of them.  Closures must neither write into their points nor
+assume C order (for example by reading the raw buffer or the strides);
+index a coordinate as p[..., j].
 """
 
 from __future__ import annotations
@@ -91,13 +97,29 @@ class GaugeFunction:
 def midpoint_phase(A: VectorPotential, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Unit-modulus factor exp(i (x - y) . A((x + y)/2)).
 
-    Broadcasts over point arrays; equals 1 when x == y.
+    Broadcasts over point arrays; equals 1 when x == y.  Works one
+    coordinate at a time, on a coordinate-major midpoint, and gives the same
+    bits as np.exp(1j * np.sum((x - y) * A(0.5 * (x + y)), axis=-1)): the
+    dot product adds its terms left to right onto +0, as np.sum does.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    mid = 0.5 * (x + y)
-    arg = np.sum((x - y) * A(mid), axis=-1)
-    return np.exp(1j * arg)
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    n = shape[-1]
+    mid = np.empty((n,) + shape[:-1])
+    for j in range(n):
+        np.add(x[..., j], y[..., j], out=mid[j, ...])
+    mid *= 0.5
+    a = A(np.moveaxis(mid, 0, -1))
+    del mid
+    arg = np.zeros(shape[:-1])
+    for j in range(n):
+        arg += (x[..., j] - y[..., j]) * a[..., j]
+    del a
+    phase = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=phase.real)
+    np.sin(arg, out=phase.imag)
+    return phase[()]
 
 
 def gauge_transform(

@@ -151,6 +151,9 @@ def operator_limit_scan(
     s_vals = [float(s) for s in s_list]
     if any(b <= a for a, b in zip(s_vals, s_vals[1:])):
         raise ValueError("s_list must increase")
+    for s in s_vals:
+        if not 0.0 < s < 1.0:
+            raise ValueError(f"fractional order s={s} outside (0, 1)")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     loc = local_magnetic_apply(u, A, x)
     out = []

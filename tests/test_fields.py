@@ -6,6 +6,7 @@ from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConfigurationError
 from bbm_magnetic.fields import (
     GaugeFunction,
+    VectorPotential,
     gauge_transform,
     midpoint_phase,
     modulus_field,
@@ -120,6 +121,77 @@ def test_midpoint_phase_antisymmetry(label, dim):
     prod = midpoint_phase(A, x, y) * midpoint_phase(A, y, x)
     assert np.max(np.abs(prod - 1.0)) < 1e-14
     assert np.max(np.abs(np.abs(midpoint_phase(A, x, y)) - 1.0)) < 1e-14
+
+
+def _same_bits(a, b):
+    """Equal shape, dtype and bytes; unlike np.array_equal, this tells -0.0
+    from +0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _coordinate_major(p):
+    """p as the (..., N) view of a coordinate-major (N, ...) array, the
+    layout the quadrature engine hands to closures."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(p, -1, 0)), 0, -1)
+
+
+def _summed_phase(A, x, y):
+    return np.exp(1j * np.sum((x - y) * A(0.5 * (x + y)), axis=-1))
+
+
+_SYMMETRIC_3D = VectorPotential(
+    3, lambda p: 0.5 * np.stack([-p[..., 1], p[..., 0], np.zeros(p.shape[:-1])], axis=-1),
+    label="symmetric")
+# Every component nonzero, so the order in which the dot product adds its
+# three terms shows in the bits.
+_GENERIC_3D = VectorPotential(
+    3, lambda p: np.stack([np.sin(p[..., 1]), p[..., 2] * p[..., 0], np.cos(p[..., 0])], axis=-1),
+    label="generic")
+_PHASE_POTENTIALS = ([resolve_potential(label, 1) for label in POTENTIALS_1D]
+                     + [resolve_potential(label, 2) for label in ("zero", "landau:beta=1")]
+                     + [_SYMMETRIC_3D, _GENERIC_3D])
+
+
+@pytest.mark.parametrize("A", _PHASE_POTENTIALS, ids=lambda A: f"{A.label}-{A.dim}d")
+def test_midpoint_phase_bits_equal_the_summed_formula(A):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((6, 1, 1, A.dim))
+    y = rng.standard_normal((6, 4, 5, A.dim))
+    expected = _summed_phase(A, x, y)
+    assert _same_bits(midpoint_phase(A, x, y), expected)
+    assert _same_bits(midpoint_phase(A, x, _coordinate_major(y)), expected)
+    assert _same_bits(midpoint_phase(A, x, np.broadcast_to(x, y.shape)),
+                      _summed_phase(A, x, np.broadcast_to(x, y.shape)))
+    x1, y1 = x[0, 0, 0], y[0, 0, 0]
+    assert _same_bits(midpoint_phase(A, x1, y1), _summed_phase(A, x1, y1))
+
+
+@pytest.mark.parametrize("label", FIELDS)
+def test_field_closures_give_the_same_bits_on_coordinate_major_points(label):
+    u = resolve_field(label)
+    rng = np.random.default_rng(23)
+    # Beyond [-1, 1] too, so the bumps' zero branch is exercised.
+    p = -1.3 + 2.6 * rng.random((5, 3, 7, u.dim))
+    for fn in (u.value, u.gradient, u.hessian):
+        if fn is not None:
+            assert _same_bits(fn(_coordinate_major(p)), fn(p))
+
+
+def test_three_term_last_axis_sum_gives_the_same_bits_on_coordinate_major_points():
+    # A user closure in 3D, such as exp(-|p|^2), reduces over a strided axis
+    # on the engine's points; numpy adds the three terms in the same order.
+    p = np.random.default_rng(31).standard_normal((13, 16, 78, 3))
+    assert _same_bits(np.sum(_coordinate_major(p) ** 2, axis=-1), np.sum(p**2, axis=-1))
+
+
+@pytest.mark.parametrize("label,dim", [(label, 1) for label in POTENTIALS_1D]
+                         + [("zero", 2), ("landau:beta=1", 2), ("zero", 3)])
+def test_potential_closures_give_the_same_bits_on_coordinate_major_points(label, dim):
+    A = resolve_potential(label, dim)
+    p = np.random.default_rng(29).standard_normal((5, 3, 7, dim))
+    assert _same_bits(A(_coordinate_major(p)), A(p))
+    assert _same_bits(A.divergence(_coordinate_major(p)), A.divergence(p))
 
 
 def test_affine_gauge_phase_identity():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import bbm_magnetic
-from bbm_magnetic import cli, harness
+from bbm_magnetic import cli, harness, operator
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConditionViolation, ConfigurationError, IntegrationError
 from bbm_magnetic.functionals import (
@@ -426,7 +426,10 @@ _OPERATOR = ["operator", "--field", "gauss1d", "--potential", "zero", "--dim", "
      "unsupported dimension 0; expected 1, 2 or 3"),
     (["mollifier-check", "--family", "bbm", "--dim", "4", "--delta", "0.1"],
      "unsupported dimension 4; expected 1, 2 or 3"),
-], ids=["nan-point", "inf-point", "empty-s-list", "gaussian-dim-0", "bbm-dim-4"])
+    (["mollifier-check", "--family", "gaussian", "--dim", "1", "--delta", "0.1",
+      "--indices", "2.5,4.7"], "expected comma-separated integers"),
+], ids=["nan-point", "inf-point", "empty-s-list", "gaussian-dim-0", "bbm-dim-4",
+        "gaussian-non-integer-indices"])
 def test_cli_rejects_bad_input_before_compute(monkeypatch, capsys, args, message):
     def no_compute(*_args, **_kwargs):
         raise AssertionError("computed on bad input")
@@ -435,6 +438,16 @@ def test_cli_rejects_bad_input_before_compute(monkeypatch, capsys, args, message
     monkeypatch.setattr(cli, "check_mollifier", no_compute)
     assert cli.main(args) == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_operator_s_outside_unit_interval_exits_2_before_compute(monkeypatch, capsys):
+    def no_compute(*_args, **_kwargs):
+        raise AssertionError("computed before every s was checked")
+
+    monkeypatch.setattr(operator, "local_magnetic_apply", no_compute)
+    monkeypatch.setattr(operator, "fractional_magnetic_apply", no_compute)
+    assert cli.main(_OPERATOR + ["--point", "0", "--s-list", "0.5,1.5"]) == 2
+    assert "s=1.5 outside (0, 1)" in capsys.readouterr().err
 
 
 def test_cli_mollifier_check():

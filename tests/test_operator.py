@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from bbm_magnetic.constants import fractional_constant
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConfigurationError, IntegrationError
+from bbm_magnetic import operator
 from bbm_magnetic.fields import ScalarField
 from bbm_magnetic.operator import (
     fractional_magnetic_apply,
@@ -144,6 +145,19 @@ def test_scan_requires_increasing_s():
     A = resolve_potential("zero", 1)
     with pytest.raises(ValueError):
         operator_limit_scan(u, A, [0.0], [0.9, 0.8], SPEC)
+
+
+def test_scan_checks_every_s_before_computing(monkeypatch):
+    def no_compute(*_args, **_kwargs):
+        raise AssertionError("computed before every s was checked")
+
+    monkeypatch.setattr(operator, "local_magnetic_apply", no_compute)
+    monkeypatch.setattr(operator, "fractional_magnetic_apply", no_compute)
+    u = resolve_field("gauss1d")
+    A = resolve_potential("zero", 1)
+    for s_list in ([0.5, 1.5], [0.0, 0.5], [0.5, 1.0]):
+        with pytest.raises(ValueError, match=r"outside \(0, 1\)"):
+            operator_limit_scan(u, A, [0.0], s_list, SPEC)
 
 
 def test_far_field_refusal_for_non_decaying_field():

@@ -9,14 +9,16 @@ from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConfigurationError, IntegrationError
 from bbm_magnetic.fields import ScalarField
 from bbm_magnetic.functionals import magnetic_seminorm_sq
-from bbm_magnetic.geometry import interval
+from bbm_magnetic.geometry import ball, boundary_distances, interval, sphere_rule, tensor_grid
 from bbm_magnetic.quadrature import (
     QuadratureSpec,
+    _layered_radial,
     _run_batch,
     _run_two_level,
     double_integral_singular,
     near_field_hook,
     pairwise_sum,
+    radial_angular,
     tail_integral,
 )
 
@@ -198,3 +200,36 @@ def test_batch_evaluates_the_integrand_as_often_as_one_member():
     assert results[0] == single
     for s, res in zip((0.8, 0.95, 0.99), results[1:]):
         assert res == double_integral_singular(_sq_diff, D1, s, spec)
+
+
+@pytest.mark.parametrize("d,nodes,angular", [(interval(-1.0, 1.0), 1200, 2),
+                                             (ball([0.0, 0.0, 0.0], 1.0), 6, 26)])
+def test_pair_fn_gets_x_plus_r_omega_in_coordinate_major_layout(d, nodes, angular):
+    spec = QuadratureSpec(outer_nodes=nodes, angular_nodes=angular, radial_nodes=10)
+    # On the interval, drop the left half: the first chunk then lies in the
+    # middle and the second, near the boundary, needs more layers, so the
+    # point buffer grows as well as being reused.
+    X = tensor_grid(d, nodes).points[nodes // 2 if d.dimension == 1 else 0:]
+    dirs, _ = sphere_rule(d.dimension, angular)
+    R = boundary_distances(d, X, dirs)
+    eps_x = np.minimum(1e-4 * d.diameter(), 0.5 * R.min(axis=1))
+    calls = []
+
+    def pair(x, y):
+        calls.append((x, y.copy(), np.moveaxis(y, -1, 0).flags.c_contiguous))
+        return np.sum((x - y) ** 2, axis=-1)
+
+    _, count = radial_angular(pair, X, R, eps_x, dirs, spec, [lambda r: r])
+    assert len(calls) > 1
+    if d.dimension == 1:
+        assert calls[0][1].shape[2] < calls[1][1].shape[2]
+    start = 0
+    for x, y, coordinate_major in calls:
+        cut = slice(start, start + x.shape[0])
+        r, _ = _layered_radial(R[cut], eps_x[cut, None], spec.radial_nodes)
+        assert coordinate_major
+        assert np.array_equal(x, X[cut, None, None, :])
+        assert np.array_equal(y, X[cut, None, None, :] + r[..., None] * dirs[None, :, None, :])
+        start = cut.stop
+    assert start == X.shape[0]
+    assert count == sum(y.size // d.dimension for _, y, _ in calls)
