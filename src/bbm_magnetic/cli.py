@@ -118,6 +118,10 @@ def _cmd_operator(args) -> int:
 
 
 def _cmd_mollifier_check(args) -> int:
+    if not (math.isfinite(args.delta) and math.isfinite(args.r_domain)):
+        raise ConfigurationError(
+            f"--delta and --r-domain must be finite, got {args.delta!r} and {args.r_domain!r}"
+        )
     if args.family == "gaussian":
         indices = _parse_ints(args.indices or "2,4,6,8,12,16")
         fam = gaussian_family(indices, args.dim)

@@ -19,6 +19,7 @@ __all__ = [
     "DimensionalConstants",
     "dimensional_constants",
     "bbm_constant",
+    "check_fractional_order",
     "fractional_constant",
     "fractional_constant_limit",
 ]
@@ -44,6 +45,12 @@ def bbm_constant(dim: int) -> float:
     return math.pi ** (dim / 2.0) / (dim * math.gamma(dim / 2.0))
 
 
+def check_fractional_order(s: float) -> None:
+    """Raise ValueError unless the fractional order s lies in (0, 1)."""
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"fractional order s={s} outside (0, 1)")
+
+
 def fractional_constant(dim: int, s: float) -> float:
     """Normalization c(N, s) = 4^s Gamma(N/2 + s) s (1 - s) / (pi^{N/2} Gamma(2 - s)).
 
@@ -52,8 +59,7 @@ def fractional_constant(dim: int, s: float) -> float:
     the Gamma pole at s = 1.
     """
     check_dimension(dim)
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"fractional order s={s} outside (0, 1)")
+    check_fractional_order(s)
     return (
         4.0**s
         * math.gamma(dim / 2.0 + s)

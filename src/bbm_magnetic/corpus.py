@@ -7,6 +7,8 @@ R^N; the compactly supported bumps are extended by zero, which is exact.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -175,50 +177,59 @@ def _landau(beta: float) -> VectorPotential:
     )
 
 
-def _parse(label: str) -> tuple[str, dict[str, float]]:
+# Entries by label name: (factory, its parameters with their defaults).
+_FIELDS = {
+    "gauss1d": (_gauss1d, {}),
+    "bump1d": (_bump1d, {}),
+    "modgauss1d": (_modgauss1d, {"kappa": 1.0}),
+    "gauss2d": (_gauss2d, {}),
+    "bump2d": (_bump2d, {}),
+}
+_POTENTIALS = {
+    "zero": (_zero_potential, {}),
+    "const": (_const1d, {"alpha": 1.0}),
+    "linear": (_linear1d, {"alpha": 1.0}),
+    "landau": (_landau, {"beta": 1.0}),
+}
+
+
+def _parse(label: str, entries: dict, what: str, known: list[str]) -> tuple[Callable, dict]:
+    """The factory of the label's entry and its parameters, defaults filled
+    in.  An unknown entry, a parameter the entry does not take, a repeated
+    parameter and a malformed one raise ConfigurationError."""
     name, _, tail = label.partition(":")
+    name = name.strip()
+    if name not in entries:
+        raise ConfigurationError(f"unknown {what} label {label!r}; known: {known}")
+    factory, defaults = entries[name]
     params: dict[str, float] = {}
-    if tail:
-        for part in tail.split(","):
-            key, _, raw = part.partition("=")
-            if not raw:
-                raise ConfigurationError(f"malformed parameter {part!r} in label {label!r}")
-            try:
-                params[key.strip()] = float(raw)
-            except ValueError as exc:
-                raise ConfigurationError(f"non-numeric parameter in label {label!r}") from exc
-    return name.strip(), params
+    for part in tail.split(",") if tail else ():
+        key, _, raw = part.partition("=")
+        key = key.strip()
+        if not raw:
+            raise ConfigurationError(f"malformed parameter {part!r} in label {label!r}")
+        if key not in defaults:
+            raise ConfigurationError(
+                f"{what} {name!r} takes no parameter {key!r} (label {label!r}); "
+                f"its parameters: {list(defaults)}"
+            )
+        if key in params:
+            raise ConfigurationError(f"repeated parameter {key!r} in label {label!r}")
+        try:
+            params[key] = float(raw)
+        except ValueError as exc:
+            raise ConfigurationError(f"non-numeric parameter in label {label!r}") from exc
+    return factory, {**defaults, **params}
 
 
 def resolve_field(label: str) -> ScalarField:
-    name, params = _parse(label)
-    if name == "gauss1d":
-        return _gauss1d()
-    if name == "bump1d":
-        return _bump1d()
-    if name == "modgauss1d":
-        return _modgauss1d(params.get("kappa", 1.0))
-    if name == "gauss2d":
-        return _gauss2d()
-    if name == "bump2d":
-        return _bump2d()
-    raise ConfigurationError(f"unknown field label {label!r}; known: {field_labels()}")
+    factory, params = _parse(label, _FIELDS, "field", field_labels())
+    return factory(**params)
 
 
 def resolve_potential(label: str, dim: int) -> VectorPotential:
-    name, params = _parse(label)
-    if name == "zero":
-        return _zero_potential(dim)
-    if name == "const":
-        pot = _const1d(params.get("alpha", 1.0))
-    elif name == "linear":
-        pot = _linear1d(params.get("alpha", 1.0))
-    elif name == "landau":
-        pot = _landau(params.get("beta", 1.0))
-    else:
-        raise ConfigurationError(
-            f"unknown potential label {label!r}; known: {potential_labels()}"
-        )
+    factory, params = _parse(label, _POTENTIALS, "potential", potential_labels())
+    pot = factory(dim) if factory is _zero_potential else factory(**params)
     if pot.dim != dim:
         raise ConfigurationError(
             f"potential {label!r} is {pot.dim}-dimensional, domain is {dim}-dimensional"

@@ -137,6 +137,19 @@ def fullspace_seminorm_sq(
     return value
 
 
+def _support_inside(u: ScalarField, d: Domain) -> bool:
+    """Whether u's support domain, shrunk by its margin, lies in the closure of d."""
+    sup = u.support_domain
+    if sup is None:
+        return False
+    rel = np.abs(sup.center - d.center)
+    half = sup.extents - u.support_margin  # half-widths, or the radius of a ball
+    if d.kind != "ball":
+        return bool(np.all(rel + half <= d.extents))
+    reach = np.linalg.norm(rel) + half[0] if sup.kind == "ball" else np.linalg.norm(rel + half)
+    return bool(reach <= d.extents[0])
+
+
 def fullspace_seminorms_sq(
     u: ScalarField, A: VectorPotential, d: Domain, s_list: Sequence[float], spec: QuadratureSpec
 ) -> list[FunctionalValue]:
@@ -145,6 +158,11 @@ def fullspace_seminorms_sq(
     require_dimension(d.dimension, u, A)
     if not u.is_compact:
         raise ValueError("full-space seminorm requires a compact-in-domain field")
+    if not _support_inside(u, d):
+        raise ValueError(
+            f"full-space seminorm requires the support of {u.label or 'the field'} to lie "
+            "inside the domain, since the field is extended by zero outside it"
+        )
 
     def cross_on(n_axis: int, s: float) -> float:
         grid = tensor_grid(d, n_axis)
@@ -212,8 +230,8 @@ def bbm_family(s_sequence: Sequence[float], r_domain: float, dim: int) -> Mollif
         raise ValueError("bbm family needs s values in (0, 1)")
     if any(b <= a for a, b in zip(s_arr, s_arr[1:])):
         raise ValueError("bbm family s values must increase toward 1")
-    if r_domain <= 0.0:
-        raise ValueError("cutoff radius must be positive")
+    if not 0.0 < r_domain < math.inf:
+        raise ValueError(f"cutoff radius must be positive and finite, got {r_domain!r}")
 
     members = []
     for s in s_arr:
@@ -281,8 +299,8 @@ class MollifierCheck:
 
 
 def check_mollifier(fam: MollifierFamily, dim: int, delta: float) -> list[MollifierCheck]:
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     if dim != fam.dim:
         raise ConfigurationError(f"family is {fam.dim}-dimensional, asked for {dim}")
     out = []

@@ -2,9 +2,10 @@
 extrapolation, and deterministic CSV/JSON reports.
 
 A sweep splits its rows into at most ``threads`` contiguous batches and
-computes the batches on a thread pool.  The seminorm and mollifier kinds
-evaluate a batch with one integrand evaluation per engine pass; the other
-kinds compute its rows one by one.  A row's value does not depend on the
+computes the batches on a thread pool, one call of the kind's plural
+function per batch: the seminorm, mollifier and operator kinds evaluate
+their integrand once per engine pass for the whole batch.  An integration
+error fails every row of its batch.  A row's value does not depend on the
 batch it shares, the report is always assembled in parameter order and all
 floating-point reductions use fixed-order summation, which is why reruns
 (at any thread count) produce byte-identical artifacts.
@@ -350,11 +351,10 @@ def _metadata(cfg: SweepConfig, node_counts: list[int]) -> dict:
 @dataclass(frozen=True)
 class _Plan:
     """One sweep kind's part of the shared driver.  ``batch`` maps a
-    contiguous run of items to their FunctionalValues or floats; an
-    IntegrationError it raises fails every row of the run, and one it
-    returns in an item's place fails that row alone.  ``small`` maps a row
-    parameter to the t of the limit fit; ``node_counts`` None means the
-    per-row engine node counts."""
+    contiguous run of items to their FunctionalValues or floats in one
+    call; an IntegrationError it raises fails every row of the run.
+    ``small`` maps a row parameter to the t of the limit fit;
+    ``node_counts`` None means the per-row engine node counts."""
 
     items: Sequence
     params: Sequence[float]
@@ -371,12 +371,6 @@ def _attempt(fn: Callable, arg):
         return fn(arg)
     except IntegrationError as exc:
         return exc
-
-
-def _each(row: Callable) -> Callable:
-    """A batch function that computes its items one by one, so that an
-    IntegrationError fails only the row that raised it."""
-    return lambda items: [_attempt(row, item) for item in items]
 
 
 def _one_minus(s: float) -> float:
@@ -448,7 +442,7 @@ def _plan_translation(cfg: SweepConfig, u, A) -> _Plan:
     dens = np.abs(magnetic_gradient(u, A, grid.points) @ omega) ** 2
     h_sorted = tuple(sorted(cfg.h_list))
     return _Plan(h_sorted, h_sorted,
-                 _each(lambda h: translation_difference_sq(u, A, h * omega, grid)),
+                 lambda hs: [translation_difference_sq(u, A, h * omega, grid) for h in hs],
                  lambda h, v: v / h**2, float(pairwise_sum(grid.weights * dens)),
                  lambda h: h, node_counts=[grid.points.shape[0]])
 
@@ -469,18 +463,15 @@ def _plan_operator(cfg: SweepConfig, u, A) -> _Plan:
     """|fractional - local| operator values at a point, which tend to 0."""
     d = cfg.domain
     x = np.asarray(cfg.point if cfg.point else d.center, dtype=float)
-
-    def row(s: float) -> float:
-        (sample,) = operator_limit_scan(u, A, x, [s], cfg.spec)
-        return sample.discrepancy
-
-    return _Plan(cfg.s_list, cfg.s_list, _each(row), lambda s, v: v, 0.0, _one_minus,
-                 node_counts=[])
+    return _Plan(cfg.s_list, cfg.s_list,
+                 lambda s_list: [smp.discrepancy
+                                 for smp in operator_limit_scan(u, A, x, s_list, cfg.spec)],
+                 lambda s, v: v, 0.0, _one_minus, node_counts=[])
 
 
 def _sweep(cfg: SweepConfig, planner: Callable, threads: int) -> SweepReport:
     """Resolve the field and potential, plan the kind, compute the rows (a
-    row's IntegrationError becomes a failed row) and fit the limit."""
+    batch's IntegrationError fails its rows) and fit the limit."""
     u = resolve_field(cfg.field_label)
     d = cfg.domain
     A = resolve_potential(cfg.potential_label, d.dimension)

@@ -8,6 +8,10 @@ an analytic far tail using the field's decay, and a symmetric second-order
 estimate of the cutoff ball itself.  The ball term matters: its size is
 proportional to eps^(2-2s), which no representable cutoff makes negligible
 as s approaches 1, so dropping it would wreck the local-limit comparison.
+
+Only the annulus's radial weight and closed-form factors depend on s, so a
+whole s-list shares one annulus pass, one far-rim check and one ball
+difference; ``fractional_magnetic_apply`` is the list of one.
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import fractional_constant
+from .constants import check_fractional_order, fractional_constant
 from .errors import ConfigurationError, IntegrationError
 from .fields import ScalarField, VectorPotential, midpoint_phase, require_dimension
 from .geometry import sphere_rule
-from .quadrature import QuadratureSpec, radial_angular
+from .quadrature import QuadratureSpec, _power_weight, radial_angular
 
 __all__ = [
     "OperatorSample",
@@ -60,14 +64,15 @@ def local_magnetic_apply(u: ScalarField, A: VectorPotential, x) -> complex:
     )
 
 
-def _fractional_parts(
+def _fractional_values(
     u: ScalarField,
     A: VectorPotential,
     x: np.ndarray,
-    s: float,
+    s_vals: Sequence[float],
     spec: QuadratureSpec,
-) -> tuple[complex, complex, complex]:
-    """(annulus, ball estimate, far tail) of the principal-value integral."""
+) -> list[complex]:
+    """The fractional operator at x at every s in s_vals, from one engine
+    pass for all the annuli: s enters only their weights and closed forms."""
     n = u.dim
     eps_abs = spec.eps * _REF_LENGTH
     r_far = _FAR_FACTOR * _REF_LENGTH
@@ -93,14 +98,13 @@ def _fractional_parts(
             f"{rim_u:.3e}, above {_DECAY_TOL:g} of the field scale, and the "
             "magnetic difference does not cancel there"
         )
-    far = complex(far_diff @ wdir) * r_far ** (-2.0 * s) / (2.0 * s)
+    far_sum = complex(far_diff @ wdir)
 
-    (per_dir,), _ = radial_angular(
+    per_dir, _ = radial_angular(
         lambda xs, y: ux - midpoint_phase(A, xs, y) * u.value(y),
         x[None, :], np.full((1, dirs.shape[0]), r_far), np.array([eps_abs]), dirs, spec,
-        [lambda r: r ** (-1.0 - 2.0 * s)], complex,
+        [_power_weight(s) for s in s_vals], complex,
     )
-    annulus = complex(per_dir[0] @ wdir)
 
     y_plus = x + eps_abs * dirs
     y_minus = x - eps_abs * dirs
@@ -109,8 +113,16 @@ def _fractional_parts(
         - midpoint_phase(A, np.broadcast_to(x, y_plus.shape), y_plus) * u.value(y_plus)
         - midpoint_phase(A, np.broadcast_to(x, y_minus.shape), y_minus) * u.value(y_minus)
     ) / eps_abs**2
-    ball = complex(0.5 * (sym @ wdir) * eps_abs ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s))
-    return annulus, ball, far
+    ball_sum = 0.5 * (sym @ wdir)
+
+    out = []
+    for s, annulus_dirs in zip(s_vals, per_dir):
+        annulus = complex(annulus_dirs[0] @ wdir)
+        ball = (complex(ball_sum * eps_abs ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s))
+                if spec.near_field == "taylor-correct" else 0.0)
+        far = far_sum * r_far ** (-2.0 * s) / (2.0 * s)
+        out.append(fractional_constant(n, s) * (annulus + ball + far))
+    return out
 
 
 def fractional_magnetic_apply(
@@ -121,14 +133,11 @@ def fractional_magnetic_apply(
     spec: QuadratureSpec,
 ) -> complex:
     """Principal-value evaluation of the fractional magnetic operator at x."""
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"fractional order s={s} outside (0, 1)")
+    check_fractional_order(s)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     require_dimension(x.size, u, A)
-    annulus, ball, far = _fractional_parts(u, A, x, s, spec)
-    if spec.near_field != "taylor-correct":
-        ball = 0.0
-    return fractional_constant(u.dim, s) * (annulus + ball + far)
+    (value,) = _fractional_values(u, A, x, [s], spec)
+    return value
 
 
 @dataclass(frozen=True)
@@ -152,12 +161,9 @@ def operator_limit_scan(
     if any(b <= a for a, b in zip(s_vals, s_vals[1:])):
         raise ValueError("s_list must increase")
     for s in s_vals:
-        if not 0.0 < s < 1.0:
-            raise ValueError(f"fractional order s={s} outside (0, 1)")
+        check_fractional_order(s)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     loc = local_magnetic_apply(u, A, x)
-    out = []
-    for s in s_vals:
-        frac = fractional_magnetic_apply(u, A, x, s, spec)
-        out.append(OperatorSample(tuple(x.tolist()), s, frac, loc, abs(frac - loc)))
-    return out
+    fracs = _fractional_values(u, A, x, s_vals, spec)
+    return [OperatorSample(tuple(x.tolist()), s, frac, loc, abs(frac - loc))
+            for s, frac in zip(s_vals, fracs)]

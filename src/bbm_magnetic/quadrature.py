@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .constants import dimensional_constants
+from .constants import check_fractional_order, dimensional_constants
 from .errors import ConfigurationError, IntegrationError
 from .fields import ScalarField, VectorPotential, magnetic_density
 from .geometry import Domain, boundary_distances, gauss_legendre, sphere_rule, tensor_grid
@@ -314,8 +314,7 @@ def double_integrals_singular(
     if len(near_fields) != len(s_list):
         raise ValueError("need one near-field hook (or None) per s value")
     for s in s_list:
-        if not 0.0 < s < 1.0:
-            raise ValueError(f"fractional order s={s} outside (0, 1)")
+        check_fractional_order(s)
     _check_diagonal(integrand, d, spec)
     taylor = spec.near_field == "taylor-correct"
     members = [(_power_weight(s), hook if taylor else None) for s, hook in zip(s_list, near_fields)]
@@ -355,8 +354,7 @@ def tail_integral_many(d: Domain, X: np.ndarray, s: float, angular_nodes: int) -
 
 def tail_integral(d: Domain, x, s: float, angular_nodes: int) -> float:
     """tail_integral_many at the single point x, which must be interior."""
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"fractional order s={s} outside (0, 1)")
+    check_fractional_order(s)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not bool(d.contains(x)):
         raise ValueError(f"tail integral diverges: {x.tolist()} is not interior")

@@ -1,9 +1,12 @@
+import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bbm_magnetic import functionals
 from bbm_magnetic.constants import bbm_constant
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConfigurationError
@@ -30,7 +33,7 @@ from bbm_magnetic.functionals import (
     translation_difference_sq,
     uniform_bound_check,
 )
-from bbm_magnetic.geometry import box, interval, tensor_grid
+from bbm_magnetic.geometry import ball, box, interval, tensor_grid
 from bbm_magnetic.operator import fractional_magnetic_apply, local_magnetic_apply
 from bbm_magnetic.quadrature import QuadratureSpec
 
@@ -120,6 +123,65 @@ def test_fullspace_requires_compact_field():
     A = resolve_potential("zero", 1)
     with pytest.raises(ValueError):
         fullspace_seminorm_sq(u, A, D1, 0.5, SPEC1)
+
+
+def test_fullspace_refuses_a_domain_smaller_than_the_support():
+    # extended by zero outside the half-width interval, the bump would have
+    # a jump there: its full-space seminorm read 700-2400 times the target
+    u = resolve_field("bump1d")
+    A = resolve_potential("linear:alpha=1", 1)
+    small = interval(-0.5, 0.5)
+    for call in (lambda: fullspace_seminorm_sq(u, A, small, 0.5, SPEC1),
+                 lambda: fullspace_seminorms_sq(u, A, small, [0.5, 0.9], SPEC1),
+                 lambda: uniform_bound_check(u, A, small, [0.5, 0.9], SPEC1)):
+        with pytest.raises(ValueError, match="support of bump1d to lie inside the domain"):
+            call()
+
+
+_BOX_SUPPORT = (box([0.0, 0.0], [1.0, 1.0]), 0.015)
+_BALL_SUPPORT = (ball([0.2, 0.0], 0.5), 0.0)
+
+
+@pytest.mark.parametrize("support,domain,inside", [
+    # the bump2d support: the box of half-width 1, whose outer 0.015 vanish
+    (_BOX_SUPPORT, box([0.0, 0.0], [1.0, 1.0]), True),
+    (_BOX_SUPPORT, box([0.0, 0.0], [0.985, 0.985]), True),
+    (_BOX_SUPPORT, box([0.1, 0.0], [1.0, 1.0]), False),
+    (_BOX_SUPPORT, box([0.0, 0.0], [1.0, 0.9]), False),
+    (_BOX_SUPPORT, ball([0.0, 0.0], 1.4), True),     # corners at 0.985 * sqrt(2)
+    (_BOX_SUPPORT, ball([0.0, 0.0], 1.39), False),
+    (_BALL_SUPPORT, box([0.0, 0.0], [0.7, 0.5]), True),
+    (_BALL_SUPPORT, box([0.0, 0.0], [0.69, 0.5]), False),
+    (_BALL_SUPPORT, ball([0.0, 0.0], 0.7), True),
+    (_BALL_SUPPORT, ball([0.0, 0.0], 0.69), False),
+    ((None, 0.0), box([0.0, 0.0], [1.0, 1.0]), False),
+])
+def test_fullspace_checks_the_support_before_computing(monkeypatch, support, domain, inside):
+    def no_compute(*_args, **_kwargs):
+        raise AssertionError("computed")
+
+    monkeypatch.setattr(functionals, "magnetic_seminorms_sq", no_compute)
+    sup, margin = support
+    u = replace(_zero_field(2), support="compact-in-domain", support_domain=sup,
+                support_margin=margin)
+    call = partial(fullspace_seminorms_sq, u, resolve_potential("zero", 2), domain, [0.5],
+                   QuadratureSpec(outer_nodes=4, angular_nodes=8, radial_nodes=2))
+    if inside:
+        with pytest.raises(AssertionError, match="computed"):
+            call()
+    else:
+        with pytest.raises(ValueError, match="to lie inside the domain"):
+            call()
+
+
+def test_mollifier_inputs_must_be_finite():
+    fam = gaussian_family([2, 4], 1)
+    for delta in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            check_mollifier(fam, 1, delta)
+    for r_domain in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="cutoff radius must be positive and finite"):
+            bbm_family([0.8, 0.9], r_domain, 1)
 
 
 def test_fullspace_cross_term_matches_1d_oracle():

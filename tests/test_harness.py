@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import bbm_magnetic
-from bbm_magnetic import cli, harness, operator
+from bbm_magnetic import cli, functionals, harness, operator
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConditionViolation, ConfigurationError, IntegrationError
 from bbm_magnetic.functionals import (
@@ -35,6 +35,8 @@ from bbm_magnetic.harness import (
     run_sweep,
 )
 from bbm_magnetic.quadrature import QuadratureSpec
+
+from .test_operator import _plane_wave
 
 D1 = interval(-1.0, 1.0)
 FAST_SPEC = QuadratureSpec(outer_nodes=64, angular_nodes=2, radial_nodes=8)
@@ -242,8 +244,9 @@ def test_integration_error_becomes_failed_row(monkeypatch, kind, functional, ext
     ("bbm-domain", "magnetic_seminorms_sq", {}, [0.8, 0.9, 0.95, 0.99]),
     ("lemma-uniform", "fullspace_seminorms_sq",
      {"field_label": "bump1d", "s_list": (0.5, 0.7, 0.9, 0.99)}, [0.5, 0.7, 0.9, 0.99]),
-    # operator rows are computed one by one, so one row fails alone
-    ("operator-limit", "operator_limit_scan", {"s_list": (0.7, 0.8, 0.9, 0.95)}, [0.9]),
+    # the operator scan takes the whole s-list in one call, like the other kinds
+    ("operator-limit", "operator_limit_scan", {"s_list": (0.7, 0.8, 0.9, 0.95)},
+     [0.7, 0.8, 0.9, 0.95]),
 ])
 def test_integration_error_fails_the_rows_of_its_batch(monkeypatch, kind, functional, extra,
                                                        failed):
@@ -252,6 +255,23 @@ def test_integration_error_fails_the_rows_of_its_batch(monkeypatch, kind, functi
     assert [r.param for r in rep.rows if r.failed] == failed
     assert all(r.note == _NAN_NOTE and math.isnan(r.value) for r in rep.rows if r.failed)
     assert math.isnan(rep.extrapolated_limit) == (len(rep.rows) - len(failed) < 3)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_operator_sweep_of_a_non_decaying_field_fails_every_row(monkeypatch, threads):
+    # the far-field refusal does not depend on s, so it fails every row,
+    # whether the rows share one batch or take one each
+    corpus_field = harness.resolve_field
+    monkeypatch.setattr(harness, "resolve_field",
+                        lambda label: _plane_wave(1.0) if label == "planewave"
+                        else corpus_field(label))
+    cfg = _cfg(kind="operator-limit", field_label="planewave", potential_label="zero",
+               s_list=(0.7, 0.8, 0.9, 0.95))
+    rep = run_sweep(cfg, threads=threads)
+    assert len(rep.rows) == 4
+    assert all(r.failed and math.isnan(r.value) for r in rep.rows)
+    assert all(r.note.startswith("far-field truncation refused") for r in rep.rows)
+    assert math.isnan(rep.extrapolated_limit)
 
 
 def test_mollifier_sweep_gaussian_family_converges():
@@ -428,8 +448,19 @@ _OPERATOR = ["operator", "--field", "gauss1d", "--potential", "zero", "--dim", "
      "unsupported dimension 4; expected 1, 2 or 3"),
     (["mollifier-check", "--family", "gaussian", "--dim", "1", "--delta", "0.1",
       "--indices", "2.5,4.7"], "expected comma-separated integers"),
+    (["mollifier-check", "--family", "bbm", "--dim", "1", "--delta", "0.1",
+      "--r-domain", "nan"], "must be finite"),
+    (["mollifier-check", "--family", "gaussian", "--dim", "1", "--delta", "inf"],
+     "must be finite"),
+    (["operator", "--field", "gauss1d", "--potential", "linear:alfa=3", "--dim", "1",
+      "--point", "0", "--s-list", "0.7"], "potential 'linear' takes no parameter 'alfa'"),
+    (["operator", "--field", "gauss1d:kappa=3", "--potential", "zero", "--dim", "1",
+      "--point", "0", "--s-list", "0.7"], "field 'gauss1d' takes no parameter 'kappa'"),
+    (["operator", "--field", "gauss1d", "--potential", "linear:alpha=1,alpha=5", "--dim", "1",
+      "--point", "0", "--s-list", "0.7"], "repeated parameter 'alpha'"),
 ], ids=["nan-point", "inf-point", "empty-s-list", "gaussian-dim-0", "bbm-dim-4",
-        "gaussian-non-integer-indices"])
+        "gaussian-non-integer-indices", "bbm-nan-r-domain", "gaussian-inf-delta",
+        "unknown-potential-parameter", "unknown-field-parameter", "repeated-parameter"])
 def test_cli_rejects_bad_input_before_compute(monkeypatch, capsys, args, message):
     def no_compute(*_args, **_kwargs):
         raise AssertionError("computed on bad input")
@@ -446,8 +477,25 @@ def test_cli_operator_s_outside_unit_interval_exits_2_before_compute(monkeypatch
 
     monkeypatch.setattr(operator, "local_magnetic_apply", no_compute)
     monkeypatch.setattr(operator, "fractional_magnetic_apply", no_compute)
+    monkeypatch.setattr(operator, "_fractional_values", no_compute)
     assert cli.main(_OPERATOR + ["--point", "0", "--s-list", "0.5,1.5"]) == 2
     assert "s=1.5 outside (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["bbm-fullspace", "lemma-uniform"])
+def test_cli_sweep_on_a_domain_smaller_than_the_support_exits_2(monkeypatch, capsys, tmp_path,
+                                                                kind):
+    def no_compute(*_args, **_kwargs):
+        raise AssertionError("computed on bad input")
+
+    monkeypatch.setattr(functionals, "magnetic_seminorms_sq", no_compute)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "kind": kind, "field": "bump1d", "potential": "linear:alpha=1",
+        "domain": {"kind": "interval", "center": [0.0], "extents": [0.5]},
+    }))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+    assert "support of bump1d to lie inside the domain" in capsys.readouterr().err
 
 
 def test_cli_mollifier_check():

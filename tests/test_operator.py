@@ -19,6 +19,7 @@ from bbm_magnetic.quadrature import QuadratureSpec
 from .oracles import spectral_fractional_gaussian
 
 SPEC = QuadratureSpec(outer_nodes=1, angular_nodes=2, radial_nodes=10)
+SPEC_2D = QuadratureSpec(outer_nodes=1, angular_nodes=16, radial_nodes=6)
 
 
 def _plane_wave(alpha):
@@ -153,11 +154,57 @@ def test_scan_checks_every_s_before_computing(monkeypatch):
 
     monkeypatch.setattr(operator, "local_magnetic_apply", no_compute)
     monkeypatch.setattr(operator, "fractional_magnetic_apply", no_compute)
+    monkeypatch.setattr(operator, "_fractional_values", no_compute)
     u = resolve_field("gauss1d")
     A = resolve_potential("zero", 1)
     for s_list in ([0.5, 1.5], [0.0, 0.5], [0.5, 1.0]):
         with pytest.raises(ValueError, match=r"outside \(0, 1\)"):
             operator_limit_scan(u, A, [0.0], s_list, SPEC)
+
+
+@pytest.mark.parametrize("near_field", ["taylor-correct", "drop"])
+@pytest.mark.parametrize("field,potential,x", [
+    ("gauss1d", "zero", [0.0]),
+    ("gauss1d", "linear:alpha=1", [0.3]),
+    ("modgauss1d:kappa=0.7", "const:alpha=0.7", [-0.2]),
+    ("bump1d", "linear:alpha=2", [0.1]),
+    ("gauss2d", "landau:beta=1", [0.3, -0.2]),
+])
+def test_scan_values_equal_the_single_s_values(field, potential, x, near_field):
+    u = resolve_field(field)
+    A = resolve_potential(potential, len(x))
+    spec = replace(SPEC if len(x) == 1 else SPEC_2D, near_field=near_field)
+    s_list = [0.3, 0.7, 0.9, 0.99]
+    samples = operator_limit_scan(u, A, x, s_list, spec)
+    assert [smp.s for smp in samples] == s_list
+    for smp in samples:
+        assert smp.fractional == fractional_magnetic_apply(u, A, x, smp.s, spec)
+        assert smp.discrepancy == abs(smp.fractional - local_magnetic_apply(u, A, x))
+
+
+def test_scan_evaluates_the_field_as_often_for_four_s_as_for_one(monkeypatch):
+    gauss = resolve_field("gauss1d")
+    points = []
+
+    def counted(p):
+        points[-1] += p.size // p.shape[-1]
+        return gauss.value(p)
+
+    passes = []
+    engine = operator.radial_angular
+
+    def counted_engine(*args):
+        passes.append(1)
+        return engine(*args)
+
+    monkeypatch.setattr(operator, "radial_angular", counted_engine)
+    u = replace(gauss, value=counted)
+    A = resolve_potential("linear:alpha=1", 1)
+    for s_list in ([0.9], [0.7, 0.8, 0.9, 0.95]):
+        points.append(0)
+        operator_limit_scan(u, A, [0.1], s_list, SPEC)
+    assert points[0] == points[1] > 0
+    assert len(passes) == 2  # one engine pass per scan
 
 
 def test_far_field_refusal_for_non_decaying_field():
