@@ -7,7 +7,8 @@ Subcommands:
   mollifier-check  moment report for a built-in mollifier family
 
 Exit codes: 0 success, 1 condition/assertion violation, 2 configuration
-error, 3 integration failure.
+error, 3 integration failure, 4 internal error (any other exception; its
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .constants import (
 from .corpus import resolve_field, resolve_potential
 from .errors import ConditionViolation, ConfigurationError, IntegrationError
 from .functionals import bbm_family, check_mollifier, gaussian_family
-from .harness import default_spec, emit_report, load_config, render_report, run_sweep, write_text
+from .harness import default_spec, load_config, render_report, run_sweep, write_text
 from .operator import operator_limit_scan
 
 
@@ -74,12 +76,7 @@ def _cmd_constants(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     report = run_sweep(cfg, threads=args.threads)
-    fmt = args.format or cfg.fmt
-    out = args.out or cfg.output
-    if out:
-        emit_report(report, fmt, out)
-    else:
-        sys.stdout.write(render_report(report, fmt))
+    _write_or_print(render_report(report, args.format or cfg.fmt), args.out or cfg.output)
     return 0
 
 
@@ -196,6 +193,10 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrationError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a defect, not bad input: keep it apart from 1-3
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -47,20 +47,6 @@ def _bump_d2(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gauss1d() -> ScalarField:
-    def val(p):
-        return np.exp(-p[..., 0] ** 2).astype(complex)
-
-    def grad(p):
-        return (-2.0 * p * np.exp(-p[..., 0] ** 2)[..., None]).astype(complex)
-
-    def hess(p):
-        x = p[..., 0]
-        return ((4.0 * x * x - 2.0) * np.exp(-x * x)).astype(complex)[..., None, None]
-
-    return ScalarField(1, val, grad, hess, label="gauss1d")
-
-
 def _bump1d() -> ScalarField:
     def val(p):
         return _bump(p[..., 0]).astype(complex)
@@ -100,7 +86,9 @@ def _modgauss1d(kappa: float) -> ScalarField:
     return ScalarField(1, val, grad, hess, label=f"modgauss1d:kappa={kappa:g}")
 
 
-def _gauss2d() -> ScalarField:
+def _gauss(dim: int) -> ScalarField:
+    """exp(-|x|^2) in dim dimensions."""
+
     def val(p):
         return np.exp(-np.sum(p * p, axis=-1)).astype(complex)
 
@@ -113,7 +101,7 @@ def _gauss2d() -> ScalarField:
         outer = 4.0 * p[..., :, None] * p[..., None, :]
         return ((outer - 2.0 * eye) * u[..., None, None]).astype(complex)
 
-    return ScalarField(2, val, grad, hess, label="gauss2d")
+    return ScalarField(dim, val, grad, hess, label=f"gauss{dim}d")
 
 
 def _bump2d() -> ScalarField:
@@ -179,10 +167,10 @@ def _landau(beta: float) -> VectorPotential:
 
 # Entries by label name: (factory, its parameters with their defaults).
 _FIELDS = {
-    "gauss1d": (_gauss1d, {}),
+    "gauss1d": (lambda: _gauss(1), {}),
     "bump1d": (_bump1d, {}),
     "modgauss1d": (_modgauss1d, {"kappa": 1.0}),
-    "gauss2d": (_gauss2d, {}),
+    "gauss2d": (lambda: _gauss(2), {}),
     "bump2d": (_bump2d, {}),
 }
 _POTENTIALS = {

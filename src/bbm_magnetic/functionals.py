@@ -164,21 +164,20 @@ def fullspace_seminorms_sq(
             "inside the domain, since the field is extended by zero outside it"
         )
 
-    def cross_on(n_axis: int, s: float) -> float:
-        grid = tensor_grid(d, n_axis)
-        u2 = np.abs(u.value(grid.points)) ** 2
-        tails = tail_integral_many(d, grid.points, s, spec.angular_nodes)
-        return 2.0 * float(pairwise_sum(grid.weights * u2 * tails))
-
+    doms = magnetic_seminorms_sq(u, A, d, s_list, spec)
+    grids = [tensor_grid(d, n) for n in (spec.outer_nodes, max(4, spec.outer_nodes // 2))]
+    crosses = []  # the cross term at every s, on the fine and on the coarse grid
+    for grid in grids:
+        mass = grid.weights * np.abs(u.value(grid.points)) ** 2
+        tails = tail_integral_many(d, grid.points, s_list, spec.angular_nodes)
+        crosses.append([2.0 * float(pairwise_sum(mass * t)) for t in tails])
     out = []
-    for s, dom in zip(s_list, magnetic_seminorms_sq(u, A, d, s_list, spec)):
-        cross = cross_on(spec.outer_nodes, s)
-        cross_err = abs(cross - cross_on(max(4, spec.outer_nodes // 2), s))
-        value = dom.value + cross
+    for dom, fine, coarse in zip(doms, *crosses):
+        value = dom.value + fine
         diag = IntegralResult(
             value,
-            dom.diagnostics.estimated_error + cross_err,
-            dom.diagnostics.node_count + spec.outer_nodes**d.dimension,
+            dom.diagnostics.estimated_error + abs(fine - coarse),
+            dom.diagnostics.node_count + grids[0].points.shape[0],
         )
         out.append(FunctionalValue(value, diag))
     return out
@@ -223,6 +222,10 @@ def bbm_family(s_sequence: Sequence[float], r_domain: float, dim: int) -> Mollif
     psi0 is the smoothstep cutoff, identically 1 up to r_domain, so for
     domains of diameter <= r_domain the mollified functional equals
     2(1-s_n) times the squared s_n-seminorm.
+
+    The kernel is meant for r > 0, which is where every caller evaluates it.
+    At r = 0 it returns the formula's limit: inf where N + 2s > 2, 1 for
+    N = 1 and s = 1/2, and 0 for N = 1 and s < 1/2.
     """
     check_dimension(dim)
     s_arr = list(s_sequence)
@@ -239,10 +242,7 @@ def bbm_family(s_sequence: Sequence[float], r_domain: float, dim: int) -> Mollif
 
         def fn(r, _e=expo, _s=s):
             r = np.asarray(r, dtype=float)
-            out = np.zeros_like(r)
-            pos = r > 0.0
-            out[pos] = 2.0 * (1.0 - _s) * r[pos] ** (-_e) * smoothstep_cutoff(r[pos], r_domain)
-            return out
+            return 2.0 * (1.0 - _s) * r ** (-_e) * smoothstep_cutoff(r, r_domain)
 
         def near_moment(eps, _s=s):
             # Exact while eps <= r_domain, where psi0 == 1.

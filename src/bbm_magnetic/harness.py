@@ -511,7 +511,13 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepReport:
 def run_mollifier_sweep(
     cfg: SweepConfig, family: Optional[MollifierFamily] = None, threads: int = 1
 ) -> SweepReport:
-    """Mollified-functional sweep versus the target 2 K_N * E."""
+    """Mollified-functional sweep versus the target 2 K_N * E.  A config of
+    any other kind raises ConfigurationError before any compute."""
+    if cfg.kind != "mollifier":
+        raise ConfigurationError(
+            f"run_mollifier_sweep needs a 'mollifier' config, got kind {cfg.kind!r}; "
+            "use run_sweep for the other kinds"
+        )
     return _sweep(cfg, partial(_plan_mollifier, family=family), threads)
 
 
@@ -519,7 +525,7 @@ def run_mollifier_sweep(
 # Reports
 # ---------------------------------------------------------------------------
 
-_CSV_HEADER = "param,value,scaled,target,abs_err,rel_err"
+_CSV_COLUMNS = ("param", "value", "scaled", "target", "abs_err", "rel_err")
 
 
 def report_to_dict(r: SweepReport) -> dict:
@@ -544,12 +550,8 @@ def report_from_dict(d: dict) -> SweepReport:
 
 def render_report(r: SweepReport, fmt: str) -> str:
     if fmt == "csv":
-        lines = [_CSV_HEADER]
-        for row in r.rows:
-            lines.append(
-                f"{row.param!r},{row.value!r},{row.scaled!r},"
-                f"{row.target!r},{row.abs_err!r},{row.rel_err!r}"
-            )
+        lines = [",".join(_CSV_COLUMNS)]
+        lines += [",".join(repr(getattr(row, c)) for c in _CSV_COLUMNS) for row in r.rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
         return json.dumps(report_to_dict(r), indent=2, sort_keys=True) + "\n"

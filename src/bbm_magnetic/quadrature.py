@@ -340,16 +340,18 @@ def double_integral_singular(
     return res
 
 
-def tail_integral_many(d: Domain, X: np.ndarray, s: float, angular_nodes: int) -> np.ndarray:
+def tail_integral_many(
+    d: Domain, X: np.ndarray, s_list: Sequence[float], angular_nodes: int
+) -> list[np.ndarray]:
     """Exact-in-r integral of |x - y|^(-N-2s) over the domain complement,
-    for each interior point x in the rows of X.
+    for each interior point x in the rows of X: one array per s in s_list.
 
     Uses int_R^inf r^(-1-2s) dr = R^(-2s) / (2s) along each direction, with
-    R the directional boundary distance; valid because the domain is convex.
-    """
+    R the directional boundary distance (valid because the domain is convex),
+    which is computed once for every s."""
     dirs, wts = sphere_rule(d.dimension, angular_nodes)
     R = boundary_distances(d, np.asarray(X, dtype=float), dirs)
-    return (R ** (-2.0 * s)) @ wts / (2.0 * s)
+    return [(R ** (-2.0 * s)) @ wts / (2.0 * s) for s in s_list]
 
 
 def tail_integral(d: Domain, x, s: float, angular_nodes: int) -> float:
@@ -358,4 +360,4 @@ def tail_integral(d: Domain, x, s: float, angular_nodes: int) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not bool(d.contains(x)):
         raise ValueError(f"tail integral diverges: {x.tolist()} is not interior")
-    return float(tail_integral_many(d, x[None, :], s, angular_nodes)[0])
+    return float(tail_integral_many(d, x[None, :], [s], angular_nodes)[0][0])

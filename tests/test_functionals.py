@@ -195,6 +195,20 @@ def test_fullspace_cross_term_matches_1d_oracle():
     assert abs((full - dom) - cross_oracle) / cross_oracle < 1e-5
 
 
+def test_fullspace_node_count_is_the_real_outer_grid_size_on_a_ball():
+    # a ball's outer grid masks out the box corners, so the cross term sees
+    # fewer than outer_nodes**N points
+    u = resolve_field("bump2d")
+    A = resolve_potential("landau:beta=1", 2)
+    d = ball([0.0, 0.0], 1.5)
+    spec = QuadratureSpec(outer_nodes=8, angular_nodes=16, radial_nodes=4)
+    real = tensor_grid(d, spec.outer_nodes).points.shape[0]
+    assert real < spec.outer_nodes**2
+    dom = magnetic_seminorm_sq(u, A, d, 0.7, spec)
+    full = fullspace_seminorm_sq(u, A, d, 0.7, spec)
+    assert full.diagnostics.node_count == dom.diagnostics.node_count + real
+
+
 def test_fullspace_exceeds_domain_seminorm_and_tail_shrinks():
     u = resolve_field("bump1d")
     A = resolve_potential("linear:alpha=1", 1)

@@ -318,6 +318,17 @@ def test_mollifier_sweep_wide_bbm_aborts_naming_normaliz():
         run_mollifier_sweep(_cfg(kind="mollifier"), family=fam)
 
 
+@pytest.mark.parametrize("kind", ["bbm-domain", "operator-limit"])
+def test_mollifier_sweep_refuses_other_kinds_before_compute(monkeypatch, kind):
+    def no_compute(*_args, **_kwargs):
+        raise AssertionError("computed on a config of the wrong kind")
+
+    monkeypatch.setattr(harness, "resolve_field", no_compute)
+    monkeypatch.setattr(harness, "mollified_functionals", no_compute)
+    with pytest.raises(ConfigurationError, match=f"got kind '{kind}'"):
+        run_mollifier_sweep(_cfg(kind=kind))
+
+
 def test_translation_sweep_report():
     cfg = _cfg(kind="lemma-translation", field_label="bump1d")
     rep = run_sweep(cfg)
@@ -550,3 +561,16 @@ def test_cli_sweep_condition_violation_exits_1(tmp_path):
     res = _run_cli("sweep", "--config", str(cfg_path))
     assert res.returncode == 1
     assert "(fourtheq)" in res.stderr
+
+
+def test_cli_unexpected_exception_exits_4(monkeypatch, capsys, tmp_path):
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_sweep", broken)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_GOOD))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert "internal error: RuntimeError: boom" in err

@@ -214,6 +214,24 @@ def test_far_field_refusal_for_non_decaying_field():
         fractional_magnetic_apply(u, A, [0.0], 0.5, SPEC)
 
 
+@pytest.mark.parametrize("x", [10.0, 30.0])
+def test_scan_far_from_the_bulk_matches_the_oracle_or_refuses(x):
+    # At x = 30 the bulk of e^{-y^2} lies in the annulus's outermost layer,
+    # r in [20, 40], whose nodes under-resolve it; the far-field refusal keeps
+    # those values (63% off the oracle) out.  At x = 10 the scan is accurate.
+    u = resolve_field("gauss1d")
+    A = resolve_potential("zero", 1)
+    s_list = [0.5, 0.9]
+    try:
+        samples = operator_limit_scan(u, A, [x], s_list, SPEC)
+    except IntegrationError:
+        assert x == 30.0
+        return
+    for s, smp in zip(s_list, samples):
+        ref = spectral_fractional_gaussian(s, x)
+        assert abs(smp.fractional - ref) / abs(ref) < 1e-3
+
+
 def _gauss1d_ball_term(s):
     # c(1, s) * 2 * eps^(2-2s) / (2-2s): the cutoff-ball term of e^{-x^2} at 0,
     # where -u''(0) = 2, with the operator's cutoff eps = 2 * spec.eps.
