@@ -7,8 +7,8 @@ Subcommands:
   mollifier-check  moment report for a built-in mollifier family
 
 Exit codes: 0 success, 1 condition/assertion violation, 2 configuration
-error, 3 integration failure, 4 internal error (any other exception; its
-traceback goes to stderr).
+error (bad input), 3 integration failure, 4 internal error (any other
+exception, a ValueError included; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -18,15 +18,11 @@ import json
 import math
 import sys
 import traceback
+from dataclasses import asdict
 
 import numpy as np
 
-from .constants import (
-    bbm_constant,
-    dimensional_constants,
-    fractional_constant,
-    fractional_constant_limit,
-)
+from .constants import dimensional_constants, fractional_constant, fractional_constant_limit
 from .corpus import resolve_field, resolve_potential
 from .errors import ConditionViolation, ConfigurationError, IntegrationError
 from .functionals import bbm_family, check_mollifier, gaussian_family
@@ -59,11 +55,12 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _cmd_constants(args) -> int:
+    consts = dimensional_constants(args.dim)
     payload = {
         "dim": args.dim,
-        "K_N": bbm_constant(args.dim),
-        "Q_N": dimensional_constants(args.dim).second_moment,
-        "sphere_area": dimensional_constants(args.dim).sphere_area,
+        "K_N": consts.bbm_constant,
+        "Q_N": consts.second_moment,
+        "sphere_area": consts.sphere_area,
         "limit": fractional_constant_limit(args.dim),
     }
     if args.s is not None:
@@ -122,16 +119,10 @@ def _cmd_mollifier_check(args) -> int:
     if args.family == "gaussian":
         indices = _parse_ints(args.indices or "2,4,6,8,12,16")
         fam = gaussian_family(indices, args.dim)
-    elif args.family == "bbm":
+    else:
         s_list = _parse_floats(args.s_list or "0.8,0.9,0.95,0.99")
         fam = bbm_family(s_list, args.r_domain, args.dim)
-    else:
-        raise ConfigurationError(f"unknown family {args.family!r}")
-    checks = check_mollifier(fam, args.dim, args.delta)
-    rows = [
-        {"param": c.param, "m0": c.m0, "tail": c.tail, "m1": c.m1, "m2": c.m2}
-        for c in checks
-    ]
+    rows = [asdict(c) for c in check_mollifier(fam, args.dim, args.delta)]
     _write_or_print(json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -187,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConditionViolation as exc:
         print(f"condition violation: {exc}", file=sys.stderr)
         return 1
-    except (ConfigurationError, ValueError) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except IntegrationError as exc:

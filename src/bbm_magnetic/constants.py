@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ConfigurationError
 from .geometry import check_dimension, sphere_area
 
 __all__ = [
@@ -40,15 +41,14 @@ def dimensional_constants(dim: int) -> DimensionalConstants:
 
 
 def bbm_constant(dim: int) -> float:
-    """K_N = |S^{N-1}| / (2N) = pi^{N/2} / (N Gamma(N/2))."""
-    check_dimension(dim)
-    return math.pi ** (dim / 2.0) / (dim * math.gamma(dim / 2.0))
+    """K_N = |S^{N-1}| / (2N) = Q_N / 2."""
+    return dimensional_constants(dim).bbm_constant
 
 
 def check_fractional_order(s: float) -> None:
-    """Raise ValueError unless the fractional order s lies in (0, 1)."""
+    """Raise ConfigurationError unless the fractional order s lies in (0, 1)."""
     if not 0.0 < s < 1.0:
-        raise ValueError(f"fractional order s={s} outside (0, 1)")
+        raise ConfigurationError(f"fractional order s={s} outside (0, 1)")
 
 
 def fractional_constant(dim: int, s: float) -> float:

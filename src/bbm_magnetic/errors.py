@@ -1,12 +1,13 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConditionViolation -> 1,
-ConfigurationError -> 2, IntegrationError -> 3.
+ConfigurationError -> 2, IntegrationError -> 3; any other exception is a
+defect and exits 4.
 """
 
 
-class ConfigurationError(Exception):
-    """Unresolvable label, unsupported dimension, or malformed configuration."""
+class ConfigurationError(ValueError):
+    """Bad input: unresolvable label, unsupported dimension, or malformed configuration."""
 
 
 class ConditionViolation(Exception):

@@ -42,6 +42,7 @@ from .quadrature import (
     pairwise_sum,
     radial_integral,
     tail_integral_many,
+    two_level,
 )
 
 __all__ = [
@@ -110,13 +111,15 @@ def local_magnetic_energy(
 ) -> FunctionalValue:
     """Tensor-grid quadrature of |grad u - i A u|^2 over the domain."""
     require_dimension(d.dimension, u, A)
-    dens = magnetic_density(u, A, grid.points)
-    value = float(pairwise_sum(grid.weights * dens))
-    coarse_grid = tensor_grid(d, max(2, grid.nodes_per_axis // 2))
-    coarse = float(pairwise_sum(coarse_grid.weights * magnetic_density(u, A, coarse_grid.points)))
-    return FunctionalValue(
-        value, IntegralResult(value, abs(value - coarse), grid.points.shape[0])
-    )
+
+    def energy_on(spec):
+        n = spec.outer_nodes
+        g = grid if n == grid.nodes_per_axis else tensor_grid(d, n)
+        value = float(pairwise_sum(g.weights * magnetic_density(u, A, g.points)))
+        return [value], g.points.shape[0]
+
+    (res,) = two_level(energy_on, QuadratureSpec(outer_nodes=grid.nodes_per_axis), d.dimension)
+    return FunctionalValue(res.value, res)
 
 
 def l2_norm_sq(u: ScalarField, grid: TensorGrid) -> float:
@@ -137,19 +140,6 @@ def fullspace_seminorm_sq(
     return value
 
 
-def _support_inside(u: ScalarField, d: Domain) -> bool:
-    """Whether u's support domain, shrunk by its margin, lies in the closure of d."""
-    sup = u.support_domain
-    if sup is None:
-        return False
-    rel = np.abs(sup.center - d.center)
-    half = sup.extents - u.support_margin  # half-widths, or the radius of a ball
-    if d.kind != "ball":
-        return bool(np.all(rel + half <= d.extents))
-    reach = np.linalg.norm(rel) + half[0] if sup.kind == "ball" else np.linalg.norm(rel + half)
-    return bool(reach <= d.extents[0])
-
-
 def fullspace_seminorms_sq(
     u: ScalarField, A: VectorPotential, d: Domain, s_list: Sequence[float], spec: QuadratureSpec
 ) -> list[FunctionalValue]:
@@ -157,27 +147,28 @@ def fullspace_seminorms_sq(
     evaluation per engine pass."""
     require_dimension(d.dimension, u, A)
     if not u.is_compact:
-        raise ValueError("full-space seminorm requires a compact-in-domain field")
-    if not _support_inside(u, d):
-        raise ValueError(
+        raise ConfigurationError("full-space seminorm requires a compact-in-domain field")
+    if u.support_domain is None or not d.covers(u.support_domain, u.support_margin):
+        raise ConfigurationError(
             f"full-space seminorm requires the support of {u.label or 'the field'} to lie "
             "inside the domain, since the field is extended by zero outside it"
         )
 
     doms = magnetic_seminorms_sq(u, A, d, s_list, spec)
-    grids = [tensor_grid(d, n) for n in (spec.outer_nodes, max(4, spec.outer_nodes // 2))]
-    crosses = []  # the cross term at every s, on the fine and on the coarse grid
-    for grid in grids:
+
+    def cross_on(sp):  # the cross term at every s
+        grid = tensor_grid(d, sp.outer_nodes)
         mass = grid.weights * np.abs(u.value(grid.points)) ** 2
-        tails = tail_integral_many(d, grid.points, s_list, spec.angular_nodes)
-        crosses.append([2.0 * float(pairwise_sum(mass * t)) for t in tails])
+        tails = tail_integral_many(d, grid.points, s_list, sp.angular_nodes)
+        return [2.0 * float(pairwise_sum(mass * t)) for t in tails], grid.points.shape[0]
+
     out = []
-    for dom, fine, coarse in zip(doms, *crosses):
-        value = dom.value + fine
+    for dom, cross in zip(doms, two_level(cross_on, spec, d.dimension)):
+        value = dom.value + cross.value
         diag = IntegralResult(
             value,
-            dom.diagnostics.estimated_error + abs(fine - coarse),
-            dom.diagnostics.node_count + grids[0].points.shape[0],
+            dom.diagnostics.estimated_error + cross.estimated_error,
+            dom.diagnostics.node_count + cross.node_count,
         )
         out.append(FunctionalValue(value, diag))
     return out
@@ -230,11 +221,11 @@ def bbm_family(s_sequence: Sequence[float], r_domain: float, dim: int) -> Mollif
     check_dimension(dim)
     s_arr = list(s_sequence)
     if not s_arr or any(not 0.0 < s < 1.0 for s in s_arr):
-        raise ValueError("bbm family needs s values in (0, 1)")
+        raise ConfigurationError("bbm family needs s values in (0, 1)")
     if any(b <= a for a, b in zip(s_arr, s_arr[1:])):
-        raise ValueError("bbm family s values must increase toward 1")
+        raise ConfigurationError("bbm family s values must increase toward 1")
     if not 0.0 < r_domain < math.inf:
-        raise ValueError(f"cutoff radius must be positive and finite, got {r_domain!r}")
+        raise ConfigurationError(f"cutoff radius must be positive and finite, got {r_domain!r}")
 
     members = []
     for s in s_arr:
@@ -260,7 +251,7 @@ def gaussian_family(indices: Sequence[int], dim: int) -> MollifierFamily:
     check_dimension(dim)
     idx = sorted(int(n) for n in indices)
     if not idx or idx[0] < 1:
-        raise ValueError("gaussian family needs positive integer indices")
+        raise ConfigurationError("gaussian family needs positive integer indices")
     xi, wgl = gauss_legendre(32)
 
     members = []
@@ -300,7 +291,7 @@ class MollifierCheck:
 
 def check_mollifier(fam: MollifierFamily, dim: int, delta: float) -> list[MollifierCheck]:
     if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+        raise ConfigurationError(f"delta must be positive and finite, got {delta!r}")
     if dim != fam.dim:
         raise ConfigurationError(f"family is {fam.dim}-dimensional, asked for {dim}")
     out = []
@@ -329,7 +320,7 @@ def _mollifier_member(
         raise ConfigurationError("mollifier dimension does not match the domain")
     probe = np.linspace(1e-6, rho.support_radius, 64)
     if np.any(rho.fn(probe) < -1e-15):
-        raise ValueError("mollifier kernel must be nonnegative")
+        raise ConfigurationError("mollifier kernel must be nonnegative")
 
     n = d.dimension
     weight = lambda r: rho.fn(r) * r ** (n - 3)
@@ -379,9 +370,9 @@ def translation_difference_sq(
     require_dimension(grid.domain.dimension, u, A)
     h = np.atleast_1d(np.asarray(h, dtype=float))
     if float(np.linalg.norm(h)) > 1.0:
-        raise ValueError("translation check requires |h| <= 1")
+        raise ConfigurationError("translation check requires |h| <= 1")
     if not u.is_compact:
-        raise ValueError("translation check requires a compact-in-domain field")
+        raise ConfigurationError("translation check requires a compact-in-domain field")
     y = grid.points
     shifted = u.value(y + h)
     arg = np.sum(h * A(y + 0.5 * h), axis=-1)

@@ -124,6 +124,16 @@ class Domain:
         rel = np.abs(pts - self.center)
         return np.all(rel < self.extents - margin, axis=-1)
 
+    def covers(self, inner: "Domain", margin: float = 0.0) -> bool:
+        """Whether inner, shrunk by margin, lies in the closure of this domain."""
+        rel = np.abs(inner.center - self.center)
+        half = inner.extents - margin  # half-widths, or the radius of a ball
+        if self.kind != "ball":
+            return bool(np.all(rel + half <= self.extents))
+        if inner.kind == "ball":
+            return bool(np.linalg.norm(rel) + half[0] <= self.extents[0])
+        return bool(np.linalg.norm(rel + half) <= self.extents[0])
+
 
 def interval(a: float, b: float) -> Domain:
     """Open interval (a, b) as a 1D domain."""
@@ -189,7 +199,7 @@ def boundary_distance(d: Domain, x, w: Direction) -> float:
     """Distance R with x + R*w on the boundary and x + t*w interior for t < R."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not bool(d.contains(x)):
-        raise ValueError(f"point {x.tolist()} is not strictly inside the domain")
+        raise ConfigurationError(f"point {x.tolist()} is not strictly inside the domain")
     return float(boundary_distances(d, x[None, :], w.unit[None, :])[0, 0])
 
 

@@ -98,8 +98,9 @@ class SweepConfig:
         if self.kind not in SWEEP_KINDS:
             raise ConfigurationError(f"unknown sweep kind {self.kind!r}; known: {SWEEP_KINDS}")
         s = self.s_list
-        if any(not 0.0 < v < 1.0 for v in s) or any(b <= a for a, b in zip(s, s[1:])):
-            raise ConfigurationError("s_list must be strictly increasing inside (0, 1)")
+        if not s or any(not 0.0 < v < 1.0 for v in s) or any(b <= a for a, b in zip(s, s[1:])):
+            raise ConfigurationError("s_list must be a nonempty, strictly increasing list "
+                                     "inside (0, 1)")
         if not self.h_list or any(not 0.0 < h <= 1.0 for h in self.h_list):
             raise ConfigurationError("h_list must be a nonempty list of shifts in (0, 1]")
         if not self.delta > 0.0:
@@ -264,6 +265,8 @@ def load_config(path: str | Path) -> SweepConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     return config_from_dict(raw)
 
 
@@ -279,7 +282,7 @@ def extrapolate_limit(rows: Sequence[tuple[float, float]]) -> tuple[float, float
     mollifier sweeps, |h| for translation sweeps); returns (L, max residual).
     """
     if len(rows) < 3:
-        raise ValueError("extrapolation needs at least 3 rows")
+        raise ConfigurationError("extrapolation needs at least 3 rows")
     t = np.array([r[0] for r in rows])
     v = np.array([r[1] for r in rows])
     design = np.stack([np.ones_like(t), t], axis=-1)
@@ -316,7 +319,7 @@ def _batches(items: Sequence, threads: int) -> list[Sequence]:
     n = len(items)
     if n == 0:
         return []
-    count = min(max(threads, 1), n)
+    count = min(threads, n)
     bounds = [n * k // count for k in range(count + 1)]
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
@@ -472,6 +475,8 @@ def _plan_operator(cfg: SweepConfig, u, A) -> _Plan:
 def _sweep(cfg: SweepConfig, planner: Callable, threads: int) -> SweepReport:
     """Resolve the field and potential, plan the kind, compute the rows (a
     batch's IntegrationError fails its rows) and fit the limit."""
+    if threads < 1:
+        raise ConfigurationError(f"threads must be at least 1, got {threads}")
     u = resolve_field(cfg.field_label)
     d = cfg.domain
     A = resolve_potential(cfg.potential_label, d.dimension)
@@ -530,22 +535,11 @@ _CSV_COLUMNS = ("param", "value", "scaled", "target", "abs_err", "rel_err")
 
 def report_to_dict(r: SweepReport) -> dict:
     """JSON-ready form of a report."""
-    return {
-        "kind": r.kind,
-        "target": r.target,
-        "extrapolated_limit": r.extrapolated_limit,
-        "extrapolation_residual": r.extrapolation_residual,
-        "rows": [asdict(row) for row in r.rows],
-        "metadata": r.metadata,
-    }
+    return asdict(r)
 
 
 def report_from_dict(d: dict) -> SweepReport:
-    rows = tuple(SweepRow(**row) for row in d["rows"])
-    return SweepReport(
-        d["kind"], rows, d["target"], d["extrapolated_limit"],
-        d["extrapolation_residual"], d["metadata"],
-    )
+    return SweepReport(**{**d, "rows": tuple(SweepRow(**row) for row in d["rows"])})
 
 
 def render_report(r: SweepReport, fmt: str) -> str:

@@ -159,7 +159,7 @@ def operator_limit_scan(
     """Fractional vs local operator values along an increasing s sequence."""
     s_vals = [float(s) for s in s_list]
     if any(b <= a for a, b in zip(s_vals, s_vals[1:])):
-        raise ValueError("s_list must increase")
+        raise ConfigurationError("s_list must increase")
     for s in s_vals:
         check_fractional_order(s)
     x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -42,6 +42,7 @@ __all__ = [
     "radial_angular",
     "radial_integral",
     "tail_integral",
+    "two_level",
 ]
 
 # Cap on points handled per outer-node chunk; keeps peak memory modest.
@@ -252,25 +253,23 @@ def _domain_pass(
     return values, count
 
 
-def _coarsened(spec: QuadratureSpec, dim: int) -> QuadratureSpec:
-    """One rung down the refinement ladder, for the two-level error estimate."""
-    ang = spec.angular_nodes
-    if dim > 1:
-        ang = max(8, 2 * (spec.angular_nodes // 4))
-    return replace(
-        spec,
-        outer_nodes=max(4, spec.outer_nodes // 2),
-        radial_nodes=max(2, spec.radial_nodes - 2),
-        angular_nodes=ang,
-    )
+def two_level(evaluate: Callable, spec: QuadratureSpec, dim: int) -> list[IntegralResult]:
+    """One IntegralResult per value of evaluate(spec) -> (values, node count):
+    its estimated error is the distance to the value one rung down, at half
+    the outer nodes (at least 4), two radial nodes fewer (at least 2) and,
+    for N > 1, half the directions (at least 8)."""
+    angular = spec.angular_nodes if dim == 1 else max(8, 2 * (spec.angular_nodes // 4))
+    coarse_spec = replace(spec, outer_nodes=max(4, spec.outer_nodes // 2),
+                          radial_nodes=max(2, spec.radial_nodes - 2), angular_nodes=angular)
+    fine, nodes = evaluate(spec)
+    coarse, _ = evaluate(coarse_spec)
+    return [IntegralResult(f, abs(f - c), nodes) for f, c in zip(fine, coarse)]
 
 
 def _run_batch(pair_fn, d, spec, members: Sequence[_Member]) -> list[IntegralResult]:
     """Fine and coarse passes over a batch of members: one IntegralResult
     per member, from one integrand evaluation per pass."""
-    fine, nodes = _domain_pass(pair_fn, d, spec, members)
-    coarse, _ = _domain_pass(pair_fn, d, _coarsened(spec, d.dimension), members)
-    return [IntegralResult(f, abs(f - c), nodes) for f, c in zip(fine, coarse)]
+    return two_level(lambda sp: _domain_pass(pair_fn, d, sp, members), spec, d.dimension)
 
 
 def _run_two_level(pair_fn, d, spec, radial_weight, near_field) -> IntegralResult:
@@ -312,7 +311,7 @@ def double_integrals_singular(
     """double_integral_singular at each s in s_list, with near_fields[k] the
     hook at s_list[k]; the integrand is evaluated once per pass for all."""
     if len(near_fields) != len(s_list):
-        raise ValueError("need one near-field hook (or None) per s value")
+        raise ConfigurationError("need one near-field hook (or None) per s value")
     for s in s_list:
         check_fractional_order(s)
     _check_diagonal(integrand, d, spec)
@@ -359,5 +358,5 @@ def tail_integral(d: Domain, x, s: float, angular_nodes: int) -> float:
     check_fractional_order(s)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not bool(d.contains(x)):
-        raise ValueError(f"tail integral diverges: {x.tolist()} is not interior")
+        raise ConfigurationError(f"tail integral diverges: {x.tolist()} is not interior")
     return float(tail_integral_many(d, x[None, :], [s], angular_nodes)[0][0])

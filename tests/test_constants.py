@@ -37,6 +37,12 @@ def test_dimensional_constants_relations():
         assert c.bbm_constant > 0.0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bbm_constant_is_half_the_second_moment(dim):
+    # one formula: K_N and Q_N agree to the last bit, in 3D too
+    assert bbm_constant(dim) == dimensional_constants(dim).second_moment / 2
+
+
 def test_fractional_constant_half_order():
     # 4^(1/2) Gamma(1) (1/4) / (pi^(1/2) Gamma(3/2)) = 1/pi
     assert_allclose(fractional_constant(1, 0.5), 1.0 / math.pi, rtol=1e-14)

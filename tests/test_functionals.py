@@ -35,7 +35,7 @@ from bbm_magnetic.functionals import (
 )
 from bbm_magnetic.geometry import ball, box, interval, tensor_grid
 from bbm_magnetic.operator import fractional_magnetic_apply, local_magnetic_apply
-from bbm_magnetic.quadrature import QuadratureSpec
+from bbm_magnetic.quadrature import QuadratureSpec, pairwise_sum, tail_integral_many
 
 from .oracles import brute_gagliardo_1d, gauss1d_energy_closed_form
 
@@ -100,6 +100,33 @@ def test_local_energy_gauss1d_closed_form():
     grid = tensor_grid(D1, 160)
     got = local_magnetic_energy(u, A, D1, grid).value
     assert_allclose(got, gauss1d_energy_closed_form(), rtol=1e-8)
+
+
+def test_energy_estimate_is_the_distance_to_the_coarse_rung():
+    # the energy's coarse grid is the engine's outer rung, max(4, n // 2)
+    u = resolve_field("gauss1d")
+    A = resolve_potential("linear:alpha=1", 1)
+    v5 = local_magnetic_energy(u, A, D1, tensor_grid(D1, 5))
+    v4 = local_magnetic_energy(u, A, D1, tensor_grid(D1, 4)).value
+    assert v5.diagnostics.estimated_error == abs(v5.value - v4)
+
+
+def test_fullspace_cross_term_estimate_uses_the_engine_coarse_rung():
+    # in 2D the coarse rung halves the directions of the cross term's tails
+    d = box([0.0, 0.0], [1.0, 1.0])
+    u = resolve_field("bump2d")
+    A = resolve_potential("landau:beta=1", 2)
+    spec = QuadratureSpec(outer_nodes=8, angular_nodes=16, radial_nodes=4)
+    (full,) = fullspace_seminorms_sq(u, A, d, [0.8], spec)
+    (dom,) = functionals.magnetic_seminorms_sq(u, A, d, [0.8], spec)
+
+    def cross(n, angular):
+        grid = tensor_grid(d, n)
+        (tail,) = tail_integral_many(d, grid.points, [0.8], angular)
+        return 2.0 * float(pairwise_sum(grid.weights * np.abs(u.value(grid.points)) ** 2 * tail))
+
+    expected = dom.diagnostics.estimated_error + abs(cross(8, 16) - cross(4, 8))
+    assert full.diagnostics.estimated_error == expected
 
 
 def test_local_energy_pure_gauge_zero():

@@ -173,3 +173,20 @@ def test_tensor_grid_ball_mask_converges():
     d = ball([0.0, 0.0], 1.0)
     err = [abs(tensor_grid(d, n).weights.sum() - d.volume()) for n in (24, 96)]
     assert err[1] < err[0]
+
+
+@pytest.mark.parametrize("outer,inner,margin,expected", [
+    (box([0.0, 0.0], [1.0, 1.0]), box([0.0, 0.0], [1.0, 1.0]), 0.0, True),
+    (box([0.0, 0.0], [1.0, 1.0]), box([0.2, 0.0], [1.0, 1.0]), 0.0, False),
+    (box([0.0, 0.0], [1.0, 1.0]), box([0.2, 0.0], [1.0, 1.0]), 0.2, True),
+    (box([0.0, 0.0], [1.0, 1.0]), ball([0.5, 0.0], 0.5), 0.0, True),
+    (box([0.0, 0.0], [1.0, 1.0]), ball([0.6, 0.0], 0.5), 0.0, False),
+    (ball([0.0, 0.0], 1.0), ball([0.3, 0.4], 0.5), 0.0, True),
+    (ball([0.0, 0.0], 1.0), ball([0.3, 0.4], 0.6), 0.0, False),
+    (ball([0.0, 0.0], 1.0), box([0.0, 0.0], [0.7, 0.7]), 0.0, True),
+    (ball([0.0, 0.0], 1.0), box([0.0, 0.0], [0.8, 0.8]), 0.0, False),
+    (ball([0.0, 0.0], 1.0), box([0.0, 0.0], [0.8, 0.8]), 0.1, True),
+    (interval(-1.0, 1.0), interval(-0.5, 1.5), 0.5, True),
+])
+def test_domain_covers(outer, inner, margin, expected):
+    assert outer.covers(inner, margin) is expected

@@ -574,3 +574,53 @@ def test_cli_unexpected_exception_exits_4(monkeypatch, capsys, tmp_path):
     err = capsys.readouterr().err
     assert "Traceback" in err
     assert "internal error: RuntimeError: boom" in err
+
+
+def test_cli_value_error_from_a_defect_exits_4(monkeypatch, capsys, tmp_path):
+    # only ConfigurationError is bad input; any other ValueError is a defect
+    def broken(*_args, **_kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "run_sweep", broken)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_GOOD))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 4
+    err = capsys.readouterr().err
+    assert "internal error: ValueError: boom" in err
+    assert "configuration error" not in err
+
+
+@pytest.mark.parametrize("content", [b"{\"kind\": ", b"\xff\xfe{}"])
+def test_cli_undecodable_config_exits_2(capsys, tmp_path, content):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(content)
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+    assert "is not valid UTF-8 JSON" in capsys.readouterr().err
+
+
+def test_cli_empty_s_list_exits_2_before_compute(monkeypatch, capsys, tmp_path):
+    def no_compute(*_args, **_kwargs):
+        raise AssertionError("computed on an empty s_list")
+
+    monkeypatch.setattr(harness, "local_magnetic_energy", no_compute)
+    monkeypatch.setattr(harness, "magnetic_seminorms_sq", no_compute)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_GOOD, "s_list": []}))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+    assert "s_list must be a nonempty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_are_refused_before_compute(monkeypatch, capsys, tmp_path, threads):
+    def no_compute(*_args, **_kwargs):
+        raise AssertionError("computed with a thread count below 1")
+
+    monkeypatch.setattr(harness, "resolve_field", no_compute)
+    with pytest.raises(ConfigurationError, match="threads must be at least 1"):
+        run_sweep(_cfg(), threads=threads)
+    with pytest.raises(ConfigurationError, match="threads must be at least 1"):
+        run_mollifier_sweep(_cfg(kind="mollifier"), threads=threads)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_GOOD))
+    assert cli.main(["sweep", "--config", str(cfg_path), "--threads", str(threads)]) == 2
+    assert "threads must be at least 1" in capsys.readouterr().err

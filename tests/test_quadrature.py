@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from bbm_magnetic.quadrature import (
     pairwise_sum,
     radial_angular,
     tail_integral,
+    two_level,
 )
 
 D1 = interval(-1.0, 1.0)
@@ -233,3 +235,24 @@ def test_pair_fn_gets_x_plus_r_omega_in_coordinate_major_layout(d, nodes, angula
         start = cut.stop
     assert start == X.shape[0]
     assert count == sum(y.size // d.dimension for _, y, _ in calls)
+
+
+def test_two_level_estimates_against_one_rung_down():
+    seen = []
+
+    def evaluate(spec):
+        seen.append(spec)
+        return [float(spec.outer_nodes), -1.0], 7
+
+    spec = QuadratureSpec(outer_nodes=20, angular_nodes=32, radial_nodes=8)
+    res = two_level(evaluate, spec, 2)
+    assert seen == [spec, replace(spec, outer_nodes=10, angular_nodes=16, radial_nodes=6)]
+    assert [(r.value, r.estimated_error, r.node_count) for r in res] == [(20.0, 10.0, 7),
+                                                                         (-1.0, 0.0, 7)]
+    # floors: 4 outer nodes, 2 radial nodes, 8 directions; 1D keeps its two
+    seen.clear()
+    two_level(evaluate, QuadratureSpec(outer_nodes=5, angular_nodes=8, radial_nodes=3), 3)
+    assert seen[1] == QuadratureSpec(outer_nodes=4, angular_nodes=8, radial_nodes=2)
+    seen.clear()
+    two_level(evaluate, QuadratureSpec(outer_nodes=64, angular_nodes=2, radial_nodes=8), 1)
+    assert seen[1] == QuadratureSpec(outer_nodes=32, angular_nodes=2, radial_nodes=6)
