@@ -118,7 +118,10 @@ def local_magnetic_energy(
         value = float(pairwise_sum(g.weights * magnetic_density(u, A, g.points)))
         return [value], g.points.shape[0]
 
-    (res,) = two_level(energy_on, QuadratureSpec(outer_nodes=grid.nodes_per_axis), d.dimension)
+    # Only the outer rung is read: the radial and angular counts sit at their
+    # floors, so a 4-node grid, whose rung down is itself, is compared one up.
+    spec = QuadratureSpec(outer_nodes=grid.nodes_per_axis, angular_nodes=8, radial_nodes=2)
+    (res,) = two_level(energy_on, spec, d.dimension)
     return FunctionalValue(res.value, res)
 
 

@@ -16,6 +16,12 @@ a batch of members, each a radial weight and a near-field hook, evaluates
 the integrand once per pass and contracts it against every member.  Each
 member's sums do not depend on which other members share its batch.
 
+The integrand is evaluated only where the radial rule puts weight, up to
+a little padding: the (outer node, direction) pairs are sorted by their
+layer count and cut into blocks of P pairs of about the same count, whose
+inner points are stored coordinate-major as (N, P, K) arrays.  The node
+count of a result counts these evaluated points.
+
 Summation is a fixed-order pairwise tree over outer nodes, so results are
 bit-for-bit reproducible regardless of how callers schedule the work.
 """
@@ -45,8 +51,9 @@ __all__ = [
     "two_level",
 ]
 
-# Cap on points handled per outer-node chunk; keeps peak memory modest.
-_CHUNK_BUDGET = 400_000
+# Cap on the integrand points evaluated per block of (point, direction)
+# pairs; keeps peak memory modest.
+_CHUNK_BUDGET = 30_000
 # Each radial layer spans [ratio * hi, hi], so layers halve toward the cutoff.
 _GEOMETRIC_RATIO = 0.5
 # Gauss-Legendre nodes per layer of the one-dimensional moment integrals.
@@ -101,21 +108,28 @@ def pairwise_sum(values: np.ndarray):
     return a[0]
 
 
+def _layer_counts(R: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Geometric layers needed to cover [eps, R], at least one."""
+    n_layers = np.ceil(np.log(R / eps) / math.log(1.0 / _GEOMETRIC_RATIO)).astype(int)
+    return np.maximum(n_layers, 1)
+
+
 def _layered_radial(
-    R: np.ndarray, eps_x: np.ndarray, nodes: int
+    R: np.ndarray, eps_x: np.ndarray, nodes: int, n_layers: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Radial nodes and dr-weights covering [eps_x, R] per direction, with
     ``nodes`` Gauss-Legendre nodes per geometric layer.
 
-    R has shape (..., M); eps_x must broadcast against R.  Returns r and w of
-    shape (..., M, K).  Layers a direction does not need carry zero weight,
-    so ragged layer counts vectorize as padding.
+    R has shape (..., M); eps_x must broadcast against R; n_layers, if given,
+    is _layer_counts(R, eps_x).  Returns r and w of shape (..., M, K).
+    Layers a direction does not need carry zero weight, so ragged layer
+    counts vectorize as padding.
     """
     ratio = _GEOMETRIC_RATIO
     xi, wgl = gauss_legendre(nodes)
     eps = np.broadcast_to(np.asarray(eps_x, dtype=float), R.shape)
-    n_layers = np.ceil(np.log(R / eps) / math.log(1.0 / ratio)).astype(int)
-    n_layers = np.maximum(n_layers, 1)
+    if n_layers is None:
+        n_layers = _layer_counts(R, eps)
     l_max = int(n_layers.max())
     j = np.arange(l_max)
     shape_hi = R[..., None] * ratio**j  # (..., M, L)
@@ -162,46 +176,66 @@ def radial_angular(
     value raises IntegrationError.  The integrand is evaluated once for all
     the weights.
 
-    The inner points are stored coordinate-major, as an (N, C, M, K) array,
-    and pair_fn gets its (C, M, K, N) view.  With N <= 3, a C-ordered last
-    axis makes every per-coordinate op and last-axis reduction run inner
-    loops of length N; coordinate-major, they run over long contiguous rows,
-    inside user closures too.  The values are the same bits either way.
+    Directions near the wall need few radial layers and directions into the
+    bulk many, so the (point, direction) pairs are sorted by layer count and
+    cut into blocks of P pairs that need about the same number of layers:
+    padding to a block's largest count, almost every evaluated point carries
+    weight.  A block's inner points are stored coordinate-major, as an
+    (N, P, K) array, and pair_fn gets the gathered outer points (P, 1, N)
+    and the (P, K, N) view.  With N <= 3, a C-ordered last axis makes every
+    per-coordinate op and last-axis reduction run inner loops of length N;
+    coordinate-major, they run over long contiguous rows, inside user
+    closures too.
     """
-    n_dim = X.shape[1]
-    per_point = dirs.shape[0] * spec.radial_nodes * 40  # rough K upper bound
-    chunk = max(1, _CHUNK_BUDGET // per_point)
-    # The results are allocated before the first chunk: per-chunk pieces
-    # allocated between the chunks' large arrays pin heap pages, which
+    n_dim, n_dirs = X.shape[1], dirs.shape[0]
+    R = R.ravel()
+    eps = np.repeat(eps_x, n_dirs)
+    n_layers = _layer_counts(R, eps)
+    order = np.argsort(n_layers, kind="stable")
+    edges = _block_edges(n_layers[order], spec.radial_nodes)
+    # The results are allocated before the first block: per-block pieces
+    # allocated between the blocks' large arrays pin heap pages, which
     # raised the peak memory of a four-member 2D Landau sweep by 1-2 MB.
     sums, count = [np.empty(R.shape, dtype=dtype) for _ in radial_weights], 0
-    # Every chunk reuses one point buffer, grown only when a chunk needs more
-    # layers; a fresh point array per chunk peaked 2.2 MB higher on a 3D ball.
-    buf = np.empty(0)
-    # The loop's arrays live until the next chunk replaces them, so the
+    # The loop's arrays live until the next block replaces them, so the
     # allocator reuses their pages instead of returning and refaulting them.
-    # The weights are applied one after another, so a chunk's peak memory
+    # The weights are applied one after another, so a block's peak memory
     # is that of a single weight.
-    for start in range(0, X.shape[0], chunk):
-        cut = slice(start, start + chunk)
-        Xc = X[cut, None, None, :]
-        r, w = _layered_radial(R[cut], eps_x[cut, None], spec.radial_nodes)
-        if buf.size < n_dim * r.size:
-            buf = np.empty(n_dim * r.size)
-        Y = buf[: n_dim * r.size].reshape((n_dim,) + r.shape)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        idx = order[lo:hi]
+        r, w = _layered_radial(R[idx], eps[idx], spec.radial_nodes, n_layers[idx])
+        ci, mi = np.divmod(idx, n_dirs)
+        x = X[ci][:, None, :]
+        Y = np.empty((n_dim,) + r.shape)
         for j in range(n_dim):
-            np.multiply(r, dirs[None, :, None, j], out=Y[j])
-            Y[j] += Xc[..., j]
+            np.multiply(r, dirs[mi, j, None], out=Y[j])
+            Y[j] += x[..., j]
         y = np.moveaxis(Y, 0, -1)
-        vals = pair_fn(Xc, y)
+        vals = pair_fn(x, y)
         if np.isnan(vals).any():
-            idx = np.argwhere(np.isnan(vals))[0]
-            bad = y[tuple(idx)]
+            bad = y[tuple(np.argwhere(np.isnan(vals))[0])]
             raise IntegrationError(f"integrand produced NaN at y={bad.tolist()}")
         for member_sums, weight in zip(sums, radial_weights):
-            np.sum(vals * (w * weight(r)), axis=-1, out=member_sums[cut])
+            member_sums[idx] = np.sum(vals * (w * weight(r)), axis=-1)
         count += vals.size
-    return sums, count
+    return [member_sums.reshape(-1, n_dirs) for member_sums in sums], count
+
+
+def _block_edges(sorted_layers: np.ndarray, nodes: int) -> list[int]:
+    """Edges of the blocks of the layer-sorted pairs: each block takes as
+    many pairs as fit in _CHUNK_BUDGET evaluated points at its largest
+    layer count, and at least one.  One sweep over the runs of equal count."""
+    edges = [0]
+    if sorted_layers.size == 0:
+        return edges
+    bounds = [0, *(np.flatnonzero(np.diff(sorted_layers)) + 1).tolist(), sorted_layers.size]
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        cap = max(1, _CHUNK_BUDGET // (int(sorted_layers[start]) * nodes))
+        if start + 1 - edges[-1] > cap:
+            edges.append(start)  # the open block is full before this run
+        edges.extend(range(edges[-1] + cap, end, cap))
+    edges.append(sorted_layers.size)
+    return edges
 
 
 def near_field_hook(
@@ -257,12 +291,17 @@ def two_level(evaluate: Callable, spec: QuadratureSpec, dim: int) -> list[Integr
     """One IntegralResult per value of evaluate(spec) -> (values, node count):
     its estimated error is the distance to the value one rung down, at half
     the outer nodes (at least 4), two radial nodes fewer (at least 2) and,
-    for N > 1, half the directions (at least 8)."""
+    for N > 1, half the directions (at least 8).  A spec at all three floors
+    is its own rung down, so it is compared one rung up instead: twice the
+    outer nodes, two radial nodes more and, for N > 1, twice the directions."""
     angular = spec.angular_nodes if dim == 1 else max(8, 2 * (spec.angular_nodes // 4))
-    coarse_spec = replace(spec, outer_nodes=max(4, spec.outer_nodes // 2),
-                          radial_nodes=max(2, spec.radial_nodes - 2), angular_nodes=angular)
+    other = replace(spec, outer_nodes=max(4, spec.outer_nodes // 2),
+                    radial_nodes=max(2, spec.radial_nodes - 2), angular_nodes=angular)
+    if other == spec:
+        other = replace(spec, outer_nodes=2 * spec.outer_nodes, radial_nodes=spec.radial_nodes + 2,
+                        angular_nodes=spec.angular_nodes * (1 if dim == 1 else 2))
     fine, nodes = evaluate(spec)
-    coarse, _ = evaluate(coarse_spec)
+    coarse, _ = evaluate(other)
     return [IntegralResult(f, abs(f - c), nodes) for f, c in zip(fine, coarse)]
 
 

@@ -111,6 +111,16 @@ def test_energy_estimate_is_the_distance_to_the_coarse_rung():
     assert v5.diagnostics.estimated_error == abs(v5.value - v4)
 
 
+def test_energy_on_a_four_node_grid_is_compared_one_rung_up():
+    # 4 nodes is its own rung down; the estimate compares the 8-node grid
+    u = resolve_field("gauss1d")
+    A = resolve_potential("linear:alpha=1", 1)
+    v4 = local_magnetic_energy(u, A, D1, tensor_grid(D1, 4))
+    v8 = local_magnetic_energy(u, A, D1, tensor_grid(D1, 8)).value
+    assert v4.diagnostics.estimated_error == abs(v4.value - v8)
+    assert v4.diagnostics.estimated_error > 1e-2
+
+
 def test_fullspace_cross_term_estimate_uses_the_engine_coarse_rung():
     # in 2D the coarse rung halves the directions of the cross term's tails
     d = box([0.0, 0.0], [1.0, 1.0])

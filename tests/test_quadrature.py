@@ -5,12 +5,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bbm_magnetic import quadrature
 from bbm_magnetic.constants import bbm_constant
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConfigurationError, IntegrationError
-from bbm_magnetic.fields import ScalarField
-from bbm_magnetic.functionals import magnetic_seminorm_sq
-from bbm_magnetic.geometry import ball, boundary_distances, interval, sphere_rule, tensor_grid
+from bbm_magnetic.fields import ScalarField, VectorPotential
+from bbm_magnetic.functionals import _difference_sq, magnetic_seminorm_sq
+from bbm_magnetic.geometry import (
+    ball,
+    boundary_distances,
+    box,
+    interval,
+    sphere_rule,
+    tensor_grid,
+)
+from bbm_magnetic.harness import default_spec
 from bbm_magnetic.quadrature import (
     QuadratureSpec,
     _layered_radial,
@@ -204,37 +213,99 @@ def test_batch_evaluates_the_integrand_as_often_as_one_member():
         assert res == double_integral_singular(_sq_diff, D1, s, spec)
 
 
+def _engine_inputs(d, spec, points=None):
+    """Outer points, directions, exit distances and cutoffs as _domain_pass
+    builds them; ``points`` keeps a slice of the outer grid."""
+    X = tensor_grid(d, spec.outer_nodes).points[points or slice(None)]
+    dirs, _ = sphere_rule(d.dimension, spec.angular_nodes)
+    R = boundary_distances(d, X, dirs)
+    eps_x = np.minimum(spec.eps * d.diameter(), 0.5 * R.min(axis=1))
+    return X, dirs, R, eps_x
+
+
 @pytest.mark.parametrize("d,nodes,angular", [(interval(-1.0, 1.0), 1200, 2),
                                              (ball([0.0, 0.0, 0.0], 1.0), 6, 26)])
-def test_pair_fn_gets_x_plus_r_omega_in_coordinate_major_layout(d, nodes, angular):
+def test_pair_fn_gets_x_plus_r_omega_in_coordinate_major_layout(d, nodes, angular, monkeypatch):
     spec = QuadratureSpec(outer_nodes=nodes, angular_nodes=angular, radial_nodes=10)
-    # On the interval, drop the left half: the first chunk then lies in the
-    # middle and the second, near the boundary, needs more layers, so the
-    # point buffer grows as well as being reused.
-    X = tensor_grid(d, nodes).points[nodes // 2 if d.dimension == 1 else 0:]
-    dirs, _ = sphere_rule(d.dimension, angular)
-    R = boundary_distances(d, X, dirs)
-    eps_x = np.minimum(1e-4 * d.diameter(), 0.5 * R.min(axis=1))
-    calls = []
+    # On the interval, drop the left half: the kept points still range from
+    # the middle, whose directions need many layers, to the wall.
+    X, dirs, R, eps_x = _engine_inputs(d, spec, slice(nodes // 2 if d.dimension == 1 else 0, None))
+    row_of = {x.tobytes(): c for c, x in enumerate(X)}
 
-    def pair(x, y):
-        calls.append((x, y.copy(), np.moveaxis(y, -1, 0).flags.c_contiguous))
-        return np.sum((x - y) ** 2, axis=-1)
+    def padding_evaluated():
+        """Run the engine, check every (x, y) it evaluates against the nodes of
+        _layered_radial per (point, direction), and count the padding."""
+        calls = []
 
-    _, count = radial_angular(pair, X, R, eps_x, dirs, spec, [lambda r: r])
-    assert len(calls) > 1
-    if d.dimension == 1:
-        assert calls[0][1].shape[2] < calls[1][1].shape[2]
-    start = 0
-    for x, y, coordinate_major in calls:
-        cut = slice(start, start + x.shape[0])
-        r, _ = _layered_radial(R[cut], eps_x[cut, None], spec.radial_nodes)
-        assert coordinate_major
-        assert np.array_equal(x, X[cut, None, None, :])
-        assert np.array_equal(y, X[cut, None, None, :] + r[..., None] * dirs[None, :, None, :])
-        start = cut.stop
-    assert start == X.shape[0]
-    assert count == sum(y.size // d.dimension for _, y, _ in calls)
+        def pair(x, y):
+            calls.append((x, y.copy(), np.moveaxis(y, -1, 0).flags.c_contiguous))
+            return np.sum((x - y) ** 2, axis=-1)
+
+        _, count = radial_angular(pair, X, R, eps_x, dirs, spec, [lambda r: r])
+        assert len(calls) > 1
+        seen, padding = np.zeros(R.shape, dtype=int), 0
+        for x, y, coordinate_major in calls:
+            assert coordinate_major
+            assert x.shape == (y.shape[0], 1, d.dimension)
+            for xp, yp in zip(x[:, 0], y):
+                c = row_of[xp.tobytes()]
+                omega = (yp[0] - xp) / np.linalg.norm(yp[0] - xp)
+                m = int(np.argmin(np.linalg.norm(dirs - omega, axis=1)))
+                r, w = _layered_radial(np.array(R[c, m]), np.array(eps_x[c]), spec.radial_nodes)
+                # _layered_radial of one pair pads nothing: every node is weighted
+                assert np.all(w > 0.0)
+                assert np.array_equal(yp[: r.size], xp + r[:, None] * dirs[m])
+                # a pair sharing a block with longer pairs is padded at the
+                # cutoff, where the padding's weight is zero
+                pad = yp[r.size:]
+                assert np.array_equal(pad, np.broadcast_to(xp + eps_x[c] * dirs[m], pad.shape))
+                padding += pad.shape[0]
+                seen[c, m] += 1
+        assert np.all(seen == 1)
+        assert count == sum(y.size // d.dimension for _, y, _ in calls)
+        return padding
+
+    padding_evaluated()
+    # One pair per block: exactly the weighted nodes, no zero-weight point.
+    monkeypatch.setattr(quadrature, "_CHUNK_BUDGET", 1)
+    assert padding_evaluated() == 0
+
+
+def _gauss3d_symmetric():
+    """The 3D ball's field and potential: exp(-|p|^2) in the symmetric gauge."""
+    u = ScalarField(3, lambda p: np.exp(-np.sum(p * p, axis=-1)).astype(complex))
+    A = VectorPotential(3, lambda p: 0.5 * np.stack(
+        [-p[..., 1], p[..., 0], np.zeros(p.shape[:-1])], axis=-1))
+    return u, A
+
+
+@pytest.mark.parametrize("d,fields", [
+    (box([0.0, 0.0], [1.0, 1.0]),
+     lambda: (resolve_field("gauss2d"), resolve_potential("landau:beta=1", 2))),
+    (ball([0.0, 0.0, 0.0], 1.0), _gauss3d_symmetric),
+])
+def test_blocks_change_no_value_and_evaluate_weighted_points(d, fields, monkeypatch):
+    spec = default_spec(d.dimension)
+    u, A = fields()
+    weights = [lambda r, s=s: r ** (-1.0 - 2.0 * s) for s in (0.8, 0.99)]
+    # A few outer points at every direction, near the wall and inside.
+    X, dirs, R, eps_x = _engine_inputs(d, spec, slice(0, None, 97 if d.dimension == 2 else 41))
+    pair = _difference_sq(u, A)
+    default, count = radial_angular(pair, X, R, eps_x, dirs, spec, weights)
+    monkeypatch.setattr(quadrature, "_CHUNK_BUDGET", 1)
+    one_pair, one_count = radial_angular(pair, X, R, eps_x, dirs, spec, weights)
+    for a, b in zip(default, one_pair):
+        assert_allclose(a, b, rtol=1e-14, atol=0.0)
+    assert one_count < count
+    monkeypatch.undo()
+
+    # The whole default fine pass: the share of evaluated points that carry
+    # weight, with the integrand replaced by zeros.
+    X, dirs, R, eps_x = _engine_inputs(d, spec)
+    _, count = radial_angular(lambda x, y: np.zeros(y.shape[:-1]), X, R, eps_x, dirs, spec,
+                              weights[:1])
+    weighted = spec.radial_nodes * int(quadrature._layer_counts(R, eps_x[:, None]).sum())
+    assert weighted / count >= 0.95
 
 
 def test_two_level_estimates_against_one_rung_down():
@@ -256,3 +327,26 @@ def test_two_level_estimates_against_one_rung_down():
     seen.clear()
     two_level(evaluate, QuadratureSpec(outer_nodes=64, angular_nodes=2, radial_nodes=8), 1)
     assert seen[1] == QuadratureSpec(outer_nodes=32, angular_nodes=2, radial_nodes=6)
+
+
+def test_two_level_compares_one_rung_up_at_the_floors():
+    seen = []
+
+    def evaluate(spec):
+        seen.append(spec)
+        return [float(spec.outer_nodes)], 7
+
+    # 4 outer nodes, 2 radial nodes and 8 directions are their own rung down
+    (res,) = two_level(evaluate, QuadratureSpec(outer_nodes=4, angular_nodes=8, radial_nodes=2), 2)
+    assert seen[1] == QuadratureSpec(outer_nodes=8, angular_nodes=16, radial_nodes=4)
+    assert (res.value, res.estimated_error) == (4.0, 4.0)
+    seen.clear()
+    two_level(evaluate, QuadratureSpec(outer_nodes=4, angular_nodes=2, radial_nodes=2), 1)
+    assert seen[1] == QuadratureSpec(outer_nodes=8, angular_nodes=2, radial_nodes=4)
+
+    # the engine at the floors: the estimate is the distance to one rung up
+    floor = QuadratureSpec(outer_nodes=4, angular_nodes=2, radial_nodes=2)
+    res = double_integral_singular(_sq_diff, D1, 0.7, floor)
+    up = double_integral_singular(_sq_diff, D1, 0.7, replace(floor, outer_nodes=8, radial_nodes=4))
+    assert res.estimated_error == abs(res.value - up.value)
+    assert res.estimated_error > 0.0
