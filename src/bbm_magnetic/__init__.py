@@ -22,7 +22,6 @@ from .fields import (
     scaled_field,
 )
 from .functionals import (
-    FunctionalValue,
     MollifierFamily,
     RadialMollifier,
     bbm_family,

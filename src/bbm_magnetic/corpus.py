@@ -12,10 +12,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .fields import COMPACT, ScalarField, VectorPotential
+from .fields import ScalarField, VectorPotential
 from .geometry import box, interval
 
-__all__ = ["resolve_field", "resolve_potential", "field_labels", "potential_labels"]
+__all__ = ["resolve_field", "resolve_potential"]
 
 # Shell width inside (-1, 1) on which exp(-1/(1-x^2)) is already below 1e-14.
 _BUMP_MARGIN = 0.015
@@ -62,7 +62,6 @@ def _bump1d() -> ScalarField:
         val,
         grad,
         hess,
-        support=COMPACT,
         support_domain=interval(-1.0, 1.0),
         support_margin=_BUMP_MARGIN,
         label="bump1d",
@@ -118,7 +117,6 @@ def _bump2d() -> ScalarField:
         val,
         grad,
         None,
-        support=COMPACT,
         support_domain=box([0.0, 0.0], [1.0, 1.0]),
         support_margin=_BUMP_MARGIN,
         label="bump2d",
@@ -181,13 +179,15 @@ _POTENTIALS = {
 }
 
 
-def _parse(label: str, entries: dict, what: str, known: list[str]) -> tuple[Callable, dict]:
+def _parse(label: str, entries: dict, what: str) -> tuple[Callable, dict]:
     """The factory of the label's entry and its parameters, defaults filled
     in.  An unknown entry, a parameter the entry does not take, a repeated
     parameter and a malformed one raise ConfigurationError."""
     name, _, tail = label.partition(":")
     name = name.strip()
     if name not in entries:
+        known = [f"{key}:" + ",".join(f"{k}={v:g}" for k, v in defaults.items()) if defaults
+                 else key for key, (_, defaults) in entries.items()]
         raise ConfigurationError(f"unknown {what} label {label!r}; known: {known}")
     factory, defaults = entries[name]
     params: dict[str, float] = {}
@@ -211,23 +211,15 @@ def _parse(label: str, entries: dict, what: str, known: list[str]) -> tuple[Call
 
 
 def resolve_field(label: str) -> ScalarField:
-    factory, params = _parse(label, _FIELDS, "field", field_labels())
+    factory, params = _parse(label, _FIELDS, "field")
     return factory(**params)
 
 
 def resolve_potential(label: str, dim: int) -> VectorPotential:
-    factory, params = _parse(label, _POTENTIALS, "potential", potential_labels())
+    factory, params = _parse(label, _POTENTIALS, "potential")
     pot = factory(dim) if factory is _zero_potential else factory(**params)
     if pot.dim != dim:
         raise ConfigurationError(
             f"potential {label!r} is {pot.dim}-dimensional, domain is {dim}-dimensional"
         )
     return pot
-
-
-def field_labels() -> list[str]:
-    return ["gauss1d", "bump1d", "modgauss1d:kappa=K", "gauss2d", "bump2d"]
-
-
-def potential_labels() -> list[str]:
-    return ["zero", "const:alpha=A", "linear:alpha=A", "landau:beta=B"]

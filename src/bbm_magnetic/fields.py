@@ -2,7 +2,8 @@
 
 Every field is an analytic closure over all of R^N, vectorized over point
 arrays of shape (..., N).  Values are complex, gradients complex (..., N),
-Hessians complex (..., N, N).  Potentials are real vector fields with
+Hessians complex (..., N, N).  A field is compactly supported exactly
+when it carries a support domain.  Potentials are real vector fields with
 optional divergence metadata.  Quadrature error is therefore
 entirely the integrator's: there is no interpolation anywhere.
 
@@ -36,24 +37,21 @@ __all__ = [
     "scaled_field",
 ]
 
-COMPACT = "compact-in-domain"
-UNRESTRICTED = "unrestricted"
-
 
 @dataclass(frozen=True)
 class ScalarField:
     """Analytic complex scalar field on R^N.
 
-    ``support`` is "compact-in-domain" when the field vanishes (below 1e-14
-    in modulus) on the shell of width ``support_margin`` inside the boundary
-    of ``support_domain`` and identically outside it, or "unrestricted".
+    The field is compactly supported exactly when it has a
+    ``support_domain``: it then vanishes (below 1e-14 in modulus) on the
+    shell of width ``support_margin`` inside that domain's boundary and
+    identically outside it.  A field without one may be nonzero anywhere.
     """
 
     dim: int
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    support: str = UNRESTRICTED
     support_domain: Optional[Domain] = None
     support_margin: float = 0.0
     label: str = ""
@@ -63,7 +61,7 @@ class ScalarField:
 
     @property
     def is_compact(self) -> bool:
-        return self.support == COMPACT
+        return self.support_domain is not None
 
 
 @dataclass(frozen=True)

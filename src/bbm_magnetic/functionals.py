@@ -2,6 +2,9 @@
 mollified functionals with general radial kernels, and the empirical lemma
 checks (translation differences, uniform (1-s) bounds).
 
+Every functional returns the quadrature's IntegralResult: the value, its
+two-level error estimate and the evaluated node count.
+
 The domain seminorm and the mollified functional share one radial-angular
 engine, differing only in the radial weight.  That is what makes the
 algebraic identity between the power-kernel mollifier family and
@@ -46,7 +49,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "FunctionalValue",
     "RadialMollifier",
     "MollifierFamily",
     "MollifierCheck",
@@ -66,12 +68,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FunctionalValue:
-    value: float
-    diagnostics: IntegralResult
-
-
 def _difference_sq(u: ScalarField, A: VectorPotential) -> Callable:
     """Squared magnetic difference quotient numerator as a pair integrand."""
 
@@ -87,30 +83,31 @@ def _seminorm_hook(u: ScalarField, A: VectorPotential, spec: QuadratureSpec, s: 
 
 def magnetic_seminorm_sq(
     u: ScalarField, A: VectorPotential, d: Domain, s: float, spec: QuadratureSpec
-) -> FunctionalValue:
+) -> IntegralResult:
     """Squared magnetic Gagliardo seminorm over Omega x Omega."""
     require_dimension(d.dimension, u, A)
     hook = _seminorm_hook(u, A, spec, s)
-    res = double_integral_singular(_difference_sq(u, A), d, s, spec, near_field=hook)
-    return FunctionalValue(res.value, res)
+    return double_integral_singular(_difference_sq(u, A), d, s, spec, near_field=hook)
 
 
 def magnetic_seminorms_sq(
     u: ScalarField, A: VectorPotential, d: Domain, s_list: Sequence[float], spec: QuadratureSpec
-) -> list[FunctionalValue]:
+) -> list[IntegralResult]:
     """magnetic_seminorm_sq at every s in s_list, from one integrand
     evaluation per engine pass."""
     require_dimension(d.dimension, u, A)
     hooks = [_seminorm_hook(u, A, spec, s) for s in s_list]
-    results = double_integrals_singular(_difference_sq(u, A), d, s_list, spec, hooks)
-    return [FunctionalValue(res.value, res) for res in results]
+    return double_integrals_singular(_difference_sq(u, A), d, s_list, spec, hooks)
 
 
 def local_magnetic_energy(
     u: ScalarField, A: VectorPotential, d: Domain, grid: TensorGrid
-) -> FunctionalValue:
-    """Tensor-grid quadrature of |grad u - i A u|^2 over the domain."""
+) -> IntegralResult:
+    """Tensor-grid quadrature of |grad u - i A u|^2 over the domain, on a
+    grid built on that domain."""
     require_dimension(d.dimension, u, A)
+    if grid.domain != d:
+        raise ConfigurationError("local energy needs a grid built on its own domain")
 
     def energy_on(spec):
         n = spec.outer_nodes
@@ -122,7 +119,7 @@ def local_magnetic_energy(
     # floors, so a 4-node grid, whose rung down is itself, is compared one up.
     spec = QuadratureSpec(outer_nodes=grid.nodes_per_axis, angular_nodes=8, radial_nodes=2)
     (res,) = two_level(energy_on, spec, d.dimension)
-    return FunctionalValue(res.value, res)
+    return res
 
 
 def l2_norm_sq(u: ScalarField, grid: TensorGrid) -> float:
@@ -133,7 +130,7 @@ def l2_norm_sq(u: ScalarField, grid: TensorGrid) -> float:
 
 def fullspace_seminorm_sq(
     u: ScalarField, A: VectorPotential, d: Domain, s: float, spec: QuadratureSpec
-) -> FunctionalValue:
+) -> IntegralResult:
     """Squared seminorm over R^N x R^N for fields vanishing outside the domain.
 
     Splits into the Omega x Omega part plus the exact cross term
@@ -145,13 +142,11 @@ def fullspace_seminorm_sq(
 
 def fullspace_seminorms_sq(
     u: ScalarField, A: VectorPotential, d: Domain, s_list: Sequence[float], spec: QuadratureSpec
-) -> list[FunctionalValue]:
+) -> list[IntegralResult]:
     """fullspace_seminorm_sq at every s in s_list, from one integrand
     evaluation per engine pass."""
     require_dimension(d.dimension, u, A)
-    if not u.is_compact:
-        raise ConfigurationError("full-space seminorm requires a compact-in-domain field")
-    if u.support_domain is None or not d.covers(u.support_domain, u.support_margin):
+    if not u.is_compact or not d.covers(u.support_domain, u.support_margin):
         raise ConfigurationError(
             f"full-space seminorm requires the support of {u.label or 'the field'} to lie "
             "inside the domain, since the field is extended by zero outside it"
@@ -165,16 +160,14 @@ def fullspace_seminorms_sq(
         tails = tail_integral_many(d, grid.points, s_list, sp.angular_nodes)
         return [2.0 * float(pairwise_sum(mass * t)) for t in tails], grid.points.shape[0]
 
-    out = []
-    for dom, cross in zip(doms, two_level(cross_on, spec, d.dimension)):
-        value = dom.value + cross.value
-        diag = IntegralResult(
-            value,
-            dom.diagnostics.estimated_error + cross.estimated_error,
-            dom.diagnostics.node_count + cross.node_count,
+    return [
+        IntegralResult(
+            dom.value + cross.value,
+            dom.estimated_error + cross.estimated_error,
+            dom.node_count + cross.node_count,
         )
-        out.append(FunctionalValue(value, diag))
-    return out
+        for dom, cross in zip(doms, two_level(cross_on, spec, d.dimension))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +185,15 @@ class RadialMollifier:
     near_moment: Callable[[np.ndarray], np.ndarray]
     support_radius: float
     param: float
-    label: str
 
 
 @dataclass(frozen=True)
 class MollifierFamily:
+    """A family's kind ("bbm" rows are fitted in 1-s, any other kind in
+    1/param) and its members, in row order."""
+
     kind: str
-    dim: int
     members: tuple[RadialMollifier, ...]
-    params: tuple[float, ...]
 
 
 def smoothstep_cutoff(r: np.ndarray, r_domain: float) -> np.ndarray:
@@ -242,10 +235,8 @@ def bbm_family(s_sequence: Sequence[float], r_domain: float, dim: int) -> Mollif
             # Exact while eps <= r_domain, where psi0 == 1.
             return np.asarray(eps, dtype=float) ** (2.0 - 2.0 * _s)
 
-        members.append(
-            RadialMollifier(dim, fn, near_moment, 2.0 * r_domain, s, f"bbm:s={s:g}")
-        )
-    return MollifierFamily("bbm", dim, tuple(members), tuple(s_arr))
+        members.append(RadialMollifier(dim, fn, near_moment, 2.0 * r_domain, s))
+    return MollifierFamily("bbm", tuple(members))
 
 
 def gaussian_family(indices: Sequence[int], dim: int) -> MollifierFamily:
@@ -253,8 +244,8 @@ def gaussian_family(indices: Sequence[int], dim: int) -> MollifierFamily:
     is exactly one for every member."""
     check_dimension(dim)
     idx = sorted(int(n) for n in indices)
-    if not idx or idx[0] < 1:
-        raise ConfigurationError("gaussian family needs positive integer indices")
+    if not idx or idx[0] < 1 or len(set(idx)) < len(idx):
+        raise ConfigurationError("gaussian family needs distinct positive integer indices")
     xi, wgl = gauss_legendre(32)
 
     members = []
@@ -273,10 +264,8 @@ def gaussian_family(indices: Sequence[int], dim: int) -> MollifierFamily:
             vals = _a * np.exp(-((r / _w) ** 2)) * r ** (dim - 1)
             return (vals * wgl).sum(axis=-1) * half
 
-        members.append(
-            RadialMollifier(dim, fn, near_moment, 40.0 * width, float(n), f"gaussian:n={n}")
-        )
-    return MollifierFamily("gaussian", dim, tuple(members), tuple(float(n) for n in idx))
+        members.append(RadialMollifier(dim, fn, near_moment, 40.0 * width, float(n)))
+    return MollifierFamily("gaussian", tuple(members))
 
 
 @dataclass(frozen=True)
@@ -295,8 +284,11 @@ class MollifierCheck:
 def check_mollifier(fam: MollifierFamily, dim: int, delta: float) -> list[MollifierCheck]:
     if not 0.0 < delta < math.inf:
         raise ConfigurationError(f"delta must be positive and finite, got {delta!r}")
-    if dim != fam.dim:
-        raise ConfigurationError(f"family is {fam.dim}-dimensional, asked for {dim}")
+    for member in fam.members:
+        if member.dim != dim:
+            raise ConfigurationError(
+                f"mollifier {member.param:g} is {member.dim}-dimensional, asked for {dim}"
+            )
     out = []
     for member in fam.members:
         rsup = member.support_radius
@@ -333,13 +325,12 @@ def _mollifier_member(
 
 def mollified_functional(
     u: ScalarField, A: VectorPotential, d: Domain, rho: RadialMollifier, spec: QuadratureSpec
-) -> FunctionalValue:
+) -> IntegralResult:
     """Integral of |u(x) - phase u(y)|^2 / |x-y|^2 * rho(|x-y|) over the
     domain square, for a single nonnegative radial kernel."""
     require_dimension(d.dimension, u, A)
     weight, hook = _mollifier_member(u, A, d, rho, spec)
-    res = _run_two_level(_difference_sq(u, A), d, spec, weight, hook)
-    return FunctionalValue(res.value, res)
+    return _run_two_level(_difference_sq(u, A), d, spec, weight, hook)
 
 
 def mollified_functionals(
@@ -348,13 +339,12 @@ def mollified_functionals(
     d: Domain,
     members: Sequence[RadialMollifier],
     spec: QuadratureSpec,
-) -> list[FunctionalValue]:
+) -> list[IntegralResult]:
     """mollified_functional for every kernel in members, from one integrand
     evaluation per engine pass."""
     require_dimension(d.dimension, u, A)
     batch = [_mollifier_member(u, A, d, rho, spec) for rho in members]
-    return [FunctionalValue(res.value, res)
-            for res in _run_batch(_difference_sq(u, A), d, spec, batch)]
+    return _run_batch(_difference_sq(u, A), d, spec, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +357,16 @@ def translation_difference_sq(
 ) -> float:
     """Integral of |u(y+h) - e^{i h . A(y + h/2)} u(y)|^2 over the grid.
 
-    The field must be compactly supported (extension by zero is exact for
-    the built-in corpus, whose closures are global), and |h| <= 1.
+    The field must be compactly supported, that is have a support domain
+    (extension by zero is exact for the built-in corpus, whose closures are
+    global), and |h| <= 1.
     """
     require_dimension(grid.domain.dimension, u, A)
     h = np.atleast_1d(np.asarray(h, dtype=float))
     if float(np.linalg.norm(h)) > 1.0:
         raise ConfigurationError("translation check requires |h| <= 1")
     if not u.is_compact:
-        raise ConfigurationError("translation check requires a compact-in-domain field")
+        raise ConfigurationError("translation check requires a field with a support domain")
     y = grid.points
     shifted = u.value(y + h)
     arg = np.sum(h * A(y + 0.5 * h), axis=-1)

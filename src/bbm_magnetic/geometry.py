@@ -57,12 +57,13 @@ def sphere_area(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Domain:
     """A bounded convex domain: interval, axis-aligned box, or ball.
 
     ``extents`` holds per-axis half-widths for intervals and boxes, and the
-    single radius for balls.
+    single radius for balls.  Two domains are equal when their kind, center
+    and extents are.
     """
 
     kind: str
@@ -91,6 +92,12 @@ class Domain:
             raise ConfigurationError("all extents must be strictly positive")
         if not (np.all(np.isfinite(center)) and np.all(np.isfinite(extents))):
             raise ConfigurationError("domain center and extents must be finite")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Domain):
+            return NotImplemented
+        return (self.kind == other.kind and np.array_equal(self.center, other.center)
+                and np.array_equal(self.extents, other.extents))
 
     @property
     def dimension(self) -> int:

@@ -29,7 +29,6 @@ from .corpus import resolve_field, resolve_potential
 from .errors import ConditionViolation, ConfigurationError, IntegrationError
 from .fields import magnetic_gradient, require_dimension
 from .functionals import (
-    FunctionalValue,
     MollifierFamily,
     bbm_family,
     check_mollifier,
@@ -43,7 +42,7 @@ from .functionals import (
 )
 from .geometry import Domain, TensorGrid, ball, box, direction, interval, tensor_grid
 from .operator import operator_limit_scan
-from .quadrature import QuadratureSpec, pairwise_sum
+from .quadrature import IntegralResult, QuadratureSpec, pairwise_sum
 
 __all__ = [
     "SweepConfig",
@@ -90,7 +89,7 @@ class SweepConfig:
     direction: Optional[tuple[float, ...]] = None
     point: Optional[tuple[float, ...]] = None
     delta: float = 0.1
-    spec: QuadratureSpec = field(default_factory=QuadratureSpec)
+    spec: Optional[QuadratureSpec] = None  # None: default_spec of the domain's dimension
     output: Optional[str] = None
     fmt: str = "csv"
 
@@ -101,13 +100,16 @@ class SweepConfig:
         if not s or any(not 0.0 < v < 1.0 for v in s) or any(b <= a for a, b in zip(s, s[1:])):
             raise ConfigurationError("s_list must be a nonempty, strictly increasing list "
                                      "inside (0, 1)")
-        if not self.h_list or any(not 0.0 < h <= 1.0 for h in self.h_list):
-            raise ConfigurationError("h_list must be a nonempty list of shifts in (0, 1]")
+        h = self.h_list
+        if not h or any(not 0.0 < v <= 1.0 for v in h) or len(set(h)) < len(h):
+            raise ConfigurationError("h_list must be a nonempty list of distinct shifts in (0, 1]")
         if not self.delta > 0.0:
             raise ConfigurationError("delta must be positive")
         if self.fmt not in REPORT_FORMATS:
             raise ConfigurationError(f"unknown report format {self.fmt!r}; known: {REPORT_FORMATS}")
         _check_family(self.family)
+        if self.spec is None:
+            object.__setattr__(self, "spec", default_spec(self.domain.dimension))
 
 
 @dataclass(frozen=True)
@@ -283,6 +285,8 @@ def extrapolate_limit(rows: Sequence[tuple[float, float]]) -> tuple[float, float
     """
     if len(rows) < 3:
         raise ConfigurationError("extrapolation needs at least 3 rows")
+    if len({r[0] for r in rows}) < 2:
+        raise ConfigurationError("extrapolation needs rows at two or more distinct t")
     t = np.array([r[0] for r in rows])
     v = np.array([r[1] for r in rows])
     design = np.stack([np.ones_like(t), t], axis=-1)
@@ -354,7 +358,7 @@ def _metadata(cfg: SweepConfig, node_counts: list[int]) -> dict:
 @dataclass(frozen=True)
 class _Plan:
     """One sweep kind's part of the shared driver.  ``batch`` maps a
-    contiguous run of items to their FunctionalValues or floats in one
+    contiguous run of items to their IntegralResults or floats in one
     call; an IntegrationError it raises fails every row of the run.
     ``small`` maps a row parameter to the t of the limit fit;
     ``node_counts`` None means the per-row engine node counts."""
@@ -428,7 +432,7 @@ def _plan_mollifier(cfg: SweepConfig, u, A, family: Optional[MollifierFamily] = 
     checks = _admit_family(fam, d.dimension, cfg.delta)
     energy, _ = _energy_grid(cfg, u, A)
     small = _one_minus if fam.kind == "bbm" else (lambda n: 1.0 / n)
-    return _Plan(fam.members, fam.params,
+    return _Plan(fam.members, [rho.param for rho in fam.members],
                  lambda members: mollified_functionals(u, A, d, members, cfg.spec),
                  lambda p, v: v, 2.0 * bbm_constant(d.dimension) * energy, small,
                  extra={"mollifier_checks": [asdict(c) for c in checks]})
@@ -486,13 +490,12 @@ def _sweep(cfg: SweepConfig, planner: Callable, threads: int) -> SweepReport:
     results = []
     for batch, out in zip(batches, _parallel_map(partial(_attempt, plan.batch), batches, threads)):
         results.extend([out] * len(batch) if isinstance(out, IntegrationError) else out)
-    values = [r.value if isinstance(r, FunctionalValue) else r for r in results]
+    values = [r.value if isinstance(r, IntegralResult) else r for r in results]
     rows = _make_rows(plan.params, values, plan.scale, plan.target)
     limit, resid = _fit_closest([(plan.small(r.param), r.scaled) for r in rows if not r.failed])
     nodes = plan.node_counts
     if nodes is None:
-        nodes = [r.diagnostics.node_count if isinstance(r, FunctionalValue) else 0
-                 for r in results]
+        nodes = [r.node_count if isinstance(r, IntegralResult) else 0 for r in results]
     meta = {**_metadata(cfg, nodes), **plan.extra}
     return SweepReport(cfg.kind, tuple(rows), plan.target, limit, resid, meta)
 

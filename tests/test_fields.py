@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -278,3 +280,30 @@ def test_unknown_labels_raise():
         resolve_potential("landau:beta=1", 1)  # wrong dimension
     with pytest.raises(ConfigurationError):
         resolve_field("modgauss1d:kappa=abc")
+
+
+def test_a_field_is_compact_exactly_when_it_has_a_support_domain():
+    from dataclasses import replace
+
+    gauss = resolve_field("gauss1d")
+    assert not gauss.is_compact
+    assert replace(gauss, support_domain=interval(-1.0, 1.0)).is_compact
+    assert not replace(resolve_field("bump1d"), support_domain=None).is_compact
+
+
+
+def _known_labels(resolve, label):
+    with pytest.raises(ConfigurationError, match="known: ") as info:
+        resolve(label)
+    return ast.literal_eval(str(info.value).split("known: ")[1])
+
+
+def test_unknown_label_messages_list_the_table_entries_with_defaults():
+    fields = _known_labels(resolve_field, "nosuchfield")
+    assert fields == ["gauss1d", "bump1d", "modgauss1d:kappa=1", "gauss2d", "bump2d"]
+    for label in fields:
+        resolve_field(label)
+    pots = _known_labels(lambda lab: resolve_potential(lab, 1), "nosuchpot")
+    assert pots == ["zero", "const:alpha=1", "linear:alpha=1", "landau:beta=1"]
+    for label in pots:
+        resolve_potential(label, 2 if label.startswith("landau") else 1)

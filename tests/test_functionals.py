@@ -108,7 +108,7 @@ def test_energy_estimate_is_the_distance_to_the_coarse_rung():
     A = resolve_potential("linear:alpha=1", 1)
     v5 = local_magnetic_energy(u, A, D1, tensor_grid(D1, 5))
     v4 = local_magnetic_energy(u, A, D1, tensor_grid(D1, 4)).value
-    assert v5.diagnostics.estimated_error == abs(v5.value - v4)
+    assert v5.estimated_error == abs(v5.value - v4)
 
 
 def test_energy_on_a_four_node_grid_is_compared_one_rung_up():
@@ -117,8 +117,8 @@ def test_energy_on_a_four_node_grid_is_compared_one_rung_up():
     A = resolve_potential("linear:alpha=1", 1)
     v4 = local_magnetic_energy(u, A, D1, tensor_grid(D1, 4))
     v8 = local_magnetic_energy(u, A, D1, tensor_grid(D1, 8)).value
-    assert v4.diagnostics.estimated_error == abs(v4.value - v8)
-    assert v4.diagnostics.estimated_error > 1e-2
+    assert v4.estimated_error == abs(v4.value - v8)
+    assert v4.estimated_error > 1e-2
 
 
 def test_fullspace_cross_term_estimate_uses_the_engine_coarse_rung():
@@ -135,8 +135,8 @@ def test_fullspace_cross_term_estimate_uses_the_engine_coarse_rung():
         (tail,) = tail_integral_many(d, grid.points, [0.8], angular)
         return 2.0 * float(pairwise_sum(grid.weights * np.abs(u.value(grid.points)) ** 2 * tail))
 
-    expected = dom.diagnostics.estimated_error + abs(cross(8, 16) - cross(4, 8))
-    assert full.diagnostics.estimated_error == expected
+    expected = dom.estimated_error + abs(cross(8, 16) - cross(4, 8))
+    assert full.estimated_error == expected
 
 
 def test_local_energy_pure_gauge_zero():
@@ -149,8 +149,7 @@ def test_local_energy_pure_gauge_zero():
 
 
 def test_fullspace_zero_field():
-    u = replace(_zero_field(1), support="compact-in-domain",
-                support_domain=D1, support_margin=0.1)
+    u = replace(_zero_field(1), support_domain=D1, support_margin=0.1)
     A = resolve_potential("zero", 1)
     assert fullspace_seminorm_sq(u, A, D1, 0.5, SPEC1).value == 0.0
 
@@ -199,8 +198,7 @@ def test_fullspace_checks_the_support_before_computing(monkeypatch, support, dom
 
     monkeypatch.setattr(functionals, "magnetic_seminorms_sq", no_compute)
     sup, margin = support
-    u = replace(_zero_field(2), support="compact-in-domain", support_domain=sup,
-                support_margin=margin)
+    u = replace(_zero_field(2), support_domain=sup, support_margin=margin)
     call = partial(fullspace_seminorms_sq, u, resolve_potential("zero", 2), domain, [0.5],
                    QuadratureSpec(outer_nodes=4, angular_nodes=8, radial_nodes=2))
     if inside:
@@ -243,7 +241,7 @@ def test_fullspace_node_count_is_the_real_outer_grid_size_on_a_ball():
     assert real < spec.outer_nodes**2
     dom = magnetic_seminorm_sq(u, A, d, 0.7, spec)
     full = fullspace_seminorm_sq(u, A, d, 0.7, spec)
-    assert full.diagnostics.node_count == dom.diagnostics.node_count + real
+    assert full.node_count == dom.node_count + real
 
 
 def test_fullspace_exceeds_domain_seminorm_and_tail_shrinks():
@@ -267,7 +265,7 @@ def test_mollified_zero_kernel():
     from bbm_magnetic.functionals import RadialMollifier
 
     rho = RadialMollifier(1, lambda r: np.zeros_like(r), lambda e: np.zeros_like(np.asarray(e)),
-                          1.0, 0.0, "null")
+                          1.0, 0.0)
     u = resolve_field("gauss1d")
     A = resolve_potential("zero", 1)
     assert mollified_functional(u, A, D1, rho, SPEC1).value == 0.0
@@ -344,7 +342,7 @@ def test_bbm_family_normalization_trend():
     checks = check_mollifier(fam, 1, 0.1)
     m0 = [c.m0 for c in checks]
     # r_domain^(2-2s) + o(1): 2^0.4, 2^0.2, ... decreasing toward 1
-    for c, s in zip(checks, fam.params):
+    for c, s in zip(checks, [rho.param for rho in fam.members]):
         assert c.m0 > 2.0 ** (2.0 - 2.0 * s) - 1e-9
     dev = [abs(v - 1.0) for v in m0]
     assert all(b < a for a, b in zip(dev, dev[1:]))
@@ -371,8 +369,8 @@ def test_degenerate_zero_family_flagged():
     from bbm_magnetic.functionals import MollifierFamily, RadialMollifier
 
     zero = RadialMollifier(1, lambda r: np.zeros_like(r),
-                           lambda e: np.zeros_like(np.asarray(e)), 1.0, 1.0, "null")
-    fam = MollifierFamily("custom", 1, (zero, zero), (1.0, 2.0))
+                           lambda e: np.zeros_like(np.asarray(e)), 1.0, 1.0)
+    fam = MollifierFamily("custom", (zero, zero))
     checks = check_mollifier(fam, 1, 0.1)
     assert all(c.m0 == 0.0 for c in checks)  # violates the normalization limit
 
@@ -381,7 +379,7 @@ def test_mollifier_rejects_negative_kernel():
     from bbm_magnetic.functionals import RadialMollifier
 
     rho = RadialMollifier(1, lambda r: -np.ones_like(r),
-                          lambda e: np.zeros_like(np.asarray(e)), 1.0, 1.0, "neg")
+                          lambda e: np.zeros_like(np.asarray(e)), 1.0, 1.0)
     u = resolve_field("gauss1d")
     A = resolve_potential("zero", 1)
     with pytest.raises(ValueError):
@@ -402,7 +400,7 @@ def test_mollified_bound_ratio_stable_under_amplitude_scaling():
     for lam in (0.3, 1.0, 3.0):
         rho = RadialMollifier(1, lambda r, _l=lam: _l * base.fn(r),
                               lambda e, _l=lam: _l * np.asarray(base.near_moment(e)),
-                              base.support_radius, base.param, "scaled")
+                              base.support_radius, base.param)
         val = mollified_functional(u, A, D1, rho, SPEC1).value
         l1 = 2.0 * lam  # |S^0| * M0 for the normalized base kernel
         ratios.append(val / (l1 * norm_sq))
@@ -460,8 +458,7 @@ def test_translation_ratio_plateau_and_directional_limit():
 
 
 def test_uniform_bound_zero_field():
-    u = replace(_zero_field(1), support="compact-in-domain",
-                support_domain=D1, support_margin=0.1)
+    u = replace(_zero_field(1), support_domain=D1, support_margin=0.1)
     A = resolve_potential("zero", 1)
     rep = uniform_bound_check(u, A, D1, [0.5, 0.9], SPEC1)
     assert all(r == 0.0 for _, r in rep)
@@ -579,8 +576,8 @@ def _batch_cases():
 
 def _assert_same(batched, single):
     assert batched.value == single.value
-    assert batched.diagnostics.estimated_error == single.diagnostics.estimated_error
-    assert batched.diagnostics.node_count == single.diagnostics.node_count
+    assert batched.estimated_error == single.estimated_error
+    assert batched.node_count == single.node_count
 
 
 @pytest.mark.parametrize("near_field", ["taylor-correct", "drop"])
@@ -605,3 +602,40 @@ def test_batched_fullspace_equals_single_calls(near_field):
     s_list = [0.5, 0.9, 0.999]
     for s, value in zip(s_list, fullspace_seminorms_sq(u, A, D1, s_list, spec)):
         _assert_same(value, fullspace_seminorm_sq(u, A, D1, s, spec))
+
+
+def test_local_energy_refuses_a_grid_built_on_another_domain():
+    # a grid on (-3, 3) integrates the energy there: 1.2533, where the
+    # energy over (-1, 1) is 0.9256
+    u = resolve_field("gauss1d")
+    A = resolve_potential("zero", 1)
+    with pytest.raises(ConfigurationError, match="grid built on its own domain"):
+        local_magnetic_energy(u, A, D1, tensor_grid(interval(-3.0, 3.0), 64))
+    own = local_magnetic_energy(u, A, D1, tensor_grid(interval(-1.0, 1.0), 64)).value
+    assert_allclose(own, gauss1d_energy_closed_form(), rtol=1e-8)
+
+
+def test_gaussian_family_refuses_repeated_indices():
+    with pytest.raises(ConfigurationError, match="distinct"):
+        gaussian_family([8, 8, 8], 1)
+    with pytest.raises(ConfigurationError, match="distinct"):
+        gaussian_family([4, 8, 4], 1)
+
+
+def test_check_mollifier_checks_each_members_dimension():
+    from bbm_magnetic.functionals import MollifierFamily
+
+    mixed = MollifierFamily("gaussian", gaussian_family([2], 1).members
+                            + gaussian_family([4], 2).members)
+    with pytest.raises(ConfigurationError, match="mollifier 4 is 2-dimensional, asked for 1"):
+        check_mollifier(mixed, 1, 0.1)
+
+
+def test_translation_check_reads_compactness_from_the_support_domain():
+    grid = _translation_grid()
+    A = resolve_potential("linear:alpha=1", 1)
+    gauss = resolve_field("gauss1d")
+    with pytest.raises(ConfigurationError, match="support domain"):
+        translation_difference_sq(gauss, A, [0.1], grid)
+    supported = replace(gauss, support_domain=interval(-7.0, 7.0))  # |u| < 1e-21 beyond
+    assert translation_difference_sq(supported, A, [0.1], grid) > 0.0

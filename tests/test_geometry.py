@@ -190,3 +190,13 @@ def test_tensor_grid_ball_mask_converges():
 ])
 def test_domain_covers(outer, inner, margin, expected):
     assert outer.covers(inner, margin) is expected
+
+
+def test_domains_compare_by_kind_center_and_extents():
+    assert box([0, 0], [1, 1]) == box([0.0, 0.0], [1.0, 1.0])
+    assert interval(-1.0, 1.0) == interval(-1.0, 1.0)
+    assert interval(-1.0, 1.0) != interval(-3.0, 3.0)
+    assert box([0.0, 0.0], [1.0, 1.0]) != box([0.0, 0.1], [1.0, 1.0])
+    assert box([0.0], [1.0]) != interval(-1.0, 1.0)  # same numbers, other kind
+    assert ball([0.0, 0.0], 1.0) != box([0.0, 0.0], [1.0, 1.0])
+    assert ball([0.0, 0.0], 1.0) != "ball"

@@ -19,7 +19,7 @@ from bbm_magnetic.functionals import (
     bbm_family,
     magnetic_seminorm_sq,
 )
-from bbm_magnetic.geometry import interval
+from bbm_magnetic.geometry import ball, box, interval
 from bbm_magnetic.harness import (
     SWEEP_KINDS,
     SweepConfig,
@@ -295,18 +295,19 @@ def test_mollifier_sweep_bbm_identity_rows():
 
 def test_mollifier_sweep_zero_family_aborts_naming_normaliz():
     zero = RadialMollifier(1, lambda r: np.zeros_like(r),
-                           lambda e: np.zeros_like(np.asarray(e)), 1.0, 1.0, "null")
-    fam = MollifierFamily("custom", 1, (zero,) * 3, (1.0, 2.0, 3.0))
+                           lambda e: np.zeros_like(np.asarray(e)), 1.0, 1.0)
+    fam = MollifierFamily("custom", (zero,) * 3)
     with pytest.raises(ConditionViolation, match=r"\(normaliz\)"):
         run_mollifier_sweep(_cfg(kind="mollifier"), family=fam)
 
 
 def test_mollifier_sweep_fixed_width_aborts_naming_fourtheq():
     # normalized kernels of constant width keep their mass beyond delta:
-    # (normaliz) holds exactly while the concentration condition fails
+    # (normaliz) holds exactly while the concentration condition fails.
+    # gaussian_family refuses a repeated index, so the family is built here.
     from bbm_magnetic.functionals import gaussian_family
 
-    fam = gaussian_family([2, 2, 2], 1)
+    fam = MollifierFamily("gaussian", gaussian_family([2], 1).members * 3)
     with pytest.raises(ConditionViolation, match=r"\(fourtheq\)"):
         run_mollifier_sweep(_cfg(kind="mollifier"), family=fam)
 
@@ -555,7 +556,8 @@ def test_cli_sweep_condition_violation_exits_1(tmp_path):
         "field": "gauss1d",
         "potential": "zero",
         "domain": {"kind": "interval", "center": [0.0], "extents": [1.0]},
-        "family": {"kind": "gaussian", "indices": [2, 2, 2]},
+        # widths 1, 1/2, 1/3 keep more than a tenth of their mass beyond delta
+        "family": {"kind": "gaussian", "indices": [1, 2, 3]},
         "quadrature": {"outer_nodes": 32},
     }))
     res = _run_cli("sweep", "--config", str(cfg_path))
@@ -624,3 +626,62 @@ def test_threads_below_one_are_refused_before_compute(monkeypatch, capsys, tmp_p
     cfg_path.write_text(json.dumps(_GOOD))
     assert cli.main(["sweep", "--config", str(cfg_path), "--threads", str(threads)]) == 2
     assert "threads must be at least 1" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Repeated parameters, row labels and default discretization
+# ---------------------------------------------------------------------------
+
+
+def test_extrapolate_needs_two_distinct_t():
+    # three rows at one t fitted a limit of 0.9975 from a singular design
+    with pytest.raises(ConfigurationError, match="two or more distinct t"):
+        extrapolate_limit([(0.05, 1.0), (0.05, 1.1), (0.05, 0.9)])
+
+
+def test_config_refuses_repeated_shifts():
+    with pytest.raises(ConfigurationError, match="distinct shifts"):
+        _cfg(kind="lemma-translation", h_list=(0.05, 0.05, 0.05))
+    with pytest.raises(ConfigurationError, match="distinct shifts"):
+        config_from_dict({**_GOOD, "kind": "lemma-translation", "h_list": [0.1, 0.05, 0.1]})
+
+
+@pytest.mark.parametrize("change,message", [
+    # exited 0 with a limit of 0.42147 fitted from one shift
+    ({"kind": "lemma-translation", "field": "bump1d", "h_list": [0.05, 0.05, 0.05]},
+     "distinct shifts"),
+    # exited 1 naming (fourtheq), a condition, for a configuration error
+    ({"kind": "mollifier", "family": {"kind": "gaussian", "indices": [8, 8, 8]}},
+     "distinct positive integer indices"),
+])
+def test_cli_sweep_repeated_parameters_exit_2_before_compute(monkeypatch, capsys, tmp_path,
+                                                              change, message):
+    def no_compute(*_args, **_kwargs):
+        raise AssertionError("computed on bad input")
+
+    for name in ("check_mollifier", "local_magnetic_energy", "translation_difference_sq"):
+        monkeypatch.setattr(harness, name, no_compute)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_GOOD, **change}))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_mollifier_sweep_rows_carry_each_members_param():
+    # the rows of a hand-built family are labelled, and fitted, by its
+    # members' params, one row per member
+    from bbm_magnetic.functionals import gaussian_family
+
+    members = gaussian_family([2, 4, 8, 16], 1).members
+    cfg = _cfg(kind="mollifier", family={"kind": "gaussian", "indices": [2, 4, 8, 16]})
+    built = run_mollifier_sweep(cfg, family=MollifierFamily("gaussian", members))
+    assert [r.param for r in built.rows] == [2.0, 4.0, 8.0, 16.0]
+    assert render_report(built, "json") == render_report(run_sweep(cfg), "json")
+
+
+@pytest.mark.parametrize("domain", [interval(-1.0, 1.0), box([0.0, 0.0], [1.0, 1.0]),
+                                    ball([0.0, 0.0, 0.0], 1.0)])
+def test_config_built_in_code_defaults_to_the_dimensions_spec(domain):
+    cfg = SweepConfig(kind="bbm-domain", field_label="gauss1d", potential_label="zero",
+                      domain=domain)
+    assert cfg.spec == default_spec(domain.dimension)

@@ -180,8 +180,8 @@ def test_refinement_convergence_and_error_bound():
     # empirical order >= 1: each doubling shrinks the change by >= 2x
     assert changes[1] <= changes[0] / 2.0
     # the reported two-level difference bounds the next observed change
-    assert out[0].diagnostics.estimated_error >= changes[0]
-    assert out[1].diagnostics.estimated_error >= changes[1]
+    assert out[0].estimated_error >= changes[0]
+    assert out[1].estimated_error >= changes[1]
 
 
 def test_bitwise_determinism_across_reruns():
