@@ -22,29 +22,26 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .constants import dimensional_constants, fractional_constant, fractional_constant_limit
+from .constants import (check_s_list, dimensional_constants, fractional_constant,
+                        fractional_constant_limit)
 from .corpus import resolve_field, resolve_potential
 from .errors import ConditionViolation, ConfigurationError, IntegrationError
-from .functionals import bbm_family, check_mollifier, gaussian_family
-from .harness import default_spec, load_config, render_report, run_sweep, write_text
+from .functionals import check_mollifier
+from .harness import (DEFAULT_S_LIST, _family_from_descriptor, default_spec, load_config,
+                      render_report, run_sweep, write_text)
 from .operator import operator_limit_scan
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_numbers(text: str, kind: type = float) -> list:
+    """Comma-separated finite numbers of the given kind, float or int."""
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigurationError(f"expected comma-separated numbers, got {text!r}") from exc
+        what = "integers" if kind is int else "numbers"
+        raise ConfigurationError(f"expected comma-separated {what}, got {text!r}") from exc
     if not all(math.isfinite(v) for v in values):
         raise ConfigurationError(f"expected finite numbers, got {text!r}")
     return values
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigurationError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -80,12 +77,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_operator(args) -> int:
     u = resolve_field(args.field)
     A = resolve_potential(args.potential, args.dim)
-    point = np.asarray(_parse_floats(args.point), dtype=float)
+    point = np.asarray(_parse_numbers(args.point), dtype=float)
     if point.size != args.dim:
         raise ConfigurationError(f"point has {point.size} coordinates, expected {args.dim}")
-    s_list = _parse_floats(args.s_list)
-    if not s_list:
-        raise ConfigurationError(f"--s-list needs at least one s value, got {args.s_list!r}")
+    s_list = check_s_list(_parse_numbers(args.s_list))
     spec = default_spec(args.dim)
     samples = operator_limit_scan(u, A, point, s_list, spec)
     if args.format == "json":
@@ -116,12 +111,12 @@ def _cmd_mollifier_check(args) -> int:
         raise ConfigurationError(
             f"--delta and --r-domain must be finite, got {args.delta!r} and {args.r_domain!r}"
         )
-    if args.family == "gaussian":
-        indices = _parse_ints(args.indices or "2,4,6,8,12,16")
-        fam = gaussian_family(indices, args.dim)
-    else:
-        s_list = _parse_floats(args.s_list or "0.8,0.9,0.95,0.99")
-        fam = bbm_family(s_list, args.r_domain, args.dim)
+    desc = {"kind": args.family}
+    if args.indices is not None:
+        desc["indices"] = _parse_numbers(args.indices, int)
+    if args.s_list is not None:
+        desc["s_list"] = _parse_numbers(args.s_list)
+    fam = _family_from_descriptor(desc, args.dim, DEFAULT_S_LIST, args.r_domain)
     rows = [asdict(c) for c in check_mollifier(fam, args.dim, args.delta)]
     _write_or_print(json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n", args.out)
     return 0

@@ -21,6 +21,7 @@ __all__ = [
     "dimensional_constants",
     "bbm_constant",
     "check_fractional_order",
+    "check_s_list",
     "fractional_constant",
     "fractional_constant_limit",
 ]
@@ -49,6 +50,19 @@ def check_fractional_order(s: float) -> None:
     """Raise ConfigurationError unless the fractional order s lies in (0, 1)."""
     if not 0.0 < s < 1.0:
         raise ConfigurationError(f"fractional order s={s} outside (0, 1)")
+
+
+def check_s_list(s_list) -> list[float]:
+    """The s values as floats, if the list is nonempty and strictly
+    increasing inside (0, 1); otherwise a ConfigurationError naming that rule."""
+    s_vals = [float(s) for s in s_list]
+    outside = [s for s in s_vals if not 0.0 < s < 1.0]
+    if outside or not s_vals or any(b <= a for a, b in zip(s_vals, s_vals[1:])):
+        detail = f"s={outside[0]} outside (0, 1)" if outside else f"got {s_vals}"
+        raise ConfigurationError(
+            f"s_list must be a nonempty, strictly increasing list inside (0, 1); {detail}"
+        )
+    return s_vals
 
 
 def fractional_constant(dim: int, s: float) -> float:

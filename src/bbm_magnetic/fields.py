@@ -29,6 +29,7 @@ __all__ = [
     "VectorPotential",
     "GaugeFunction",
     "midpoint_phase",
+    "magnetic_difference",
     "magnetic_gradient",
     "magnetic_density",
     "require_dimension",
@@ -118,6 +119,14 @@ def midpoint_phase(A: VectorPotential, x: np.ndarray, y: np.ndarray) -> np.ndarr
     np.cos(arg, out=phase.real)
     np.sin(arg, out=phase.imag)
     return phase[()]
+
+
+def magnetic_difference(
+    u: ScalarField, A: VectorPotential, x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """The magnetic difference u(x) - exp(i (x - y) . A((x + y)/2)) u(y),
+    broadcast over point arrays; gauge covariant for affine gauges."""
+    return u.value(x) - midpoint_phase(A, x, y) * u.value(y)
 
 
 def gauge_transform(

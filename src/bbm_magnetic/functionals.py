@@ -25,12 +25,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .constants import check_s_list
 from .errors import ConfigurationError
 from .fields import (
     ScalarField,
     VectorPotential,
     magnetic_density,
-    midpoint_phase,
+    magnetic_difference,
     require_dimension,
 )
 from .geometry import Domain, TensorGrid, check_dimension, gauss_legendre, tensor_grid
@@ -72,7 +73,7 @@ def _difference_sq(u: ScalarField, A: VectorPotential) -> Callable:
     """Squared magnetic difference quotient numerator as a pair integrand."""
 
     def pair(x, y):
-        return np.abs(u.value(x) - midpoint_phase(A, x, y) * u.value(y)) ** 2
+        return np.abs(magnetic_difference(u, A, x, y)) ** 2
 
     return pair
 
@@ -195,6 +196,10 @@ class MollifierFamily:
     kind: str
     members: tuple[RadialMollifier, ...]
 
+    def __post_init__(self):
+        if not self.members:
+            raise ConfigurationError("a mollifier family needs at least one member")
+
 
 def smoothstep_cutoff(r: np.ndarray, r_domain: float) -> np.ndarray:
     """C^2 radial cutoff: 1 on [0, r_domain], 0 beyond 2*r_domain."""
@@ -215,11 +220,7 @@ def bbm_family(s_sequence: Sequence[float], r_domain: float, dim: int) -> Mollif
     N = 1 and s = 1/2, and 0 for N = 1 and s < 1/2.
     """
     check_dimension(dim)
-    s_arr = list(s_sequence)
-    if not s_arr or any(not 0.0 < s < 1.0 for s in s_arr):
-        raise ConfigurationError("bbm family needs s values in (0, 1)")
-    if any(b <= a for a, b in zip(s_arr, s_arr[1:])):
-        raise ConfigurationError("bbm family s values must increase toward 1")
+    s_arr = check_s_list(s_sequence)
     if not 0.0 < r_domain < math.inf:
         raise ConfigurationError(f"cutoff radius must be positive and finite, got {r_domain!r}")
 
@@ -243,6 +244,8 @@ def gaussian_family(indices: Sequence[int], dim: int) -> MollifierFamily:
     """Gaussian kernels of width 1/n, normalized so the zeroth radial moment
     is exactly one for every member."""
     check_dimension(dim)
+    if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in indices):
+        raise ConfigurationError(f"gaussian family indices must be integers, got {indices!r}")
     idx = sorted(int(n) for n in indices)
     if not idx or idx[0] < 1 or len(set(idx)) < len(idx):
         raise ConfigurationError("gaussian family needs distinct positive integer indices")
@@ -367,10 +370,7 @@ def translation_difference_sq(
         raise ConfigurationError("translation check requires |h| <= 1")
     if not u.is_compact:
         raise ConfigurationError("translation check requires a field with a support domain")
-    y = grid.points
-    shifted = u.value(y + h)
-    arg = np.sum(h * A(y + 0.5 * h), axis=-1)
-    diff = shifted - np.exp(1j * arg) * u.value(y)
+    diff = magnetic_difference(u, A, grid.points + h, grid.points)
     return float(pairwise_sum(grid.weights * np.abs(diff) ** 2))
 
 
@@ -387,10 +387,10 @@ def uniform_bound_check(
     empirical form of the uniform (1-s) seminorm bound.
     """
     require_dimension(d.dimension, u, A)
+    s_vals = check_s_list(s_list)
     grid = tensor_grid(d, spec.outer_nodes)
     denom = l2_norm_sq(u, grid) + local_magnetic_energy(u, A, d, grid).value
     if denom == 0.0:
-        return [(float(s), 0.0) for s in s_list]
-    s_vals = [float(s) for s in s_list]
+        return [(s, 0.0) for s in s_vals]
     fulls = fullspace_seminorms_sq(u, A, d, s_vals, spec)
     return [(s, (1.0 - s) * full.value / denom) for s, full in zip(s_vals, fulls)]

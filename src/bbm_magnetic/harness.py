@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .constants import bbm_constant
+from .constants import bbm_constant, check_s_list
 from .corpus import resolve_field, resolve_potential
 from .errors import ConditionViolation, ConfigurationError, IntegrationError
 from .fields import magnetic_gradient, require_dimension
@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 DEFAULT_S_LIST = (0.8, 0.9, 0.95, 0.99)
+DEFAULT_INDICES = (2, 4, 6, 8, 12, 16, 24)
 DEFAULT_H_LIST = (0.1, 0.05, 0.025, 0.0125)
 REPORT_FORMATS = ("csv", "json")
 # Trend thresholds for the mollifier admission checks.
@@ -96,10 +97,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
             raise ConfigurationError(f"unknown sweep kind {self.kind!r}; known: {SWEEP_KINDS}")
-        s = self.s_list
-        if not s or any(not 0.0 < v < 1.0 for v in s) or any(b <= a for a, b in zip(s, s[1:])):
-            raise ConfigurationError("s_list must be a nonempty, strictly increasing list "
-                                     "inside (0, 1)")
+        check_s_list(self.s_list)
         h = self.h_list
         if not h or any(not 0.0 < v <= 1.0 for v in h) or len(set(h)) < len(h):
             raise ConfigurationError("h_list must be a nonempty list of distinct shifts in (0, 1]")
@@ -398,13 +396,15 @@ def _plan_bbm(cfg: SweepConfig, u, A) -> _Plan:
                  lambda s, v: (1.0 - s) * v, bbm_constant(d.dimension) * energy, _one_minus)
 
 
-def _family_from_descriptor(cfg: SweepConfig) -> MollifierFamily:
-    desc = cfg.family or {}
-    dim = cfg.domain.dimension
+def _family_from_descriptor(
+    desc: Optional[dict], dim: int, s_list: Sequence[float], r_domain: float
+) -> MollifierFamily:
+    """The family a descriptor names: gaussian with DEFAULT_INDICES unless
+    given, or "bbm" with the given s_list and r_domain unless given."""
+    desc = desc or {}
     if desc.get("kind", "gaussian") == "gaussian":
-        return gaussian_family(desc.get("indices", [2, 4, 6, 8, 12, 16, 24]), dim)
-    r_dom = float(desc.get("r_domain", cfg.domain.diameter()))
-    return bbm_family([float(s) for s in desc.get("s_list", cfg.s_list)], r_dom, dim)
+        return gaussian_family(desc.get("indices", DEFAULT_INDICES), dim)
+    return bbm_family(desc.get("s_list", s_list), float(desc.get("r_domain", r_domain)), dim)
 
 
 def _admit_family(fam: MollifierFamily, dim: int, delta: float) -> list:
@@ -428,7 +428,8 @@ def _admit_family(fam: MollifierFamily, dim: int, delta: float) -> list:
 def _plan_mollifier(cfg: SweepConfig, u, A, family: Optional[MollifierFamily] = None) -> _Plan:
     """Mollified functionals of an admitted family versus 2 K_N * E."""
     d = cfg.domain
-    fam = family if family is not None else _family_from_descriptor(cfg)
+    fam = family if family is not None else _family_from_descriptor(
+        cfg.family, d.dimension, cfg.s_list, d.diameter())
     checks = _admit_family(fam, d.dimension, cfg.delta)
     energy, _ = _energy_grid(cfg, u, A)
     small = _one_minus if fam.kind == "bbm" else (lambda n: 1.0 / n)

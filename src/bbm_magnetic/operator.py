@@ -21,9 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import check_fractional_order, fractional_constant
+from .constants import check_fractional_order, check_s_list, fractional_constant
 from .errors import ConfigurationError, IntegrationError
-from .fields import ScalarField, VectorPotential, midpoint_phase, require_dimension
+from .fields import (ScalarField, VectorPotential, magnetic_difference, midpoint_phase,
+                     require_dimension)
 from .geometry import sphere_rule
 from .quadrature import QuadratureSpec, _power_weight, radial_angular
 
@@ -43,17 +44,14 @@ _DECAY_TOL = 1e-10
 
 def local_magnetic_apply(u: ScalarField, A: VectorPotential, x) -> complex:
     """-(grad - iA)^2 u at x, i.e. -Lap u + 2i A . grad u + |A|^2 u + i u div A."""
-    if u.hessian is None:
-        raise ConfigurationError("local magnetic operator needs an analytic Hessian")
+    if u.hessian is None or u.gradient is None:
+        raise ConfigurationError("local magnetic operator needs an analytic gradient and Hessian")
     if A.divergence is None:
         raise ConfigurationError("local magnetic operator needs divergence metadata")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     require_dimension(x.size, u, A)
-    hess = u.hessian(x)
-    lap = np.trace(hess, axis1=-2, axis2=-1)
-    grad = u.gradient(x) if u.gradient is not None else None
-    if grad is None:
-        raise ConfigurationError("local magnetic operator needs an analytic gradient")
+    lap = np.trace(u.hessian(x), axis1=-2, axis2=-1)
+    grad = u.gradient(x)
     a = A(x)
     val = u.value(x)
     return complex(
@@ -86,7 +84,7 @@ def _fractional_values(
 
     ux = complex(u.value(x[None, :])[0])
     y_rim = x + r_far * dirs
-    far_diff = ux - midpoint_phase(A, np.broadcast_to(x, y_rim.shape), y_rim) * u.value(y_rim)
+    far_diff = magnetic_difference(u, A, x[None, :], y_rim)
     rim_u = float(np.max(np.abs(u.value(y_rim))))
     # Beyond the far radius the difference is continued as constant in r,
     # which is exact up to the field's decay there (the usual case) or up to
@@ -101,7 +99,7 @@ def _fractional_values(
     far_sum = complex(far_diff @ wdir)
 
     per_dir, _ = radial_angular(
-        lambda xs, y: ux - midpoint_phase(A, xs, y) * u.value(y),
+        lambda xs, y: magnetic_difference(u, A, xs, y),
         x[None, :], np.full((1, dirs.shape[0]), r_far), np.array([eps_abs]), dirs, spec,
         [_power_weight(s) for s in s_vals], complex,
     )
@@ -157,11 +155,7 @@ def operator_limit_scan(
     spec: QuadratureSpec,
 ) -> list[OperatorSample]:
     """Fractional vs local operator values along an increasing s sequence."""
-    s_vals = [float(s) for s in s_list]
-    if any(b <= a for a, b in zip(s_vals, s_vals[1:])):
-        raise ConfigurationError("s_list must increase")
-    for s in s_vals:
-        check_fractional_order(s)
+    s_vals = check_s_list(s_list)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     loc = local_magnetic_apply(u, A, x)
     fracs = _fractional_values(u, A, x, s_vals, spec)

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .constants import check_fractional_order, dimensional_constants
+from .constants import check_fractional_order, check_s_list, dimensional_constants
 from .errors import ConfigurationError, IntegrationError
 from .fields import ScalarField, VectorPotential, magnetic_density
 from .geometry import Domain, boundary_distances, gauss_legendre, sphere_rule, tensor_grid
@@ -308,6 +308,8 @@ def two_level(evaluate: Callable, spec: QuadratureSpec, dim: int) -> list[Integr
 def _run_batch(pair_fn, d, spec, members: Sequence[_Member]) -> list[IntegralResult]:
     """Fine and coarse passes over a batch of members: one IntegralResult
     per member, from one integrand evaluation per pass."""
+    if not members:
+        raise ConfigurationError("an engine batch needs at least one member")
     return two_level(lambda sp: _domain_pass(pair_fn, d, sp, members), spec, d.dimension)
 
 
@@ -349,10 +351,9 @@ def double_integrals_singular(
 ) -> list[IntegralResult]:
     """double_integral_singular at each s in s_list, with near_fields[k] the
     hook at s_list[k]; the integrand is evaluated once per pass for all."""
+    s_list = check_s_list(s_list)
     if len(near_fields) != len(s_list):
         raise ConfigurationError("need one near-field hook (or None) per s value")
-    for s in s_list:
-        check_fractional_order(s)
     _check_diagonal(integrand, d, spec)
     taylor = spec.near_field == "taylor-correct"
     members = [(_power_weight(s), hook if taylor else None) for s, hook in zip(s_list, near_fields)]

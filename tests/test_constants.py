@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from bbm_magnetic.constants import (
     bbm_constant,
+    check_s_list,
     dimensional_constants,
     fractional_constant,
     fractional_constant_limit,
@@ -99,3 +100,15 @@ def test_domain_errors():
         fractional_constant(2, -0.1)
     with pytest.raises(ConfigurationError):
         fractional_constant_limit(0)
+
+
+def test_s_list_rule_returns_floats_and_names_itself():
+    values = check_s_list((np.float64(0.5), 0.9))
+    assert values == [0.5, 0.9] and all(type(v) is float for v in values)
+    rule = "s_list must be a nonempty, strictly increasing list inside (0, 1)"
+    for bad, detail in (([], "got []"), ([0.9, 0.8], "got [0.9, 0.8]"),
+                        ([0.8, 0.8], "got [0.8, 0.8]"), ([0.5, 1.0], "s=1.0 outside (0, 1)"),
+                        ([0.5, math.nan], "s=nan outside (0, 1)")):
+        with pytest.raises(ConfigurationError) as info:
+            check_s_list(bad)
+        assert str(info.value) == f"{rule}; {detail}"

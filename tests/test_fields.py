@@ -10,6 +10,7 @@ from bbm_magnetic.fields import (
     GaugeFunction,
     VectorPotential,
     gauge_transform,
+    magnetic_difference,
     midpoint_phase,
     modulus_field,
 )
@@ -307,3 +308,19 @@ def test_unknown_label_messages_list_the_table_entries_with_defaults():
     assert pots == ["zero", "const:alpha=1", "linear:alpha=1", "landau:beta=1"]
     for label in pots:
         resolve_potential(label, 2 if label.startswith("landau") else 1)
+
+
+def test_magnetic_difference_is_gauge_covariant_and_vanishes_on_the_diagonal():
+    # u(x) - e^{i (x-y).A((x+y)/2)} u(y) picks up the factor e^{i phi(x)}
+    # under an affine gauge change, and is 0 at x = y
+    u, A = resolve_field("gauss2d"), resolve_potential("landau:beta=1.5", 2)
+    g = GaugeFunction(np.array([0.7, -1.3]), 0.4)
+    ug, Ag = gauge_transform(u, A, g)
+    rng = np.random.default_rng(7)
+    x, y = _interior_points(2, 50, rng), _interior_points(2, 50, rng)
+    diff = magnetic_difference(u, A, x, y)
+    assert diff.shape == (50,) and np.all(np.abs(diff) > 0.0)
+    assert_allclose(magnetic_difference(ug, Ag, x, y), np.exp(1j * g(x)) * diff,
+                    rtol=0.0, atol=1e-13)
+    assert np.all(magnetic_difference(u, A, x, x) == 0.0)
+    assert_allclose(diff, u(x) - midpoint_phase(A, x, y) * u(y), rtol=0.0, atol=0.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bbm_magnetic import functionals
+from bbm_magnetic import functionals, quadrature
 from bbm_magnetic.constants import bbm_constant
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConfigurationError
@@ -19,6 +19,7 @@ from bbm_magnetic.fields import (
     scaled_field,
 )
 from bbm_magnetic.functionals import (
+    MollifierFamily,
     bbm_family,
     check_mollifier,
     fullspace_seminorm_sq,
@@ -639,3 +640,31 @@ def test_translation_check_reads_compactness_from_the_support_domain():
         translation_difference_sq(gauss, A, [0.1], grid)
     supported = replace(gauss, support_domain=interval(-7.0, 7.0))  # |u| < 1e-21 beyond
     assert translation_difference_sq(supported, A, [0.1], grid) > 0.0
+
+
+def _no_compute(*_args, **_kwargs):
+    raise AssertionError("computed on bad input")
+
+
+def test_an_empty_mollifier_family_is_refused():
+    with pytest.raises(ConfigurationError, match="at least one member"):
+        MollifierFamily("gaussian", ())
+
+
+def test_an_empty_kernel_list_is_refused_before_compute(monkeypatch):
+    # two engine passes on the 2D Landau problem used to return []
+    monkeypatch.setattr(quadrature, "radial_angular", _no_compute)
+    u, A = resolve_field("gauss2d"), resolve_potential("landau:beta=1", 2)
+    d = box([0.0, 0.0], [1.0, 1.0])
+    spec = QuadratureSpec(outer_nodes=24, angular_nodes=48, radial_nodes=8)
+    with pytest.raises(ConfigurationError, match="at least one member"):
+        mollified_functionals(u, A, d, [], spec)
+
+
+@pytest.mark.parametrize("indices", [[2.5, 4.9], [True, 2], [2, 4.0]],
+                         ids=["fractional", "bool", "float"])
+def test_gaussian_family_refuses_non_integer_indices(indices):
+    # [2.5, 4.9] used to build the members 2 and 4
+    with pytest.raises(ConfigurationError, match="indices must be integers"):
+        gaussian_family(indices, 1)
+    assert [m.param for m in gaussian_family(np.array([4, 2]), 1).members] == [2.0, 4.0]

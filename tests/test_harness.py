@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import bbm_magnetic
-from bbm_magnetic import cli, functionals, harness, operator
+from bbm_magnetic import cli, functionals, harness, operator, quadrature
+from bbm_magnetic.constants import check_s_list
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConditionViolation, ConfigurationError, IntegrationError
 from bbm_magnetic.functionals import (
@@ -453,7 +454,8 @@ _OPERATOR = ["operator", "--field", "gauss1d", "--potential", "zero", "--dim", "
 @pytest.mark.parametrize("args,message", [
     (_OPERATOR + ["--point", "nan", "--s-list", "0.7"], "finite"),
     (_OPERATOR + ["--point", "inf", "--s-list", "0.7"], "finite"),
-    (_OPERATOR + ["--point", "0", "--s-list", ","], "at least one s value"),
+    (_OPERATOR + ["--point", "0", "--s-list", ","],
+     "s_list must be a nonempty, strictly increasing list inside (0, 1)"),
     (["mollifier-check", "--family", "gaussian", "--dim", "0", "--delta", "0.1"],
      "unsupported dimension 0; expected 1, 2 or 3"),
     (["mollifier-check", "--family", "bbm", "--dim", "4", "--delta", "0.1"],
@@ -685,3 +687,63 @@ def test_config_built_in_code_defaults_to_the_dimensions_spec(domain):
     cfg = SweepConfig(kind="bbm-domain", field_label="gauss1d", potential_label="zero",
                       domain=domain)
     assert cfg.spec == default_spec(domain.dimension)
+
+
+# ---------------------------------------------------------------------------
+# One s-list rule and one mollifier family builder
+# ---------------------------------------------------------------------------
+
+
+def _s_list_entry_points():
+    u, A = resolve_field("bump1d"), resolve_potential("linear:alpha=1", 1)
+    zero = bbm_magnetic.ScalarField(1, lambda p: np.zeros(p.shape[:-1], dtype=complex),
+                                    lambda p: np.zeros(p.shape, dtype=complex))
+    spec = default_spec(1)
+    return {
+        "SweepConfig": lambda s: _cfg(s_list=tuple(s)),
+        "bbm_family": lambda s: bbm_family(s, 2.0, 1),
+        "operator_limit_scan": lambda s: operator.operator_limit_scan(u, A, 0.0, s, spec),
+        "magnetic_seminorms_sq": lambda s: functionals.magnetic_seminorms_sq(u, A, D1, s, spec),
+        "fullspace_seminorms_sq": lambda s: functionals.fullspace_seminorms_sq(u, A, D1, s, spec),
+        # a zero field, whose zero denominator used to return one row per s
+        "uniform_bound_check": lambda s: functionals.uniform_bound_check(zero, A, D1, s, spec),
+    }
+
+
+_BAD_S_LISTS = {"empty": [], "decreasing": [0.9, 0.8], "repeated": [0.8, 0.8],
+                "reaching-1": [0.5, 1.0]}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_S_LISTS.values()), ids=list(_BAD_S_LISTS))
+@pytest.mark.parametrize("entry", list(_s_list_entry_points()) + ["cli-operator"])
+def test_every_s_list_entry_point_refuses_by_the_one_rule(monkeypatch, capsys, entry, bad):
+    def no_compute(*_args, **_kwargs):
+        raise AssertionError("computed on a bad s_list")
+
+    monkeypatch.setattr(quadrature, "radial_angular", no_compute)
+    monkeypatch.setattr(operator, "radial_angular", no_compute)
+    with pytest.raises(ConfigurationError) as rule:
+        check_s_list(bad)
+    assert "s_list must be a nonempty, strictly increasing list inside (0, 1)" in str(rule.value)
+    if entry == "cli-operator":
+        s_text = ",".join(str(s) for s in bad) or ","
+        assert cli.main(_OPERATOR + ["--point", "0", "--s-list", s_text]) == 2
+        assert capsys.readouterr().err == f"configuration error: {rule.value}\n"
+        return
+    with pytest.raises(ConfigurationError) as info:
+        _s_list_entry_points()[entry](bad)
+    assert str(info.value) == str(rule.value)
+
+
+def test_mollifier_check_builds_the_sweeps_default_families(capsys):
+    # mollifier-check used to default to the indices 2..16, without the
+    # sweep's 24
+    run = ["mollifier-check", "--dim", "1", "--delta", "0.1", "--family"]
+    assert cli.main(run + ["gaussian"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["param"] for r in rows] == [float(n) for n in harness.DEFAULT_INDICES]
+    sweep = run_mollifier_sweep(_cfg(kind="mollifier", delta=0.1))
+    assert rows == sweep.metadata["mollifier_checks"]
+    assert cli.main(run + ["bbm"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["param"] for r in rows] == list(harness.DEFAULT_S_LIST)
