@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_real
 from .geometry import check_dimension, sphere_area
 
 __all__ = [
@@ -46,17 +46,21 @@ def bbm_constant(dim: int) -> float:
     return dimensional_constants(dim).bbm_constant
 
 
-def check_fractional_order(s: float) -> None:
-    """Raise ConfigurationError unless the fractional order s lies in (0, 1)."""
+def check_fractional_order(s) -> None:
+    """Raise ConfigurationError unless the fractional order s is a real number in (0, 1)."""
+    if not is_real(s):
+        raise ConfigurationError(f"fractional order s must be a number, got {s!r}")
     if not 0.0 < s < 1.0:
         raise ConfigurationError(f"fractional order s={s} outside (0, 1)")
 
 
 def check_s_list(s_list) -> list[float]:
-    """The s values as floats, if the list is nonempty and strictly
-    increasing inside (0, 1); otherwise a ConfigurationError naming that rule."""
-    s_vals = [float(s) for s in s_list]
-    outside = [s for s in s_vals if not 0.0 < s < 1.0]
+    """The s values as floats, if s_list is a list or tuple of real numbers,
+    nonempty and strictly increasing inside (0, 1); else a ConfigurationError."""
+    if not isinstance(s_list, (list, tuple)) or not all(map(is_real, s_list)):
+        raise ConfigurationError(f"s_list must be a list of numbers, got {s_list!r}")
+    outside = [s for s in s_list if not 0.0 < s < 1.0]
+    s_vals = [] if outside else [float(s) for s in s_list]  # float() overflows outside
     if outside or not s_vals or any(b <= a for a, b in zip(s_vals, s_vals[1:])):
         detail = f"s={outside[0]} outside (0, 1)" if outside else f"got {s_vals}"
         raise ConfigurationError(

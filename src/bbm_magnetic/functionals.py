@@ -25,8 +25,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .constants import check_s_list
-from .errors import ConfigurationError
+from .constants import check_fractional_order, check_s_list
+from .errors import ConfigurationError, check_integer
 from .fields import (
     ScalarField,
     VectorPotential,
@@ -86,6 +86,7 @@ def magnetic_seminorm_sq(
     u: ScalarField, A: VectorPotential, d: Domain, s: float, spec: QuadratureSpec
 ) -> IntegralResult:
     """Squared magnetic Gagliardo seminorm over Omega x Omega."""
+    check_fractional_order(s)
     require_dimension(d.dimension, u, A)
     hook = _seminorm_hook(u, A, spec, s)
     return double_integral_singular(_difference_sq(u, A), d, s, spec, near_field=hook)
@@ -96,6 +97,7 @@ def magnetic_seminorms_sq(
 ) -> list[IntegralResult]:
     """magnetic_seminorm_sq at every s in s_list, from one integrand
     evaluation per engine pass."""
+    s_list = check_s_list(s_list)
     require_dimension(d.dimension, u, A)
     hooks = [_seminorm_hook(u, A, spec, s) for s in s_list]
     return double_integrals_singular(_difference_sq(u, A), d, s_list, spec, hooks)
@@ -137,6 +139,7 @@ def fullspace_seminorm_sq(
     Splits into the Omega x Omega part plus the exact cross term
     2 * int |u(x)|^2 * tail(x) dx, since u is extended by zero.
     """
+    check_fractional_order(s)
     (value,) = fullspace_seminorms_sq(u, A, d, [s], spec)
     return value
 
@@ -241,14 +244,14 @@ def bbm_family(s_sequence: Sequence[float], r_domain: float, dim: int) -> Mollif
 
 
 def gaussian_family(indices: Sequence[int], dim: int) -> MollifierFamily:
-    """Gaussian kernels of width 1/n, normalized so the zeroth radial moment
-    is exactly one for every member."""
+    """Gaussian kernels of width 1/n, one per index in the given increasing
+    order, normalized so the zeroth radial moment is exactly one."""
     check_dimension(dim)
-    if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in indices):
-        raise ConfigurationError(f"gaussian family indices must be integers, got {indices!r}")
-    idx = sorted(int(n) for n in indices)
-    if not idx or idx[0] < 1 or len(set(idx)) < len(idx):
-        raise ConfigurationError("gaussian family needs distinct positive integer indices")
+    idx = [check_integer(n, "gaussian family index") for n in indices]
+    if not idx or idx[0] < 1 or any(b <= a for a, b in zip(idx, idx[1:])):
+        raise ConfigurationError(
+            f"gaussian family needs distinct positive integer indices in increasing order: {idx}"
+        )
     xi, wgl = gauss_legendre(32)
 
     members = []

@@ -26,7 +26,8 @@ import numpy as np
 from . import __version__
 from .constants import bbm_constant, check_s_list
 from .corpus import resolve_field, resolve_potential
-from .errors import ConditionViolation, ConfigurationError, IntegrationError
+from .errors import (ConditionViolation, ConfigurationError, IntegrationError, check_integer,
+                     check_number, check_numbers, check_text)
 from .fields import magnetic_gradient, require_dimension
 from .functionals import (
     MollifierFamily,
@@ -40,7 +41,7 @@ from .functionals import (
     mollified_functionals,
     translation_difference_sq,
 )
-from .geometry import Domain, TensorGrid, ball, box, direction, interval, tensor_grid
+from .geometry import Domain, TensorGrid, ball, box, direction, tensor_grid
 from .operator import operator_limit_scan
 from .quadrature import IntegralResult, QuadratureSpec, pairwise_sum
 
@@ -95,19 +96,35 @@ class SweepConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
+        """Check every field, naming it by its config-file key; store the
+        sequences as tuples of floats and a missing spec as default_spec."""
+        store = partial(object.__setattr__, self)
         if self.kind not in SWEEP_KINDS:
             raise ConfigurationError(f"unknown sweep kind {self.kind!r}; known: {SWEEP_KINDS}")
-        check_s_list(self.s_list)
+        check_text(self.field_label, "field")
+        check_text(self.potential_label, "potential")
+        if not isinstance(self.domain, Domain):
+            raise ConfigurationError(f"domain must be a Domain, got {self.domain!r}")
+        store("s_list", tuple(check_s_list(self.s_list)))
+        _check_family(self.family)
+        store("h_list", check_numbers(self.h_list, "h_list"))
         h = self.h_list
         if not h or any(not 0.0 < v <= 1.0 for v in h) or len(set(h)) < len(h):
             raise ConfigurationError("h_list must be a nonempty list of distinct shifts in (0, 1]")
+        for key in ("direction", "point"):
+            if getattr(self, key) is not None:
+                store(key, check_numbers(getattr(self, key), key, self.domain.dimension))
+        store("delta", check_number(self.delta, "delta"))
         if not self.delta > 0.0:
             raise ConfigurationError("delta must be positive")
+        if self.spec is None:
+            store("spec", default_spec(self.domain.dimension))
+        elif not isinstance(self.spec, QuadratureSpec):
+            raise ConfigurationError(f"quadrature must be a QuadratureSpec, got {self.spec!r}")
+        if self.output is not None:
+            check_text(self.output, "output")
         if self.fmt not in REPORT_FORMATS:
             raise ConfigurationError(f"unknown report format {self.fmt!r}; known: {REPORT_FORMATS}")
-        _check_family(self.family)
-        if self.spec is None:
-            object.__setattr__(self, "spec", default_spec(self.domain.dimension))
 
 
 @dataclass(frozen=True)
@@ -138,6 +155,11 @@ class SweepReport:
 
 _CONFIG_KEYS = ("kind", "field", "potential", "domain", "s_list", "family", "h_list",
                 "direction", "point", "delta", "quadrature", "output", "format")
+# The config keys whose SweepConfig field has another name, and the defaults
+# that only a config file has.
+_FIELD_NAMES = {"field": "field_label", "potential": "potential_label",
+                "quadrature": "spec", "format": "fmt"}
+_FILE_DEFAULTS = {"kind": "bbm-domain", "field": "gauss1d", "potential": "zero"}
 _DOMAIN_KEYS = {
     "interval": ("kind", "center", "extents"),
     "box": ("kind", "center", "extents"),
@@ -156,39 +178,8 @@ def _section(raw, known, where: str) -> dict:
     return raw
 
 
-def _number(value, what: str) -> float:
-    try:
-        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except OverflowError:  # an integer beyond float range
-        pass
-    raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
-
-
-def _integer(value, what: str) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-
-
-def _text(value, what: str) -> str:
-    if isinstance(value, str):
-        return value
-    raise ConfigurationError(f"{what} must be a string, got {value!r}")
-
-
-def _numbers(value, what: str, size: Optional[int] = None, item=_number) -> tuple:
-    if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
-        count = "" if size is None else f"{size} "
-        raise ConfigurationError(f"{what} must be a list of {count}numbers, got {value!r}")
-    return tuple(item(v, what) for v in value)
-
-
-# Checkers by QuadratureSpec field annotation, and by family descriptor key.
-_SPEC_CHECKERS = {f.name: {"int": _integer, "float": _number, "str": _text}[f.type]
-                  for f in fields(QuadratureSpec)}
-_FAMILY_CHECKERS = {"kind": _text, "indices": partial(_numbers, item=_integer),
-                    "s_list": _numbers, "r_domain": _number}
+_FAMILY_CHECKERS = {"kind": check_text, "indices": partial(check_numbers, item=check_integer),
+                    "s_list": check_numbers, "r_domain": check_number}
 
 
 def _domain_from_dict(raw) -> Domain:
@@ -197,16 +188,14 @@ def _domain_from_dict(raw) -> Domain:
         raise ConfigurationError(f"unknown domain kind {kind!r}")
     d = _section(raw, _DOMAIN_KEYS[kind], f"{kind} domain")
     if kind == "interval":
-        (center,) = _numbers(d.get("center", [0.0]), "domain center", 1)
-        (ext,) = _numbers(d.get("extents", [1.0]), "domain extents", 1)
-        return interval(center - ext, center + ext)
+        d = {"center": [0.0], "extents": [1.0], **d}
     missing = [k for k in _DOMAIN_KEYS[kind] if k not in d]
     if missing:
         raise ConfigurationError(f"{kind} domain missing required key(s) {missing}")
-    center = _numbers(d["center"], "domain center")
-    if kind == "box":
-        return box(center, _numbers(d["extents"], "domain extents"))
-    return ball(center, _number(d["radius"], "domain radius"))
+    center = check_numbers(d["center"], "domain center")
+    if kind == "ball":
+        return ball(center, check_number(d["radius"], "domain radius"))
+    return Domain(kind, center, check_numbers(d["extents"], "domain extents"))
 
 
 def _domain_to_dict(d: Domain) -> dict:
@@ -226,7 +215,9 @@ def _check_family(desc: Optional[dict]) -> None:
 
 
 def config_from_dict(raw: dict) -> SweepConfig:
-    """Build a SweepConfig from a JSON-style dict, filling package defaults.
+    """Build a SweepConfig from a JSON-style dict: parse the domain, apply the
+    quadrature keys to the dimension's default spec and hand every other
+    value to SweepConfig, which checks it.
 
     Unknown keys and ill-typed or out-of-range values raise
     ConfigurationError, so a bad config fails before any computation.
@@ -235,28 +226,11 @@ def config_from_dict(raw: dict) -> SweepConfig:
     if "domain" not in raw:
         raise ConfigurationError("config missing required key: 'domain'")
     dom = _domain_from_dict(raw["domain"])
-    quad = _section(raw.get("quadrature", {}), _SPEC_CHECKERS, "quadrature")
-    knobs = {k: _SPEC_CHECKERS[k](v, f"quadrature {k}") for k, v in quad.items()}
-    vectors = {
-        key: None if raw.get(key) is None else _numbers(raw[key], key, dom.dimension)
-        for key in ("direction", "point")
-    }
-    output = raw.get("output")
-    return SweepConfig(
-        kind=_text(raw.get("kind", "bbm-domain"), "kind"),
-        field_label=_text(raw.get("field", "gauss1d"), "field"),
-        potential_label=_text(raw.get("potential", "zero"), "potential"),
-        domain=dom,
-        s_list=_numbers(raw.get("s_list", DEFAULT_S_LIST), "s_list"),
-        family=raw.get("family"),
-        h_list=_numbers(raw.get("h_list", DEFAULT_H_LIST), "h_list"),
-        direction=vectors["direction"],
-        point=vectors["point"],
-        delta=_number(raw.get("delta", 0.1), "delta"),
-        spec=replace(default_spec(dom.dimension), **knobs),
-        output=None if output is None else _text(output, "output"),
-        fmt=_text(raw.get("format", "csv"), "format"),
-    )
+    quad = _section(raw.get("quadrature", {}), [f.name for f in fields(QuadratureSpec)],
+                    "quadrature")
+    values = {**_FILE_DEFAULTS, **raw, "domain": dom,
+              "quadrature": replace(default_spec(dom.dimension), **quad)}
+    return SweepConfig(**{_FIELD_NAMES.get(key, key): value for key, value in values.items()})
 
 
 def load_config(path: str | Path) -> SweepConfig:
@@ -334,20 +308,13 @@ def _parallel_map(fn, items, threads: int):
 
 
 def _metadata(cfg: SweepConfig, node_counts: list[int]) -> dict:
+    """The report metadata; its ``config`` is a loadable config that
+    reproduces the sweep."""
+    config = {key: getattr(cfg, _FIELD_NAMES.get(key, key))
+              for key in _CONFIG_KEYS if key not in ("output", "format")}
+    config.update(domain=_domain_to_dict(cfg.domain), quadrature=asdict(cfg.spec))
     return {
-        "config": {
-            "kind": cfg.kind,
-            "field": cfg.field_label,
-            "potential": cfg.potential_label,
-            "domain": _domain_to_dict(cfg.domain),
-            "s_list": list(cfg.s_list),
-            "family": cfg.family,
-            "h_list": list(cfg.h_list),
-            "direction": list(cfg.direction) if cfg.direction else None,
-            "point": list(cfg.point) if cfg.point else None,
-            "delta": cfg.delta,
-            "quadrature": asdict(cfg.spec),
-        },
+        "config": {k: list(v) if isinstance(v, tuple) else v for k, v in config.items()},
         "version": __version__,
         "node_counts": node_counts,
     }
@@ -480,7 +447,7 @@ def _plan_operator(cfg: SweepConfig, u, A) -> _Plan:
 def _sweep(cfg: SweepConfig, planner: Callable, threads: int) -> SweepReport:
     """Resolve the field and potential, plan the kind, compute the rows (a
     batch's IntegrationError fails its rows) and fit the limit."""
-    if threads < 1:
+    if check_integer(threads, "threads") < 1:
         raise ConfigurationError(f"threads must be at least 1, got {threads}")
     u = resolve_field(cfg.field_label)
     d = cfg.domain

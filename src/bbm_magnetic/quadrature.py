@@ -29,13 +29,13 @@ bit-for-bit reproducible regardless of how callers schedule the work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .constants import check_fractional_order, check_s_list, dimensional_constants
-from .errors import ConfigurationError, IntegrationError
+from .errors import ConfigurationError, IntegrationError, check_integer, check_number, check_text
 from .fields import ScalarField, VectorPotential, magnetic_density
 from .geometry import Domain, boundary_distances, gauss_legendre, sphere_rule, tensor_grid
 
@@ -77,6 +77,9 @@ class QuadratureSpec:
     near_field: str = "taylor-correct"
 
     def __post_init__(self):
+        for f in fields(self):  # by annotation, storing the normalised value
+            check = {"int": check_integer, "float": check_number, "str": check_text}[f.type]
+            object.__setattr__(self, f.name, check(getattr(self, f.name), f"quadrature {f.name}"))
         if min(self.outer_nodes, self.angular_nodes, self.radial_nodes) < 1:
             raise ConfigurationError("all node counts must be >= 1")
         if not 0.0 < self.eps < 1.0:
@@ -375,6 +378,7 @@ def double_integral_singular(
     sub-cutoff contribution per outer point; it is only applied in
     "taylor-correct" mode.
     """
+    check_fractional_order(s)
     (res,) = double_integrals_singular(integrand, d, [s], spec, [near_field])
     return res
 

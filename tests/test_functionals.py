@@ -665,6 +665,13 @@ def test_an_empty_kernel_list_is_refused_before_compute(monkeypatch):
                          ids=["fractional", "bool", "float"])
 def test_gaussian_family_refuses_non_integer_indices(indices):
     # [2.5, 4.9] used to build the members 2 and 4
-    with pytest.raises(ConfigurationError, match="indices must be integers"):
+    with pytest.raises(ConfigurationError, match="gaussian family index must be an integer"):
         gaussian_family(indices, 1)
-    assert [m.param for m in gaussian_family(np.array([4, 2]), 1).members] == [2.0, 4.0]
+    assert [m.param for m in gaussian_family(np.array([2, 4]), 1).members] == [2.0, 4.0]
+
+
+@pytest.mark.parametrize("indices", [[8, 2], [2, 8, 4]])
+def test_gaussian_family_refuses_indices_out_of_order(indices):
+    # [8, 2] used to build the members 2 and 8, in sorted order
+    with pytest.raises(ConfigurationError, match="distinct positive integer indices in increasing"):
+        gaussian_family(indices, 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -11,7 +12,7 @@ from numpy.testing import assert_allclose
 
 import bbm_magnetic
 from bbm_magnetic import cli, functionals, harness, operator, quadrature
-from bbm_magnetic.constants import check_s_list
+from bbm_magnetic.constants import check_fractional_order, check_s_list
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConditionViolation, ConfigurationError, IntegrationError
 from bbm_magnetic.functionals import (
@@ -48,6 +49,10 @@ def _cfg(**kw):
                 domain=D1, spec=FAST_SPEC)
     base.update(kw)
     return SweepConfig(**base)
+
+
+def _no_compute(*_args, **_kwargs):
+    raise AssertionError("computed on bad input")
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +179,76 @@ def test_config_parser_ends_in_config_or_configuration_error(raw):
     except ConfigurationError:
         return
     assert isinstance(cfg, SweepConfig)
+
+
+_D2 = box([0.0, 0.0], [1.0, 1.0])
+_BOX = {"kind": "box", "center": [0.0, 0.0], "extents": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("change,built", [
+    # each value was accepted in code, or failed there with a plain exception
+    ({"quadrature": {"outer_nodes": 2.5}}, lambda: QuadratureSpec(outer_nodes=2.5)),
+    ({"quadrature": {"outer_nodes": True}}, lambda: QuadratureSpec(outer_nodes=True)),
+    ({"quadrature": {"eps": "1e-4"}}, lambda: QuadratureSpec(eps="1e-4")),
+    ({"delta": "0.1"}, lambda: _cfg(delta="0.1")),
+    ({"h_list": ["a"]}, lambda: _cfg(h_list=("a",))),
+    ({"s_list": ["x"]}, lambda: _cfg(s_list=["x"])),
+    ({"s_list": ["0.5"]}, lambda: _cfg(s_list=["0.5"])),
+    ({"field": 5}, lambda: _cfg(field_label=5)),
+    ({"domain": _BOX, "direction": [1.0]}, lambda: _cfg(domain=_D2, direction=[1.0])),
+], ids=["fractional-nodes", "bool-nodes", "text-eps", "text-delta", "text-shift", "text-s",
+        "numeric-text-s", "numeric-field", "short-direction"])
+def test_configs_built_in_code_are_refused_like_config_files(change, built):
+    with pytest.raises(ConfigurationError) as from_file:
+        config_from_dict({**_GOOD, **change})
+    with pytest.raises(ConfigurationError) as in_code:
+        built()
+    assert str(in_code.value) == str(from_file.value)
+
+
+_VALID_SPEC = QuadratureSpec(outer_nodes=16, angular_nodes=2, radial_nodes=4)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from([_cfg(), _VALID_SPEC]), st.data())
+def test_code_built_config_or_spec_ends_in_object_or_configuration_error(valid, data):
+    name = data.draw(st.sampled_from([f.name for f in dataclasses.fields(valid)]))
+    try:
+        built = dataclasses.replace(valid, **{name: data.draw(_JSON)})
+    except ConfigurationError:
+        return
+    assert type(built) is type(valid)
+
+
+def test_threads_must_be_an_integer(monkeypatch):
+    # threads="2" raised TypeError
+    monkeypatch.setattr(harness, "resolve_field", _no_compute)
+    for threads in ("2", 1.0, True):
+        with pytest.raises(ConfigurationError, match="threads must be an integer"):
+            run_sweep(_cfg(), threads=threads)
+
+
+_ECHO_CONFIGS = {
+    "bbm-domain": {"field": "gauss1d", "s_list": [0.8, 0.9, 0.95]},
+    "bbm-fullspace": {"field": "bump1d", "s_list": [0.8, 0.9, 0.95]},
+    "mollifier": {"field": "gauss1d", "family": {"kind": "bbm", "s_list": [0.9, 0.99, 0.999]}},
+    "lemma-translation": {"field": "bump1d", "direction": [-1.0]},
+    "lemma-uniform": {"field": "bump1d", "s_list": [0.5, 0.7, 0.9]},
+    "operator-limit": {"field": "gauss1d", "point": [0.25], "s_list": [0.7, 0.8, 0.9]},
+}
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+def test_report_config_echo_loads_as_the_config_that_ran(kind):
+    # an interval centred at 0.3 was echoed with a center of 0.30000000000000004
+    domain = {"kind": "interval", "center": [0.3], "extents": [1.5]}
+    raw = {"kind": kind, "potential": "linear:alpha=1", "domain": domain, "format": "json",
+           "output": "report.json", "quadrature": {"outer_nodes": 24, "radial_nodes": 4},
+           **_ECHO_CONFIGS[kind]}
+    cfg = config_from_dict(raw)
+    echo = run_sweep(cfg).metadata["config"]
+    assert echo["domain"] == domain
+    assert config_from_dict(echo) == dataclasses.replace(cfg, output=None, fmt="csv")
 
 
 def test_bbm_sweep_rows_and_target_consistency():
@@ -732,6 +807,49 @@ def test_every_s_list_entry_point_refuses_by_the_one_rule(monkeypatch, capsys, e
         return
     with pytest.raises(ConfigurationError) as info:
         _s_list_entry_points()[entry](bad)
+    assert str(info.value) == str(rule.value)
+
+
+_NON_NUMERIC_S_LISTS = {"text": ["x"], "none": [None], "numeric-text": ["0.5"],
+                        "bool": [True, 0.9]}
+
+
+@pytest.mark.parametrize("bad", list(_NON_NUMERIC_S_LISTS.values()), ids=list(_NON_NUMERIC_S_LISTS))
+@pytest.mark.parametrize("entry", list(_s_list_entry_points()))
+def test_every_s_list_entry_point_refuses_non_numbers(monkeypatch, entry, bad):
+    # magnetic_seminorms_sq raised TypeError on ["x"]; SweepConfig accepted ["0.5"]
+    monkeypatch.setattr(quadrature, "radial_angular", _no_compute)
+    monkeypatch.setattr(operator, "radial_angular", _no_compute)
+    with pytest.raises(ConfigurationError, match="s_list must be a list of numbers, got "):
+        _s_list_entry_points()[entry](bad)
+
+
+def _single_s_entry_points():
+    u, A = resolve_field("bump1d"), resolve_potential("linear:alpha=1", 1)
+    spec = default_spec(1)
+    return {
+        "magnetic_seminorm_sq": lambda s: functionals.magnetic_seminorm_sq(u, A, D1, s, spec),
+        "fullspace_seminorm_sq": lambda s: functionals.fullspace_seminorm_sq(u, A, D1, s, spec),
+        "double_integral_singular": lambda s: quadrature.double_integral_singular(
+            lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1]), D1, s, spec),
+        "fractional_magnetic_apply": lambda s: operator.fractional_magnetic_apply(
+            u, A, 0.0, s, spec),
+        "tail_integral": lambda s: quadrature.tail_integral(D1, 0.0, s, 8),
+    }
+
+
+@pytest.mark.parametrize("s", [1.5, 0.0, "0.5", None, True], ids=repr)
+@pytest.mark.parametrize("entry", list(_single_s_entry_points()))
+def test_every_single_s_entry_point_refuses_by_the_fractional_order_rule(monkeypatch, entry, s):
+    # magnetic_seminorm_sq(..., 1.5, ...) reported the s-list rule, and
+    # fractional_magnetic_apply(..., "0.5", ...) raised TypeError
+    monkeypatch.setattr(quadrature, "radial_angular", _no_compute)
+    monkeypatch.setattr(operator, "radial_angular", _no_compute)
+    with pytest.raises(ConfigurationError) as rule:
+        check_fractional_order(s)
+    assert str(rule.value).startswith("fractional order s")
+    with pytest.raises(ConfigurationError) as info:
+        _single_s_entry_points()[entry](s)
     assert str(info.value) == str(rule.value)
 
 
