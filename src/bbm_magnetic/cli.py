@@ -27,8 +27,8 @@ from .constants import (check_s_list, dimensional_constants, fractional_constant
 from .corpus import resolve_field, resolve_potential
 from .errors import ConditionViolation, ConfigurationError, IntegrationError
 from .functionals import check_mollifier
-from .harness import (DEFAULT_S_LIST, _family_from_descriptor, default_spec, load_config,
-                      render_report, run_sweep, write_text)
+from .harness import (_FAMILY_KEYS, DEFAULT_S_LIST, REPORT_FORMATS, _family_from_descriptor,
+                      default_spec, load_config, render_report, run_sweep, write_text)
 from .operator import operator_limit_scan
 
 
@@ -70,7 +70,7 @@ def _cmd_constants(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     report = run_sweep(cfg, threads=args.threads)
-    _write_or_print(render_report(report, args.format or cfg.fmt), args.out or cfg.output)
+    _write_or_print(render_report(report, args.format), args.out)
     return 0
 
 
@@ -107,16 +107,19 @@ def _cmd_operator(args) -> int:
 
 
 def _cmd_mollifier_check(args) -> int:
-    if not (math.isfinite(args.delta) and math.isfinite(args.r_domain)):
+    if not all(math.isfinite(v) for v in (args.delta, args.r_domain) if v is not None):
         raise ConfigurationError(
             f"--delta and --r-domain must be finite, got {args.delta!r} and {args.r_domain!r}"
         )
+    # Only the flags given enter the descriptor, so a flag of the other kind is refused.
     desc = {"kind": args.family}
     if args.indices is not None:
         desc["indices"] = _parse_numbers(args.indices, int)
     if args.s_list is not None:
         desc["s_list"] = _parse_numbers(args.s_list)
-    fam = _family_from_descriptor(desc, args.dim, DEFAULT_S_LIST, args.r_domain)
+    if args.r_domain is not None:
+        desc["r_domain"] = args.r_domain
+    fam = _family_from_descriptor(desc, args.dim, DEFAULT_S_LIST, 2.0)
     rows = [asdict(c) for c in check_mollifier(fam, args.dim, args.delta)]
     _write_or_print(json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n", args.out)
     return 0
@@ -138,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sweep", help="run a configured sweep")
     ps.add_argument("--config", required=True)
     ps.add_argument("--out", default=None)
-    ps.add_argument("--format", choices=("csv", "json"), default=None)
+    ps.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     ps.add_argument("--threads", type=int, default=1)
     ps.set_defaults(fn=_cmd_sweep)
 
@@ -148,17 +151,17 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--dim", type=int, required=True)
     po.add_argument("--point", required=True, help="comma-separated coordinates")
     po.add_argument("--s-list", required=True, help="comma-separated s values")
-    po.add_argument("--format", choices=("csv", "json"), default="csv")
+    po.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     po.add_argument("--out", default=None)
     po.set_defaults(fn=_cmd_operator)
 
     pm = sub.add_parser("mollifier-check", help="mollifier family moment report")
-    pm.add_argument("--family", choices=("gaussian", "bbm"), required=True)
+    pm.add_argument("--family", choices=tuple(_FAMILY_KEYS), required=True)
     pm.add_argument("--dim", type=int, required=True)
     pm.add_argument("--delta", type=float, required=True)
     pm.add_argument("--indices", default=None, help="gaussian family indices")
     pm.add_argument("--s-list", default=None, help="bbm family s values")
-    pm.add_argument("--r-domain", type=float, default=2.0)
+    pm.add_argument("--r-domain", type=float, default=None, help="bbm cutoff radius (2.0)")
     pm.set_defaults(fn=_cmd_mollifier_check)
     pm.add_argument("--out", default=None)
 

@@ -33,6 +33,11 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_integer(value) -> bool:
+    """Whether value is an integer (a Python or numpy integer, not a bool)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_number(value, what: str) -> float:
     try:
         if is_real(value) and math.isfinite(value):
@@ -43,7 +48,7 @@ def check_number(value, what: str) -> float:
 
 
 def check_integer(value, what: str) -> int:
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    if is_integer(value):
         return int(value)
     raise ConfigurationError(f"{what} must be an integer, got {value!r}")
 
@@ -60,3 +65,11 @@ def check_numbers(value, what: str, size: Optional[int] = None, item=check_numbe
         count = "" if size is None else f"{size} "
         raise ConfigurationError(f"{what} must be a list of {count}numbers, got {value!r}")
     return tuple(item(v, what) for v in value)
+
+
+def check_coordinates(value, what: str) -> tuple:
+    """A point, shift or domain vector: one number, or a list, tuple or 1-D
+    numpy array of numbers, each checked by check_number."""
+    if hasattr(value, "tolist"):  # a numpy array or scalar
+        value = value.tolist()
+    return check_numbers(value if isinstance(value, (list, tuple)) else [value], what)

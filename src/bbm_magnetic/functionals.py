@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .constants import check_fractional_order, check_s_list
-from .errors import ConfigurationError, check_integer
+from .errors import ConfigurationError, check_coordinates, check_integer, is_real
 from .fields import (
     ScalarField,
     VectorPotential,
@@ -224,7 +224,7 @@ def bbm_family(s_sequence: Sequence[float], r_domain: float, dim: int) -> Mollif
     """
     check_dimension(dim)
     s_arr = check_s_list(s_sequence)
-    if not 0.0 < r_domain < math.inf:
+    if not (is_real(r_domain) and 0.0 < r_domain < math.inf):
         raise ConfigurationError(f"cutoff radius must be positive and finite, got {r_domain!r}")
 
     members = []
@@ -247,6 +247,8 @@ def gaussian_family(indices: Sequence[int], dim: int) -> MollifierFamily:
     """Gaussian kernels of width 1/n, one per index in the given increasing
     order, normalized so the zeroth radial moment is exactly one."""
     check_dimension(dim)
+    if not (isinstance(indices, (list, tuple)) or getattr(indices, "ndim", None) == 1):
+        raise ConfigurationError(f"gaussian family indices must be a list, got {indices!r}")
     idx = [check_integer(n, "gaussian family index") for n in indices]
     if not idx or idx[0] < 1 or any(b <= a for a, b in zip(idx, idx[1:])):
         raise ConfigurationError(
@@ -288,7 +290,7 @@ class MollifierCheck:
 
 
 def check_mollifier(fam: MollifierFamily, dim: int, delta: float) -> list[MollifierCheck]:
-    if not 0.0 < delta < math.inf:
+    if not (is_real(delta) and 0.0 < delta < math.inf):
         raise ConfigurationError(f"delta must be positive and finite, got {delta!r}")
     for member in fam.members:
         if member.dim != dim:
@@ -368,7 +370,7 @@ def translation_difference_sq(
     global), and |h| <= 1.
     """
     require_dimension(grid.domain.dimension, u, A)
-    h = np.atleast_1d(np.asarray(h, dtype=float))
+    h = np.array(check_coordinates(h, "shift"))
     if float(np.linalg.norm(h)) > 1.0:
         raise ConfigurationError("translation check requires |h| <= 1")
     if not u.is_compact:

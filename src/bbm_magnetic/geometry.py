@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_coordinates, check_integer, is_integer
 
 __all__ = [
     "Domain",
@@ -36,8 +36,8 @@ __all__ = [
 
 
 def check_dimension(dim: int) -> None:
-    """Raise ConfigurationError unless dim is 1, 2 or 3."""
-    if dim not in (1, 2, 3):
+    """Raise ConfigurationError unless dim is the integer 1, 2 or 3."""
+    if not (is_integer(dim) and dim in (1, 2, 3)):
         raise ConfigurationError(f"unsupported dimension {dim}; expected 1, 2 or 3")
 
 
@@ -71,14 +71,12 @@ class Domain:
     extents: np.ndarray
 
     def __post_init__(self):
-        center = np.atleast_1d(np.asarray(self.center, dtype=float))
-        extents = np.atleast_1d(np.asarray(self.extents, dtype=float))
+        center = np.array(check_coordinates(self.center, "domain center"))
+        extents = np.array(check_coordinates(self.extents, "domain extents"))
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "extents", extents)
         if self.kind not in ("interval", "box", "ball"):
             raise ConfigurationError(f"unknown domain kind {self.kind!r}")
-        if center.ndim != 1:
-            raise ConfigurationError("domain center must be a flat vector")
         n = center.size
         check_dimension(n)
         if self.kind == "interval" and n != 1:
@@ -90,8 +88,6 @@ class Domain:
             raise ConfigurationError("box extents must match the dimension")
         if not np.all(extents > 0.0):
             raise ConfigurationError("all extents must be strictly positive")
-        if not (np.all(np.isfinite(center)) and np.all(np.isfinite(extents))):
-            raise ConfigurationError("domain center and extents must be finite")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Domain):
@@ -146,17 +142,17 @@ def interval(a: float, b: float) -> Domain:
     """Open interval (a, b) as a 1D domain."""
     if not b > a:
         raise ConfigurationError("interval requires a < b")
-    return Domain("interval", np.array([(a + b) / 2.0]), np.array([(b - a) / 2.0]))
+    return Domain("interval", (a + b) / 2.0, (b - a) / 2.0)
 
 
 def box(center, halfwidths) -> Domain:
     """Axis-aligned box with the given center and per-axis half-widths."""
-    return Domain("box", np.asarray(center, dtype=float), np.asarray(halfwidths, dtype=float))
+    return Domain("box", center, halfwidths)
 
 
 def ball(center, radius: float) -> Domain:
     """Ball with the given center and radius."""
-    return Domain("ball", np.asarray(center, dtype=float), np.array([float(radius)]))
+    return Domain("ball", center, radius)
 
 
 @dataclass(frozen=True)
@@ -219,7 +215,7 @@ def sphere_rule(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     dim=3: product rule, Gauss-Legendre in cos(theta) times uniform azimuth.
     """
     check_dimension(dim)
-    if count < 1:
+    if check_integer(count, "sphere rule count") < 1:
         raise ConfigurationError("sphere rule needs count >= 1")
     if dim == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
@@ -262,7 +258,7 @@ class TensorGrid:
 
 
 def tensor_grid(d: Domain, nodes_per_axis: int) -> TensorGrid:
-    if nodes_per_axis < 1:
+    if check_integer(nodes_per_axis, "tensor grid nodes per axis") < 1:
         raise ConfigurationError("tensor grid needs at least one node per axis")
     lo, hi = d.bounding_box()
     xi, wi = gauss_legendre(nodes_per_axis)

@@ -57,7 +57,6 @@ __all__ = [
     "extrapolate_limit",
     "emit_report",
     "write_text",
-    "report_to_dict",
     "report_from_dict",
 ]
 
@@ -92,8 +91,6 @@ class SweepConfig:
     point: Optional[tuple[float, ...]] = None
     delta: float = 0.1
     spec: Optional[QuadratureSpec] = None  # None: default_spec of the domain's dimension
-    output: Optional[str] = None
-    fmt: str = "csv"
 
     def __post_init__(self):
         """Check every field, naming it by its config-file key; store the
@@ -106,7 +103,9 @@ class SweepConfig:
         if not isinstance(self.domain, Domain):
             raise ConfigurationError(f"domain must be a Domain, got {self.domain!r}")
         store("s_list", tuple(check_s_list(self.s_list)))
-        _check_family(self.family)
+        if self.family is not None:
+            _family_from_descriptor(self.family, self.domain.dimension, self.s_list,
+                                    self.domain.diameter())
         store("h_list", check_numbers(self.h_list, "h_list"))
         h = self.h_list
         if not h or any(not 0.0 < v <= 1.0 for v in h) or len(set(h)) < len(h):
@@ -121,10 +120,6 @@ class SweepConfig:
             store("spec", default_spec(self.domain.dimension))
         elif not isinstance(self.spec, QuadratureSpec):
             raise ConfigurationError(f"quadrature must be a QuadratureSpec, got {self.spec!r}")
-        if self.output is not None:
-            check_text(self.output, "output")
-        if self.fmt not in REPORT_FORMATS:
-            raise ConfigurationError(f"unknown report format {self.fmt!r}; known: {REPORT_FORMATS}")
 
 
 @dataclass(frozen=True)
@@ -154,18 +149,17 @@ class SweepReport:
 # ---------------------------------------------------------------------------
 
 _CONFIG_KEYS = ("kind", "field", "potential", "domain", "s_list", "family", "h_list",
-                "direction", "point", "delta", "quadrature", "output", "format")
+                "direction", "point", "delta", "quadrature")
 # The config keys whose SweepConfig field has another name, and the defaults
 # that only a config file has.
-_FIELD_NAMES = {"field": "field_label", "potential": "potential_label",
-                "quadrature": "spec", "format": "fmt"}
+_FIELD_NAMES = {"field": "field_label", "potential": "potential_label", "quadrature": "spec"}
 _FILE_DEFAULTS = {"kind": "bbm-domain", "field": "gauss1d", "potential": "zero"}
 _DOMAIN_KEYS = {
     "interval": ("kind", "center", "extents"),
     "box": ("kind", "center", "extents"),
     "ball": ("kind", "center", "radius"),
 }
-_FAMILY_KINDS = ("gaussian", "bbm")
+_FAMILY_KEYS = {"gaussian": ("kind", "indices"), "bbm": ("kind", "s_list", "r_domain")}
 
 
 def _section(raw, known, where: str) -> dict:
@@ -176,10 +170,6 @@ def _section(raw, known, where: str) -> dict:
     if unknown:
         raise ConfigurationError(f"unknown {where} key(s) {unknown}; known: {list(known)}")
     return raw
-
-
-_FAMILY_CHECKERS = {"kind": check_text, "indices": partial(check_numbers, item=check_integer),
-                    "s_list": check_numbers, "r_domain": check_number}
 
 
 def _domain_from_dict(raw) -> Domain:
@@ -202,16 +192,6 @@ def _domain_to_dict(d: Domain) -> dict:
     if d.kind == "ball":
         return {"kind": "ball", "center": d.center.tolist(), "radius": float(d.extents[0])}
     return {"kind": d.kind, "center": d.center.tolist(), "extents": d.extents.tolist()}
-
-
-def _check_family(desc: Optional[dict]) -> None:
-    """Check a mollifier family descriptor's keys and value types."""
-    if desc is None:
-        return
-    for key, value in _section(desc, _FAMILY_CHECKERS, "family").items():
-        _FAMILY_CHECKERS[key](value, f"family {key}")
-    if desc.get("kind", "gaussian") not in _FAMILY_KINDS:
-        raise ConfigurationError(f"unknown mollifier family kind {desc['kind']!r}")
 
 
 def config_from_dict(raw: dict) -> SweepConfig:
@@ -310,8 +290,7 @@ def _parallel_map(fn, items, threads: int):
 def _metadata(cfg: SweepConfig, node_counts: list[int]) -> dict:
     """The report metadata; its ``config`` is a loadable config that
     reproduces the sweep."""
-    config = {key: getattr(cfg, _FIELD_NAMES.get(key, key))
-              for key in _CONFIG_KEYS if key not in ("output", "format")}
+    config = {key: getattr(cfg, _FIELD_NAMES.get(key, key)) for key in _CONFIG_KEYS}
     config.update(domain=_domain_to_dict(cfg.domain), quadrature=asdict(cfg.spec))
     return {
         "config": {k: list(v) if isinstance(v, tuple) else v for k, v in config.items()},
@@ -366,12 +345,17 @@ def _plan_bbm(cfg: SweepConfig, u, A) -> _Plan:
 def _family_from_descriptor(
     desc: Optional[dict], dim: int, s_list: Sequence[float], r_domain: float
 ) -> MollifierFamily:
-    """The family a descriptor names: gaussian with DEFAULT_INDICES unless
-    given, or "bbm" with the given s_list and r_domain unless given."""
-    desc = desc or {}
-    if desc.get("kind", "gaussian") == "gaussian":
+    """The family a descriptor names: gaussian (the default) with DEFAULT_INDICES,
+    or "bbm" with the given s_list and r_domain, unless the descriptor sets them.
+    Each kind takes only its own keys, and its builder checks their values."""
+    desc = {} if desc is None else desc
+    kind = desc.get("kind", "gaussian") if isinstance(desc, dict) else "gaussian"
+    if kind not in tuple(_FAMILY_KEYS):  # a tuple: kind may be an unhashable JSON value
+        raise ConfigurationError(f"unknown mollifier family kind {kind!r}")
+    desc = _section(desc, _FAMILY_KEYS[kind], "family")  # also refuses a non-object
+    if kind == "gaussian":
         return gaussian_family(desc.get("indices", DEFAULT_INDICES), dim)
-    return bbm_family(desc.get("s_list", s_list), float(desc.get("r_domain", r_domain)), dim)
+    return bbm_family(desc.get("s_list", s_list), desc.get("r_domain", r_domain), dim)
 
 
 def _admit_family(fam: MollifierFamily, dim: int, delta: float) -> list:
@@ -504,11 +488,6 @@ def run_mollifier_sweep(
 _CSV_COLUMNS = ("param", "value", "scaled", "target", "abs_err", "rel_err")
 
 
-def report_to_dict(r: SweepReport) -> dict:
-    """JSON-ready form of a report."""
-    return asdict(r)
-
-
 def report_from_dict(d: dict) -> SweepReport:
     return SweepReport(**{**d, "rows": tuple(SweepRow(**row) for row in d["rows"])})
 
@@ -519,7 +498,7 @@ def render_report(r: SweepReport, fmt: str) -> str:
         lines += [",".join(repr(getattr(row, c)) for c in _CSV_COLUMNS) for row in r.rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps(report_to_dict(r), indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(r), indent=2, sort_keys=True) + "\n"
     raise ConfigurationError(f"unknown report format {fmt!r}; known: {REPORT_FORMATS}")
 
 

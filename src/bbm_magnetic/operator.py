@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import check_fractional_order, check_s_list, fractional_constant
-from .errors import ConfigurationError, IntegrationError
+from .errors import ConfigurationError, IntegrationError, check_coordinates
 from .fields import (ScalarField, VectorPotential, magnetic_difference, midpoint_phase,
                      require_dimension)
 from .geometry import sphere_rule
@@ -48,7 +48,7 @@ def local_magnetic_apply(u: ScalarField, A: VectorPotential, x) -> complex:
         raise ConfigurationError("local magnetic operator needs an analytic gradient and Hessian")
     if A.divergence is None:
         raise ConfigurationError("local magnetic operator needs divergence metadata")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.array(check_coordinates(x, "point"))
     require_dimension(x.size, u, A)
     lap = np.trace(u.hessian(x), axis1=-2, axis2=-1)
     grad = u.gradient(x)
@@ -132,7 +132,7 @@ def fractional_magnetic_apply(
 ) -> complex:
     """Principal-value evaluation of the fractional magnetic operator at x."""
     check_fractional_order(s)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.array(check_coordinates(x, "point"))
     require_dimension(x.size, u, A)
     (value,) = _fractional_values(u, A, x, [s], spec)
     return value
@@ -140,7 +140,6 @@ def fractional_magnetic_apply(
 
 @dataclass(frozen=True)
 class OperatorSample:
-    point: tuple[float, ...]
     s: float
     fractional: complex
     local: complex
@@ -156,8 +155,7 @@ def operator_limit_scan(
 ) -> list[OperatorSample]:
     """Fractional vs local operator values along an increasing s sequence."""
     s_vals = check_s_list(s_list)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.array(check_coordinates(x, "point"))
     loc = local_magnetic_apply(u, A, x)
     fracs = _fractional_values(u, A, x, s_vals, spec)
-    return [OperatorSample(tuple(x.tolist()), s, frac, loc, abs(frac - loc))
-            for s, frac in zip(s_vals, fracs)]
+    return [OperatorSample(s, frac, loc, abs(frac - loc)) for s, frac in zip(s_vals, fracs)]

@@ -29,12 +29,16 @@ def test_every_package_import_resolves_to_its_module():
 def test_removed_duplicate_state_is_gone():
     from dataclasses import fields
 
-    from bbm_magnetic import corpus, fields as fields_module, functionals
+    from bbm_magnetic import corpus, fields as fields_module, functionals, harness
 
     for module, name in ((bbm_magnetic, "FunctionalValue"), (functionals, "FunctionalValue"),
                          (fields_module, "COMPACT"), (fields_module, "UNRESTRICTED"),
-                         (corpus, "field_labels"), (corpus, "potential_labels")):
+                         (corpus, "field_labels"), (corpus, "potential_labels"),
+                         (harness, "report_to_dict"), (harness, "_FAMILY_CHECKERS"),
+                         (harness, "_FAMILY_KINDS"), (harness, "_check_family")):
         assert not hasattr(module, name), name
+    assert not {"output", "fmt"} & {f.name for f in fields(bbm_magnetic.SweepConfig)}
+    assert "point" not in [f.name for f in fields(bbm_magnetic.OperatorSample)]
     assert "support" not in [f.name for f in fields(bbm_magnetic.ScalarField)]
     assert [f.name for f in fields(bbm_magnetic.MollifierFamily)] == ["kind", "members"]
     assert "label" not in [f.name for f in fields(bbm_magnetic.RadialMollifier)]

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -329,7 +330,7 @@ def test_bbm_family_pointwise_value():
     assert_allclose(fam.members[0].fn(r), 1.0, rtol=1e-14)
 
 
-@pytest.mark.parametrize("dim", [0, 4])
+@pytest.mark.parametrize("dim", [0, 4, 2.0, True])
 def test_family_builders_reject_unsupported_dimension(dim):
     message = f"unsupported dimension {dim}; expected 1, 2 or 3"
     with pytest.raises(ConfigurationError, match=message):
@@ -644,6 +645,28 @@ def test_translation_check_reads_compactness_from_the_support_domain():
 
 def _no_compute(*_args, **_kwargs):
     raise AssertionError("computed on bad input")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: bbm_family([0.5], "2", 1), "cutoff radius must be positive and finite, got '2'"),
+    (lambda: check_mollifier(gaussian_family([2], 1), 1, "0.1"),
+     "delta must be positive and finite, got '0.1'"),
+    (lambda: gaussian_family(5, 1), "gaussian family indices must be a list, got 5"),
+    (lambda: gaussian_family([[2, 4], [6]], 1), "gaussian family index must be an integer"),
+], ids=["text-r-domain", "text-delta", "integer-indices", "ragged-indices"])
+def test_family_builders_refuse_ill_typed_arguments(call, message):
+    # the first three raised TypeError
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("shift", [math.nan, [math.inf], "0.1", ["0.1"], [True], [None]])
+def test_translation_shift_must_be_finite_numbers(shift):
+    # nan returned nan, and "0.1" ran as the shift 0.1
+    u = ScalarField(1, _no_compute, support_domain=D1)
+    A = VectorPotential(1, _no_compute)
+    with pytest.raises(ConfigurationError, match="shift must be a finite number"):
+        translation_difference_sq(u, A, shift, _translation_grid())
 
 
 def test_an_empty_mollifier_family_is_refused():

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bbm_magnetic.constants import dimensional_constants
 from bbm_magnetic.errors import ConfigurationError
 from bbm_magnetic.geometry import (
     Direction,
+    Domain,
     ball,
     boundary_distance,
     box,
     direction,
     interval,
+    sphere_area,
     sphere_rule,
     tensor_grid,
 )
@@ -200,3 +203,31 @@ def test_domains_compare_by_kind_center_and_extents():
     assert box([0.0], [1.0]) != interval(-1.0, 1.0)  # same numbers, other kind
     assert ball([0.0, 0.0], 1.0) != box([0.0, 0.0], [1.0, 1.0])
     assert ball([0.0, 0.0], 1.0) != "ball"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dimensional_constants(2.0),
+    lambda: sphere_area(True),
+    lambda: sphere_rule(np.float64(2.0), 8),
+], ids=["float", "bool", "numpy-float"])
+def test_dimension_must_be_an_integer(call):
+    # dimensional_constants(2.0) returned dim=2.0, sphere_area(True) the 1D area
+    with pytest.raises(ConfigurationError, match=r"unsupported dimension .*; expected 1, 2 or 3"):
+        call()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: tensor_grid(interval(-1.0, 1.0), 2.5), "tensor grid nodes per axis must be an integer"),
+    (lambda: tensor_grid(interval(-1.0, 1.0), True), "tensor grid nodes per axis must be an integer"),
+    (lambda: sphere_rule(2, "8"), "sphere rule count must be an integer"),
+    (lambda: sphere_rule(2, 8.0), "sphere rule count must be an integer"),
+    (lambda: box(["0", "0"], ["1", "1"]), "domain center must be a finite number"),
+    (lambda: box([0.0, 0.0], [True, True]), "domain extents must be a finite number"),
+    (lambda: ball([0.0], "1"), "domain extents must be a finite number"),
+    (lambda: Domain("box", [0.0, 0.0], [1.0, None]), "domain extents must be a finite number"),
+], ids=["fractional-nodes", "bool-nodes", "text-count", "float-count", "text-box", "bool-extents",
+        "text-radius", "none-extent"])
+def test_counts_and_domain_vectors_must_be_numbers(call, message):
+    # tensor_grid(d, 2.5) and sphere_rule(2, "8") raised TypeError; the others were accepted
+    with pytest.raises(ConfigurationError, match=message):
+        call()

@@ -32,7 +32,6 @@ from bbm_magnetic.harness import (
     extrapolate_limit,
     render_report,
     report_from_dict,
-    report_to_dict,
     run_mollifier_sweep,
     run_sweep,
 )
@@ -115,10 +114,18 @@ _GOOD = {"kind": "bbm-domain", "field": "gauss1d", "potential": "zero", "domain"
     ({"quadrature": {"foo": 1}}, "unknown quadrature key"),
     ({"quadrature": {"radial_layout": "graded"}}, "unknown quadrature key"),
     ({"quadrature": {"outer_nodes": "8"}}, "must be an integer"),
-    ({"format": "yaml"}, "unknown report format"),
+    ({"format": "yaml"}, "unknown config key"),
     ({"domain": {**_INTERVAL, "radius": 1.0}}, "unknown interval domain key"),
     ({"s_list": "0.9"}, "must be a list of numbers"),
     ({"family": {"kind": "gaussian", "indices": [2.5]}}, "must be an integer"),
+    # a key of the other family kind was dropped
+    ({"family": {"kind": "gaussian", "s_list": [0.5]}}, "unknown family key"),
+    ({"family": {"kind": "gaussian", "r_domain": 3}}, "unknown family key"),
+    ({"family": {"indices": [2, 4], "r_domain": 3}}, "unknown family key"),
+    ({"family": {"kind": "bbm", "indices": [2, 4]}}, "unknown family key"),
+    ({"family": {"kind": "bbm", "r_domain": "2"}}, "cutoff radius must be positive and finite"),
+    ({"family": [2, 4]}, "family must be an object"),
+    ({"family": {"kind": ["bbm"]}}, "unknown mollifier family kind"),
     ({"quadrature": {"geometric_ratio": 0.5}}, "unknown quadrature key"),
 ])
 def test_config_from_dict_rejects_bad_input(change, message):
@@ -196,8 +203,10 @@ _BOX = {"kind": "box", "center": [0.0, 0.0], "extents": [1.0, 1.0]}
     ({"s_list": ["0.5"]}, lambda: _cfg(s_list=["0.5"])),
     ({"field": 5}, lambda: _cfg(field_label=5)),
     ({"domain": _BOX, "direction": [1.0]}, lambda: _cfg(domain=_D2, direction=[1.0])),
+    ({"family": {"kind": "gaussian", "s_list": [0.5]}},
+     lambda: _cfg(family={"kind": "gaussian", "s_list": [0.5]})),
 ], ids=["fractional-nodes", "bool-nodes", "text-eps", "text-delta", "text-shift", "text-s",
-        "numeric-text-s", "numeric-field", "short-direction"])
+        "numeric-text-s", "numeric-field", "short-direction", "other-kind-family-key"])
 def test_configs_built_in_code_are_refused_like_config_files(change, built):
     with pytest.raises(ConfigurationError) as from_file:
         config_from_dict({**_GOOD, **change})
@@ -242,13 +251,12 @@ _ECHO_CONFIGS = {
 def test_report_config_echo_loads_as_the_config_that_ran(kind):
     # an interval centred at 0.3 was echoed with a center of 0.30000000000000004
     domain = {"kind": "interval", "center": [0.3], "extents": [1.5]}
-    raw = {"kind": kind, "potential": "linear:alpha=1", "domain": domain, "format": "json",
-           "output": "report.json", "quadrature": {"outer_nodes": 24, "radial_nodes": 4},
-           **_ECHO_CONFIGS[kind]}
+    raw = {"kind": kind, "potential": "linear:alpha=1", "domain": domain,
+           "quadrature": {"outer_nodes": 24, "radial_nodes": 4}, **_ECHO_CONFIGS[kind]}
     cfg = config_from_dict(raw)
     echo = run_sweep(cfg).metadata["config"]
     assert echo["domain"] == domain
-    assert config_from_dict(echo) == dataclasses.replace(cfg, output=None, fmt="csv")
+    assert config_from_dict(echo) == cfg
 
 
 def test_bbm_sweep_rows_and_target_consistency():
@@ -445,7 +453,7 @@ def test_json_round_trip_identity():
     rep = run_sweep(_cfg(s_list=(0.8, 0.9, 0.95)))
     blob = render_report(rep, "json")
     back = report_from_dict(json.loads(blob))
-    assert report_to_dict(back) == report_to_dict(rep)
+    assert dataclasses.asdict(back) == dataclasses.asdict(rep)
     assert render_report(back, "json") == blob
 
 
@@ -541,6 +549,13 @@ _OPERATOR = ["operator", "--field", "gauss1d", "--potential", "zero", "--dim", "
       "--r-domain", "nan"], "must be finite"),
     (["mollifier-check", "--family", "gaussian", "--dim", "1", "--delta", "inf"],
      "must be finite"),
+    # a flag of the other family kind was ignored
+    (["mollifier-check", "--family", "gaussian", "--dim", "1", "--delta", "0.1",
+      "--s-list", "0.5"], "unknown family key(s) ['s_list']"),
+    (["mollifier-check", "--family", "gaussian", "--dim", "1", "--delta", "0.1",
+      "--r-domain", "3"], "unknown family key(s) ['r_domain']"),
+    (["mollifier-check", "--family", "bbm", "--dim", "1", "--delta", "0.1",
+      "--indices", "2,4"], "unknown family key(s) ['indices']"),
     (["operator", "--field", "gauss1d", "--potential", "linear:alfa=3", "--dim", "1",
       "--point", "0", "--s-list", "0.7"], "potential 'linear' takes no parameter 'alfa'"),
     (["operator", "--field", "gauss1d:kappa=3", "--potential", "zero", "--dim", "1",
@@ -549,6 +564,7 @@ _OPERATOR = ["operator", "--field", "gauss1d", "--potential", "zero", "--dim", "
       "--point", "0", "--s-list", "0.7"], "repeated parameter 'alpha'"),
 ], ids=["nan-point", "inf-point", "empty-s-list", "gaussian-dim-0", "bbm-dim-4",
         "gaussian-non-integer-indices", "bbm-nan-r-domain", "gaussian-inf-delta",
+        "gaussian-s-list", "gaussian-r-domain", "bbm-indices",
         "unknown-potential-parameter", "unknown-field-parameter", "repeated-parameter"])
 def test_cli_rejects_bad_input_before_compute(monkeypatch, capsys, args, message):
     def no_compute(*_args, **_kwargs):

@@ -8,7 +8,7 @@ from bbm_magnetic.constants import fractional_constant
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConfigurationError, IntegrationError
 from bbm_magnetic import operator
-from bbm_magnetic.fields import ScalarField
+from bbm_magnetic.fields import ScalarField, VectorPotential
 from bbm_magnetic.operator import (
     fractional_magnetic_apply,
     local_magnetic_apply,
@@ -265,3 +265,25 @@ def test_nan_on_the_annulus_raises():
     u = ScalarField(1, value=value, label="holed")
     with pytest.raises(IntegrationError, match="NaN"):
         fractional_magnetic_apply(u, resolve_potential("zero", 1), [0.0], 0.7, SPEC)
+
+
+def _no_compute(*_args, **_kwargs):
+    raise AssertionError("computed on bad input")
+
+
+_UNTOUCHED_FIELD = ScalarField(1, _no_compute, gradient=_no_compute, hessian=_no_compute)
+_UNTOUCHED_POTENTIAL = VectorPotential(1, _no_compute, divergence=_no_compute)
+
+
+@pytest.mark.parametrize("apply", [
+    lambda x: local_magnetic_apply(_UNTOUCHED_FIELD, _UNTOUCHED_POTENTIAL, x),
+    lambda x: fractional_magnetic_apply(_UNTOUCHED_FIELD, _UNTOUCHED_POTENTIAL, x, 0.5, SPEC),
+    lambda x: operator_limit_scan(_UNTOUCHED_FIELD, _UNTOUCHED_POTENTIAL, x, [0.5, 0.9], SPEC),
+], ids=["local", "fractional", "scan"])
+@pytest.mark.parametrize("point", [[np.nan], np.array([np.inf]), ["0"], "0", [True], [None]])
+def test_operator_point_must_be_finite_numbers(monkeypatch, apply, point):
+    # [nan] gave nan+nanj (local) or an IntegrationError after the annulus
+    # pass (fractional), and ["0"] ran as the point 0
+    monkeypatch.setattr(operator, "radial_angular", _no_compute)
+    with pytest.raises(ConfigurationError, match="point must be a finite number"):
+        apply(point)
