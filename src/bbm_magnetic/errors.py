@@ -67,9 +67,10 @@ def check_numbers(value, what: str, size: Optional[int] = None, item=check_numbe
     return tuple(item(v, what) for v in value)
 
 
-def check_coordinates(value, what: str) -> tuple:
+def check_coordinates(value, what: str, size: Optional[int] = None) -> tuple:
     """A point, shift or domain vector: one number, or a list, tuple or 1-D
-    numpy array of numbers, each checked by check_number."""
+    numpy array of numbers (``size`` of them, if given), each checked by
+    check_number."""
     if hasattr(value, "tolist"):  # a numpy array or scalar
         value = value.tolist()
-    return check_numbers(value if isinstance(value, (list, tuple)) else [value], what)
+    return check_numbers(value if isinstance(value, (list, tuple)) else [value], what, size)

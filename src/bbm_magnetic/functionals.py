@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .constants import check_fractional_order, check_s_list
-from .errors import ConfigurationError, check_coordinates, check_integer, is_real
+from .errors import ConfigurationError, check_coordinates, check_integer, check_number
 from .fields import (
     ScalarField,
     VectorPotential,
@@ -204,6 +204,18 @@ class MollifierFamily:
             raise ConfigurationError("a mollifier family needs at least one member")
 
 
+def _positive_number(value, what: str) -> float:
+    """value as a positive float; a non-number, a non-finite value and an
+    integer beyond float range are refused with one message."""
+    try:
+        number = check_number(value, what)
+        if number > 0.0:
+            return number
+    except ConfigurationError:
+        pass
+    raise ConfigurationError(f"{what} must be positive and finite, got {value!r}")
+
+
 def smoothstep_cutoff(r: np.ndarray, r_domain: float) -> np.ndarray:
     """C^2 radial cutoff: 1 on [0, r_domain], 0 beyond 2*r_domain."""
     r = np.asarray(r, dtype=float)
@@ -224,8 +236,7 @@ def bbm_family(s_sequence: Sequence[float], r_domain: float, dim: int) -> Mollif
     """
     check_dimension(dim)
     s_arr = check_s_list(s_sequence)
-    if not (is_real(r_domain) and 0.0 < r_domain < math.inf):
-        raise ConfigurationError(f"cutoff radius must be positive and finite, got {r_domain!r}")
+    r_domain = _positive_number(r_domain, "cutoff radius")
 
     members = []
     for s in s_arr:
@@ -249,7 +260,10 @@ def gaussian_family(indices: Sequence[int], dim: int) -> MollifierFamily:
     check_dimension(dim)
     if not (isinstance(indices, (list, tuple)) or getattr(indices, "ndim", None) == 1):
         raise ConfigurationError(f"gaussian family indices must be a list, got {indices!r}")
+    # check_number refuses an index beyond float range, which 1/n could not take
     idx = [check_integer(n, "gaussian family index") for n in indices]
+    for n in idx:
+        check_number(n, "gaussian family index")
     if not idx or idx[0] < 1 or any(b <= a for a, b in zip(idx, idx[1:])):
         raise ConfigurationError(
             f"gaussian family needs distinct positive integer indices in increasing order: {idx}"
@@ -290,8 +304,7 @@ class MollifierCheck:
 
 
 def check_mollifier(fam: MollifierFamily, dim: int, delta: float) -> list[MollifierCheck]:
-    if not (is_real(delta) and 0.0 < delta < math.inf):
-        raise ConfigurationError(f"delta must be positive and finite, got {delta!r}")
+    delta = _positive_number(delta, "delta")
     for member in fam.members:
         if member.dim != dim:
             raise ConfigurationError(

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, check_coordinates, check_integer, is_integer
+from .errors import ConfigurationError, check_coordinates, check_integer, check_number, is_integer
 
 __all__ = [
     "Domain",
@@ -140,6 +140,7 @@ class Domain:
 
 def interval(a: float, b: float) -> Domain:
     """Open interval (a, b) as a 1D domain."""
+    a, b = check_number(a, "interval start"), check_number(b, "interval end")
     if not b > a:
         raise ConfigurationError("interval requires a < b")
     return Domain("interval", (a + b) / 2.0, (b - a) / 2.0)
@@ -162,7 +163,7 @@ class Direction:
     unit: np.ndarray
 
     def __post_init__(self):
-        u = np.atleast_1d(np.asarray(self.unit, dtype=float))
+        u = np.array(check_coordinates(self.unit, "direction"))
         object.__setattr__(self, "unit", u)
         if abs(float(np.linalg.norm(u)) - 1.0) > 1e-14:
             raise ConfigurationError("direction vector is not unit length")
@@ -170,7 +171,7 @@ class Direction:
 
 def direction(v) -> Direction:
     """Normalize a nonzero vector into a Direction."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    v = np.array(check_coordinates(v, "direction"))
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0 or not np.isfinite(nrm):
         raise ConfigurationError("cannot normalize a zero or non-finite vector")
@@ -213,6 +214,13 @@ def sphere_rule(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     dim=2: uniform angles (trapezoid rule, spectrally accurate for periodic
     integrands), weight 2*pi/count.
     dim=3: product rule, Gauss-Legendre in cos(theta) times uniform azimuth.
+
+    Every rule with an even number of rows, so every rule but a 2D one of
+    odd count, lists the antipodes of its first half in its second half,
+    with equal weights: as a set, rows M//2: are the negated rows :M//2.
+    In 3D the Gauss-Legendre nodes are symmetric in cos(theta), and with an
+    odd polar count the equator ring's second half is the antipodes of its
+    first.
     """
     check_dimension(dim)
     if check_integer(count, "sphere rule count") < 1:

@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .constants import bbm_constant, check_s_list
 from .corpus import resolve_field, resolve_potential
-from .errors import (ConditionViolation, ConfigurationError, IntegrationError, check_integer,
-                     check_number, check_numbers, check_text)
+from .errors import (ConditionViolation, ConfigurationError, IntegrationError, check_coordinates,
+                     check_integer, check_number, check_numbers, check_text)
 from .fields import magnetic_gradient, require_dimension
 from .functionals import (
     MollifierFamily,
@@ -112,7 +112,7 @@ class SweepConfig:
             raise ConfigurationError("h_list must be a nonempty list of distinct shifts in (0, 1]")
         for key in ("direction", "point"):
             if getattr(self, key) is not None:
-                store(key, check_numbers(getattr(self, key), key, self.domain.dimension))
+                store(key, check_coordinates(getattr(self, key), key, self.domain.dimension))
         store("delta", check_number(self.delta, "delta"))
         if not self.delta > 0.0:
             raise ConfigurationError("delta must be positive")
@@ -182,10 +182,9 @@ def _domain_from_dict(raw) -> Domain:
     missing = [k for k in _DOMAIN_KEYS[kind] if k not in d]
     if missing:
         raise ConfigurationError(f"{kind} domain missing required key(s) {missing}")
-    center = check_numbers(d["center"], "domain center")
     if kind == "ball":
-        return ball(center, check_number(d["radius"], "domain radius"))
-    return Domain(kind, center, check_numbers(d["extents"], "domain extents"))
+        return ball(d["center"], d["radius"])
+    return Domain(kind, d["center"], d["extents"])
 
 
 def _domain_to_dict(d: Domain) -> dict:

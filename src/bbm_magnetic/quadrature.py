@@ -22,6 +22,16 @@ layer count and cut into blocks of P pairs of about the same count, whose
 inner points are stored coordinate-major as (N, P, K) arrays.  The node
 count of a result counts these evaluated points.
 
+The seminorm and mollifier integrands are symmetric, f(x, y) = f(y, x), and
+so is the kernel, so the ray along omega from x covers the same pairs as the
+ray along -omega from y.  In 2D and 3D an even sphere rule lists the
+antipodes of its first half in its second half, and a domain pass
+integrates along the second half only, with doubled weights: half the
+integrand points.  The cutoffs still see every direction.  1D keeps both of
+its directions: a pass there costs the same with one or two, and the full
+pair cancels the cutoff's odd Taylor term, which 1D's accuracy can see.  A
+2D rule with an odd count has no antipodal half and keeps every direction.
+
 Summation is a fixed-order pairwise tree over outer nodes, so results are
 bit-for-bit reproducible regardless of how callers schedule the work.
 """
@@ -271,14 +281,19 @@ def near_field_hook(
 def _domain_pass(
     pair_fn: Callable, d: Domain, spec: QuadratureSpec, members: Sequence[_Member]
 ) -> tuple[list[float], int]:
-    """One full evaluation at the given spec; returns (one value per member,
-    node count)."""
+    """One evaluation at the given spec, along the second half of an even
+    sphere rule in 2D and 3D; returns (one value per member, node count)."""
     grid = tensor_grid(d, spec.outer_nodes)
     dirs, wdir = sphere_rule(d.dimension, spec.angular_nodes)
     R = boundary_distances(d, grid.points, dirs)
     # Shrink the cutoff near the boundary so the corrected ball stays inside
     # the domain.
     eps_x = np.minimum(spec.eps * d.diameter(), 0.5 * R.min(axis=1))
+    half = dirs.shape[0] // 2
+    if d.dimension > 1 and 2 * half == dirs.shape[0]:
+        # The second half of an even rule holds the antipodes of the first,
+        # and a symmetric integrand integrates the same along omega and -omega.
+        dirs, R, wdir = dirs[half:], R[:, half:], 2.0 * wdir[half:]
     weights = [weight for weight, _ in members]
     per_dir, count = radial_angular(pair_fn, grid.points, R, eps_x, dirs, spec, weights)
     values = []
@@ -323,7 +338,9 @@ def _run_two_level(pair_fn, d, spec, radial_weight, near_field) -> IntegralResul
 
 
 def _check_diagonal(pair_fn, d: Domain, spec: QuadratureSpec) -> None:
-    """Sample the numerator on the diagonal; abort if it does not vanish."""
+    """Sample the numerator on the diagonal and at distinct pairs taken both
+    ways round; abort if it does not vanish on the diagonal or is not
+    symmetric."""
     grid = tensor_grid(d, min(spec.outer_nodes, 5))
     pts = grid.points
     diag = pair_fn(pts, pts)
@@ -333,7 +350,14 @@ def _check_diagonal(pair_fn, d: Domain, spec: QuadratureSpec) -> None:
     distinct = np.linalg.norm(probe - pts, axis=-1) > 0.0
     scale = 1.0
     if distinct.any():
-        scale = max(1.0, float(np.max(np.abs(pair_fn(pts[distinct], probe[distinct])))))
+        x, y = pts[distinct], probe[distinct]
+        forward = np.asarray(pair_fn(x, y))
+        scale = max(1.0, float(np.max(np.abs(forward))))
+        if float(np.max(np.abs(forward - pair_fn(y, x)))) > 1e-10 * scale:
+            raise ConfigurationError(
+                "integrand is not symmetric, f(x, y) != f(y, x); in 2D and 3D "
+                "the engine integrates each pair along only one of its two directions"
+            )
     if float(np.max(np.abs(diag))) > 1e-10 * scale:
         raise IntegrationError(
             "integrand does not vanish on the diagonal; the double integral "
@@ -353,7 +377,10 @@ def double_integrals_singular(
     near_fields: Sequence[Optional[Callable]],
 ) -> list[IntegralResult]:
     """double_integral_singular at each s in s_list, with near_fields[k] the
-    hook at s_list[k]; the integrand is evaluated once per pass for all."""
+    hook at s_list[k]; the integrand is evaluated once per pass for all.
+
+    The integrand must be symmetric, f(x, y) = f(y, x), as there; an
+    asymmetric one is refused before any pass."""
     s_list = check_s_list(s_list)
     if len(near_fields) != len(s_list):
         raise ConfigurationError("need one near-field hook (or None) per s value")
@@ -372,11 +399,16 @@ def double_integral_singular(
 ) -> IntegralResult:
     """Integrate f(x, y) / |x - y|^(N+2s) over Omega x Omega.
 
-    ``integrand`` must accept broadcastable point arrays of shape (..., N)
-    and vanish on the diagonal (checked by sampling).  ``near_field``, if
-    given, maps (outer points (C, N), cutoff radii (C,)) to the analytic
-    sub-cutoff contribution per outer point; it is only applied in
-    "taylor-correct" mode.
+    ``integrand`` must accept broadcastable point arrays of shape (..., N),
+    vanish on the diagonal and be symmetric, f(x, y) = f(y, x), both checked
+    by sampling.  In 2D and 3D the engine integrates each pair of points
+    once, along one of the two directions that join them, so an asymmetric
+    integrand would get a wrong value; it is refused with ConfigurationError
+    in every dimension.
+
+    ``near_field``, if given, maps (outer points (C, N), cutoff radii (C,))
+    to the analytic sub-cutoff contribution per outer point; it is only
+    applied in "taylor-correct" mode.
     """
     check_fractional_order(s)
     (res,) = double_integrals_singular(integrand, d, [s], spec, [near_field])

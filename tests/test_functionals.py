@@ -653,9 +653,12 @@ def _no_compute(*_args, **_kwargs):
      "delta must be positive and finite, got '0.1'"),
     (lambda: gaussian_family(5, 1), "gaussian family indices must be a list, got 5"),
     (lambda: gaussian_family([[2, 4], [6]], 1), "gaussian family index must be an integer"),
-], ids=["text-r-domain", "text-delta", "integer-indices", "ragged-indices"])
+    (lambda: gaussian_family([2**1100], 1), "gaussian family index must be a finite number"),
+    (lambda: bbm_family([0.5], 2**1100, 1), "cutoff radius must be positive and finite"),
+], ids=["text-r-domain", "text-delta", "integer-indices", "ragged-indices", "huge-index",
+        "huge-r-domain"])
 def test_family_builders_refuse_ill_typed_arguments(call, message):
-    # the first three raised TypeError
+    # the first three raised TypeError, the last two OverflowError
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         call()
 

@@ -144,6 +144,19 @@ def test_sphere_weights_sum_to_area(dim, count, area):
     assert_allclose(wts.sum(), area, rtol=1e-12)
 
 
+@pytest.mark.parametrize("dim,count", [(2, 8), (2, 24), (2, 48), (3, 64), (3, 128), (3, 50), (3, 100)])
+def test_even_sphere_rules_hold_the_antipodes_of_their_first_half_in_their_second(dim, count):
+    # 3D counts 50 and 100 have 5 and 7 polar nodes: the equator ring is split
+    dirs, wts = sphere_rule(dim, count)
+    half = dirs.shape[0] // 2
+    assert 2 * half == dirs.shape[0]
+    gap = np.abs(dirs[half:, None, :] + dirs[None, :half, :]).max(axis=-1)
+    match = np.argmin(gap, axis=1)  # the first-half row each second-half row negates
+    assert np.array_equal(np.sort(match), np.arange(half))
+    assert gap[np.arange(half), match].max() <= 1e-15
+    assert np.array_equal(wts[half:], wts[match])
+
+
 def test_sphere_dim2_uniform_weights():
     _, wts = sphere_rule(2, 8)
     assert_allclose(wts, math.pi / 4.0, rtol=1e-14)
@@ -225,9 +238,13 @@ def test_dimension_must_be_an_integer(call):
     (lambda: box([0.0, 0.0], [True, True]), "domain extents must be a finite number"),
     (lambda: ball([0.0], "1"), "domain extents must be a finite number"),
     (lambda: Domain("box", [0.0, 0.0], [1.0, None]), "domain extents must be a finite number"),
+    (lambda: direction(["1", "0"]), "direction must be a finite number"),
+    (lambda: Direction(["1", "0"]), "direction must be a finite number"),
+    (lambda: interval("0", "1"), "interval start must be a finite number"),
 ], ids=["fractional-nodes", "bool-nodes", "text-count", "float-count", "text-box", "bool-extents",
-        "text-radius", "none-extent"])
+        "text-radius", "none-extent", "text-direction", "text-unit", "text-interval"])
 def test_counts_and_domain_vectors_must_be_numbers(call, message):
-    # tensor_grid(d, 2.5) and sphere_rule(2, "8") raised TypeError; the others were accepted
+    # tensor_grid(d, 2.5), sphere_rule(2, "8") and interval("0", "1") raised
+    # TypeError; the others were accepted
     with pytest.raises(ConfigurationError, match=message):
         call()

@@ -215,6 +215,19 @@ def test_configs_built_in_code_are_refused_like_config_files(change, built):
     assert str(in_code.value) == str(from_file.value)
 
 
+def test_point_and_domain_vectors_follow_the_rule_of_the_code_that_reads_them():
+    # a 1-D numpy direction or point, which the operator functions take, was refused
+    cfg = _cfg(direction=np.array([-1.0]), point=np.array([0.25]))
+    assert (cfg.direction, cfg.point) == ((-1.0,), (0.25,))
+    with pytest.raises(ConfigurationError, match=r"point must be a list of 1 numbers, got \[0.0, 0.0\]"):
+        _cfg(point=np.zeros(2))
+    # a config's domain vectors meet Domain's rule, which also takes one number
+    one = config_from_dict({**_GOOD, "domain": {"kind": "interval", "center": 0.5, "extents": 2}})
+    assert one.domain == interval(-1.5, 2.5)
+    with pytest.raises(ConfigurationError, match="domain extents must be a finite number, got '1'"):
+        config_from_dict({**_GOOD, "domain": {"kind": "ball", "center": [0, 0, 0], "radius": "1"}})
+
+
 _VALID_SPEC = QuadratureSpec(outer_nodes=16, angular_nodes=2, radial_nodes=4)
 
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from bbm_magnetic.constants import bbm_constant
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConfigurationError, IntegrationError
 from bbm_magnetic.fields import ScalarField, VectorPotential
-from bbm_magnetic.functionals import _difference_sq, magnetic_seminorm_sq
+from bbm_magnetic.functionals import _difference_sq, _seminorm_hook, magnetic_seminorm_sq
 from bbm_magnetic.geometry import (
     ball,
     boundary_distances,
@@ -350,3 +351,119 @@ def test_two_level_compares_one_rung_up_at_the_floors():
     up = double_integral_singular(_sq_diff, D1, 0.7, replace(floor, outer_nodes=8, radial_nodes=4))
     assert res.estimated_error == abs(res.value - up.value)
     assert res.estimated_error > 0.0
+
+
+# ---------------------------------------------------------------------------
+# The half rule: 2D and 3D passes integrate along one direction of each ±ω pair
+# ---------------------------------------------------------------------------
+
+
+def _seminorm_members(u, A, spec, s_list=(0.8, 0.99)):
+    return [(quadrature._power_weight(s), _seminorm_hook(u, A, spec, s)) for s in s_list]
+
+
+def _pass_along(rows, factor, pair, d, spec, members):
+    """_domain_pass along the rows ``rows`` of the sphere rule, with the
+    direction weights times ``factor``: every row at factor 1 is the full
+    rule.  Returns (one value per member, node count)."""
+    X, dirs, R, eps_x = _engine_inputs(d, spec)
+    _, wdir = sphere_rule(d.dimension, spec.angular_nodes)
+    weights = [weight for weight, _ in members]
+    per_dir, count = radial_angular(pair, X, R[:, rows], eps_x, dirs[rows], spec, weights)
+    values = []
+    for integrals, (_, near_field) in zip(per_dir, members):
+        inner = integrals @ (factor * wdir[rows])
+        if near_field is not None:
+            inner = inner + near_field(X, eps_x)
+        values.append(float(pairwise_sum(tensor_grid(d, spec.outer_nodes).weights * inner)))
+    return values, count
+
+
+_full_rule = partial(_pass_along, slice(None), 1.0)
+
+
+def _gauss3d_with_gradient():
+    u, A = _gauss3d_symmetric()
+    return replace(u, gradient=lambda p: -2.0 * p * u.value(p)[..., None]), A
+
+
+@pytest.mark.parametrize("d,fields,spec", [
+    (box([0.0, 0.0], [1.0, 1.0]),
+     lambda: (resolve_field("gauss2d"), resolve_potential("landau:beta=1", 2)),
+     QuadratureSpec(outer_nodes=12, angular_nodes=16, radial_nodes=4)),
+    (ball([0.0, 0.0, 0.0], 1.0), _gauss3d_with_gradient,
+     QuadratureSpec(outer_nodes=6, angular_nodes=50, radial_nodes=4)),
+])
+def test_point_symmetric_problems_give_the_full_rule_from_half_the_directions(d, fields, spec):
+    u, A = fields()
+    pair, members = _difference_sq(u, A), _seminorm_members(u, A, spec)
+    values, count = quadrature._domain_pass(pair, d, spec, members)
+    full, full_count = _full_rule(pair, d, spec, members)
+    assert_allclose(values, full, rtol=1e-12, atol=0.0)
+    assert count < full_count
+    assert magnetic_seminorm_sq(u, A, d, 0.8, spec).node_count == count
+
+
+@pytest.mark.parametrize("d", [box([0.0, 0.0], [1.0, 1.0]), ball([0.0, 0.0, 0.0], 1.0)])
+def test_2d_and_3d_passes_evaluate_about_half_the_points(d):
+    # the default specs of the benchmark's landau2d and ball3d problems
+    zero, members = (lambda x, y: np.zeros(y.shape[:-1])), [(lambda r: r, None)]
+    spec = default_spec(d.dimension)
+    _, count = quadrature._domain_pass(zero, d, spec, members)
+    _, full_count = _full_rule(zero, d, spec, members)
+    assert count <= 0.51 * full_count
+
+
+def test_the_two_halves_average_to_the_full_rule_off_centre():
+    d = box([0.3, -0.2], [1.0, 0.8])
+    u, A = resolve_field("gauss2d"), resolve_potential("landau:beta=1", 2)
+    spec = QuadratureSpec(outer_nodes=12, angular_nodes=16, radial_nodes=4)
+    pair, members = _difference_sq(u, A), _seminorm_members(u, A, spec)
+    half = 8
+    second, _ = quadrature._domain_pass(pair, d, spec, members)
+    assert second == _pass_along(slice(half, None), 2.0, pair, d, spec, members)[0]
+    first, _ = _pass_along(slice(None, half), 2.0, pair, d, spec, members)
+    full, _ = _full_rule(pair, d, spec, members)
+    assert_allclose(0.5 * (np.array(first) + second), full, rtol=1e-13, atol=0.0)
+    # without the point symmetry the halves differ, so the average is not trivial
+    assert np.all(np.abs(np.array(first) - second) > 1e-8 * np.abs(full))
+
+
+@pytest.mark.parametrize("d,fields,spec", [
+    (interval(-0.7, 1.2),
+     lambda: (resolve_field("modgauss1d:kappa=2"), resolve_potential("linear:alpha=1", 1)),
+     QuadratureSpec(outer_nodes=40, angular_nodes=2, radial_nodes=6)),
+    (box([0.3, -0.2], [1.0, 0.8]),
+     lambda: (resolve_field("gauss2d"), resolve_potential("landau:beta=1", 2)),
+     QuadratureSpec(outer_nodes=12, angular_nodes=9, radial_nodes=4)),
+], ids=["1d", "2d-odd-count"])
+def test_1d_and_odd_2d_rules_keep_every_direction(d, fields, spec):
+    u, A = fields()
+    pair, members = _difference_sq(u, A), _seminorm_members(u, A, spec)
+    assert quadrature._domain_pass(pair, d, spec, members) == _full_rule(pair, d, spec, members)
+
+
+def test_an_asymmetric_integrand_is_refused_before_any_pass(monkeypatch):
+    def asymmetric(x, y):
+        return (1.0 + x[..., 0]) * _sq_diff(x, y)
+
+    def no_pass(*_args, **_kwargs):
+        raise AssertionError("an engine pass ran")
+
+    monkeypatch.setattr(quadrature, "radial_angular", no_pass)
+    spec = QuadratureSpec(outer_nodes=8, angular_nodes=8, radial_nodes=4)
+    with pytest.raises(ConfigurationError, match=r"not symmetric, f\(x, y\) != f\(y, x\)"):
+        double_integral_singular(asymmetric, box([0.0, 0.0], [1.0, 1.0]), 0.8, spec)
+
+
+@pytest.mark.parametrize("d,fields", [
+    (interval(-0.7, 1.2), lambda: (resolve_field("gauss1d"), resolve_potential("linear:alpha=1", 1))),
+    (box([0.3, -0.2], [1.0, 0.8]),
+     lambda: (resolve_field("gauss2d"), resolve_potential("landau:beta=1", 2))),
+    (ball([0.3, -0.2, 0.1], 1.0), _gauss3d_symmetric),
+])
+def test_the_engines_own_integrands_pass_the_symmetry_check(d, fields):
+    # the seminorm and the mollified functionals share _difference_sq
+    u, A = fields()
+    for pair in (_sq_diff, _difference_sq(u, A)):
+        quadrature._check_diagonal(pair, d, default_spec(d.dimension))
