@@ -11,7 +11,9 @@ A closure's point array may be a non-contiguous view: the quadrature
 engine stores its inner points coordinate-major and hands over the
 (..., N) view of them.  Closures must neither write into their points nor
 assume C order (for example by reading the raw buffer or the strides);
-index a coordinate as p[..., j].
+index a coordinate as p[..., j].  The view lives in a buffer that the
+engine overwrites with the next block's points, so a closure must not keep
+its points, or a view of them, after it returns: copy what it keeps.
 """
 
 from __future__ import annotations
@@ -111,10 +113,12 @@ def midpoint_phase(A: VectorPotential, x: np.ndarray, y: np.ndarray) -> np.ndarr
     mid *= 0.5
     a = A(np.moveaxis(mid, 0, -1))
     del mid
-    arg = np.zeros(shape[:-1])
+    arg, term = np.zeros(shape[:-1]), np.empty(shape[:-1])
     for j in range(n):
-        arg += (x[..., j] - y[..., j]) * a[..., j]
-    del a
+        np.subtract(x[..., j], y[..., j], out=term)
+        term *= a[..., j]
+        arg += term
+    del a, term
     phase = np.empty(arg.shape, dtype=complex)
     np.cos(arg, out=phase.real)
     np.sin(arg, out=phase.imag)
@@ -126,7 +130,10 @@ def magnetic_difference(
 ) -> np.ndarray:
     """The magnetic difference u(x) - exp(i (x - y) . A((x + y)/2)) u(y),
     broadcast over point arrays; gauge covariant for affine gauges."""
-    return u.value(x) - midpoint_phase(A, x, y) * u.value(y)
+    ux = u.value(x)
+    diff = np.asarray(midpoint_phase(A, x, y))  # 0-d for one pair, so out= takes it
+    diff *= u.value(y)
+    return np.subtract(ux, diff, out=diff)[()]
 
 
 def gauge_transform(

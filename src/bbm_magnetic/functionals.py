@@ -73,7 +73,9 @@ def _difference_sq(u: ScalarField, A: VectorPotential) -> Callable:
     """Squared magnetic difference quotient numerator as a pair integrand."""
 
     def pair(x, y):
-        return np.abs(magnetic_difference(u, A, x, y)) ** 2
+        sq = np.abs(magnetic_difference(u, A, x, y))
+        sq **= 2
+        return sq
 
     return pair
 
@@ -268,12 +270,21 @@ def gaussian_family(indices: Sequence[int], dim: int) -> MollifierFamily:
         raise ConfigurationError(
             f"gaussian family needs distinct positive integer indices in increasing order: {idx}"
         )
+    # (1/n)**N underflows, or its inverse overflows, at indices far below the
+    # float limit that check_number enforces: n = 2**400 in 3D
+    scales = (math.gamma(dim / 2.0) * (1.0 / n) ** dim for n in idx)
+    amps = [2.0 / scale if scale > 0.0 else math.inf for scale in scales]
+    for n, amp in zip(idx, amps):
+        if not math.isfinite(amp):
+            raise ConfigurationError(
+                f"gaussian family index {n} is too large: the amplitude of its "
+                f"kernel, about n**{dim}, is beyond float range"
+            )
     xi, wgl = gauss_legendre(32)
 
     members = []
-    for n in idx:
+    for n, amp in zip(idx, amps):
         width = 1.0 / n
-        amp = 2.0 / (math.gamma(dim / 2.0) * width**dim)
 
         def fn(r, _a=amp, _w=width):
             r = np.asarray(r, dtype=float)

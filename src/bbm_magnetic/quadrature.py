@@ -22,6 +22,15 @@ layer count and cut into blocks of P pairs of about the same count, whose
 inner points are stored coordinate-major as (N, P, K) arrays.  The node
 count of a result counts these evaluated points.
 
+Each call of the engine allocates one workspace, sized to its largest
+block, and every block takes its radial nodes and weights, its inner
+points and its contraction plane from the front of it.  So a pass touches
+the same pages from block to block instead of freeing and faulting in new
+ones, and the points handed to the integrand (and through it to fields,
+potentials and radial weights) are views that the next block overwrites:
+no closure may keep them after it returns.  The workspace belongs to one
+call, so concurrent calls never share it.
+
 The seminorm and mollifier integrands are symmetric, f(x, y) = f(y, x), and
 so is the kernel, so the ray along omega from x covers the same pairs as the
 ray along -omega from y.  In 2D and 3D an even sphere rule lists the
@@ -128,40 +137,42 @@ def _layer_counts(R: np.ndarray, eps: np.ndarray) -> np.ndarray:
 
 
 def _layered_radial(
-    R: np.ndarray, eps_x: np.ndarray, nodes: int, n_layers: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
+    R: np.ndarray, eps_x: np.ndarray, nodes: int, n_layers: np.ndarray, r: np.ndarray, w: np.ndarray
+) -> None:
     """Radial nodes and dr-weights covering [eps_x, R] per direction, with
-    ``nodes`` Gauss-Legendre nodes per geometric layer.
+    ``nodes`` Gauss-Legendre nodes per geometric layer, written into r and w.
 
-    R has shape (..., M); eps_x must broadcast against R; n_layers, if given,
-    is _layer_counts(R, eps_x).  Returns r and w of shape (..., M, K).
-    Layers a direction does not need carry zero weight, so ragged layer
-    counts vectorize as padding.
+    R has shape (..., M); eps_x must broadcast against R; n_layers is
+    _layer_counts(R, eps_x).  r and w are C-contiguous arrays of shape
+    (..., M, L * nodes), with L at least n_layers.max().  Layers a direction
+    does not need carry zero weight, so ragged layer counts vectorize as
+    padding.
     """
     ratio = _GEOMETRIC_RATIO
     xi, wgl = gauss_legendre(nodes)
     eps = np.broadcast_to(np.asarray(eps_x, dtype=float), R.shape)
-    if n_layers is None:
-        n_layers = _layer_counts(R, eps)
-    l_max = int(n_layers.max())
+    l_max = r.shape[-1] // nodes
     j = np.arange(l_max)
-    shape_hi = R[..., None] * ratio**j  # (..., M, L)
+    hi = R[..., None] * ratio**j  # (..., M, L)
     valid = j < n_layers[..., None]
-    hi = shape_hi
     lo = np.maximum(hi * ratio, eps[..., None])
     half = np.where(valid, 0.5 * (hi - lo), 0.0)
     mid = np.where(valid, 0.5 * (hi + lo), eps[..., None])
-    r = mid[..., None] + half[..., None] * xi  # (..., M, L, K)
-    w = half[..., None] * wgl
-    new_shape = R.shape + (l_max * nodes,)
-    return r.reshape(new_shape), w.reshape(new_shape)
+    layers = R.shape + (l_max, nodes)
+    r_layers = r.reshape(layers)  # views: r and w are contiguous
+    np.multiply(half[..., None], xi, out=r_layers)
+    r_layers += mid[..., None]
+    np.multiply(half[..., None], wgl, out=w.reshape(layers))
 
 
 def radial_integral(fn: Callable, lo: float, hi: float) -> float:
     """Geometric-layer Gauss-Legendre quadrature of fn on [lo, hi]."""
     if hi <= lo:
         return 0.0
-    r, w = _layered_radial(np.array(hi), np.array(lo), _MOMENT_NODES)
+    R, eps = np.array(hi), np.array(lo)
+    n_layers = _layer_counts(R, eps)
+    r, w = np.empty((2, int(n_layers) * _MOMENT_NODES))
+    _layered_radial(R, eps, _MOMENT_NODES, n_layers, r, w)
     return float(np.sum(fn(r) * w))
 
 
@@ -199,6 +210,11 @@ def radial_angular(
     per-coordinate op and last-axis reduction run inner loops of length N;
     coordinate-major, they run over long contiguous rows, inside user
     closures too.
+
+    The points given to pair_fn, and the radii given to the weights, are
+    views into this call's workspace, which the next block overwrites:
+    pair_fn and the weights must not write into them or keep them after
+    they return.
     """
     n_dim, n_dirs = X.shape[1], dirs.shape[0]
     R = R.ravel()
@@ -206,20 +222,25 @@ def radial_angular(
     n_layers = _layer_counts(R, eps)
     order = np.argsort(n_layers, kind="stable")
     edges = _block_edges(n_layers[order], spec.radial_nodes)
-    # The results are allocated before the first block: per-block pieces
-    # allocated between the blocks' large arrays pin heap pages, which
-    # raised the peak memory of a four-member 2D Landau sweep by 1-2 MB.
+    # Each block pads its pairs to the layer count of its last, longest pair.
+    blocks = [(lo, hi, int(n_layers[order[hi - 1]]) * spec.radial_nodes)
+              for lo, hi in zip(edges[:-1], edges[1:])]
+    # The workspace: the contraction plane of dtype, r, w and the N planes of
+    # Y, each as long as the largest block.  Every block takes its arrays from
+    # the front of it, so the pages a pass touches stay mapped from block to
+    # block; the results are allocated with it, before the first block.
+    plane = np.dtype(dtype).itemsize // 8
+    work = np.empty((plane + 2 + n_dim) * max(((hi - lo) * k for lo, hi, k in blocks), default=0))
     sums, count = [np.empty(R.shape, dtype=dtype) for _ in radial_weights], 0
-    # The loop's arrays live until the next block replaces them, so the
-    # allocator reuses their pages instead of returning and refaulting them.
-    # The weights are applied one after another, so a block's peak memory
-    # is that of a single weight.
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    for lo, hi, k in blocks:
         idx = order[lo:hi]
-        r, w = _layered_radial(R[idx], eps[idx], spec.radial_nodes, n_layers[idx])
+        shape, size = (hi - lo, k), (hi - lo) * k
+        contracted = work[: plane * size].view(dtype).reshape(shape)
+        planes = work[plane * size : (plane + 2 + n_dim) * size].reshape((2 + n_dim,) + shape)
+        r, w, Y = planes[0], planes[1], planes[2:]
+        _layered_radial(R[idx], eps[idx], spec.radial_nodes, n_layers[idx], r, w)
         ci, mi = np.divmod(idx, n_dirs)
         x = X[ci][:, None, :]
-        Y = np.empty((n_dim,) + r.shape)
         for j in range(n_dim):
             np.multiply(r, dirs[mi, j, None], out=Y[j])
             Y[j] += x[..., j]
@@ -229,7 +250,9 @@ def radial_angular(
             bad = y[tuple(np.argwhere(np.isnan(vals))[0])]
             raise IntegrationError(f"integrand produced NaN at y={bad.tolist()}")
         for member_sums, weight in zip(sums, radial_weights):
-            member_sums[idx] = np.sum(vals * (w * weight(r)), axis=-1)
+            np.multiply(w, weight(r), out=contracted)
+            np.multiply(vals, contracted, out=contracted)
+            member_sums[idx] = np.sum(contracted, axis=-1)
         count += vals.size
     return [member_sums.reshape(-1, n_dirs) for member_sums in sums], count
 
@@ -311,15 +334,22 @@ def two_level(evaluate: Callable, spec: QuadratureSpec, dim: int) -> list[Integr
     the outer nodes (at least 4), two radial nodes fewer (at least 2) and,
     for N > 1, half the directions (at least 8).  A spec at all three floors
     is its own rung down, so it is compared one rung up instead: twice the
-    outer nodes, two radial nodes more and, for N > 1, twice the directions."""
+    outer nodes, two radial nodes more and, for N > 1, twice the directions.
+
+    The passes are independent, so their order changes no value.  The
+    smaller one runs first: in glibc's allocator, the large block it frees
+    at its end raises the thresholds below which freed memory stays in the
+    heap, so the other pass reuses its pages instead of returning them to
+    the system after each engine block and faulting them in again."""
     angular = spec.angular_nodes if dim == 1 else max(8, 2 * (spec.angular_nodes // 4))
     other = replace(spec, outer_nodes=max(4, spec.outer_nodes // 2),
                     radial_nodes=max(2, spec.radial_nodes - 2), angular_nodes=angular)
-    if other == spec:
+    rung_up = other == spec
+    if rung_up:
         other = replace(spec, outer_nodes=2 * spec.outer_nodes, radial_nodes=spec.radial_nodes + 2,
                         angular_nodes=spec.angular_nodes * (1 if dim == 1 else 2))
-    fine, nodes = evaluate(spec)
-    coarse, _ = evaluate(other)
+    runs = [evaluate(sp) for sp in ((spec, other) if rung_up else (other, spec))]
+    (fine, nodes), (coarse, _) = runs if rung_up else runs[::-1]
     return [IntegralResult(f, abs(f - c), nodes) for f, c in zip(fine, coarse)]
 
 

@@ -655,10 +655,12 @@ def _no_compute(*_args, **_kwargs):
     (lambda: gaussian_family([[2, 4], [6]], 1), "gaussian family index must be an integer"),
     (lambda: gaussian_family([2**1100], 1), "gaussian family index must be a finite number"),
     (lambda: bbm_family([0.5], 2**1100, 1), "cutoff radius must be positive and finite"),
+    (lambda: gaussian_family([2, 2**400], 3), "is too large: the amplitude of its kernel"),
 ], ids=["text-r-domain", "text-delta", "integer-indices", "ragged-indices", "huge-index",
-        "huge-r-domain"])
+        "huge-r-domain", "underflowing-width"])
 def test_family_builders_refuse_ill_typed_arguments(call, message):
-    # the first three raised TypeError, the last two OverflowError
+    # the first three raised TypeError, the next two OverflowError, the last
+    # ZeroDivisionError
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         call()
 

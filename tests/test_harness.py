@@ -296,12 +296,16 @@ def test_zero_target_rows_have_zero_errors():
 
 
 def test_threads_do_not_change_values():
-    cfg = _cfg()
-    rep1 = run_sweep(cfg, threads=1)
-    rep8 = run_sweep(cfg, threads=8)
-    assert [r.value for r in rep1.rows] == [r.value for r in rep8.rows]
-    assert render_report(rep1, "csv") == render_report(rep8, "csv")
-    assert render_report(rep1, "json") == render_report(rep8, "json")
+    box_2d = _cfg(field_label="gauss2d", potential_label="landau:beta=1", domain=_D2,
+                  spec=QuadratureSpec(outer_nodes=24, angular_nodes=16, radial_nodes=6))
+    # the 2D pass runs eleven engine blocks and its coarse pass two, so
+    # threads sharing a block's arrays would show
+    for cfg in (_cfg(), box_2d):
+        rep1 = run_sweep(cfg, threads=1)
+        rep8 = run_sweep(cfg, threads=8)
+        assert [r.value for r in rep1.rows] == [r.value for r in rep8.rows]
+        assert render_report(rep1, "csv") == render_report(rep8, "csv")
+        assert render_report(rep1, "json") == render_report(rep8, "json")
 
 
 _NAN_NOTE = "integrand produced NaN at y=[0.5]"

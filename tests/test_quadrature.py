@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from functools import partial
@@ -108,6 +109,25 @@ def test_nan_integrand_reported():
 
     with pytest.raises(IntegrationError, match="NaN"):
         double_integral_singular(bad, D1, 0.5, spec)
+
+    # A 2D pass whose NaN first shows in a late block: only rays longer than
+    # 2 give NaN, and they need the most layers, so they come last in a pass.
+    # The reported point must be one of them, read before the next block
+    # takes over the engine's arrays.
+    nan_before_block, nan_points = [], []
+
+    def bad_far(x, y):
+        if y.ndim == 3:  # an engine block, not the diagonal check's samples
+            nan_before_block.append(len(nan_points))
+        far = np.sum((x - y) ** 2, axis=-1) > 4.0
+        nan_points.extend(y[far].tolist())
+        return np.where(far, np.nan, _sq_diff(x, y))
+
+    spec2d = QuadratureSpec(outer_nodes=32, angular_nodes=32, radial_nodes=8)
+    with pytest.raises(IntegrationError, match="NaN") as err:
+        double_integral_singular(bad_far, box([0.0, 0.0], [1.0, 1.0]), 0.5, spec2d)
+    assert len(nan_before_block) > 2 and nan_before_block[-1] == 0
+    assert json.loads(str(err.value).split("y=")[1]) in nan_points
 
 
 # The seminorm's sub-cutoff term at the origin with cutoff 0.01 is
@@ -252,7 +272,10 @@ def test_pair_fn_gets_x_plus_r_omega_in_coordinate_major_layout(d, nodes, angula
                 c = row_of[xp.tobytes()]
                 omega = (yp[0] - xp) / np.linalg.norm(yp[0] - xp)
                 m = int(np.argmin(np.linalg.norm(dirs - omega, axis=1)))
-                r, w = _layered_radial(np.array(R[c, m]), np.array(eps_x[c]), spec.radial_nodes)
+                R_cm, eps_c = np.array(R[c, m]), np.array(eps_x[c])
+                n_layers = quadrature._layer_counts(R_cm, eps_c)
+                r, w = np.empty((2, int(n_layers) * spec.radial_nodes))
+                _layered_radial(R_cm, eps_c, spec.radial_nodes, n_layers, r, w)
                 # _layered_radial of one pair pads nothing: every node is weighted
                 assert np.all(w > 0.0)
                 assert np.array_equal(yp[: r.size], xp + r[:, None] * dirs[m])
@@ -318,16 +341,16 @@ def test_two_level_estimates_against_one_rung_down():
 
     spec = QuadratureSpec(outer_nodes=20, angular_nodes=32, radial_nodes=8)
     res = two_level(evaluate, spec, 2)
-    assert seen == [spec, replace(spec, outer_nodes=10, angular_nodes=16, radial_nodes=6)]
+    assert seen == [replace(spec, outer_nodes=10, angular_nodes=16, radial_nodes=6), spec]
     assert [(r.value, r.estimated_error, r.node_count) for r in res] == [(20.0, 10.0, 7),
                                                                          (-1.0, 0.0, 7)]
     # floors: 4 outer nodes, 2 radial nodes, 8 directions; 1D keeps its two
     seen.clear()
     two_level(evaluate, QuadratureSpec(outer_nodes=5, angular_nodes=8, radial_nodes=3), 3)
-    assert seen[1] == QuadratureSpec(outer_nodes=4, angular_nodes=8, radial_nodes=2)
+    assert seen[0] == QuadratureSpec(outer_nodes=4, angular_nodes=8, radial_nodes=2)
     seen.clear()
     two_level(evaluate, QuadratureSpec(outer_nodes=64, angular_nodes=2, radial_nodes=8), 1)
-    assert seen[1] == QuadratureSpec(outer_nodes=32, angular_nodes=2, radial_nodes=6)
+    assert seen[0] == QuadratureSpec(outer_nodes=32, angular_nodes=2, radial_nodes=6)
 
 
 def test_two_level_compares_one_rung_up_at_the_floors():
