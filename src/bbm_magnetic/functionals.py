@@ -6,10 +6,10 @@ Every functional returns the quadrature's IntegralResult: the value, its
 two-level error estimate and the evaluated node count.
 
 The domain seminorm and the mollified functional share one radial-angular
-engine, differing only in the radial weight.  That is what makes the
+engine, differing only in the ray weights.  That is what makes the
 algebraic identity between the power-kernel mollifier family and
 2(1-s) times the seminorm hold to near machine precision here: identical
-nodes, identical summation order.
+nodes, weights that agree to rounding, identical summation order.
 
 The plural functions (``magnetic_seminorms_sq``, ``fullspace_seminorms_sq``,
 ``mollified_functionals``) evaluate a whole s-list or kernel list from one
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,15 +34,15 @@ from .fields import (
     magnetic_difference,
     require_dimension,
 )
-from .geometry import Domain, TensorGrid, check_dimension, gauss_legendre, tensor_grid
+from .geometry import Domain, TensorGrid, check_dimension, tensor_grid
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
+    _Member,
     _run_batch,
     _run_two_level,
     double_integral_singular,
     double_integrals_singular,
-    near_field_hook,
     pairwise_sum,
     radial_integral,
     tail_integral_many,
@@ -73,15 +73,12 @@ def _difference_sq(u: ScalarField, A: VectorPotential) -> Callable:
     """Squared magnetic difference quotient numerator as a pair integrand."""
 
     def pair(x, y):
-        sq = np.abs(magnetic_difference(u, A, x, y))
-        sq **= 2
+        diff = magnetic_difference(u, A, x, y)
+        sq = diff.real * diff.real
+        sq += diff.imag * diff.imag
         return sq
 
     return pair
-
-
-def _seminorm_hook(u: ScalarField, A: VectorPotential, spec: QuadratureSpec, s: float):
-    return near_field_hook(u, A, spec, lambda eps: eps ** (2.0 - 2.0 * s), 2.0 - 2.0 * s)
 
 
 def magnetic_seminorm_sq(
@@ -90,8 +87,7 @@ def magnetic_seminorm_sq(
     """Squared magnetic Gagliardo seminorm over Omega x Omega."""
     check_fractional_order(s)
     require_dimension(d.dimension, u, A)
-    hook = _seminorm_hook(u, A, spec, s)
-    return double_integral_singular(_difference_sq(u, A), d, s, spec, near_field=hook)
+    return double_integral_singular(_difference_sq(u, A), d, s, spec)
 
 
 def magnetic_seminorms_sq(
@@ -101,8 +97,7 @@ def magnetic_seminorms_sq(
     evaluation per engine pass."""
     s_list = check_s_list(s_list)
     require_dimension(d.dimension, u, A)
-    hooks = [_seminorm_hook(u, A, spec, s) for s in s_list]
-    return double_integrals_singular(_difference_sq(u, A), d, s_list, spec, hooks)
+    return double_integrals_singular(_difference_sq(u, A), d, s_list, spec)
 
 
 def local_magnetic_energy(
@@ -183,14 +178,15 @@ def fullspace_seminorms_sq(
 
 @dataclass(frozen=True)
 class RadialMollifier:
-    """A single nonnegative radial kernel rho(r) with analytic small-ball
-    zeroth moment, int_0^eps rho r^(N-1) dr, for the near-field hook."""
+    """A single nonnegative radial kernel rho(r), singular at most like
+    r^-power at 0: rho(r) r^power is smooth on [0, support_radius], which
+    is what lets the engine integrate the singular factor exactly."""
 
     dim: int
     fn: Callable[[np.ndarray], np.ndarray]
-    near_moment: Callable[[np.ndarray], np.ndarray]
     support_radius: float
     param: float
+    power: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -248,11 +244,7 @@ def bbm_family(s_sequence: Sequence[float], r_domain: float, dim: int) -> Mollif
             r = np.asarray(r, dtype=float)
             return 2.0 * (1.0 - _s) * r ** (-_e) * smoothstep_cutoff(r, r_domain)
 
-        def near_moment(eps, _s=s):
-            # Exact while eps <= r_domain, where psi0 == 1.
-            return np.asarray(eps, dtype=float) ** (2.0 - 2.0 * _s)
-
-        members.append(RadialMollifier(dim, fn, near_moment, 2.0 * r_domain, s))
+        members.append(RadialMollifier(dim, fn, 2.0 * r_domain, s, expo))
     return MollifierFamily("bbm", tuple(members))
 
 
@@ -280,8 +272,6 @@ def gaussian_family(indices: Sequence[int], dim: int) -> MollifierFamily:
                 f"gaussian family index {n} is too large: the amplitude of its "
                 f"kernel, about n**{dim}, is beyond float range"
             )
-    xi, wgl = gauss_legendre(32)
-
     members = []
     for n, amp in zip(idx, amps):
         width = 1.0 / n
@@ -290,14 +280,7 @@ def gaussian_family(indices: Sequence[int], dim: int) -> MollifierFamily:
             r = np.asarray(r, dtype=float)
             return _a * np.exp(-((r / _w) ** 2))
 
-        def near_moment(eps, _a=amp, _w=width):
-            eps = np.asarray(eps, dtype=float)
-            half = 0.5 * eps
-            r = half[..., None] * (xi + 1.0)
-            vals = _a * np.exp(-((r / _w) ** 2)) * r ** (dim - 1)
-            return (vals * wgl).sum(axis=-1) * half
-
-        members.append(RadialMollifier(dim, fn, near_moment, 40.0 * width, float(n)))
+        members.append(RadialMollifier(dim, fn, 40.0 * width, float(n)))
     return MollifierFamily("gaussian", tuple(members))
 
 
@@ -324,35 +307,36 @@ def check_mollifier(fam: MollifierFamily, dim: int, delta: float) -> list[Mollif
     out = []
     for member in fam.members:
         rsup = member.support_radius
-        # Split the zeroth moment at a representable radius: the analytic
-        # small-ball moment covers [0, a], where power kernels near s = 1
-        # keep mass no grid can see.
-        a = min(1e-3 * rsup, 0.5 * delta)
-        m0 = float(member.near_moment(a)) + radial_integral(
-            lambda r: member.fn(r) * r ** (dim - 1), a, rsup
-        )
-        tail = radial_integral(lambda r: member.fn(r) * r ** (dim - 1), delta, max(rsup, delta))
-        tiny = 1e-12 * min(delta, rsup)
-        m1 = radial_integral(lambda r: member.fn(r) * r**dim, tiny, delta)
-        m2 = radial_integral(lambda r: member.fn(r) * r ** (dim + 1), tiny, delta)
+        # rho(r) r^(N-1) = h(r) r^beta: the fine rule integrates r^beta exactly
+        beta, h = _ray_density(member)
+        m0 = radial_integral(h, 0.0, rsup, beta)
+        tail = radial_integral(lambda r: h(r) * r**beta, delta, max(rsup, delta))
+        m1 = radial_integral(h, 0.0, delta, beta + 1.0)
+        m2 = radial_integral(h, 0.0, delta, beta + 2.0)
         out.append(MollifierCheck(member.param, m0, tail, m1, m2))
     return out
 
 
-def _mollifier_member(
-    u: ScalarField, A: VectorPotential, d: Domain, rho: RadialMollifier, spec: QuadratureSpec
-) -> tuple[Callable, Optional[Callable]]:
-    """The engine's radial weight and near-field hook for the kernel rho."""
+def _ray_density(rho: RadialMollifier) -> _Member:
+    """rho(r) r^(N-1) as r^beta h(r), with h = rho(r) r^power smooth."""
+    if not rho.power < rho.dim:
+        raise ConfigurationError(
+            f"mollifier {rho.param:g} has power {rho.power!r}: rho(r) r^(N-1) is not "
+            "integrable at 0 unless the power is below the dimension"
+        )
+    return rho.dim - 1.0 - rho.power, lambda r: rho.fn(r) * r**rho.power
+
+
+def _mollifier_member(d: Domain, rho: RadialMollifier) -> _Member:
+    """The engine's member for the kernel rho: the ray density of
+    rho(|x-y|) / |x-y|^2 times the volume element r^(N-1), against which
+    g = f / r^2 is integrated."""
     if rho.dim != d.dimension:
         raise ConfigurationError("mollifier dimension does not match the domain")
     probe = np.linspace(1e-6, rho.support_radius, 64)
     if np.any(rho.fn(probe) < -1e-15):
         raise ConfigurationError("mollifier kernel must be nonnegative")
-
-    n = d.dimension
-    weight = lambda r: rho.fn(r) * r ** (n - 3)
-    hook = near_field_hook(u, A, spec, lambda eps: np.asarray(rho.near_moment(eps), dtype=float))
-    return weight, hook
+    return _ray_density(rho)
 
 
 def mollified_functional(
@@ -361,8 +345,7 @@ def mollified_functional(
     """Integral of |u(x) - phase u(y)|^2 / |x-y|^2 * rho(|x-y|) over the
     domain square, for a single nonnegative radial kernel."""
     require_dimension(d.dimension, u, A)
-    weight, hook = _mollifier_member(u, A, d, rho, spec)
-    return _run_two_level(_difference_sq(u, A), d, spec, weight, hook)
+    return _run_two_level(_difference_sq(u, A), d, spec, _mollifier_member(d, rho))
 
 
 def mollified_functionals(
@@ -375,7 +358,7 @@ def mollified_functionals(
     """mollified_functional for every kernel in members, from one integrand
     evaluation per engine pass."""
     require_dimension(d.dimension, u, A)
-    batch = [_mollifier_member(u, A, d, rho, spec) for rho in members]
+    batch = [_mollifier_member(d, rho) for rho in members]
     return _run_batch(_difference_sq(u, A), d, spec, batch)
 
 

@@ -72,10 +72,10 @@ _TAIL_TOL = 0.1
 def default_spec(dim: int) -> QuadratureSpec:
     """Dimension-dependent default discretization."""
     if dim == 1:
-        return QuadratureSpec(outer_nodes=160, angular_nodes=2, radial_nodes=10)
+        return QuadratureSpec(outer_nodes=160, angular_nodes=2, radial_nodes=64)
     if dim == 2:
-        return QuadratureSpec(outer_nodes=24, angular_nodes=48, radial_nodes=8)
-    return QuadratureSpec(outer_nodes=12, angular_nodes=128, radial_nodes=6)
+        return QuadratureSpec(outer_nodes=24, angular_nodes=48, radial_nodes=16)
+    return QuadratureSpec(outer_nodes=12, angular_nodes=128, radial_nodes=16)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,20 @@
 """Pointwise application of the fractional magnetic operator and of the
 local magnetic Schrodinger operator, plus an s -> 1 consistency scan.
 
-The fractional operator is evaluated as a principal value in three pieces:
-a radial-angular annulus integral between the cutoff ball and a far radius
-(the quadrature engine's ``radial_angular``),
-an analytic far tail using the field's decay, and a symmetric second-order
-estimate of the cutoff ball itself.  The ball term matters: its size is
-proportional to eps^(2-2s), which no representable cutoff makes negligible
-as s approaches 1, so dropping it would wreck the local-limit comparison.
+The fractional operator is evaluated as a principal value: each direction
+omega is paired with its antipode, so the ray integrand
+h(r, omega) = (2u(x) - Phi(x, x+r omega) u(x+r omega) - Phi(x, x-r omega) u(x-r omega)) / r^2
+is smooth at r = 0, and the principal value is C(N, s)/2 times the
+integral of h r^(1-2s) over the sphere and over r in [0, inf).  Along each
+ray, the first panel [0, 6] takes the quadrature's product rule, which
+integrates r^(1-2s) exactly; three Gauss-Legendre panels, growing
+geometrically, reach the far radius 40; beyond it an analytic tail uses the
+field's decay.  h uses both x + r omega and x - r omega, so every sphere
+rule, symmetric or not, gives a valid average with weight 1/2.
 
-Only the annulus's radial weight and closed-form factors depend on s, so a
-whole s-list shares one annulus pass, one far-rim check and one ball
-difference; ``fractional_magnetic_apply`` is the list of one.
+Only the ray weights and closed-form factors depend on s, so a whole
+s-list shares one evaluation of h and one far-rim check;
+``fractional_magnetic_apply`` is the list of one.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ import numpy as np
 
 from .constants import check_fractional_order, check_s_list, fractional_constant
 from .errors import ConfigurationError, IntegrationError, check_coordinates
-from .fields import (ScalarField, VectorPotential, magnetic_difference, midpoint_phase,
-                     require_dimension)
+from .fields import ScalarField, VectorPotential, magnetic_difference, require_dimension
 from .geometry import sphere_rule
-from .quadrature import QuadratureSpec, _power_weight, radial_angular
+from .quadrature import QuadratureSpec, product_rule
 
 __all__ = [
     "OperatorSample",
@@ -35,11 +37,18 @@ __all__ = [
     "operator_limit_scan",
 ]
 
-# Length that scales the cutoff, the far radius and the decay probes; the
+# Length that scales the panels, the far radius and the decay probes; the
 # corpus problems live on domains of diameter 2.
 _REF_LENGTH = 2.0
 _FAR_FACTOR = 20.0
 _DECAY_TOL = 1e-10
+# The ray: a product-rule panel [0, _NEAR_FACTOR * _REF_LENGTH] of
+# _NEAR_NODES nodes, then _FAR_PANELS geometric Gauss-Legendre panels of
+# _PANEL_NODES nodes each out to the far radius.
+_NEAR_FACTOR = 3.0
+_NEAR_NODES = 32
+_FAR_PANELS = 3
+_PANEL_NODES = 16
 
 
 def local_magnetic_apply(u: ScalarField, A: VectorPotential, x) -> complex:
@@ -62,6 +71,19 @@ def local_magnetic_apply(u: ScalarField, A: VectorPotential, x) -> complex:
     )
 
 
+def _ray_rule(s_vals: Sequence[float], r_far: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Radii along a ray and, per s, the weights that integrate
+    h(r) r^(1-2s) over [0, r_far] for a smooth h."""
+    near = _NEAR_FACTOR * _REF_LENGTH
+    edges = near * (r_far / near) ** (np.arange(_FAR_PANELS + 1) / _FAR_PANELS)
+    tau, w = product_rule(_PANEL_NODES, 0.0)
+    far = (edges[:-1, None] + np.diff(edges)[:, None] * tau).ravel()
+    far_w = (np.diff(edges)[:, None] * w).ravel()
+    radii = np.concatenate((near * product_rule(_NEAR_NODES, 0.0)[0], far))
+    return radii, [np.concatenate((near ** (2.0 - 2.0 * s) * product_rule(_NEAR_NODES, 1.0 - 2.0 * s)[1],
+                                   far_w * far ** (1.0 - 2.0 * s))) for s in s_vals]
+
+
 def _fractional_values(
     u: ScalarField,
     A: VectorPotential,
@@ -69,10 +91,10 @@ def _fractional_values(
     s_vals: Sequence[float],
     spec: QuadratureSpec,
 ) -> list[complex]:
-    """The fractional operator at x at every s in s_vals, from one engine
-    pass for all the annuli: s enters only their weights and closed forms."""
+    """The fractional operator at x at every s in s_vals, from one
+    evaluation of the ray integrand for all: s enters only the ray weights
+    and closed forms."""
     n = u.dim
-    eps_abs = spec.eps * _REF_LENGTH
     r_far = _FAR_FACTOR * _REF_LENGTH
     dirs, wdir = sphere_rule(n, spec.angular_nodes)
 
@@ -82,7 +104,6 @@ def _fractional_values(
         probes.append(x[None, :] - scale * _REF_LENGTH * np.eye(n))
     u_scale = max(float(np.max(np.abs(u.value(np.vstack(probes))))), 1e-300)
 
-    ux = complex(u.value(x[None, :])[0])
     y_rim = x + r_far * dirs
     far_diff = magnetic_difference(u, A, x[None, :], y_rim)
     rim_u = float(np.max(np.abs(u.value(y_rim))))
@@ -98,29 +119,17 @@ def _fractional_values(
         )
     far_sum = complex(far_diff @ wdir)
 
-    per_dir, _ = radial_angular(
-        lambda xs, y: magnetic_difference(u, A, xs, y),
-        x[None, :], np.full((1, dirs.shape[0]), r_far), np.array([eps_abs]), dirs, spec,
-        [_power_weight(s) for s in s_vals], complex,
-    )
-
-    y_plus = x + eps_abs * dirs
-    y_minus = x - eps_abs * dirs
-    sym = (
-        2.0 * ux
-        - midpoint_phase(A, np.broadcast_to(x, y_plus.shape), y_plus) * u.value(y_plus)
-        - midpoint_phase(A, np.broadcast_to(x, y_minus.shape), y_minus) * u.value(y_minus)
-    ) / eps_abs**2
-    ball_sum = 0.5 * (sym @ wdir)
-
-    out = []
-    for s, annulus_dirs in zip(s_vals, per_dir):
-        annulus = complex(annulus_dirs[0] @ wdir)
-        ball = (complex(ball_sum * eps_abs ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s))
-                if spec.near_field == "taylor-correct" else 0.0)
-        far = far_sum * r_far ** (-2.0 * s) / (2.0 * s)
-        out.append(fractional_constant(n, s) * (annulus + ball + far))
-    return out
+    radii, weights = _ray_rule(s_vals, r_far)
+    step = dirs[:, None, :] * radii[:, None]  # (M, K, N)
+    y = x + np.stack((step, -step))
+    diffs = magnetic_difference(u, A, x, y)
+    if np.isnan(diffs).any():
+        bad = y[tuple(np.argwhere(np.isnan(diffs))[0])]
+        raise IntegrationError(f"integrand produced NaN at y={bad.tolist()}")
+    ray = 0.5 * (wdir @ ((diffs[0] + diffs[1]) / radii**2))
+    # one dot product per s, so a value does not depend on the rest of the list
+    return [fractional_constant(n, s) * (complex(ray @ row) + far_sum * r_far ** (-2.0 * s) / (2.0 * s))
+            for s, row in zip(s_vals, weights)]
 
 
 def fractional_magnetic_apply(

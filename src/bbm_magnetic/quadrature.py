@@ -2,44 +2,43 @@
 
 The engine rewrites the inner integral in radial-angular coordinates around
 each outer node, y = x + r*omega, so the kernel times the volume element
-collapses to the one-dimensional weight r^(-1-2s).  The radial axis is
-covered by geometric layers running from the directional boundary distance
-down to the cutoff radius, with a Gauss-Legendre rule per layer and the
-kernel weight folded into the integrand.  A tensor rule on Omega x Omega
-cannot survive s -> 1; this layout can, because the mass that concentrates
-below the cutoff is restored analytically (second-order Taylor correction)
-rather than resolved by nodes.
+collapses to the one-dimensional weight r^(-1-2s).  With g(r) = f(x, y)/r^2,
+which is smooth on [0, R] because the integrand vanishes to second order on
+the diagonal, each ray integral is R^(2-2s) int_0^1 g(R tau) tau^(1-2s) dtau.
+One product-integration rule (Sloan and Smith, SIAM J. Numer. Anal. 19,
+1982) integrates it: the same Gauss-Legendre nodes tau_k on every ray, and
+weights that integrate the singular factor tau^(1-2s) exactly against the
+interpolant of g.  Nothing is cut off, and nothing is restored by a Taylor
+term, so the rule stays accurate as s -> 1 and needs no gradient.
 
-Only the radial weight and the near-field term depend on s (or on the
-mollifier kernel); the integrand and the nodes do not.  So the engine takes
-a batch of members, each a radial weight and a near-field hook, evaluates
-the integrand once per pass and contracts it against every member.  Each
-member's sums do not depend on which other members share its batch.
+Only the weights depend on s (or on the mollifier kernel); the integrand
+and the nodes do not.  So the engine takes a batch of members, each a ray
+density r^beta h(r), evaluates the integrand once per pass and contracts
+it against every member.  A pure power (h = None) gets the closed-form
+weights; any other kernel gets its per-ray weights from one fixed fine
+rule, graded toward 0, times a fixed Lagrange matrix.  Each member's sums
+do not depend on which other members share its batch.
 
-The integrand is evaluated only where the radial rule puts weight, up to
-a little padding: the (outer node, direction) pairs are sorted by their
-layer count and cut into blocks of P pairs of about the same count, whose
+Every ray carries the same number of nodes, so the rays are cut into
+blocks of a fixed number P, in order and without padding, and a block's
 inner points are stored coordinate-major as (N, P, K) arrays.  The node
 count of a result counts these evaluated points.
 
-Each call of the engine allocates one workspace, sized to its largest
-block, and every block takes its radial nodes and weights, its inner
-points and its contraction plane from the front of it.  So a pass touches
-the same pages from block to block instead of freeing and faulting in new
-ones, and the points handed to the integrand (and through it to fields,
-potentials and radial weights) are views that the next block overwrites:
-no closure may keep them after it returns.  The workspace belongs to one
-call, so concurrent calls never share it.
+Each call of the engine allocates one workspace, sized to one block, and
+every block takes its inner points and its contraction plane from the
+front of it.  So a pass touches the same pages from block to block instead
+of freeing and faulting in new ones, and the points handed to the
+integrand (and through it to fields and potentials) are views that the
+next block overwrites: no closure may keep them after it returns.  The
+workspace belongs to one call, so concurrent calls never share it.
 
 The seminorm and mollifier integrands are symmetric, f(x, y) = f(y, x), and
 so is the kernel, so the ray along omega from x covers the same pairs as the
-ray along -omega from y.  In 2D and 3D an even sphere rule lists the
-antipodes of its first half in its second half, and a domain pass
-integrates along the second half only, with doubled weights: half the
-integrand points.  The cutoffs still see every direction.  1D keeps both of
-its directions: a pass there costs the same with one or two, and the full
-pair cancels the cutoff's odd Taylor term, which 1D's accuracy can see.  A
-2D rule with an odd count has no antipodal half and keeps every direction.
+ray along -omega from y.  Every sphere rule with an even count, so every 1D
+and 3D rule, lists the antipodes of its first half in its second half, and
+a domain pass integrates along the second half only, with doubled weights:
+half the integrand points.  A 2D rule with an odd count has no antipodal
+half and keeps every direction.
 
 Summation is a fixed-order pairwise tree over outer nodes, so results are
 bit-for-bit reproducible regardless of how callers schedule the work.
@@ -47,21 +46,21 @@ bit-for-bit reproducible regardless of how callers schedule the work.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .constants import check_fractional_order, check_s_list, dimensional_constants
-from .errors import ConfigurationError, IntegrationError, check_integer, check_number, check_text
-from .fields import ScalarField, VectorPotential, magnetic_density
+from .constants import check_fractional_order, check_s_list
+from .errors import ConfigurationError, IntegrationError, check_integer
 from .geometry import Domain, boundary_distances, gauss_legendre, sphere_rule, tensor_grid
 
 __all__ = [
     "QuadratureSpec",
     "IntegralResult",
     "pairwise_sum",
+    "product_rule",
     "double_integral_singular",
     "double_integrals_singular",
     "radial_angular",
@@ -70,41 +69,29 @@ __all__ = [
     "two_level",
 ]
 
-# Cap on the integrand points evaluated per block of (point, direction)
-# pairs; keeps peak memory modest.
+# Cap on the integrand points evaluated per block of rays; keeps peak
+# memory modest.
 _CHUNK_BUDGET = 30_000
-# Each radial layer spans [ratio * hi, hi], so layers halve toward the cutoff.
-_GEOMETRIC_RATIO = 0.5
-# Gauss-Legendre nodes per layer of the one-dimensional moment integrals.
-_MOMENT_NODES = 24
+# The fine rule behind every non-power kernel: _FINE_NODES Gauss-Legendre
+# nodes t on [0, 1], moved toward 0 by tau = t**_GRADING.
+_FINE_NODES = 96
+_GRADING = 2
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """All discretization knobs for the singular double integrals.
-
-    ``eps`` is the inner cutoff in units of the domain diameter.  Near-field
-    mode "taylor-correct" restores the sub-cutoff mass analytically;
-    "drop" discards it, which is useful to visualize how much mass the
-    cutoff ball holds as s grows.
-    """
+    """All discretization knobs for the singular double integrals: outer
+    nodes per axis, sphere-rule directions and product-rule nodes per ray."""
 
     outer_nodes: int = 48
     angular_nodes: int = 32
-    radial_nodes: int = 8
-    eps: float = 1e-4
-    near_field: str = "taylor-correct"
+    radial_nodes: int = 16
 
     def __post_init__(self):
-        for f in fields(self):  # by annotation, storing the normalised value
-            check = {"int": check_integer, "float": check_number, "str": check_text}[f.type]
-            object.__setattr__(self, f.name, check(getattr(self, f.name), f"quadrature {f.name}"))
+        for f in fields(self):  # storing the normalised value
+            object.__setattr__(self, f.name, check_integer(getattr(self, f.name), f"quadrature {f.name}"))
         if min(self.outer_nodes, self.angular_nodes, self.radial_nodes) < 1:
             raise ConfigurationError("all node counts must be >= 1")
-        if not 0.0 < self.eps < 1.0:
-            raise ConfigurationError("eps must lie in (0, 1) as a diameter fraction")
-        if self.near_field not in ("drop", "taylor-correct"):
-            raise ConfigurationError(f"unknown near-field mode {self.near_field!r}")
 
 
 @dataclass(frozen=True)
@@ -130,202 +117,156 @@ def pairwise_sum(values: np.ndarray):
     return a[0]
 
 
-def _layer_counts(R: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Geometric layers needed to cover [eps, R], at least one."""
-    n_layers = np.ceil(np.log(R / eps) / math.log(1.0 / _GEOMETRIC_RATIO)).astype(int)
-    return np.maximum(n_layers, 1)
+@lru_cache(maxsize=64)
+def _legendre01(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes tau_k and weights w_k on [0, 1], and the matrix
+    (2j + 1) P_j(2 tau_k - 1), j < n, which interpolates at those nodes."""
+    xi, wi = gauss_legendre(n)
+    basis = np.polynomial.legendre.legvander(xi, n - 1) * (2.0 * np.arange(n) + 1.0)
+    out = (0.5 * (xi + 1.0), 0.5 * wi, basis)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
-def _layered_radial(
-    R: np.ndarray, eps_x: np.ndarray, nodes: int, n_layers: np.ndarray, r: np.ndarray, w: np.ndarray
-) -> None:
-    """Radial nodes and dr-weights covering [eps_x, R] per direction, with
-    ``nodes`` Gauss-Legendre nodes per geometric layer, written into r and w.
+@lru_cache(maxsize=256)
+def product_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The n Gauss-Legendre nodes tau_k of [0, 1] and the weights that give
+    int_0^1 p(tau) tau^beta dtau exactly for every polynomial p of degree
+    below n; beta > -1, and beta = 0 is plain Gauss-Legendre.
 
-    R has shape (..., M); eps_x must broadcast against R; n_layers is
-    _layer_counts(R, eps_x).  r and w are C-contiguous arrays of shape
-    (..., M, L * nodes), with L at least n_layers.max().  Layers a direction
-    does not need carry zero weight, so ragged layer counts vectorize as
-    padding.
-    """
-    ratio = _GEOMETRIC_RATIO
-    xi, wgl = gauss_legendre(nodes)
-    eps = np.broadcast_to(np.asarray(eps_x, dtype=float), R.shape)
-    l_max = r.shape[-1] // nodes
-    j = np.arange(l_max)
-    hi = R[..., None] * ratio**j  # (..., M, L)
-    valid = j < n_layers[..., None]
-    lo = np.maximum(hi * ratio, eps[..., None])
-    half = np.where(valid, 0.5 * (hi - lo), 0.0)
-    mid = np.where(valid, 0.5 * (hi + lo), eps[..., None])
-    layers = R.shape + (l_max, nodes)
-    r_layers = r.reshape(layers)  # views: r and w are contiguous
-    np.multiply(half[..., None], xi, out=r_layers)
-    r_layers += mid[..., None]
-    np.multiply(half[..., None], wgl, out=w.reshape(layers))
+    The weights come from the Legendre modified moments
+    mu_j = int_0^1 tau^beta P_j(2 tau - 1) dtau
+         = prod_{i<j} (beta - i) / prod_{i=1}^{j+1} (beta + i):
+    the Gauss-Legendre rule sums P_i P_j exactly for i, j < n, so the weights
+    w_k sum_j (2j + 1) mu_j P_j(2 tau_k - 1) reproduce every moment."""
+    tau, w, basis = _legendre01(n)
+    j = np.arange(n - 1)
+    mu = np.cumprod(np.concatenate(([1.0 / (beta + 1.0)], (beta - j) / (beta + j + 2.0))))
+    weights = w * (basis @ mu)
+    weights.flags.writeable = False
+    return tau, weights
 
 
-def radial_integral(fn: Callable, lo: float, hi: float) -> float:
-    """Geometric-layer Gauss-Legendre quadrature of fn on [lo, hi]."""
+def _fine_rule(beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of int_0^1 F(tau) tau^beta dtau for a smooth F, on
+    the fine rule: with tau = t^q, that is q int_0^1 F(t^q) t^(q(beta+1)-1) dt,
+    a product rule in t."""
+    t, v = product_rule(_FINE_NODES, _GRADING * (beta + 1.0) - 1.0)
+    return t**_GRADING, _GRADING * v
+
+
+@lru_cache(maxsize=64)
+def _fine_lagrange(n: int) -> np.ndarray:
+    """ell_k(tau_j) / tau_k^2: the Lagrange basis of the n-node ray rule at
+    the fine nodes tau_j, shape (_FINE_NODES, n), over the squared nodes that
+    turn a pair integrand f into g = f / r^2 on the unit ray."""
+    tau, w, basis = _legendre01(n)
+    fine = np.polynomial.legendre.legvander(2.0 * _fine_rule(0.0)[0] - 1.0, n - 1)
+    lagrange = fine @ (basis * w[:, None]).T / tau**2
+    lagrange.flags.writeable = False
+    return lagrange
+
+
+def radial_integral(fn: Callable, lo: float, hi: float, beta: float = 0.0) -> float:
+    """int_lo^hi fn(r) (r - lo)^beta dr on the fine rule, graded toward lo;
+    fn must be smooth on [lo, hi]."""
     if hi <= lo:
         return 0.0
-    R, eps = np.array(hi), np.array(lo)
-    n_layers = _layer_counts(R, eps)
-    r, w = np.empty((2, int(n_layers) * _MOMENT_NODES))
-    _layered_radial(R, eps, _MOMENT_NODES, n_layers, r, w)
-    return float(np.sum(fn(r) * w))
+    tau, v = _fine_rule(beta)
+    return float((hi - lo) ** (beta + 1.0) * (v @ fn(lo + (hi - lo) * tau)))
 
 
-# A batch member: a radial weight and a near-field hook (or None).
-_Member = tuple[Callable[[np.ndarray], np.ndarray], Optional[Callable]]
+# A batch member: the ray density r^beta * h(r) that g(r) = f(x, x + r omega) / r^2
+# is integrated against, with h None for the pure power r^beta.
+_Member = tuple[float, Optional[Callable[[np.ndarray], np.ndarray]]]
 
 
 def radial_angular(
     pair_fn: Callable,
     X: np.ndarray,
     R: np.ndarray,
-    eps_x: np.ndarray,
     dirs: np.ndarray,
-    spec: QuadratureSpec,
-    radial_weights: Sequence[Callable[[np.ndarray], np.ndarray]],
-    dtype: type = float,
+    nodes: int,
+    members: Sequence[_Member],
 ) -> tuple[list[np.ndarray], int]:
-    """Integrals of pair_fn(x, x + r*omega) * weight(r) over r in
-    [eps_x, R], per point and direction, for each weight in radial_weights,
-    and the number of integrand values.
+    """Integrals of pair_fn(x, x + r*omega) r^(beta-2) h(r) over r in [0, R],
+    per point and direction, for each member (beta, h), and the number of
+    integrand values.
 
-    X holds C points (C, N), dirs the M unit directions (M, N), R the exit
-    distances (C, M) and eps_x the cutoffs (C,); pair_fn returns values of
-    the given dtype.  Returns one (C, M) array per weight; a NaN integrand
-    value raises IntegrationError.  The integrand is evaluated once for all
-    the weights.
+    X holds C points (C, N), dirs the M unit directions (M, N) and R the exit
+    distances (C, M); pair_fn returns real values that vanish to second order
+    at r = 0.  Returns one (C, M) array per member; a NaN integrand value
+    raises IntegrationError.  The integrand is evaluated once for all the
+    members, at the ``nodes`` nodes R tau_k of product_rule on each ray.
 
-    Directions near the wall need few radial layers and directions into the
-    bulk many, so the (point, direction) pairs are sorted by layer count and
-    cut into blocks of P pairs that need about the same number of layers:
-    padding to a block's largest count, almost every evaluated point carries
-    weight.  A block's inner points are stored coordinate-major, as an
-    (N, P, K) array, and pair_fn gets the gathered outer points (P, 1, N)
-    and the (P, K, N) view.  With N <= 3, a C-ordered last axis makes every
-    per-coordinate op and last-axis reduction run inner loops of length N;
-    coordinate-major, they run over long contiguous rows, inside user
-    closures too.
+    The rays, point-major, are cut into blocks of P rays.  A block's inner
+    points are stored coordinate-major, as an (N, P, K) array, and pair_fn
+    gets the gathered outer points (P, 1, N) and the (P, K, N) view.  With
+    N <= 3, a C-ordered last axis makes every per-coordinate op and
+    last-axis reduction run inner loops of length N; coordinate-major, they
+    run over long contiguous rows, inside user closures too.
 
-    The points given to pair_fn, and the radii given to the weights, are
-    views into this call's workspace, which the next block overwrites:
-    pair_fn and the weights must not write into them or keep them after
-    they return.
+    The points given to pair_fn, and the radii given to the members, are
+    views into this call's workspace or temporaries of one block: pair_fn
+    and h must not write into them or keep them after they return.
     """
     n_dim, n_dirs = X.shape[1], dirs.shape[0]
     R = R.ravel()
-    eps = np.repeat(eps_x, n_dirs)
-    n_layers = _layer_counts(R, eps)
-    order = np.argsort(n_layers, kind="stable")
-    edges = _block_edges(n_layers[order], spec.radial_nodes)
-    # Each block pads its pairs to the layer count of its last, longest pair.
-    blocks = [(lo, hi, int(n_layers[order[hi - 1]]) * spec.radial_nodes)
-              for lo, hi in zip(edges[:-1], edges[1:])]
-    # The workspace: the contraction plane of dtype, r, w and the N planes of
-    # Y, each as long as the largest block.  Every block takes its arrays from
-    # the front of it, so the pages a pass touches stay mapped from block to
-    # block; the results are allocated with it, before the first block.
-    plane = np.dtype(dtype).itemsize // 8
-    work = np.empty((plane + 2 + n_dim) * max(((hi - lo) * k for lo, hi, k in blocks), default=0))
-    sums, count = [np.empty(R.shape, dtype=dtype) for _ in radial_weights], 0
-    for lo, hi, k in blocks:
-        idx = order[lo:hi]
-        shape, size = (hi - lo, k), (hi - lo) * k
-        contracted = work[: plane * size].view(dtype).reshape(shape)
-        planes = work[plane * size : (plane + 2 + n_dim) * size].reshape((2 + n_dim,) + shape)
-        r, w, Y = planes[0], planes[1], planes[2:]
-        _layered_radial(R[idx], eps[idx], spec.radial_nodes, n_layers[idx], r, w)
-        ci, mi = np.divmod(idx, n_dirs)
+    tau = product_rule(nodes, 0.0)[0]
+    rays = max(1, _CHUNK_BUDGET // nodes)
+    # Per member: the closed-form weight row of a pure power, or the fine
+    # rule of a kernel.
+    rules = [product_rule(nodes, beta)[1] / tau**2 if h is None else _fine_rule(beta)
+             for beta, h in members]
+    # The workspace: the contraction plane and the N planes of Y, each as
+    # long as one block.  Every block takes its arrays from the front of it,
+    # so the pages a pass touches stay mapped from block to block; the
+    # results are allocated with it, before the first block.
+    work = np.empty((1 + n_dim) * min(rays, R.size) * nodes)
+    sums = [np.empty(R.shape) for _ in members]
+    for lo in range(0, R.size, rays):
+        hi = min(lo + rays, R.size)
+        shape = (hi - lo, nodes)
+        planes = work[: (1 + n_dim) * (hi - lo) * nodes].reshape((1 + n_dim,) + shape)
+        contracted, Y = planes[0], planes[1:]
+        ci, mi = np.divmod(np.arange(lo, hi), n_dirs)
         x = X[ci][:, None, :]
+        Rb = R[lo:hi]
         for j in range(n_dim):
-            np.multiply(r, dirs[mi, j, None], out=Y[j])
+            np.multiply((Rb * dirs[mi, j])[:, None], tau, out=Y[j])
             Y[j] += x[..., j]
         y = np.moveaxis(Y, 0, -1)
         vals = pair_fn(x, y)
         if np.isnan(vals).any():
             bad = y[tuple(np.argwhere(np.isnan(vals))[0])]
             raise IntegrationError(f"integrand produced NaN at y={bad.tolist()}")
-        for member_sums, weight in zip(sums, radial_weights):
-            np.multiply(w, weight(r), out=contracted)
-            np.multiply(vals, contracted, out=contracted)
-            member_sums[idx] = np.sum(contracted, axis=-1)
-        count += vals.size
-    return [member_sums.reshape(-1, n_dirs) for member_sums in sums], count
-
-
-def _block_edges(sorted_layers: np.ndarray, nodes: int) -> list[int]:
-    """Edges of the blocks of the layer-sorted pairs: each block takes as
-    many pairs as fit in _CHUNK_BUDGET evaluated points at its largest
-    layer count, and at least one.  One sweep over the runs of equal count."""
-    edges = [0]
-    if sorted_layers.size == 0:
-        return edges
-    bounds = [0, *(np.flatnonzero(np.diff(sorted_layers)) + 1).tolist(), sorted_layers.size]
-    for start, end in zip(bounds[:-1], bounds[1:]):
-        cap = max(1, _CHUNK_BUDGET // (int(sorted_layers[start]) * nodes))
-        if start + 1 - edges[-1] > cap:
-            edges.append(start)  # the open block is full before this run
-        edges.extend(range(edges[-1] + cap, end, cap))
-    edges.append(sorted_layers.size)
-    return edges
-
-
-def near_field_hook(
-    u: ScalarField,
-    A: VectorPotential,
-    spec: QuadratureSpec,
-    moment: Callable[[np.ndarray], np.ndarray],
-    divisor: float = 1.0,
-) -> Optional[Callable]:
-    """Analytic sub-cutoff term of a radial-kernel double integral, or None
-    in "drop" mode.
-
-    Inside the ball B(x, eps) the magnetic difference is
-    (grad u - i A u)(x) . (y - x) to leading order, so the ball contributes
-    |grad u - i A u|^2 * Q_N * moment(eps) / divisor, where moment(eps) is
-    the kernel's small-ball radial moment.  The seminorm passes
-    eps^(2-2s) and its divisor 2-2s separately.
-    """
-    if spec.near_field != "taylor-correct":
-        return None
-    if u.gradient is None:
-        raise ConfigurationError(
-            "taylor-correct near-field mode needs an analytic gradient; "
-            "use near_field='drop' for fields without one"
-        )
-    q = dimensional_constants(u.dim).second_moment
-    return lambda X, eps_x: magnetic_density(u, A, X) * q * moment(eps_x) / divisor
+        for member_sums, (beta, h), rule in zip(sums, members, rules):
+            if h is None:
+                np.multiply(vals, rule, out=contracted)
+            else:
+                fine_tau, v = rule
+                np.matmul(h(Rb[:, None] * fine_tau) * v, _fine_lagrange(nodes), out=contracted)
+                np.multiply(vals, contracted, out=contracted)
+            member_sums[lo:hi] = np.sum(contracted, axis=-1) * Rb ** (beta - 1.0)
+    return [member_sums.reshape(-1, n_dirs) for member_sums in sums], R.size * nodes
 
 
 def _domain_pass(
     pair_fn: Callable, d: Domain, spec: QuadratureSpec, members: Sequence[_Member]
 ) -> tuple[list[float], int]:
     """One evaluation at the given spec, along the second half of an even
-    sphere rule in 2D and 3D; returns (one value per member, node count)."""
+    sphere rule; returns (one value per member, node count)."""
     grid = tensor_grid(d, spec.outer_nodes)
     dirs, wdir = sphere_rule(d.dimension, spec.angular_nodes)
-    R = boundary_distances(d, grid.points, dirs)
-    # Shrink the cutoff near the boundary so the corrected ball stays inside
-    # the domain.
-    eps_x = np.minimum(spec.eps * d.diameter(), 0.5 * R.min(axis=1))
     half = dirs.shape[0] // 2
-    if d.dimension > 1 and 2 * half == dirs.shape[0]:
+    if 2 * half == dirs.shape[0]:
         # The second half of an even rule holds the antipodes of the first,
         # and a symmetric integrand integrates the same along omega and -omega.
-        dirs, R, wdir = dirs[half:], R[:, half:], 2.0 * wdir[half:]
-    weights = [weight for weight, _ in members]
-    per_dir, count = radial_angular(pair_fn, grid.points, R, eps_x, dirs, spec, weights)
-    values = []
-    for integrals, (_, near_field) in zip(per_dir, members):
-        inner = integrals @ wdir
-        if near_field is not None:
-            inner = inner + near_field(grid.points, eps_x)
-        values.append(float(pairwise_sum(grid.weights * inner)))
-    return values, count
+        dirs, wdir = dirs[half:], 2.0 * wdir[half:]
+    R = boundary_distances(d, grid.points, dirs)
+    per_dir, count = radial_angular(pair_fn, grid.points, R, dirs, spec.radial_nodes, members)
+    return [float(pairwise_sum(grid.weights * (integrals @ wdir))) for integrals in per_dir], count
 
 
 def two_level(evaluate: Callable, spec: QuadratureSpec, dim: int) -> list[IntegralResult]:
@@ -361,9 +302,9 @@ def _run_batch(pair_fn, d, spec, members: Sequence[_Member]) -> list[IntegralRes
     return two_level(lambda sp: _domain_pass(pair_fn, d, sp, members), spec, d.dimension)
 
 
-def _run_two_level(pair_fn, d, spec, radial_weight, near_field) -> IntegralResult:
-    """_run_batch for the one member (radial_weight, near_field)."""
-    (res,) = _run_batch(pair_fn, d, spec, [(radial_weight, near_field)])
+def _run_two_level(pair_fn, d, spec, member: _Member) -> IntegralResult:
+    """_run_batch for the one member."""
+    (res,) = _run_batch(pair_fn, d, spec, [member])
     return res
 
 
@@ -385,8 +326,8 @@ def _check_diagonal(pair_fn, d: Domain, spec: QuadratureSpec) -> None:
         scale = max(1.0, float(np.max(np.abs(forward))))
         if float(np.max(np.abs(forward - pair_fn(y, x)))) > 1e-10 * scale:
             raise ConfigurationError(
-                "integrand is not symmetric, f(x, y) != f(y, x); in 2D and 3D "
-                "the engine integrates each pair along only one of its two directions"
+                "integrand is not symmetric, f(x, y) != f(y, x); the engine "
+                "integrates each pair along only one of its two directions"
             )
     if float(np.max(np.abs(diag))) > 1e-10 * scale:
         raise IntegrationError(
@@ -395,53 +336,39 @@ def _check_diagonal(pair_fn, d: Domain, spec: QuadratureSpec) -> None:
         )
 
 
-def _power_weight(s: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda r: r ** (-1.0 - 2.0 * s)
+def _power_member(s: float) -> _Member:
+    """The member of |x-y|^(-N-2s): g integrated against r^(1-2s)."""
+    return (1.0 - 2.0 * s, None)
 
 
 def double_integrals_singular(
-    integrand: Callable,
-    d: Domain,
-    s_list: Sequence[float],
-    spec: QuadratureSpec,
-    near_fields: Sequence[Optional[Callable]],
+    integrand: Callable, d: Domain, s_list: Sequence[float], spec: QuadratureSpec
 ) -> list[IntegralResult]:
-    """double_integral_singular at each s in s_list, with near_fields[k] the
-    hook at s_list[k]; the integrand is evaluated once per pass for all.
+    """double_integral_singular at each s in s_list; the integrand is
+    evaluated once per pass for all.
 
     The integrand must be symmetric, f(x, y) = f(y, x), as there; an
     asymmetric one is refused before any pass."""
     s_list = check_s_list(s_list)
-    if len(near_fields) != len(s_list):
-        raise ConfigurationError("need one near-field hook (or None) per s value")
     _check_diagonal(integrand, d, spec)
-    taylor = spec.near_field == "taylor-correct"
-    members = [(_power_weight(s), hook if taylor else None) for s, hook in zip(s_list, near_fields)]
-    return _run_batch(integrand, d, spec, members)
+    return _run_batch(integrand, d, spec, [_power_member(s) for s in s_list])
 
 
 def double_integral_singular(
-    integrand: Callable,
-    d: Domain,
-    s: float,
-    spec: QuadratureSpec,
-    near_field: Optional[Callable] = None,
+    integrand: Callable, d: Domain, s: float, spec: QuadratureSpec
 ) -> IntegralResult:
     """Integrate f(x, y) / |x - y|^(N+2s) over Omega x Omega.
 
     ``integrand`` must accept broadcastable point arrays of shape (..., N),
-    vanish on the diagonal and be symmetric, f(x, y) = f(y, x), both checked
-    by sampling.  In 2D and 3D the engine integrates each pair of points
-    once, along one of the two directions that join them, so an asymmetric
-    integrand would get a wrong value; it is refused with ConfigurationError
-    in every dimension.
-
-    ``near_field``, if given, maps (outer points (C, N), cutoff radii (C,))
-    to the analytic sub-cutoff contribution per outer point; it is only
-    applied in "taylor-correct" mode.
+    return real values, vanish to second order on the diagonal (as a squared
+    difference does) and be symmetric, f(x, y) = f(y, x); vanishing and
+    symmetry are checked by sampling.  The engine integrates each pair of
+    points once, along one of the two directions that join them, so an
+    asymmetric integrand would get a wrong value; it is refused with
+    ConfigurationError.
     """
     check_fractional_order(s)
-    (res,) = double_integrals_singular(integrand, d, [s], spec, [near_field])
+    (res,) = double_integrals_singular(integrand, d, [s], spec)
     return res
 
 

@@ -12,7 +12,6 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -183,12 +182,11 @@ def test_criterion_8_exact_invariants():
     assert pg < 1e-10
 
     dia_slack = 0.0
-    spec_drop = replace(SPEC1, near_field="drop")
     for flabel, plabel in (("gauss1d", "linear:alpha=1"), ("bump1d", "linear:alpha=1"),
                            ("modgauss1d:kappa=1", "const:alpha=0.7")):
         uu = resolve_field(flabel)
         lhs = magnetic_seminorm_sq(modulus_field(uu), resolve_potential("zero", 1),
-                                   D1, s, spec_drop).value
+                                   D1, s, SPEC1).value
         rhs = magnetic_seminorm_sq(uu, resolve_potential(plabel, 1), D1, s, SPEC1).value
         dia_slack = max(dia_slack, lhs - rhs)
         assert lhs <= rhs + 1e-6

@@ -29,14 +29,19 @@ def test_every_package_import_resolves_to_its_module():
 def test_removed_duplicate_state_is_gone():
     from dataclasses import fields
 
-    from bbm_magnetic import corpus, fields as fields_module, functionals, harness
+    from bbm_magnetic import corpus, fields as fields_module, functionals, harness, quadrature
 
     for module, name in ((bbm_magnetic, "FunctionalValue"), (functionals, "FunctionalValue"),
                          (fields_module, "COMPACT"), (fields_module, "UNRESTRICTED"),
                          (corpus, "field_labels"), (corpus, "potential_labels"),
                          (harness, "report_to_dict"), (harness, "_FAMILY_CHECKERS"),
-                         (harness, "_FAMILY_KINDS"), (harness, "_check_family")):
+                         (harness, "_FAMILY_KINDS"), (harness, "_check_family"),
+                         (quadrature, "near_field_hook"), (quadrature, "_layered_radial"),
+                         (quadrature, "_layer_counts"), (quadrature, "_block_edges"),
+                         (quadrature, "_GEOMETRIC_RATIO"), (functionals, "_seminorm_hook")):
         assert not hasattr(module, name), name
+    assert not {"eps", "near_field"} & {f.name for f in fields(bbm_magnetic.QuadratureSpec)}
+    assert "near_moment" not in [f.name for f in fields(bbm_magnetic.RadialMollifier)]
     assert not {"output", "fmt"} & {f.name for f in fields(bbm_magnetic.SweepConfig)}
     assert "point" not in [f.name for f in fields(bbm_magnetic.OperatorSample)]
     assert "support" not in [f.name for f in fields(bbm_magnetic.ScalarField)]

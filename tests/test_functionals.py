@@ -78,14 +78,24 @@ def test_pure_gauge_seminorm_vanishes():
         assert magnetic_seminorm_sq(u, A, D1, s, SPEC1).value < 1e-10
 
 
-def test_taylor_correct_requires_gradient():
-    bare = ScalarField(1, value=lambda p: np.exp(-p[..., 0] ** 2).astype(complex))
-    A = resolve_potential("zero", 1)
-    with pytest.raises(ConfigurationError):
-        magnetic_seminorm_sq(bare, A, D1, 0.5, SPEC1)
-    # drop mode accepts gradient-free fields
-    v = magnetic_seminorm_sq(bare, A, D1, 0.5, replace(SPEC1, near_field="drop")).value
-    assert v > 0.0
+@pytest.mark.parametrize("d,label,potential", [
+    (D1, "gauss1d", "linear:alpha=1"),
+    (box([0.0, 0.0], [1.0, 1.0]), "gauss2d", "landau:beta=1"),
+])
+def test_fields_without_a_gradient_get_the_same_bits(d, label, potential):
+    # the engine reads values only: dropping the gradient changes no bit of
+    # the seminorms or of the mollified functionals
+    u, A = resolve_field(label), resolve_potential(potential, d.dimension)
+    bare = replace(u, gradient=None, hessian=None)
+    spec = QuadratureSpec(outer_nodes=12, angular_nodes=8, radial_nodes=8)
+    s_list = [0.6, 0.99]
+    for with_grad, without in zip(magnetic_seminorms_sq(u, A, d, s_list, spec),
+                                  magnetic_seminorms_sq(bare, A, d, s_list, spec)):
+        assert with_grad == without
+    members = (gaussian_family([2, 8], d.dimension).members
+               + bbm_family(s_list, d.diameter(), d.dimension).members)
+    assert (mollified_functionals(u, A, d, members, spec)
+            == mollified_functionals(bare, A, d, members, spec))
 
 
 def test_local_energy_constant_field_zero_potential():
@@ -266,8 +276,7 @@ def test_fullspace_exceeds_domain_seminorm_and_tail_shrinks():
 def test_mollified_zero_kernel():
     from bbm_magnetic.functionals import RadialMollifier
 
-    rho = RadialMollifier(1, lambda r: np.zeros_like(r), lambda e: np.zeros_like(np.asarray(e)),
-                          1.0, 0.0)
+    rho = RadialMollifier(1, lambda r: np.zeros_like(r), 1.0, 0.0)
     u = resolve_field("gauss1d")
     A = resolve_potential("zero", 1)
     assert mollified_functional(u, A, D1, rho, SPEC1).value == 0.0
@@ -285,18 +294,12 @@ def test_bbm_member_identity_with_seminorm():
         assert abs(mv - sv) / sv < 1e-10
 
 
-def test_mollified_taylor_correct_requires_gradient():
-    # the mollified functional shares the seminorm's near-field hook, so a
-    # gradient-free field is refused in taylor-correct mode instead of losing
-    # its sub-cutoff term; in drop mode the bbm identity still holds
+def test_bbm_identity_holds_for_a_field_without_a_gradient():
     bare = ScalarField(1, value=lambda p: np.exp(-p[..., 0] ** 2).astype(complex))
     A = resolve_potential("linear:alpha=1", 1)
     member = bbm_family([0.9], r_domain=D1.diameter(), dim=1).members[0]
-    with pytest.raises(ConfigurationError):
-        mollified_functional(bare, A, D1, member, SPEC1)
-    drop = replace(SPEC1, near_field="drop")
-    mv = mollified_functional(bare, A, D1, member, drop).value
-    sv = 2.0 * (1.0 - 0.9) * magnetic_seminorm_sq(bare, A, D1, 0.9, drop).value
+    mv = mollified_functional(bare, A, D1, member, SPEC1).value
+    sv = 2.0 * (1.0 - 0.9) * magnetic_seminorm_sq(bare, A, D1, 0.9, SPEC1).value
     assert abs(mv - sv) / sv < 1e-10
 
 
@@ -370,8 +373,7 @@ def test_gaussian_family_moments_trend():
 def test_degenerate_zero_family_flagged():
     from bbm_magnetic.functionals import MollifierFamily, RadialMollifier
 
-    zero = RadialMollifier(1, lambda r: np.zeros_like(r),
-                           lambda e: np.zeros_like(np.asarray(e)), 1.0, 1.0)
+    zero = RadialMollifier(1, lambda r: np.zeros_like(r), 1.0, 1.0)
     fam = MollifierFamily("custom", (zero, zero))
     checks = check_mollifier(fam, 1, 0.1)
     assert all(c.m0 == 0.0 for c in checks)  # violates the normalization limit
@@ -380,12 +382,24 @@ def test_degenerate_zero_family_flagged():
 def test_mollifier_rejects_negative_kernel():
     from bbm_magnetic.functionals import RadialMollifier
 
-    rho = RadialMollifier(1, lambda r: -np.ones_like(r),
-                          lambda e: np.zeros_like(np.asarray(e)), 1.0, 1.0)
+    rho = RadialMollifier(1, lambda r: -np.ones_like(r), 1.0, 1.0)
     u = resolve_field("gauss1d")
     A = resolve_potential("zero", 1)
     with pytest.raises(ValueError):
         mollified_functional(u, A, D1, rho, SPEC1)
+
+
+def test_a_kernel_singular_beyond_the_dimension_is_refused():
+    # rho = r^-1 in 1D: rho(r) r^(N-1) is not integrable at 0, and the
+    # product rule's moments would divide by beta + 1 = 0
+    from bbm_magnetic.functionals import RadialMollifier
+
+    rho = RadialMollifier(1, lambda r: 1.0 / r, 1.0, 1.0, power=1.0)
+    u, A = resolve_field("gauss1d"), resolve_potential("zero", 1)
+    with pytest.raises(ConfigurationError, match="not integrable at 0"):
+        mollified_functional(u, A, D1, rho, SPEC1)
+    with pytest.raises(ConfigurationError, match="not integrable at 0"):
+        check_mollifier(MollifierFamily("custom", (rho,)), 1, 0.1)
 
 
 def test_mollified_bound_ratio_stable_under_amplitude_scaling():
@@ -400,9 +414,7 @@ def test_mollified_bound_ratio_stable_under_amplitude_scaling():
     norm_sq = l2_norm_sq(u, grid) + local_magnetic_energy(u, A, D1, grid).value
     ratios = []
     for lam in (0.3, 1.0, 3.0):
-        rho = RadialMollifier(1, lambda r, _l=lam: _l * base.fn(r),
-                              lambda e, _l=lam: _l * np.asarray(base.near_moment(e)),
-                              base.support_radius, base.param)
+        rho = RadialMollifier(1, lambda r, _l=lam: _l * base.fn(r), base.support_radius, base.param)
         val = mollified_functional(u, A, D1, rho, SPEC1).value
         l1 = 2.0 * lam  # |S^0| * M0 for the normalized base kernel
         ratios.append(val / (l1 * norm_sq))
@@ -484,14 +496,13 @@ def test_uniform_bound_ratios_bounded_and_converge():
 
 
 def test_diamagnetic_inequality_on_corpus():
-    spec_drop = replace(SPEC1, near_field="drop")
     cases = [("gauss1d", "linear:alpha=1"), ("bump1d", "linear:alpha=1"),
              ("modgauss1d:kappa=1", "const:alpha=0.7")]
     for flabel, plabel in cases:
         u = resolve_field(flabel)
         A = resolve_potential(plabel, 1)
         A0 = resolve_potential("zero", 1)
-        lhs = magnetic_seminorm_sq(modulus_field(u), A0, D1, 0.6, spec_drop).value
+        lhs = magnetic_seminorm_sq(modulus_field(u), A0, D1, 0.6, SPEC1).value
         rhs = magnetic_seminorm_sq(u, A, D1, 0.6, SPEC1).value
         assert lhs <= rhs + 1e-6
 
@@ -582,11 +593,9 @@ def _assert_same(batched, single):
     assert batched.node_count == single.node_count
 
 
-@pytest.mark.parametrize("near_field", ["taylor-correct", "drop"])
 @pytest.mark.parametrize("case", ["interval", "box2d", "ball2d", "ball3d"])
-def test_batched_functionals_equal_single_calls(case, near_field):
+def test_batched_functionals_equal_single_calls(case):
     u, A, d, spec = _batch_cases()[case]
-    spec = replace(spec, near_field=near_field)
     s_list = [0.6, 0.9, 0.99]
     for k, value in enumerate(magnetic_seminorms_sq(u, A, d, s_list, spec)):
         _assert_same(value, magnetic_seminorm_sq(u, A, d, s_list[k], spec))
@@ -597,10 +606,9 @@ def test_batched_functionals_equal_single_calls(case, near_field):
             _assert_same(value, mollified_functional(u, A, d, rho, spec))
 
 
-@pytest.mark.parametrize("near_field", ["taylor-correct", "drop"])
-def test_batched_fullspace_equals_single_calls(near_field):
+def test_batched_fullspace_equals_single_calls():
     u, A = resolve_field("bump1d"), resolve_potential("linear:alpha=1", 1)
-    spec = replace(SPEC1, outer_nodes=32, near_field=near_field)
+    spec = replace(SPEC1, outer_nodes=32)
     s_list = [0.5, 0.9, 0.999]
     for s, value in zip(s_list, fullspace_seminorms_sq(u, A, D1, s_list, spec)):
         _assert_same(value, fullspace_seminorm_sq(u, A, D1, s, spec))

@@ -196,7 +196,7 @@ _BOX = {"kind": "box", "center": [0.0, 0.0], "extents": [1.0, 1.0]}
     # each value was accepted in code, or failed there with a plain exception
     ({"quadrature": {"outer_nodes": 2.5}}, lambda: QuadratureSpec(outer_nodes=2.5)),
     ({"quadrature": {"outer_nodes": True}}, lambda: QuadratureSpec(outer_nodes=True)),
-    ({"quadrature": {"eps": "1e-4"}}, lambda: QuadratureSpec(eps="1e-4")),
+    ({"quadrature": {"radial_nodes": "16"}}, lambda: QuadratureSpec(radial_nodes="16")),
     ({"delta": "0.1"}, lambda: _cfg(delta="0.1")),
     ({"h_list": ["a"]}, lambda: _cfg(h_list=("a",))),
     ({"s_list": ["x"]}, lambda: _cfg(s_list=["x"])),
@@ -205,7 +205,7 @@ _BOX = {"kind": "box", "center": [0.0, 0.0], "extents": [1.0, 1.0]}
     ({"domain": _BOX, "direction": [1.0]}, lambda: _cfg(domain=_D2, direction=[1.0])),
     ({"family": {"kind": "gaussian", "s_list": [0.5]}},
      lambda: _cfg(family={"kind": "gaussian", "s_list": [0.5]})),
-], ids=["fractional-nodes", "bool-nodes", "text-eps", "text-delta", "text-shift", "text-s",
+], ids=["fractional-nodes", "bool-nodes", "text-nodes", "text-delta", "text-shift", "text-s",
         "numeric-text-s", "numeric-field", "short-direction", "other-kind-family-key"])
 def test_configs_built_in_code_are_refused_like_config_files(change, built):
     with pytest.raises(ConfigurationError) as from_file:
@@ -395,8 +395,7 @@ def test_mollifier_sweep_bbm_identity_rows():
 
 
 def test_mollifier_sweep_zero_family_aborts_naming_normaliz():
-    zero = RadialMollifier(1, lambda r: np.zeros_like(r),
-                           lambda e: np.zeros_like(np.asarray(e)), 1.0, 1.0)
+    zero = RadialMollifier(1, lambda r: np.zeros_like(r), 1.0, 1.0)
     fam = MollifierFamily("custom", (zero,) * 3)
     with pytest.raises(ConditionViolation, match=r"\(normaliz\)"):
         run_mollifier_sweep(_cfg(kind="mollifier"), family=fam)
@@ -829,7 +828,7 @@ def test_every_s_list_entry_point_refuses_by_the_one_rule(monkeypatch, capsys, e
         raise AssertionError("computed on a bad s_list")
 
     monkeypatch.setattr(quadrature, "radial_angular", no_compute)
-    monkeypatch.setattr(operator, "radial_angular", no_compute)
+    monkeypatch.setattr(operator, "_fractional_values", no_compute)
     with pytest.raises(ConfigurationError) as rule:
         check_s_list(bad)
     assert "s_list must be a nonempty, strictly increasing list inside (0, 1)" in str(rule.value)
@@ -852,7 +851,7 @@ _NON_NUMERIC_S_LISTS = {"text": ["x"], "none": [None], "numeric-text": ["0.5"],
 def test_every_s_list_entry_point_refuses_non_numbers(monkeypatch, entry, bad):
     # magnetic_seminorms_sq raised TypeError on ["x"]; SweepConfig accepted ["0.5"]
     monkeypatch.setattr(quadrature, "radial_angular", _no_compute)
-    monkeypatch.setattr(operator, "radial_angular", _no_compute)
+    monkeypatch.setattr(operator, "_fractional_values", _no_compute)
     with pytest.raises(ConfigurationError, match="s_list must be a list of numbers, got "):
         _s_list_entry_points()[entry](bad)
 
@@ -877,7 +876,7 @@ def test_every_single_s_entry_point_refuses_by_the_fractional_order_rule(monkeyp
     # magnetic_seminorm_sq(..., 1.5, ...) reported the s-list rule, and
     # fractional_magnetic_apply(..., "0.5", ...) raised TypeError
     monkeypatch.setattr(quadrature, "radial_angular", _no_compute)
-    monkeypatch.setattr(operator, "radial_angular", _no_compute)
+    monkeypatch.setattr(operator, "_fractional_values", _no_compute)
     with pytest.raises(ConfigurationError) as rule:
         check_fractional_order(s)
     assert str(rule.value).startswith("fractional order s")

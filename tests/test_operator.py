@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bbm_magnetic.constants import fractional_constant
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConfigurationError, IntegrationError
 from bbm_magnetic import operator
@@ -162,7 +161,6 @@ def test_scan_checks_every_s_before_computing(monkeypatch):
             operator_limit_scan(u, A, [0.0], s_list, SPEC)
 
 
-@pytest.mark.parametrize("near_field", ["taylor-correct", "drop"])
 @pytest.mark.parametrize("field,potential,x", [
     ("gauss1d", "zero", [0.0]),
     ("gauss1d", "linear:alpha=1", [0.3]),
@@ -170,10 +168,10 @@ def test_scan_checks_every_s_before_computing(monkeypatch):
     ("bump1d", "linear:alpha=2", [0.1]),
     ("gauss2d", "landau:beta=1", [0.3, -0.2]),
 ])
-def test_scan_values_equal_the_single_s_values(field, potential, x, near_field):
+def test_scan_values_equal_the_single_s_values(field, potential, x):
     u = resolve_field(field)
     A = resolve_potential(potential, len(x))
-    spec = replace(SPEC if len(x) == 1 else SPEC_2D, near_field=near_field)
+    spec = SPEC if len(x) == 1 else SPEC_2D
     s_list = [0.3, 0.7, 0.9, 0.99]
     samples = operator_limit_scan(u, A, x, s_list, spec)
     assert [smp.s for smp in samples] == s_list
@@ -184,27 +182,21 @@ def test_scan_values_equal_the_single_s_values(field, potential, x, near_field):
 
 def test_scan_evaluates_the_field_as_often_for_four_s_as_for_one(monkeypatch):
     gauss = resolve_field("gauss1d")
-    points = []
+    points, calls = [], []
 
     def counted(p):
         points[-1] += p.size // p.shape[-1]
+        calls[-1] += 1
         return gauss.value(p)
 
-    passes = []
-    engine = operator.radial_angular
-
-    def counted_engine(*args):
-        passes.append(1)
-        return engine(*args)
-
-    monkeypatch.setattr(operator, "radial_angular", counted_engine)
     u = replace(gauss, value=counted)
     A = resolve_potential("linear:alpha=1", 1)
     for s_list in ([0.9], [0.7, 0.8, 0.9, 0.95]):
         points.append(0)
+        calls.append(0)
         operator_limit_scan(u, A, [0.1], s_list, SPEC)
     assert points[0] == points[1] > 0
-    assert len(passes) == 2  # one engine pass per scan
+    assert calls[0] == calls[1]  # one evaluation of the ray integrand per scan
 
 
 def test_far_field_refusal_for_non_decaying_field():
@@ -216,9 +208,9 @@ def test_far_field_refusal_for_non_decaying_field():
 
 @pytest.mark.parametrize("x", [10.0, 30.0])
 def test_scan_far_from_the_bulk_matches_the_oracle_or_refuses(x):
-    # At x = 30 the bulk of e^{-y^2} lies in the annulus's outermost layer,
-    # r in [20, 40], whose nodes under-resolve it; the far-field refusal keeps
-    # those values (63% off the oracle) out.  At x = 10 the scan is accurate.
+    # At x = 30 the bulk of e^{-y^2} lies in the ray's outermost panel,
+    # r in [21, 40], whose nodes under-resolve it; the far-field refusal keeps
+    # those values (6% off the oracle) out.  At x = 10 the scan is accurate.
     u = resolve_field("gauss1d")
     A = resolve_potential("zero", 1)
     s_list = [0.5, 0.9]
@@ -232,32 +224,34 @@ def test_scan_far_from_the_bulk_matches_the_oracle_or_refuses(x):
         assert abs(smp.fractional - ref) / abs(ref) < 1e-3
 
 
-def _gauss1d_ball_term(s):
-    # c(1, s) * 2 * eps^(2-2s) / (2-2s): the cutoff-ball term of e^{-x^2} at 0,
-    # where -u''(0) = 2, with the operator's cutoff eps = 2 * spec.eps.
-    eps = 2.0 * SPEC.eps
-    return fractional_constant(1, s) * 2.0 * eps ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-
-
-def test_eps_robustness_within_reported_bound():
-    u = resolve_field("gauss1d")
-    A = resolve_potential("zero", 1)
-    v1 = fractional_magnetic_apply(u, A, [0.0], 0.9, SPEC)
-    v2 = fractional_magnetic_apply(u, A, [0.0], 0.9, replace(SPEC, eps=SPEC.eps / 2.0))
-    assert abs(v1 - v2) < 10.0 * _gauss1d_ball_term(0.9)
-
-
-def test_drop_mode_omits_ball_term():
+@pytest.mark.parametrize("x", [0.0, 0.5, 2.0, 10.0])
+def test_principal_value_matches_the_spectral_oracle_as_s_nears_one(x):
+    # the first panel integrates r^(1-2s) exactly, so the rule stays
+    # accurate as s -> 1: about 1e-9 where the cutoff and its Taylor ball
+    # term left 1e-8 (x <= 2) and 1e-4 (x = 10)
     u = resolve_field("gauss1d")
     A = resolve_potential("zero", 1)
     for s in (0.5, 0.9, 0.99):
-        v_corr = fractional_magnetic_apply(u, A, [0.0], s, SPEC)
-        v_drop = fractional_magnetic_apply(u, A, [0.0], s, replace(SPEC, near_field="drop"))
-        assert_allclose(abs(v_corr - v_drop), _gauss1d_ball_term(s), rtol=1e-7)
+        ref = spectral_fractional_gaussian(s, x)
+        got = fractional_magnetic_apply(u, A, [x], s, SPEC)
+        assert abs(got - ref) / abs(ref) < 2e-9
+
+
+def test_the_ray_rule_integrates_the_singular_power_exactly():
+    # h(r) = 1 integrates to r_far^(2-2s) / (2-2s) over [0, r_far]; a
+    # polynomial of degree below the panel node counts is exact too
+    r_far = operator._FAR_FACTOR * operator._REF_LENGTH
+    s_vals = [0.3, 0.9, 0.999]
+    radii, weights = operator._ray_rule(s_vals, r_far)
+    assert radii.size == operator._NEAR_NODES + operator._FAR_PANELS * operator._PANEL_NODES
+    for s, row in zip(s_vals, weights):
+        exact = r_far ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+        assert_allclose(row @ np.ones_like(radii), exact, rtol=1e-12)
+        assert_allclose(row @ radii**2, r_far ** (4.0 - 2.0 * s) / (4.0 - 2.0 * s), rtol=1e-12)
 
 
 def test_nan_on_the_annulus_raises():
-    # NaN for 1 < |y| < 2 only: the cutoff ball and the far rim stay finite
+    # NaN for 1 < |y| < 2 only: the far rim stays finite
     def value(p):
         r = np.abs(p[..., 0])
         return np.where((r > 1.0) & (r < 2.0), np.nan, np.exp(-r * r)).astype(complex)
@@ -284,6 +278,6 @@ _UNTOUCHED_POTENTIAL = VectorPotential(1, _no_compute, divergence=_no_compute)
 def test_operator_point_must_be_finite_numbers(monkeypatch, apply, point):
     # [nan] gave nan+nanj (local) or an IntegrationError after the annulus
     # pass (fractional), and ["0"] ran as the point 0
-    monkeypatch.setattr(operator, "radial_angular", _no_compute)
+    monkeypatch.setattr(operator, "_fractional_values", _no_compute)
     with pytest.raises(ConfigurationError, match="point must be a finite number"):
         apply(point)

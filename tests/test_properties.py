@@ -3,7 +3,6 @@ the diamagnetic inequality, and reports that do not depend on the thread
 count."""
 
 import math
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,10 +56,9 @@ def test_scaling_homogeneity(flabel, plabel, s, k, lam):
 @PROPERTY
 @given(FIELDS, POTENTIALS, st.floats(0.3, 0.95))
 def test_diamagnetic_inequality(flabel, plabel, s):
-    # |u| has no analytic gradient, so its seminorm drops the cutoff ball
+    # |u| has no analytic gradient, which the seminorm does not need
     u = resolve_field(flabel)
-    lhs = magnetic_seminorm_sq(modulus_field(u), resolve_potential("zero", 1), D1, s,
-                               replace(SPEC, near_field="drop")).value
+    lhs = magnetic_seminorm_sq(modulus_field(u), resolve_potential("zero", 1), D1, s, SPEC).value
     rhs = magnetic_seminorm_sq(u, resolve_potential(plabel, 1), D1, s, SPEC).value
     assert lhs <= rhs + 1e-6
 
