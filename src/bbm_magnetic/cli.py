@@ -25,7 +25,7 @@ import numpy as np
 from .constants import (check_s_list, dimensional_constants, fractional_constant,
                         fractional_constant_limit)
 from .corpus import resolve_field, resolve_potential
-from .errors import ConditionViolation, ConfigurationError, IntegrationError
+from .errors import ConditionViolation, ConfigurationError, IntegrationError, check_positive
 from .functionals import check_mollifier
 from .harness import (_FAMILY_KEYS, DEFAULT_S_LIST, REPORT_FORMATS, _family_from_descriptor,
                       default_spec, load_config, render_report, run_sweep, write_text)
@@ -81,36 +81,23 @@ def _cmd_operator(args) -> int:
     if point.size != args.dim:
         raise ConfigurationError(f"point has {point.size} coordinates, expected {args.dim}")
     s_list = check_s_list(_parse_numbers(args.s_list))
-    spec = default_spec(args.dim)
-    samples = operator_limit_scan(u, A, point, s_list, spec)
+    samples = operator_limit_scan(u, A, point, s_list, default_spec(args.dim))
     if args.format == "json":
-        rows = [
-            {
-                "s": smp.s,
-                "fractional": [smp.fractional.real, smp.fractional.imag],
-                "local": [smp.local.real, smp.local.imag],
-                "discrepancy": smp.discrepancy,
-            }
-            for smp in samples
-        ]
+        rows = [{"s": smp.s, "fractional": [smp.fractional.real, smp.fractional.imag],
+                 "local": [smp.local.real, smp.local.imag], "discrepancy": smp.discrepancy}
+                for smp in samples]
         text = json.dumps({"point": list(point), "rows": rows}, indent=2, sort_keys=True) + "\n"
     else:
-        lines = ["s,frac_re,frac_im,local_re,local_im,discrepancy"]
-        for smp in samples:
-            lines.append(
-                f"{smp.s!r},{smp.fractional.real!r},{smp.fractional.imag!r},"
-                f"{smp.local.real!r},{smp.local.imag!r},{smp.discrepancy!r}"
-            )
+        lines = ["s,frac_re,frac_im,local_re,local_im,discrepancy"] + [
+            f"{smp.s!r},{smp.fractional.real!r},{smp.fractional.imag!r},"
+            f"{smp.local.real!r},{smp.local.imag!r},{smp.discrepancy!r}" for smp in samples]
         text = "\n".join(lines) + "\n"
     _write_or_print(text, args.out)
     return 0
 
 
 def _cmd_mollifier_check(args) -> int:
-    if not all(math.isfinite(v) for v in (args.delta, args.r_domain) if v is not None):
-        raise ConfigurationError(
-            f"--delta and --r-domain must be finite, got {args.delta!r} and {args.r_domain!r}"
-        )
+    check_positive(args.delta, "delta")
     # Only the flags given enter the descriptor, so a flag of the other kind is refused.
     desc = {"kind": args.family}
     if args.indices is not None:

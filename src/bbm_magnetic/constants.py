@@ -78,13 +78,8 @@ def fractional_constant(dim: int, s: float) -> float:
     """
     check_dimension(dim)
     check_fractional_order(s)
-    return (
-        4.0**s
-        * math.gamma(dim / 2.0 + s)
-        * s
-        * (1.0 - s)
-        / (math.pi ** (dim / 2.0) * math.gamma(2.0 - s))
-    )
+    return (4.0**s * math.gamma(dim / 2.0 + s) * s * (1.0 - s)
+            / (math.pi ** (dim / 2.0) * math.gamma(2.0 - s)))
 
 
 def fractional_constant_limit(dim: int) -> float:

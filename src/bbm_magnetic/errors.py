@@ -47,6 +47,16 @@ def check_number(value, what: str) -> float:
     raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
 
 
+def check_positive(value, what: str) -> float:
+    """A positive finite number; every other value is refused with one message."""
+    try:
+        if check_number(value, what) > 0.0:
+            return float(value)
+    except ConfigurationError:
+        pass
+    raise ConfigurationError(f"{what} must be positive and finite, got {value!r}")
+
+
 def check_integer(value, what: str) -> int:
     if is_integer(value):
         return int(value)
@@ -59,12 +69,12 @@ def check_text(value, what: str) -> str:
     raise ConfigurationError(f"{what} must be a string, got {value!r}")
 
 
-def check_numbers(value, what: str, size: Optional[int] = None, item=check_number) -> tuple:
+def check_numbers(value, what: str, size: Optional[int] = None) -> tuple:
     """A list or tuple (of ``size`` entries, if given) checked entry by entry."""
     if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
         count = "" if size is None else f"{size} "
         raise ConfigurationError(f"{what} must be a list of {count}numbers, got {value!r}")
-    return tuple(item(v, what) for v in value)
+    return tuple(check_number(v, what) for v in value)
 
 
 def check_coordinates(value, what: str, size: Optional[int] = None) -> tuple:

@@ -215,16 +215,11 @@ def scaled_field(u: ScalarField, lam: complex) -> ScalarField:
     )
 
 
-def require_gradient(u: ScalarField, context: str) -> Callable[[np.ndarray], np.ndarray]:
-    if u.gradient is None:
-        raise ConfigurationError(f"{context} needs a field with an analytic gradient")
-    return u.gradient
-
-
 def magnetic_gradient(u: ScalarField, A: VectorPotential, points: np.ndarray) -> np.ndarray:
     """The magnetic gradient grad u - i A u at the points, shape (..., N)."""
-    grad = require_gradient(u, "the magnetic gradient")
-    return grad(points) - 1j * A(points) * u.value(points)[..., None]
+    if u.gradient is None:
+        raise ConfigurationError("the magnetic gradient needs a field with an analytic gradient")
+    return u.gradient(points) - 1j * A(points) * u.value(points)[..., None]
 
 
 def magnetic_density(u: ScalarField, A: VectorPotential, points: np.ndarray) -> np.ndarray:

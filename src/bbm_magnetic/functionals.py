@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constants import check_fractional_order, check_s_list
-from .errors import ConfigurationError, check_coordinates, check_integer, check_number
+from .errors import ConfigurationError, check_coordinates, check_integer, check_number, check_positive
 from .fields import (
     ScalarField,
     VectorPotential,
@@ -128,6 +128,15 @@ def l2_norm_sq(u: ScalarField, grid: TensorGrid) -> float:
     return float(pairwise_sum(grid.weights * np.abs(u.value(grid.points)) ** 2))
 
 
+def _require_support(u: ScalarField, d: Domain) -> None:
+    """Refuse a field whose support the domain does not cover."""
+    if not u.is_compact or not d.covers(u.support_domain, u.support_margin):
+        raise ConfigurationError(
+            f"full-space seminorm requires the support of {u.label or 'the field'} to lie "
+            "inside the domain, since the field is extended by zero outside it"
+        )
+
+
 def fullspace_seminorm_sq(
     u: ScalarField, A: VectorPotential, d: Domain, s: float, spec: QuadratureSpec
 ) -> IntegralResult:
@@ -147,12 +156,7 @@ def fullspace_seminorms_sq(
     """fullspace_seminorm_sq at every s in s_list, from one integrand
     evaluation per engine pass."""
     require_dimension(d.dimension, u, A)
-    if not u.is_compact or not d.covers(u.support_domain, u.support_margin):
-        raise ConfigurationError(
-            f"full-space seminorm requires the support of {u.label or 'the field'} to lie "
-            "inside the domain, since the field is extended by zero outside it"
-        )
-
+    _require_support(u, d)
     doms = magnetic_seminorms_sq(u, A, d, s_list, spec)
 
     def cross_on(sp):  # the cross term at every s
@@ -202,18 +206,6 @@ class MollifierFamily:
             raise ConfigurationError("a mollifier family needs at least one member")
 
 
-def _positive_number(value, what: str) -> float:
-    """value as a positive float; a non-number, a non-finite value and an
-    integer beyond float range are refused with one message."""
-    try:
-        number = check_number(value, what)
-        if number > 0.0:
-            return number
-    except ConfigurationError:
-        pass
-    raise ConfigurationError(f"{what} must be positive and finite, got {value!r}")
-
-
 def smoothstep_cutoff(r: np.ndarray, r_domain: float) -> np.ndarray:
     """C^2 radial cutoff: 1 on [0, r_domain], 0 beyond 2*r_domain."""
     r = np.asarray(r, dtype=float)
@@ -234,7 +226,7 @@ def bbm_family(s_sequence: Sequence[float], r_domain: float, dim: int) -> Mollif
     """
     check_dimension(dim)
     s_arr = check_s_list(s_sequence)
-    r_domain = _positive_number(r_domain, "cutoff radius")
+    r_domain = check_positive(r_domain, "cutoff radius")
 
     members = []
     for s in s_arr:
@@ -298,7 +290,7 @@ class MollifierCheck:
 
 
 def check_mollifier(fam: MollifierFamily, dim: int, delta: float) -> list[MollifierCheck]:
-    delta = _positive_number(delta, "delta")
+    delta = check_positive(delta, "delta")
     for member in fam.members:
         if member.dim != dim:
             raise ConfigurationError(
@@ -386,6 +378,20 @@ def translation_difference_sq(
     return float(pairwise_sum(grid.weights * np.abs(diff) ** 2))
 
 
+def _uniform_scale(
+    u: ScalarField, A: VectorPotential, d: Domain, spec: QuadratureSpec
+) -> tuple[float, Callable[[float], float]]:
+    """The local energy E on spec's outer grid and the map v -> v / (||u||_2^2 + E),
+    which is 0 when that sum is (a zero field).  A field whose support the
+    domain does not cover is refused before any compute."""
+    require_dimension(d.dimension, u, A)
+    _require_support(u, d)
+    grid = tensor_grid(d, spec.outer_nodes)
+    energy = local_magnetic_energy(u, A, d, grid).value
+    denom = l2_norm_sq(u, grid) + energy
+    return energy, (lambda v: v / denom) if denom > 0.0 else (lambda v: 0.0)
+
+
 def uniform_bound_check(
     u: ScalarField,
     A: VectorPotential,
@@ -398,11 +404,7 @@ def uniform_bound_check(
     Boundedness of these ratios over s, including values near 1, is the
     empirical form of the uniform (1-s) seminorm bound.
     """
-    require_dimension(d.dimension, u, A)
     s_vals = check_s_list(s_list)
-    grid = tensor_grid(d, spec.outer_nodes)
-    denom = l2_norm_sq(u, grid) + local_magnetic_energy(u, A, d, grid).value
-    if denom == 0.0:
-        return [(s, 0.0) for s in s_vals]
-    fulls = fullspace_seminorms_sq(u, A, d, s_vals, spec)
-    return [(s, (1.0 - s) * full.value / denom) for s, full in zip(s_vals, fulls)]
+    _, scale = _uniform_scale(u, A, d, spec)
+    return [(s, scale((1.0 - s) * full.value))
+            for s, full in zip(s_vals, fullspace_seminorms_sq(u, A, d, s_vals, spec))]

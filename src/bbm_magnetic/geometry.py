@@ -30,6 +30,7 @@ __all__ = [
     "check_dimension",
     "gauss_legendre",
     "sphere_rule",
+    "antipodal_half",
     "sphere_area",
     "tensor_grid",
 ]
@@ -249,6 +250,15 @@ def sphere_rule(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     )
     wts = np.outer(wt, np.full(n_azi, 2.0 * math.pi / n_azi)).ravel()
     return dirs, wts
+
+
+def antipodal_half(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """sphere_rule(dim, count) for integrands even in omega: an even rule's
+    second half with doubled weights, which sums them as the whole rule
+    does; an odd-count 2D rule, which has no antipodal half, whole."""
+    dirs, wts = sphere_rule(dim, count)
+    half = dirs.shape[0] // 2
+    return (dirs, wts) if dirs.shape[0] % 2 else (dirs[half:], 2.0 * wts[half:])
 
 
 @dataclass(frozen=True)

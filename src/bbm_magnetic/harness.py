@@ -27,21 +27,21 @@ from . import __version__
 from .constants import bbm_constant, check_s_list
 from .corpus import resolve_field, resolve_potential
 from .errors import (ConditionViolation, ConfigurationError, IntegrationError, check_coordinates,
-                     check_integer, check_number, check_numbers, check_text)
+                     check_integer, check_numbers, check_positive, check_text)
 from .fields import magnetic_gradient, require_dimension
 from .functionals import (
     MollifierFamily,
+    _uniform_scale,
     bbm_family,
     check_mollifier,
     fullspace_seminorms_sq,
     gaussian_family,
-    l2_norm_sq,
     local_magnetic_energy,
     magnetic_seminorms_sq,
     mollified_functionals,
     translation_difference_sq,
 )
-from .geometry import Domain, TensorGrid, ball, box, direction, tensor_grid
+from .geometry import Domain, ball, box, direction, tensor_grid
 from .operator import operator_limit_scan
 from .quadrature import IntegralResult, QuadratureSpec, pairwise_sum
 
@@ -113,13 +113,14 @@ class SweepConfig:
         for key in ("direction", "point"):
             if getattr(self, key) is not None:
                 store(key, check_coordinates(getattr(self, key), key, self.domain.dimension))
-        store("delta", check_number(self.delta, "delta"))
-        if not self.delta > 0.0:
-            raise ConfigurationError("delta must be positive")
+        store("delta", check_positive(self.delta, "delta"))
         if self.spec is None:
             store("spec", default_spec(self.domain.dimension))
         elif not isinstance(self.spec, QuadratureSpec):
             raise ConfigurationError(f"quadrature must be a QuadratureSpec, got {self.spec!r}")
+        if self.domain.dimension == 1 and self.spec.angular_nodes != 2:
+            raise ConfigurationError("quadrature angular_nodes must be 2 in 1D, the directions "
+                                     f"+1 and -1, got {self.spec.angular_nodes}")
 
 
 @dataclass(frozen=True)
@@ -327,15 +328,15 @@ def _one_minus(s: float) -> float:
     return 1.0 - s
 
 
-def _energy_grid(cfg: SweepConfig, u, A) -> tuple[float, TensorGrid]:
+def _energy(cfg: SweepConfig, u, A) -> float:
     grid = tensor_grid(cfg.domain, cfg.spec.outer_nodes)
-    return local_magnetic_energy(u, A, cfg.domain, grid).value, grid
+    return local_magnetic_energy(u, A, cfg.domain, grid).value
 
 
 def _plan_bbm(cfg: SweepConfig, u, A) -> _Plan:
     """Scaled seminorms versus the local-energy target K_N * E."""
     d = cfg.domain
-    energy, _ = _energy_grid(cfg, u, A)
+    energy = _energy(cfg, u, A)
     seminorms = fullspace_seminorms_sq if cfg.kind == "bbm-fullspace" else magnetic_seminorms_sq
     return _Plan(cfg.s_list, cfg.s_list, lambda s_list: seminorms(u, A, d, s_list, cfg.spec),
                  lambda s, v: (1.0 - s) * v, bbm_constant(d.dimension) * energy, _one_minus)
@@ -381,7 +382,7 @@ def _plan_mollifier(cfg: SweepConfig, u, A, family: Optional[MollifierFamily] = 
     fam = family if family is not None else _family_from_descriptor(
         cfg.family, d.dimension, cfg.s_list, d.diameter())
     checks = _admit_family(fam, d.dimension, cfg.delta)
-    energy, _ = _energy_grid(cfg, u, A)
+    energy = _energy(cfg, u, A)
     small = _one_minus if fam.kind == "bbm" else (lambda n: 1.0 / n)
     return _Plan(fam.members, [rho.param for rho in fam.members],
                  lambda members: mollified_functionals(u, A, d, members, cfg.spec),
@@ -408,13 +409,11 @@ def _plan_translation(cfg: SweepConfig, u, A) -> _Plan:
 def _plan_uniform(cfg: SweepConfig, u, A) -> _Plan:
     """(1-s) full-space seminorms over ||u||^2 + E, which must stay bounded."""
     d = cfg.domain
-    energy, grid = _energy_grid(cfg, u, A)
-    denom = l2_norm_sq(u, grid) + energy
-    target = bbm_constant(d.dimension) * energy / denom if denom > 0.0 else 0.0
-    scale = (lambda s, v: (1.0 - s) * v / denom) if denom > 0.0 else (lambda s, v: 0.0)
+    energy, scale = _uniform_scale(u, A, d, cfg.spec)
     return _Plan(cfg.s_list, cfg.s_list,
                  lambda s_list: fullspace_seminorms_sq(u, A, d, s_list, cfg.spec),
-                 scale, target, _one_minus, node_counts=[grid.points.shape[0]])
+                 lambda s, v: scale((1.0 - s) * v), scale(bbm_constant(d.dimension) * energy),
+                 _one_minus)
 
 
 def _plan_operator(cfg: SweepConfig, u, A) -> _Plan:

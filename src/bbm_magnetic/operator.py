@@ -9,8 +9,10 @@ integral of h r^(1-2s) over the sphere and over r in [0, inf).  Along each
 ray, the first panel [0, 6] takes the quadrature's product rule, which
 integrates r^(1-2s) exactly; three Gauss-Legendre panels, growing
 geometrically, reach the far radius 40; beyond it an analytic tail uses the
-field's decay.  h uses both x + r omega and x - r omega, so every sphere
-rule, symmetric or not, gives a valid average with weight 1/2.
+field's decay.  h is even in omega, so the directions are the antipodal
+half of the sphere rule (geometry.antipodal_half): each ray point is
+evaluated once, and an odd-count 2D rule, which has no such half, is
+taken whole.
 
 Only the ray weights and closed-form factors depend on s, so a whole
 s-list shares one evaluation of h and one far-rim check;
@@ -27,8 +29,8 @@ import numpy as np
 from .constants import check_fractional_order, check_s_list, fractional_constant
 from .errors import ConfigurationError, IntegrationError, check_coordinates
 from .fields import ScalarField, VectorPotential, magnetic_difference, require_dimension
-from .geometry import sphere_rule
-from .quadrature import QuadratureSpec, product_rule
+from .geometry import antipodal_half
+from .quadrature import QuadratureSpec, _refuse_nan, product_rule
 
 __all__ = [
     "OperatorSample",
@@ -96,7 +98,7 @@ def _fractional_values(
     and closed forms."""
     n = u.dim
     r_far = _FAR_FACTOR * _REF_LENGTH
-    dirs, wdir = sphere_rule(n, spec.angular_nodes)
+    dirs, wdir = antipodal_half(n, spec.angular_nodes)
 
     probes = [x[None, :]]
     for scale in (0.5, 1.0, 2.0):
@@ -104,9 +106,14 @@ def _fractional_values(
         probes.append(x[None, :] - scale * _REF_LENGTH * np.eye(n))
     u_scale = max(float(np.max(np.abs(u.value(np.vstack(probes))))), 1e-300)
 
-    y_rim = x + r_far * dirs
-    far_diff = magnetic_difference(u, A, x[None, :], y_rim)
-    rim_u = float(np.max(np.abs(u.value(y_rim))))
+    radii, weights = _ray_rule(s_vals, r_far)
+    # the ray nodes, then the far rim, along omega and -omega: (2, M, K + 1, N)
+    step = dirs[:, None, :] * np.append(radii, r_far)[:, None]
+    y = x + np.stack((step, -step))
+    diffs = magnetic_difference(u, A, x, y)
+    _refuse_nan(diffs, y)
+    far_diff = diffs[..., -1]
+    rim_u = float(np.max(np.abs(u.value(y[..., -1, :]))))
     # Beyond the far radius the difference is continued as constant in r,
     # which is exact up to the field's decay there (the usual case) or up to
     # an identically cancelling difference (pure-gauge pairs).  Anything else
@@ -117,16 +124,8 @@ def _fractional_values(
             f"{rim_u:.3e}, above {_DECAY_TOL:g} of the field scale, and the "
             "magnetic difference does not cancel there"
         )
-    far_sum = complex(far_diff @ wdir)
-
-    radii, weights = _ray_rule(s_vals, r_far)
-    step = dirs[:, None, :] * radii[:, None]  # (M, K, N)
-    y = x + np.stack((step, -step))
-    diffs = magnetic_difference(u, A, x, y)
-    if np.isnan(diffs).any():
-        bad = y[tuple(np.argwhere(np.isnan(diffs))[0])]
-        raise IntegrationError(f"integrand produced NaN at y={bad.tolist()}")
-    ray = 0.5 * (wdir @ ((diffs[0] + diffs[1]) / radii**2))
+    far_sum = 0.5 * complex(wdir @ (far_diff[0] + far_diff[1]))
+    ray = 0.5 * (wdir @ ((diffs[0, :, :-1] + diffs[1, :, :-1]) / radii**2))
     # one dot product per s, so a value does not depend on the rest of the list
     return [fractional_constant(n, s) * (complex(ray @ row) + far_sum * r_far ** (-2.0 * s) / (2.0 * s))
             for s, row in zip(s_vals, weights)]

@@ -34,11 +34,9 @@ workspace belongs to one call, so concurrent calls never share it.
 
 The seminorm and mollifier integrands are symmetric, f(x, y) = f(y, x), and
 so is the kernel, so the ray along omega from x covers the same pairs as the
-ray along -omega from y.  Every sphere rule with an even count, so every 1D
-and 3D rule, lists the antipodes of its first half in its second half, and
-a domain pass integrates along the second half only, with doubled weights:
-half the integrand points.  A 2D rule with an odd count has no antipodal
-half and keeps every direction.
+ray along -omega from y.  A domain pass therefore integrates over the
+antipodal half of its sphere rule (geometry.antipodal_half): half the
+integrand points, except on an odd-count 2D rule, which has no such half.
 
 Summation is a fixed-order pairwise tree over outer nodes, so results are
 bit-for-bit reproducible regardless of how callers schedule the work.
@@ -54,7 +52,8 @@ import numpy as np
 
 from .constants import check_fractional_order, check_s_list
 from .errors import ConfigurationError, IntegrationError, check_integer
-from .geometry import Domain, boundary_distances, gauss_legendre, sphere_rule, tensor_grid
+from .geometry import (Domain, antipodal_half, boundary_distances, gauss_legendre, sphere_rule,
+                       tensor_grid)
 
 __all__ = [
     "QuadratureSpec",
@@ -81,11 +80,12 @@ _GRADING = 2
 @dataclass(frozen=True)
 class QuadratureSpec:
     """All discretization knobs for the singular double integrals: outer
-    nodes per axis, sphere-rule directions and product-rule nodes per ray."""
+    nodes per axis, sphere-rule directions and product-rule nodes per ray.
+    Every field is required; harness.default_spec(N) holds the defaults."""
 
-    outer_nodes: int = 48
-    angular_nodes: int = 32
-    radial_nodes: int = 16
+    outer_nodes: int
+    angular_nodes: int
+    radial_nodes: int
 
     def __post_init__(self):
         for f in fields(self):  # storing the normalised value
@@ -168,6 +168,14 @@ def _fine_lagrange(n: int) -> np.ndarray:
     return lagrange
 
 
+def _refuse_nan(values: np.ndarray, points: np.ndarray) -> None:
+    """Raise IntegrationError naming the first point whose integrand value
+    is NaN; points holds one (N,) point per entry of values."""
+    if np.isnan(values).any():
+        bad = points[tuple(np.argwhere(np.isnan(values))[0])]
+        raise IntegrationError(f"integrand produced NaN at y={bad.tolist()}")
+
+
 def radial_integral(fn: Callable, lo: float, hi: float, beta: float = 0.0) -> float:
     """int_lo^hi fn(r) (r - lo)^beta dr on the fine rule, graded toward lo;
     fn must be smooth on [lo, hi]."""
@@ -238,9 +246,7 @@ def radial_angular(
             Y[j] += x[..., j]
         y = np.moveaxis(Y, 0, -1)
         vals = pair_fn(x, y)
-        if np.isnan(vals).any():
-            bad = y[tuple(np.argwhere(np.isnan(vals))[0])]
-            raise IntegrationError(f"integrand produced NaN at y={bad.tolist()}")
+        _refuse_nan(vals, y)
         for member_sums, (beta, h), rule in zip(sums, members, rules):
             if h is None:
                 np.multiply(vals, rule, out=contracted)
@@ -258,12 +264,8 @@ def _domain_pass(
     """One evaluation at the given spec, along the second half of an even
     sphere rule; returns (one value per member, node count)."""
     grid = tensor_grid(d, spec.outer_nodes)
-    dirs, wdir = sphere_rule(d.dimension, spec.angular_nodes)
-    half = dirs.shape[0] // 2
-    if 2 * half == dirs.shape[0]:
-        # The second half of an even rule holds the antipodes of the first,
-        # and a symmetric integrand integrates the same along omega and -omega.
-        dirs, wdir = dirs[half:], 2.0 * wdir[half:]
+    # a symmetric integrand integrates the same along omega and -omega
+    dirs, wdir = antipodal_half(d.dimension, spec.angular_nodes)
     R = boundary_distances(d, grid.points, dirs)
     per_dir, count = radial_angular(pair_fn, grid.points, R, dirs, spec.radial_nodes, members)
     return [float(pairwise_sum(grid.weights * (integrals @ wdir))) for integrals in per_dir], count

@@ -47,3 +47,18 @@ def test_removed_duplicate_state_is_gone():
     assert "support" not in [f.name for f in fields(bbm_magnetic.ScalarField)]
     assert [f.name for f in fields(bbm_magnetic.MollifierFamily)] == ["kind", "members"]
     assert "label" not in [f.name for f in fields(bbm_magnetic.RadialMollifier)]
+
+
+def test_each_rule_has_one_owner():
+    import inspect
+    from dataclasses import MISSING, fields
+
+    from bbm_magnetic import errors, fields as fields_module, functionals, harness
+
+    for module, name in ((functionals, "_positive_number"), (fields_module, "require_gradient"),
+                         (harness, "_energy_grid")):
+        assert not hasattr(module, name), name
+    # harness.default_spec(N) is the only default discretization
+    assert all(f.default is MISSING for f in fields(bbm_magnetic.QuadratureSpec))
+    assert bbm_magnetic.default_spec is harness.default_spec
+    assert "item" not in inspect.signature(errors.check_numbers).parameters

@@ -478,6 +478,20 @@ def test_uniform_bound_zero_field():
     assert all(r == 0.0 for _, r in rep)
 
 
+def test_uniform_bound_refuses_an_uncovered_zero_field_before_any_compute(monkeypatch):
+    # supported on (-1, 1), the zero field used to give ratios of 0 on the
+    # half-width domain, where the full-space seminorm refuses it
+    def no_compute(*_args, **_kwargs):
+        raise AssertionError("computed on bad input")
+
+    u = replace(_zero_field(1), support_domain=D1, support_margin=0.0)
+    monkeypatch.setattr(functionals, "local_magnetic_energy", no_compute)
+    monkeypatch.setattr(functionals, "l2_norm_sq", no_compute)
+    with pytest.raises(ConfigurationError, match="support of null to lie inside the domain"):
+        uniform_bound_check(u, resolve_potential("zero", 1), interval(-0.5, 0.5), [0.5, 0.9],
+                            SPEC1)
+
+
 def test_uniform_bound_ratios_bounded_and_converge():
     u = resolve_field("bump1d")
     A = resolve_potential("linear:alpha=1", 1)

@@ -9,6 +9,7 @@ from bbm_magnetic.errors import ConfigurationError
 from bbm_magnetic.geometry import (
     Direction,
     Domain,
+    antipodal_half,
     ball,
     boundary_distance,
     box,
@@ -155,6 +156,18 @@ def test_even_sphere_rules_hold_the_antipodes_of_their_first_half_in_their_secon
     assert np.array_equal(np.sort(match), np.arange(half))
     assert gap[np.arange(half), match].max() <= 1e-15
     assert np.array_equal(wts[half:], wts[match])
+
+
+@pytest.mark.parametrize("dim,count", [(1, 2), (2, 8), (2, 7), (3, 50), (3, 128)])
+def test_antipodal_half_sums_even_integrands_like_the_whole_rule(dim, count):
+    dirs, wts = sphere_rule(dim, count)
+    half_dirs, half_wts = antipodal_half(dim, count)
+    assert half_dirs.shape[0] == (count if dim == 2 and count % 2 else dirs.shape[0] // 2)
+
+    def even(w):
+        return np.cos(w @ np.arange(1.0, dim + 1.0)) + (w[:, 0] * w[:, -1]) ** 2
+
+    assert_allclose(half_wts @ even(half_dirs), wts @ even(dirs), rtol=1e-14)
 
 
 def test_sphere_dim2_uniform_weights():

@@ -194,9 +194,12 @@ _BOX = {"kind": "box", "center": [0.0, 0.0], "extents": [1.0, 1.0]}
 
 @pytest.mark.parametrize("change,built", [
     # each value was accepted in code, or failed there with a plain exception
-    ({"quadrature": {"outer_nodes": 2.5}}, lambda: QuadratureSpec(outer_nodes=2.5)),
-    ({"quadrature": {"outer_nodes": True}}, lambda: QuadratureSpec(outer_nodes=True)),
-    ({"quadrature": {"radial_nodes": "16"}}, lambda: QuadratureSpec(radial_nodes="16")),
+    ({"quadrature": {"outer_nodes": 2.5}},
+     lambda: dataclasses.replace(default_spec(1), outer_nodes=2.5)),
+    ({"quadrature": {"outer_nodes": True}},
+     lambda: dataclasses.replace(default_spec(1), outer_nodes=True)),
+    ({"quadrature": {"radial_nodes": "16"}},
+     lambda: dataclasses.replace(default_spec(1), radial_nodes="16")),
     ({"delta": "0.1"}, lambda: _cfg(delta="0.1")),
     ({"h_list": ["a"]}, lambda: _cfg(h_list=("a",))),
     ({"s_list": ["x"]}, lambda: _cfg(s_list=["x"])),
@@ -562,9 +565,9 @@ _OPERATOR = ["operator", "--field", "gauss1d", "--potential", "zero", "--dim", "
     (["mollifier-check", "--family", "gaussian", "--dim", "1", "--delta", "0.1",
       "--indices", "2.5,4.7"], "expected comma-separated integers"),
     (["mollifier-check", "--family", "bbm", "--dim", "1", "--delta", "0.1",
-      "--r-domain", "nan"], "must be finite"),
+      "--r-domain", "nan"], "cutoff radius must be positive and finite, got nan"),
     (["mollifier-check", "--family", "gaussian", "--dim", "1", "--delta", "inf"],
-     "must be finite"),
+     "delta must be positive and finite, got inf"),
     # a flag of the other family kind was ignored
     (["mollifier-check", "--family", "gaussian", "--dim", "1", "--delta", "0.1",
       "--s-list", "0.5"], "unknown family key(s) ['s_list']"),
@@ -617,6 +620,44 @@ def test_cli_sweep_on_a_domain_smaller_than_the_support_exits_2(monkeypatch, cap
     }))
     assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
     assert "support of bump1d to lie inside the domain" in capsys.readouterr().err
+
+
+def test_cli_uniform_sweep_on_a_domain_smaller_than_the_support_spends_no_energy_pass(
+        monkeypatch, capsys, tmp_path):
+    for module in (functionals, harness):
+        monkeypatch.setattr(module, "local_magnetic_energy", _no_compute)
+    monkeypatch.setattr(functionals, "l2_norm_sq", _no_compute)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "kind": "lemma-uniform", "field": "bump1d", "potential": "linear:alpha=1",
+        "domain": {"kind": "interval", "center": [0.0], "extents": [0.5]},
+    }))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+    assert "support of bump1d to lie inside the domain" in capsys.readouterr().err
+
+
+def test_a_1d_spec_with_other_than_two_directions_is_refused(monkeypatch, capsys, tmp_path):
+    # sphere_rule(1, n) is the two directions whatever n; 999 used to run the
+    # default's points and echo 999 into metadata.config
+    monkeypatch.setattr(quadrature, "radial_angular", _no_compute)
+    message = "quadrature angular_nodes must be 2 in 1D, the directions +1 and -1, got 999"
+    with pytest.raises(ConfigurationError) as in_code:
+        _cfg(spec=dataclasses.replace(FAST_SPEC, angular_nodes=999))
+    assert str(in_code.value) == message
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_GOOD, "quadrature": {"angular_nodes": 999}}))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    # other dimensions take any direction count
+    _cfg(domain=_D2, potential_label="landau", field_label="gauss2d",
+         spec=dataclasses.replace(FAST_SPEC, angular_nodes=7))
+
+
+def test_uniform_sweep_reports_the_engine_node_counts_per_row():
+    u, A = resolve_field("bump1d"), resolve_potential("linear:alpha=1", 1)
+    rep = run_sweep(_cfg(kind="lemma-uniform", field_label="bump1d", s_list=(0.5, 0.9)))
+    rows = functionals.fullspace_seminorms_sq(u, A, D1, [0.5, 0.9], FAST_SPEC)
+    assert rep.metadata["node_counts"] == [r.node_count for r in rows]
 
 
 def test_cli_mollifier_check():

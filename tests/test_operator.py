@@ -281,3 +281,23 @@ def test_operator_point_must_be_finite_numbers(monkeypatch, apply, point):
     monkeypatch.setattr(operator, "_fractional_values", _no_compute)
     with pytest.raises(ConfigurationError, match="point must be a finite number"):
         apply(point)
+
+
+@pytest.mark.parametrize("angular", [16, 15])
+def test_the_operator_evaluates_each_ray_point_once(angular):
+    # each direction is paired with its antipode, so an even rule takes its
+    # antipodal half; an odd 2D rule has none and is taken whole
+    u = resolve_field("gauss2d")
+    calls = []
+
+    def value(p):
+        calls.append(np.asarray(p).reshape(-1, 2).copy())
+        return u.value(p)
+
+    spec = replace(SPEC_2D, angular_nodes=angular)
+    fractional_magnetic_apply(replace(u, value=value), resolve_potential("landau", 2),
+                              [0.1, -0.2], 0.8, spec)
+    ray = max(calls, key=len)
+    assert len(np.unique(ray, axis=0)) == len(ray)
+    per_ray = operator._NEAR_NODES + operator._FAR_PANELS * operator._PANEL_NODES + 1  # + rim
+    assert len(ray) == 2 * (angular if angular % 2 else angular // 2) * per_ray

@@ -43,9 +43,12 @@ def _sq_diff(x, y):
 
 def test_spec_validation():
     with pytest.raises(ConfigurationError):
-        QuadratureSpec(radial_nodes=0)
+        QuadratureSpec(outer_nodes=8, angular_nodes=8, radial_nodes=0)
     with pytest.raises(ConfigurationError):
-        QuadratureSpec(angular_nodes=0)
+        QuadratureSpec(outer_nodes=8, angular_nodes=0, radial_nodes=8)
+    # no field has a default: harness.default_spec(N) is the only one
+    with pytest.raises(TypeError):
+        QuadratureSpec()
 
 
 def test_pairwise_sum_matches_exact_and_is_deterministic():
@@ -321,7 +324,8 @@ def test_kernel_weights_integrate_the_ray_interpolant():
         r = np.sqrt(np.sum((x - y) ** 2, axis=-1))
         return r**2 * np.polynomial.polynomial.polyval(r, coeffs)
 
-    X, dirs, R = _engine_inputs(d, QuadratureSpec(outer_nodes=3, angular_nodes=8), slice(None))
+    X, dirs, R = _engine_inputs(d, QuadratureSpec(outer_nodes=3, angular_nodes=8, radial_nodes=8),
+                             slice(None))
     (got,), _ = radial_angular(pair, X, R, dirs, nodes, [functionals._mollifier_member(d, rho)])
     xi, wi = np.polynomial.legendre.leggauss(20)
     for c, m in np.ndindex(R.shape):
