@@ -75,13 +75,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_operator(args) -> int:
+    spec = default_spec(args.dim)  # refuses a dimension other than 1, 2 or 3 first
     u = resolve_field(args.field)
     A = resolve_potential(args.potential, args.dim)
     point = np.asarray(_parse_numbers(args.point), dtype=float)
     if point.size != args.dim:
         raise ConfigurationError(f"point has {point.size} coordinates, expected {args.dim}")
     s_list = check_s_list(_parse_numbers(args.s_list))
-    samples = operator_limit_scan(u, A, point, s_list, default_spec(args.dim))
+    samples = operator_limit_scan(u, A, point, s_list, spec)
     if args.format == "json":
         rows = [{"s": smp.s, "fractional": [smp.fractional.real, smp.fractional.imag],
                  "local": [smp.local.real, smp.local.imag], "discrepancy": smp.discrepancy}

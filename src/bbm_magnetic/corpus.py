@@ -7,13 +7,14 @@ R^N; the compactly supported bumps are extended by zero, which is exact.
 
 from __future__ import annotations
 
+from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .fields import ScalarField, VectorPotential
-from .geometry import box, interval
+from .geometry import box, check_dimension, interval
 
 __all__ = ["resolve_field", "resolve_potential"]
 
@@ -21,50 +22,48 @@ __all__ = ["resolve_field", "resolve_potential"]
 _BUMP_MARGIN = 0.015
 
 
-def _bump(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t, dtype=float)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
-    return out
-
-
-def _bump_d1(t: np.ndarray) -> np.ndarray:
+def _bump_factor(t: np.ndarray, order: int) -> np.ndarray:
+    """The order-th derivative (0, 1 or 2) of the 1D bump exp(-1/(1-t^2)),
+    which is zero where |t| >= 1."""
     out = np.zeros_like(t, dtype=float)
     inside = np.abs(t) < 1.0
     ti = t[inside]
     q = 1.0 - ti * ti
-    out[inside] = np.exp(-1.0 / q) * (-2.0 * ti / q**2)
+    b = np.exp(-1.0 / q)
+    if order == 1:
+        b *= -2.0 * ti / q**2
+    elif order == 2:
+        b *= 4.0 * ti * ti / q**4 - 2.0 / q**2 - 8.0 * ti * ti / q**3
+    out[inside] = b
     return out
 
 
-def _bump_d2(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t, dtype=float)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    q = 1.0 - ti * ti
-    out[inside] = np.exp(-1.0 / q) * (4.0 * ti * ti / q**4 - 2.0 / q**2 - 8.0 * ti * ti / q**3)
-    return out
+def _bump(dim: int) -> ScalarField:
+    """The product of 1D bumps over the axes, supported on [-1, 1]^dim."""
 
+    def derivative(orders: list[np.ndarray], shape: tuple[int, ...]) -> Callable:
+        # Entry j is prod_k of the orders[j][k]-th derivative of the bump at
+        # x_k; the entries fill the trailing shape in C order.
+        needed = {(k, o) for entry in orders for k, o in enumerate(entry)}
 
-def _bump1d() -> ScalarField:
-    def val(p):
-        return _bump(p[..., 0]).astype(complex)
+        def evaluate(p):
+            factors = {(k, o): _bump_factor(p[..., k], o) for k, o in needed}
+            out = np.empty(p.shape[:-1] + (len(orders),), dtype=complex)
+            for j, entry in enumerate(orders):
+                out[..., j] = reduce(np.multiply, [factors[k, o] for k, o in enumerate(entry)])
+            return out.reshape(p.shape[:-1] + shape)
 
-    def grad(p):
-        return _bump_d1(p[..., 0]).astype(complex)[..., None]
+        return evaluate
 
-    def hess(p):
-        return _bump_d2(p[..., 0]).astype(complex)[..., None, None]
-
+    unit = np.eye(dim, dtype=int)
     return ScalarField(
-        1,
-        val,
-        grad,
-        hess,
-        support_domain=interval(-1.0, 1.0),
+        dim,
+        derivative([0 * unit[0]], ()),
+        derivative(list(unit), (dim,)),
+        derivative([a + b for a in unit for b in unit], (dim, dim)),
+        support_domain=interval(-1.0, 1.0) if dim == 1 else box([0.0] * dim, [1.0] * dim),
         support_margin=_BUMP_MARGIN,
-        label="bump1d",
+        label=f"bump{dim}d",
     )
 
 
@@ -103,78 +102,57 @@ def _gauss(dim: int) -> ScalarField:
     return ScalarField(dim, val, grad, hess, label=f"gauss{dim}d")
 
 
-def _bump2d() -> ScalarField:
-    def val(p):
-        return (_bump(p[..., 0]) * _bump(p[..., 1])).astype(complex)
-
-    def grad(p):
-        x, y = p[..., 0], p[..., 1]
-        g = np.stack([_bump_d1(x) * _bump(y), _bump(x) * _bump_d1(y)], axis=-1)
-        return g.astype(complex)
-
-    return ScalarField(
-        2,
-        val,
-        grad,
-        None,
-        support_domain=box([0.0, 0.0], [1.0, 1.0]),
-        support_margin=_BUMP_MARGIN,
-        label="bump2d",
-    )
+# Potential factories take the domain's dimension first; one with no form
+# there builds its own dimension, which resolve_potential refuses.
+def _zero_divergence(p):
+    return np.zeros(np.asarray(p).shape[:-1])
 
 
-def _zero_potential(dim: int) -> VectorPotential:
-    return VectorPotential(
-        dim,
-        value=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-        divergence=lambda p: np.zeros(np.asarray(p).shape[:-1]),
-        label="zero",
-    )
+def _zero(dim: int) -> VectorPotential:
+    return VectorPotential(dim, lambda p: np.zeros_like(np.asarray(p, dtype=float)),
+                           _zero_divergence, label="zero")
 
 
-def _const1d(alpha: float) -> VectorPotential:
-    return VectorPotential(
-        1,
-        value=lambda p: np.full_like(np.asarray(p, dtype=float), alpha),
-        divergence=lambda p: np.zeros(np.asarray(p).shape[:-1]),
-        label=f"const:alpha={alpha:g}",
-    )
+def _const(dim: int, alpha: float) -> VectorPotential:
+    return VectorPotential(1, lambda p: np.full_like(np.asarray(p, dtype=float), alpha),
+                           _zero_divergence, label=f"const:alpha={alpha:g}")
 
 
-def _linear1d(alpha: float) -> VectorPotential:
-    return VectorPotential(
-        1,
-        value=lambda p: alpha * np.asarray(p, dtype=float),
-        divergence=lambda p: np.full(np.asarray(p).shape[:-1], alpha),
-        label=f"linear:alpha={alpha:g}",
-    )
+def _linear(dim: int, alpha: float) -> VectorPotential:
+    return VectorPotential(1, lambda p: alpha * np.asarray(p, dtype=float),
+                           lambda p: np.full(np.asarray(p).shape[:-1], alpha),
+                           label=f"linear:alpha={alpha:g}")
 
 
-def _landau(beta: float) -> VectorPotential:
+def _landau(dim: int, beta: float) -> VectorPotential:
+    """The uniform field beta in the symmetric gauge: beta/2 (-x_2, x_1) in 2D,
+    beta/2 (-x_2, x_1, 0) in 3D, where the field points along x_3."""
+    n = 3 if dim == 3 else 2
+
     def val(p):
         p = np.asarray(p, dtype=float)
-        return np.stack([-0.5 * beta * p[..., 1], 0.5 * beta * p[..., 0]], axis=-1)
+        out = np.zeros(p.shape[:-1] + (n,))
+        np.multiply(-0.5 * beta, p[..., 1], out=out[..., 0])
+        np.multiply(0.5 * beta, p[..., 0], out=out[..., 1])
+        return out
 
-    return VectorPotential(
-        2,
-        value=val,
-        divergence=lambda p: np.zeros(np.asarray(p).shape[:-1]),
-        label=f"landau:beta={beta:g}",
-    )
+    return VectorPotential(n, val, _zero_divergence, label=f"landau:beta={beta:g}")
 
 
 # Entries by label name: (factory, its parameters with their defaults).
 _FIELDS = {
-    "gauss1d": (lambda: _gauss(1), {}),
-    "bump1d": (_bump1d, {}),
+    "gauss1d": (partial(_gauss, 1), {}),
+    "bump1d": (partial(_bump, 1), {}),
     "modgauss1d": (_modgauss1d, {"kappa": 1.0}),
-    "gauss2d": (lambda: _gauss(2), {}),
-    "bump2d": (_bump2d, {}),
+    "gauss2d": (partial(_gauss, 2), {}),
+    "bump2d": (partial(_bump, 2), {}),
+    "gauss3d": (partial(_gauss, 3), {}),
+    "bump3d": (partial(_bump, 3), {}),
 }
 _POTENTIALS = {
-    "zero": (_zero_potential, {}),
-    "const": (_const1d, {"alpha": 1.0}),
-    "linear": (_linear1d, {"alpha": 1.0}),
+    "zero": (_zero, {}),
+    "const": (_const, {"alpha": 1.0}),
+    "linear": (_linear, {"alpha": 1.0}),
     "landau": (_landau, {"beta": 1.0}),
 }
 
@@ -216,10 +194,10 @@ def resolve_field(label: str) -> ScalarField:
 
 
 def resolve_potential(label: str, dim: int) -> VectorPotential:
+    check_dimension(dim)
     factory, params = _parse(label, _POTENTIALS, "potential")
-    pot = factory(dim) if factory is _zero_potential else factory(**params)
+    pot = factory(dim, **params)
     if pot.dim != dim:
-        raise ConfigurationError(
-            f"potential {label!r} is {pot.dim}-dimensional, domain is {dim}-dimensional"
-        )
+        raise ConfigurationError(f"potential {label!r} is {pot.dim}-dimensional, "
+                                 f"domain is {dim}-dimensional")
     return pot

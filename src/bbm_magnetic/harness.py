@@ -31,6 +31,7 @@ from .errors import (ConditionViolation, ConfigurationError, IntegrationError, c
 from .fields import magnetic_gradient, require_dimension
 from .functionals import (
     MollifierFamily,
+    _require_support,
     _uniform_scale,
     bbm_family,
     check_mollifier,
@@ -41,7 +42,7 @@ from .functionals import (
     mollified_functionals,
     translation_difference_sq,
 )
-from .geometry import Domain, ball, box, direction, tensor_grid
+from .geometry import Domain, ball, box, check_dimension, direction, tensor_grid
 from .operator import operator_limit_scan
 from .quadrature import IntegralResult, QuadratureSpec, pairwise_sum
 
@@ -71,6 +72,7 @@ _TAIL_TOL = 0.1
 
 def default_spec(dim: int) -> QuadratureSpec:
     """Dimension-dependent default discretization."""
+    check_dimension(dim)
     if dim == 1:
         return QuadratureSpec(outer_nodes=160, angular_nodes=2, radial_nodes=64)
     if dim == 2:
@@ -336,6 +338,8 @@ def _energy(cfg: SweepConfig, u, A) -> float:
 def _plan_bbm(cfg: SweepConfig, u, A) -> _Plan:
     """Scaled seminorms versus the local-energy target K_N * E."""
     d = cfg.domain
+    if cfg.kind == "bbm-fullspace":
+        _require_support(u, d)  # before the energy pass
     energy = _energy(cfg, u, A)
     seminorms = fullspace_seminorms_sq if cfg.kind == "bbm-fullspace" else magnetic_seminorms_sq
     return _Plan(cfg.s_list, cfg.s_list, lambda s_list: seminorms(u, A, d, s_list, cfg.spec),

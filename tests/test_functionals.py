@@ -557,8 +557,7 @@ def test_three_dimensional_ball_smoke():
     from bbm_magnetic.constants import bbm_constant
     from bbm_magnetic.geometry import ball
 
-    u = ScalarField(3, value=lambda p: np.exp(-np.sum(p * p, axis=-1)).astype(complex),
-                    gradient=lambda p: (-2.0 * p * np.exp(-np.sum(p * p, axis=-1))[..., None]).astype(complex))
+    u = resolve_field("gauss3d")
     A = resolve_potential("zero", 3)
     d = ball([0.0, 0.0, 0.0], 1.0)
     spec = QuadratureSpec(outer_nodes=10, angular_nodes=128, radial_nodes=6)
@@ -575,16 +574,6 @@ def test_three_dimensional_ball_smoke():
 # ---------------------------------------------------------------------------
 
 
-def _gauss3d():
-    return ScalarField(3, value=lambda p: np.exp(-np.sum(p * p, axis=-1)).astype(complex),
-                       gradient=lambda p: (-2.0 * p * np.exp(-np.sum(p * p, axis=-1))[..., None]).astype(complex))
-
-
-def _symmetric3d():
-    return VectorPotential(3, lambda p: 0.5 * np.stack(
-        [-p[..., 1], p[..., 0], np.zeros(p.shape[:-1])], axis=-1), label="symmetric")
-
-
 def _batch_cases():
     from bbm_magnetic.geometry import ball
 
@@ -596,7 +585,8 @@ def _batch_cases():
                   box([0.0, 0.0], [1.0, 1.0]), spec2),
         "ball2d": (resolve_field("gauss2d"), resolve_potential("landau:beta=1", 2),
                    ball([0.1, -0.2], 1.0), spec2),
-        "ball3d": (_gauss3d(), _symmetric3d(), ball([0.0, 0.0, 0.0], 1.0),
+        "ball3d": (resolve_field("gauss3d"), resolve_potential("landau", 3),
+                   ball([0.0, 0.0, 0.0], 1.0),
                    QuadratureSpec(outer_nodes=4, angular_nodes=16, radial_nodes=3)),
     }
 
@@ -654,6 +644,18 @@ def test_check_mollifier_checks_each_members_dimension():
     with pytest.raises(ConfigurationError, match="mollifier 4 is 2-dimensional, asked for 1"):
         check_mollifier(mixed, 1, 0.1)
 
+
+
+@pytest.mark.parametrize("functional", [
+    mollified_functional,
+    lambda u, A, d, rho, spec: mollified_functionals(u, A, d, [rho], spec),
+], ids=["single", "batch"])
+def test_a_kernel_of_another_dimension_is_refused(monkeypatch, functional):
+    monkeypatch.setattr(quadrature, "radial_angular", _no_compute)
+    rho = gaussian_family([4], 2).members[0]
+    u, A = resolve_field("gauss1d"), resolve_potential("zero", 1)
+    with pytest.raises(ConfigurationError, match="mollifier dimension does not match the domain"):
+        functional(u, A, D1, rho, SPEC1)
 
 def test_translation_check_reads_compactness_from_the_support_domain():
     grid = _translation_grid()

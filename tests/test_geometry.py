@@ -261,3 +261,19 @@ def test_counts_and_domain_vectors_must_be_numbers(call, message):
     # TypeError; the others were accepted
     with pytest.raises(ConfigurationError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Domain("disc", [0.0, 0.0], [1.0]), "unknown domain kind 'disc'"),
+    (lambda: Domain("interval", [0.0, 0.0], [1.0, 1.0]), "intervals are one-dimensional"),
+    (lambda: Domain("ball", [0.0, 0.0], [1.0, 2.0]), "a ball takes a single radius extent"),
+    (lambda: box([0.0, 0.0, 0.0], [1.0, 1.0]), "box extents must match the dimension"),
+    (lambda: direction([0.0, 0.0]), "cannot normalize a zero or non-finite vector"),
+    (lambda: sphere_rule(2, 0), "sphere rule needs count >= 1"),
+    (lambda: tensor_grid(box([0.0, 0.0], [1.0, 1.0]), 0),
+     "tensor grid needs at least one node per axis"),
+], ids=["unknown-kind", "2d-interval", "ball-two-extents", "box-extents-dimension",
+        "zero-direction", "no-directions", "no-nodes"])
+def test_malformed_domains_directions_and_rules_are_refused(call, message):
+    with pytest.raises(ConfigurationError, match=message):
+        call()

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 import bbm_magnetic
 from bbm_magnetic import cli, functionals, harness, operator, quadrature
-from bbm_magnetic.constants import check_fractional_order, check_s_list
+from bbm_magnetic.constants import bbm_constant, check_fractional_order, check_s_list
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConditionViolation, ConfigurationError, IntegrationError
 from bbm_magnetic.functionals import (
@@ -622,19 +622,74 @@ def test_cli_sweep_on_a_domain_smaller_than_the_support_exits_2(monkeypatch, cap
     assert "support of bump1d to lie inside the domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["lemma-uniform", "bbm-fullspace"])
 def test_cli_uniform_sweep_on_a_domain_smaller_than_the_support_spends_no_energy_pass(
-        monkeypatch, capsys, tmp_path):
+        monkeypatch, capsys, tmp_path, kind):
     for module in (functionals, harness):
         monkeypatch.setattr(module, "local_magnetic_energy", _no_compute)
     monkeypatch.setattr(functionals, "l2_norm_sq", _no_compute)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
-        "kind": "lemma-uniform", "field": "bump1d", "potential": "linear:alpha=1",
+        "kind": kind, "field": "bump1d", "potential": "linear:alpha=1",
         "domain": {"kind": "interval", "center": [0.0], "extents": [0.5]},
     }))
     assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
     assert "support of bump1d to lie inside the domain" in capsys.readouterr().err
 
+
+
+def test_default_spec_refuses_a_dimension_other_than_1_2_or_3(monkeypatch, capsys):
+    # default_spec(5) was the 3D spec and default_spec(True) the 1D one
+    for dim in (0, 4, 5, True, 2.0):
+        with pytest.raises(ConfigurationError, match="unsupported dimension"):
+            default_spec(dim)
+    # so the operator command refuses --dim 5 before it resolves a label
+    monkeypatch.setattr(cli, "resolve_field", _no_compute)
+    monkeypatch.setattr(cli, "resolve_potential", _no_compute)
+    assert cli.main(["operator", "--field", "gauss1d", "--potential", "zero", "--dim", "5",
+                     "--point", "0,0,0,0,0", "--s-list", "0.9"]) == 2
+    assert "unsupported dimension 5; expected 1, 2 or 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("domain,missing", [
+    ({"kind": "ball", "center": [0.0, 0.0]}, "['radius']"),
+    ({"kind": "box", "extents": [1.0, 1.0]}, "['center']"),
+    ({"kind": "box"}, "['center', 'extents']"),
+])
+def test_a_config_domain_missing_a_key_is_refused(domain, missing):
+    with pytest.raises(ConfigurationError) as info:
+        config_from_dict({**_GOOD, "domain": domain})
+    assert str(info.value) == f"{domain['kind']} domain missing required key(s) {missing}"
+
+
+# int_0^1 r^k e^(-2 r^2) dr for k = 0, 2, 4, the second and fourth by parts.
+_J0 = math.sqrt(math.pi / 8.0) * math.erf(math.sqrt(2.0))
+_J2 = (_J0 - math.exp(-2.0)) / 4.0
+_J4 = (3.0 * _J2 - math.exp(-2.0)) / 4.0
+
+
+@pytest.mark.parametrize("domain,beta,energy,target_tol,limit_tol", [
+    # E = (4 + beta^2/6) * 4 pi * J4; the masked outer grid leaves the
+    # target 2.8e-2 off
+    ({"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}, 1.0,
+     (4.0 + 1.0 / 6.0) * 4.0 * math.pi * _J4, 3e-2, 2.5e-2),
+    # E = (12 + beta^2/2) I2 I0^2 with I_k = 2 J_k the moments on (-1, 1)
+    ({"kind": "box", "center": [0.0, 0.0, 0.0], "extents": [1.0, 1.0, 1.0]}, 2.0,
+     (12.0 + 4.0 / 2.0) * 8.0 * _J2 * _J0**2, 1e-10, 4e-3),
+], ids=["ball", "box"])
+def test_3d_landau_sweeps_approach_the_closed_form_energy(domain, beta, energy, target_tol,
+                                                          limit_tol):
+    # gauss3d in the symmetric gauge beta/2 (-x2, x1, 0), default spec:
+    # |grad u - iAu|^2 = (4 |x|^2 + beta^2 (x1^2 + x2^2) / 4) e^(-2 |x|^2)
+    cfg = config_from_dict({"kind": "bbm-domain", "field": "gauss3d",
+                            "potential": f"landau:beta={beta:g}", "domain": domain})
+    report = run_sweep(cfg)
+    exact = bbm_constant(3) * energy
+    assert abs(report.target / exact - 1.0) < target_tol
+    assert abs(report.extrapolated_limit / exact - 1.0) < limit_tol
+    errors = [row.rel_err for row in report.rows]
+    assert not any(row.failed for row in report.rows) and errors == sorted(errors, reverse=True)
+    assert config_from_dict(json.loads(json.dumps(report.metadata["config"]))) == cfg
 
 def test_a_1d_spec_with_other_than_two_directions_is_refused(monkeypatch, capsys, tmp_path):
     # sphere_rule(1, n) is the two directions whatever n; 999 used to run the

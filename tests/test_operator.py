@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConfigurationError, IntegrationError
 from bbm_magnetic import operator
-from bbm_magnetic.fields import ScalarField, VectorPotential
+from bbm_magnetic.fields import GaugeFunction, ScalarField, VectorPotential, gauge_transform
 from bbm_magnetic.operator import (
     fractional_magnetic_apply,
     local_magnetic_apply,
@@ -59,6 +59,26 @@ def test_local_apply_requires_metadata():
     with pytest.raises(ConfigurationError):
         local_magnetic_apply(bare, A, [0.0])
 
+
+
+def test_local_apply_requires_divergence_metadata():
+    A = VectorPotential(1, resolve_potential("zero", 1).value)
+    with pytest.raises(ConfigurationError, match="divergence metadata"):
+        local_magnetic_apply(resolve_field("gauss1d"), A, [0.0])
+
+
+@pytest.mark.parametrize("field,x", [("gauss2d", [0.3, -0.2]), ("bump2d", [0.3, -0.2]),
+                                     ("gauss3d", [0.3, -0.2, 0.1]), ("bump3d", [0.3, -0.2, 0.1])])
+def test_local_apply_is_gauge_covariant(field, x):
+    # under u -> e^{i phi} u, A -> A + grad phi the operator picks up e^{i phi(x)};
+    # the gauged field's Hessian is gauge_transform's
+    u = resolve_field(field)
+    A = resolve_potential("landau:beta=1.5", u.dim)
+    g = GaugeFunction(np.linspace(0.7, -1.3, u.dim), 0.4)
+    ug, Ag = gauge_transform(u, A, g)
+    expected = np.exp(1j * g(np.array(x))) * local_magnetic_apply(u, A, x)
+    assert abs(expected) > 0.1
+    assert_allclose(local_magnetic_apply(ug, Ag, x), expected, rtol=1e-13)
 
 def test_fractional_constant_field_formally_zero():
     ones = ScalarField(1, value=lambda p: np.ones(p.shape[:-1], dtype=complex),

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from bbm_magnetic import functionals, quadrature
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConfigurationError, IntegrationError
-from bbm_magnetic.fields import ScalarField, VectorPotential
 from bbm_magnetic.functionals import _difference_sq, gaussian_family, magnetic_seminorm_sq
 from bbm_magnetic.geometry import (
     ball,
@@ -285,10 +284,7 @@ def test_pair_fn_gets_x_plus_r_omega_in_coordinate_major_layout(d, nodes, angula
 
 def _gauss3d_symmetric():
     """The 3D ball's field and potential: exp(-|p|^2) in the symmetric gauge."""
-    u = ScalarField(3, lambda p: np.exp(-np.sum(p * p, axis=-1)).astype(complex))
-    A = VectorPotential(3, lambda p: 0.5 * np.stack(
-        [-p[..., 1], p[..., 0], np.zeros(p.shape[:-1])], axis=-1))
-    return u, A
+    return resolve_field("gauss3d"), resolve_potential("landau", 3)
 
 
 @pytest.mark.parametrize("d,fields", [
