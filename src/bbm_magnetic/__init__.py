@@ -57,7 +57,6 @@ from .harness import (
     emit_report,
     extrapolate_limit,
     load_config,
-    run_mollifier_sweep,
     run_sweep,
 )
 from .operator import (

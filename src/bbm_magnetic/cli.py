@@ -108,7 +108,7 @@ def _cmd_mollifier_check(args) -> int:
     if args.r_domain is not None:
         desc["r_domain"] = args.r_domain
     fam = _family_from_descriptor(desc, args.dim, DEFAULT_S_LIST, 2.0)
-    rows = [asdict(c) for c in check_mollifier(fam, args.dim, args.delta)]
+    rows = [asdict(c) for c in check_mollifier(fam, args.delta)]
     _write_or_print(json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 

@@ -198,6 +198,5 @@ def resolve_potential(label: str, dim: int) -> VectorPotential:
     factory, params = _parse(label, _POTENTIALS, "potential")
     pot = factory(dim, **params)
     if pot.dim != dim:
-        raise ConfigurationError(f"potential {label!r} is {pot.dim}-dimensional, "
-                                 f"domain is {dim}-dimensional")
+        raise ConfigurationError(f"potential {label!r} has no {dim}-dimensional form")
     return pot

@@ -182,12 +182,12 @@ def fullspace_seminorms_sq(
 
 @dataclass(frozen=True)
 class RadialMollifier:
-    """A single nonnegative radial kernel rho(r), singular at most like
-    r^-power at 0: rho(r) r^power is smooth on [0, support_radius], which
-    is what lets the engine integrate the singular factor exactly."""
+    """A single nonnegative radial kernel rho(r) = r^-power smooth(r), stored
+    as its factor smooth(r) = rho(r) r^power, smooth on [0, support_radius]:
+    the engine integrates smooth against the exact power of r."""
 
     dim: int
-    fn: Callable[[np.ndarray], np.ndarray]
+    smooth: Callable[[np.ndarray], np.ndarray]
     support_radius: float
     param: float
     power: float = 0.0
@@ -202,8 +202,14 @@ class MollifierFamily:
     members: tuple[RadialMollifier, ...]
 
     def __post_init__(self):
+        """Refuse an empty family and members of mixed dimension."""
         if not self.members:
             raise ConfigurationError("a mollifier family needs at least one member")
+        dim = self.members[0].dim
+        for member in self.members:
+            if member.dim != dim:
+                raise ConfigurationError(f"mollifier {member.param:g} is {member.dim}-dimensional, "
+                                         f"its family's first member is {dim}-dimensional")
 
 
 def smoothstep_cutoff(r: np.ndarray, r_domain: float) -> np.ndarray:
@@ -214,15 +220,12 @@ def smoothstep_cutoff(r: np.ndarray, r_domain: float) -> np.ndarray:
 
 
 def bbm_family(s_sequence: Sequence[float], r_domain: float, dim: int) -> MollifierFamily:
-    """Power-kernel family rho_n(r) = 2(1-s_n) r^-(N+2s_n-2) psi0(r).
+    """Power-kernel family rho_n(r) = 2(1-s_n) r^-(N+2s_n-2) psi0(r), stored
+    as its smooth factor 2(1-s_n) psi0(r) and power N + 2s_n - 2.
 
     psi0 is the smoothstep cutoff, identically 1 up to r_domain, so for
     domains of diameter <= r_domain the mollified functional equals
     2(1-s_n) times the squared s_n-seminorm.
-
-    The kernel is meant for r > 0, which is where every caller evaluates it.
-    At r = 0 it returns the formula's limit: inf where N + 2s > 2, 1 for
-    N = 1 and s = 1/2, and 0 for N = 1 and s < 1/2.
     """
     check_dimension(dim)
     s_arr = check_s_list(s_sequence)
@@ -230,13 +233,10 @@ def bbm_family(s_sequence: Sequence[float], r_domain: float, dim: int) -> Mollif
 
     members = []
     for s in s_arr:
-        expo = dim + 2.0 * s - 2.0
+        def smooth(r, _s=s):
+            return 2.0 * (1.0 - _s) * smoothstep_cutoff(r, r_domain)
 
-        def fn(r, _e=expo, _s=s):
-            r = np.asarray(r, dtype=float)
-            return 2.0 * (1.0 - _s) * r ** (-_e) * smoothstep_cutoff(r, r_domain)
-
-        members.append(RadialMollifier(dim, fn, 2.0 * r_domain, s, expo))
+        members.append(RadialMollifier(dim, smooth, 2.0 * r_domain, s, dim + 2.0 * s - 2.0))
     return MollifierFamily("bbm", tuple(members))
 
 
@@ -268,11 +268,11 @@ def gaussian_family(indices: Sequence[int], dim: int) -> MollifierFamily:
     for n, amp in zip(idx, amps):
         width = 1.0 / n
 
-        def fn(r, _a=amp, _w=width):
+        def smooth(r, _a=amp, _w=width):
             r = np.asarray(r, dtype=float)
             return _a * np.exp(-((r / _w) ** 2))
 
-        members.append(RadialMollifier(dim, fn, 40.0 * width, float(n)))
+        members.append(RadialMollifier(dim, smooth, 40.0 * width, float(n)))
     return MollifierFamily("gaussian", tuple(members))
 
 
@@ -289,13 +289,8 @@ class MollifierCheck:
     m2: float
 
 
-def check_mollifier(fam: MollifierFamily, dim: int, delta: float) -> list[MollifierCheck]:
+def check_mollifier(fam: MollifierFamily, delta: float) -> list[MollifierCheck]:
     delta = check_positive(delta, "delta")
-    for member in fam.members:
-        if member.dim != dim:
-            raise ConfigurationError(
-                f"mollifier {member.param:g} is {member.dim}-dimensional, asked for {dim}"
-            )
     out = []
     for member in fam.members:
         rsup = member.support_radius
@@ -310,13 +305,13 @@ def check_mollifier(fam: MollifierFamily, dim: int, delta: float) -> list[Mollif
 
 
 def _ray_density(rho: RadialMollifier) -> _Member:
-    """rho(r) r^(N-1) as r^beta h(r), with h = rho(r) r^power smooth."""
+    """rho(r) r^(N-1) as r^beta h(r), with h = rho.smooth."""
     if not rho.power < rho.dim:
         raise ConfigurationError(
             f"mollifier {rho.param:g} has power {rho.power!r}: rho(r) r^(N-1) is not "
             "integrable at 0 unless the power is below the dimension"
         )
-    return rho.dim - 1.0 - rho.power, lambda r: rho.fn(r) * r**rho.power
+    return rho.dim - 1.0 - rho.power, rho.smooth
 
 
 def _mollifier_member(d: Domain, rho: RadialMollifier) -> _Member:
@@ -326,7 +321,7 @@ def _mollifier_member(d: Domain, rho: RadialMollifier) -> _Member:
     if rho.dim != d.dimension:
         raise ConfigurationError("mollifier dimension does not match the domain")
     probe = np.linspace(1e-6, rho.support_radius, 64)
-    if np.any(rho.fn(probe) < -1e-15):
+    if np.any(rho.smooth(probe) < -1e-15):
         raise ConfigurationError("mollifier kernel must be nonnegative")
     return _ray_density(rho)
 
@@ -359,6 +354,13 @@ def mollified_functionals(
 # ---------------------------------------------------------------------------
 
 
+def _require_compact(u: ScalarField) -> None:
+    """Refuse a field with no support domain, which the translation check
+    extends by zero."""
+    if not u.is_compact:
+        raise ConfigurationError("translation check requires a field with a support domain")
+
+
 def translation_difference_sq(
     u: ScalarField, A: VectorPotential, h, grid: TensorGrid
 ) -> float:
@@ -372,8 +374,7 @@ def translation_difference_sq(
     h = np.array(check_coordinates(h, "shift"))
     if float(np.linalg.norm(h)) > 1.0:
         raise ConfigurationError("translation check requires |h| <= 1")
-    if not u.is_compact:
-        raise ConfigurationError("translation check requires a field with a support domain")
+    _require_compact(u)
     diff = magnetic_difference(u, A, grid.points + h, grid.points)
     return float(pairwise_sum(grid.weights * np.abs(diff) ** 2))
 

@@ -31,6 +31,7 @@ from .errors import (ConditionViolation, ConfigurationError, IntegrationError, c
 from .fields import magnetic_gradient, require_dimension
 from .functionals import (
     MollifierFamily,
+    _require_compact,
     _require_support,
     _uniform_scale,
     bbm_family,
@@ -54,7 +55,6 @@ __all__ = [
     "config_from_dict",
     "load_config",
     "run_sweep",
-    "run_mollifier_sweep",
     "extrapolate_limit",
     "emit_report",
     "write_text",
@@ -362,9 +362,9 @@ def _family_from_descriptor(
     return bbm_family(desc.get("s_list", s_list), desc.get("r_domain", r_domain), dim)
 
 
-def _admit_family(fam: MollifierFamily, dim: int, delta: float) -> list:
+def _admit_family(fam: MollifierFamily, delta: float) -> list:
     """Gate a family on its moment trends; abort naming the violated condition."""
-    checks = check_mollifier(fam, dim, delta)
+    checks = check_mollifier(fam, delta)
     dev = [abs(c.m0 - 1.0) for c in checks]
     if dev[-1] > _NORMALIZ_TOL or any(b > a + 1e-9 for a, b in zip(dev, dev[1:])):
         raise ConditionViolation(
@@ -380,12 +380,11 @@ def _admit_family(fam: MollifierFamily, dim: int, delta: float) -> list:
     return checks
 
 
-def _plan_mollifier(cfg: SweepConfig, u, A, family: Optional[MollifierFamily] = None) -> _Plan:
+def _plan_mollifier(cfg: SweepConfig, u, A) -> _Plan:
     """Mollified functionals of an admitted family versus 2 K_N * E."""
     d = cfg.domain
-    fam = family if family is not None else _family_from_descriptor(
-        cfg.family, d.dimension, cfg.s_list, d.diameter())
-    checks = _admit_family(fam, d.dimension, cfg.delta)
+    fam = _family_from_descriptor(cfg.family, d.dimension, cfg.s_list, d.diameter())
+    checks = _admit_family(fam, cfg.delta)
     energy = _energy(cfg, u, A)
     small = _one_minus if fam.kind == "bbm" else (lambda n: 1.0 / n)
     return _Plan(fam.members, [rho.param for rho in fam.members],
@@ -396,6 +395,7 @@ def _plan_mollifier(cfg: SweepConfig, u, A, family: Optional[MollifierFamily] = 
 
 def _plan_translation(cfg: SweepConfig, u, A) -> _Plan:
     """Translation differences over |h|^2 versus the directional energy."""
+    _require_compact(u)  # before the target pass
     d = cfg.domain
     omega = direction(cfg.direction if cfg.direction else np.eye(d.dimension)[0]).unit
     # Integrate over the bounding box inflated by the largest shift, so the
@@ -430,30 +430,6 @@ def _plan_operator(cfg: SweepConfig, u, A) -> _Plan:
                  lambda s, v: v, 0.0, _one_minus, node_counts=[])
 
 
-def _sweep(cfg: SweepConfig, planner: Callable, threads: int) -> SweepReport:
-    """Resolve the field and potential, plan the kind, compute the rows (a
-    batch's IntegrationError fails its rows) and fit the limit."""
-    if check_integer(threads, "threads") < 1:
-        raise ConfigurationError(f"threads must be at least 1, got {threads}")
-    u = resolve_field(cfg.field_label)
-    d = cfg.domain
-    A = resolve_potential(cfg.potential_label, d.dimension)
-    require_dimension(d.dimension, u, A)
-    plan = planner(cfg, u, A)
-    batches = _batches(plan.items, threads)
-    results = []
-    for batch, out in zip(batches, _parallel_map(partial(_attempt, plan.batch), batches, threads)):
-        results.extend([out] * len(batch) if isinstance(out, IntegrationError) else out)
-    values = [r.value if isinstance(r, IntegralResult) else r for r in results]
-    rows = _make_rows(plan.params, values, plan.scale, plan.target)
-    limit, resid = _fit_closest([(plan.small(r.param), r.scaled) for r in rows if not r.failed])
-    nodes = plan.node_counts
-    if nodes is None:
-        nodes = [r.node_count if isinstance(r, IntegralResult) else 0 for r in results]
-    meta = {**_metadata(cfg, nodes), **plan.extra}
-    return SweepReport(cfg.kind, tuple(rows), plan.target, limit, resid, meta)
-
-
 _PLANS = {
     "bbm-domain": _plan_bbm,
     "bbm-fullspace": _plan_bbm,
@@ -466,21 +442,28 @@ SWEEP_KINDS = tuple(_PLANS)
 
 
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepReport:
-    """Run a sweep of the configured kind."""
-    return _sweep(cfg, _PLANS[cfg.kind], threads)
-
-
-def run_mollifier_sweep(
-    cfg: SweepConfig, family: Optional[MollifierFamily] = None, threads: int = 1
-) -> SweepReport:
-    """Mollified-functional sweep versus the target 2 K_N * E.  A config of
-    any other kind raises ConfigurationError before any compute."""
-    if cfg.kind != "mollifier":
-        raise ConfigurationError(
-            f"run_mollifier_sweep needs a 'mollifier' config, got kind {cfg.kind!r}; "
-            "use run_sweep for the other kinds"
-        )
-    return _sweep(cfg, partial(_plan_mollifier, family=family), threads)
+    """Run a sweep of the configured kind: resolve the field and potential,
+    plan the kind, compute the rows (a batch's IntegrationError fails its
+    rows) and fit the limit."""
+    if check_integer(threads, "threads") < 1:
+        raise ConfigurationError(f"threads must be at least 1, got {threads}")
+    u = resolve_field(cfg.field_label)
+    d = cfg.domain
+    A = resolve_potential(cfg.potential_label, d.dimension)
+    require_dimension(d.dimension, u, A)
+    plan = _PLANS[cfg.kind](cfg, u, A)
+    batches = _batches(plan.items, threads)
+    results = []
+    for batch, out in zip(batches, _parallel_map(partial(_attempt, plan.batch), batches, threads)):
+        results.extend([out] * len(batch) if isinstance(out, IntegrationError) else out)
+    values = [r.value if isinstance(r, IntegralResult) else r for r in results]
+    rows = _make_rows(plan.params, values, plan.scale, plan.target)
+    limit, resid = _fit_closest([(plan.small(r.param), r.scaled) for r in rows if not r.failed])
+    nodes = plan.node_counts
+    if nodes is None:
+        nodes = [r.node_count if isinstance(r, IntegralResult) else 0 for r in results]
+    meta = {**_metadata(cfg, nodes), **plan.extra}
+    return SweepReport(cfg.kind, tuple(rows), plan.target, limit, resid, meta)
 
 
 # ---------------------------------------------------------------------------

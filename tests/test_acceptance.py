@@ -27,7 +27,7 @@ from bbm_magnetic.functionals import (
     uniform_bound_check,
 )
 from bbm_magnetic.geometry import box, interval, tensor_grid
-from bbm_magnetic.harness import SweepConfig, default_spec, run_mollifier_sweep, run_sweep
+from bbm_magnetic.harness import SweepConfig, default_spec, run_sweep
 from bbm_magnetic.operator import fractional_magnetic_apply, operator_limit_scan
 
 from .oracles import spectral_fractional_gaussian
@@ -131,7 +131,7 @@ def test_criterion_5_mollifier_generality():
     cfg = SweepConfig(kind="mollifier", field_label="gauss1d",
                       potential_label="linear:alpha=1", domain=D1,
                       family={"kind": "gaussian", "indices": indices}, spec=SPEC1)
-    rep = run_mollifier_sweep(cfg)  # admission gate runs check_mollifier first
+    rep = run_sweep(cfg)  # admission gate runs check_mollifier first
     assert len(rep.metadata["mollifier_checks"]) == len(indices)
     finest = rep.rows[-1].rel_err
     assert finest < 0.02

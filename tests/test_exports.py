@@ -38,10 +38,11 @@ def test_removed_duplicate_state_is_gone():
                          (harness, "_FAMILY_KINDS"), (harness, "_check_family"),
                          (quadrature, "near_field_hook"), (quadrature, "_layered_radial"),
                          (quadrature, "_layer_counts"), (quadrature, "_block_edges"),
-                         (quadrature, "_GEOMETRIC_RATIO"), (functionals, "_seminorm_hook")):
+                         (quadrature, "_GEOMETRIC_RATIO"), (functionals, "_seminorm_hook"),
+                         (harness, "run_mollifier_sweep"), (bbm_magnetic, "run_mollifier_sweep")):
         assert not hasattr(module, name), name
     assert not {"eps", "near_field"} & {f.name for f in fields(bbm_magnetic.QuadratureSpec)}
-    assert "near_moment" not in [f.name for f in fields(bbm_magnetic.RadialMollifier)]
+    assert not {"near_moment", "fn"} & {f.name for f in fields(bbm_magnetic.RadialMollifier)}
     assert not {"output", "fmt"} & {f.name for f in fields(bbm_magnetic.SweepConfig)}
     assert "point" not in [f.name for f in fields(bbm_magnetic.OperatorSample)]
     assert "support" not in [f.name for f in fields(bbm_magnetic.ScalarField)]

@@ -281,6 +281,14 @@ def test_unknown_labels_raise():
         resolve_field("modgauss1d:kappa=abc")
 
 
+@pytest.mark.parametrize("label,dim", [("landau", 1), ("const", 2), ("linear", 3)])
+def test_a_potential_refusal_names_the_dimension_asked_for(label, dim):
+    # landau in 1D read "potential 'landau' is 2-dimensional", though it has a 3D form
+    with pytest.raises(ConfigurationError) as info:
+        resolve_potential(label, dim)
+    assert str(info.value) == f"potential {label!r} has no {dim}-dimensional form"
+
+
 def test_a_field_is_compact_exactly_when_it_has_a_support_domain():
     from dataclasses import replace
 

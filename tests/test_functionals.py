@@ -225,7 +225,7 @@ def test_mollifier_inputs_must_be_finite():
     fam = gaussian_family([2, 4], 1)
     for delta in (math.nan, math.inf, 0.0):
         with pytest.raises(ValueError, match="delta must be positive and finite"):
-            check_mollifier(fam, 1, delta)
+            check_mollifier(fam, delta)
     for r_domain in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="cutoff radius must be positive and finite"):
             bbm_family([0.8, 0.9], r_domain, 1)
@@ -330,7 +330,33 @@ def test_bbm_family_pointwise_value():
     # exponent N + 2s - 2 vanishes for N=1, s=1/2: rho = 2(1-s) = 1 below r_domain
     fam = bbm_family([0.5], r_domain=2.0, dim=1)
     r = np.array([0.5, 1.0, 1.9])
-    assert_allclose(fam.members[0].fn(r), 1.0, rtol=1e-14)
+    assert_allclose(fam.members[0].smooth(r), 1.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize("fam", [gaussian_family([2, 4], 2), bbm_family([0.8, 0.9], 2.0, 3)],
+                         ids=["gaussian", "bbm"])
+def test_a_members_ray_density_is_its_stored_smooth_factor(fam):
+    for rho in fam.members:
+        beta, h = functionals._ray_density(rho)
+        assert h is rho.smooth
+        assert beta == rho.dim - 1.0 - rho.power
+
+
+def test_bbm_smooth_factor_is_finite_at_the_origin():
+    # rho = 2(1-s) r^-(N+2s-2) psi0 is stored without its power of r, so the
+    # factor the engine integrates is 2(1-s) up to the cutoff, r = 0 included
+    fam = bbm_family([0.6, 0.9], r_domain=1.0, dim=2)
+    for rho in fam.members:
+        assert_allclose(rho.smooth(np.array([0.0, 0.5, 1.0])), 2.0 * (1.0 - rho.param),
+                        rtol=1e-15)
+        assert rho.smooth(np.array([2.0]))[0] == 0.0
+
+
+def test_a_delta_beyond_the_support_has_no_tail():
+    # the support radius of gaussian_family([2], 1) is 20, so the tail's
+    # range [25, 25] is empty
+    (check,) = check_mollifier(gaussian_family([2], 1), 25.0)
+    assert check.tail == 0.0
 
 
 @pytest.mark.parametrize("dim", [0, 4, 2.0, True])
@@ -344,7 +370,7 @@ def test_family_builders_reject_unsupported_dimension(dim):
 
 def test_bbm_family_normalization_trend():
     fam = bbm_family([0.8, 0.9, 0.95, 0.99], r_domain=2.0, dim=1)
-    checks = check_mollifier(fam, 1, 0.1)
+    checks = check_mollifier(fam, 0.1)
     m0 = [c.m0 for c in checks]
     # r_domain^(2-2s) + o(1): 2^0.4, 2^0.2, ... decreasing toward 1
     for c, s in zip(checks, [rho.param for rho in fam.members]):
@@ -358,7 +384,7 @@ def test_bbm_family_normalization_trend():
 
 def test_gaussian_family_moments_trend():
     fam = gaussian_family([10, 14, 18, 24, 32], 1)
-    checks = check_mollifier(fam, 1, 0.1)
+    checks = check_mollifier(fam, 0.1)
     for c in checks:
         assert abs(c.m0 - 1.0) < 1e-9
     tails = [c.tail for c in checks]
@@ -375,7 +401,7 @@ def test_degenerate_zero_family_flagged():
 
     zero = RadialMollifier(1, lambda r: np.zeros_like(r), 1.0, 1.0)
     fam = MollifierFamily("custom", (zero, zero))
-    checks = check_mollifier(fam, 1, 0.1)
+    checks = check_mollifier(fam, 0.1)
     assert all(c.m0 == 0.0 for c in checks)  # violates the normalization limit
 
 
@@ -394,12 +420,12 @@ def test_a_kernel_singular_beyond_the_dimension_is_refused():
     # product rule's moments would divide by beta + 1 = 0
     from bbm_magnetic.functionals import RadialMollifier
 
-    rho = RadialMollifier(1, lambda r: 1.0 / r, 1.0, 1.0, power=1.0)
+    rho = RadialMollifier(1, lambda r: np.ones_like(r), 1.0, 1.0, power=1.0)
     u, A = resolve_field("gauss1d"), resolve_potential("zero", 1)
     with pytest.raises(ConfigurationError, match="not integrable at 0"):
         mollified_functional(u, A, D1, rho, SPEC1)
     with pytest.raises(ConfigurationError, match="not integrable at 0"):
-        check_mollifier(MollifierFamily("custom", (rho,)), 1, 0.1)
+        check_mollifier(MollifierFamily("custom", (rho,)), 0.1)
 
 
 def test_mollified_bound_ratio_stable_under_amplitude_scaling():
@@ -414,7 +440,7 @@ def test_mollified_bound_ratio_stable_under_amplitude_scaling():
     norm_sq = l2_norm_sq(u, grid) + local_magnetic_energy(u, A, D1, grid).value
     ratios = []
     for lam in (0.3, 1.0, 3.0):
-        rho = RadialMollifier(1, lambda r, _l=lam: _l * base.fn(r), base.support_radius, base.param)
+        rho = RadialMollifier(1, lambda r, _l=lam: _l * base.smooth(r), base.support_radius, base.param)
         val = mollified_functional(u, A, D1, rho, SPEC1).value
         l1 = 2.0 * lam  # |S^0| * M0 for the normalized base kernel
         ratios.append(val / (l1 * norm_sq))
@@ -636,13 +662,13 @@ def test_gaussian_family_refuses_repeated_indices():
         gaussian_family([4, 8, 4], 1)
 
 
-def test_check_mollifier_checks_each_members_dimension():
+def test_a_family_of_mixed_dimension_is_refused():
     from bbm_magnetic.functionals import MollifierFamily
 
-    mixed = MollifierFamily("gaussian", gaussian_family([2], 1).members
-                            + gaussian_family([4], 2).members)
-    with pytest.raises(ConfigurationError, match="mollifier 4 is 2-dimensional, asked for 1"):
-        check_mollifier(mixed, 1, 0.1)
+    with pytest.raises(ConfigurationError,
+                       match="mollifier 4 is 2-dimensional, its family's first member is 1-"):
+        MollifierFamily("gaussian", gaussian_family([2], 1).members
+                        + gaussian_family([4], 2).members)
 
 
 
@@ -673,7 +699,7 @@ def _no_compute(*_args, **_kwargs):
 
 @pytest.mark.parametrize("call,message", [
     (lambda: bbm_family([0.5], "2", 1), "cutoff radius must be positive and finite, got '2'"),
-    (lambda: check_mollifier(gaussian_family([2], 1), 1, "0.1"),
+    (lambda: check_mollifier(gaussian_family([2], 1), "0.1"),
      "delta must be positive and finite, got '0.1'"),
     (lambda: gaussian_family(5, 1), "gaussian family indices must be a list, got 5"),
     (lambda: gaussian_family([[2, 4], [6]], 1), "gaussian family index must be an integer"),

@@ -32,7 +32,6 @@ from bbm_magnetic.harness import (
     extrapolate_limit,
     render_report,
     report_from_dict,
-    run_mollifier_sweep,
     run_sweep,
 )
 from bbm_magnetic.quadrature import QuadratureSpec
@@ -380,7 +379,7 @@ def test_operator_sweep_of_a_non_decaying_field_fails_every_row(monkeypatch, thr
 
 def test_mollifier_sweep_gaussian_family_converges():
     cfg = _cfg(kind="mollifier", family={"kind": "gaussian", "indices": [2, 4, 6, 8, 12]})
-    rep = run_mollifier_sweep(cfg)
+    rep = run_sweep(cfg)
     errs = [r.rel_err for r in rep.rows]
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert "mollifier_checks" in rep.metadata
@@ -389,7 +388,7 @@ def test_mollifier_sweep_gaussian_family_converges():
 def test_mollifier_sweep_bbm_identity_rows():
     cfg = _cfg(kind="mollifier",
                family={"kind": "bbm", "s_list": [0.8, 0.9, 0.95, 0.99], "r_domain": 2.0})
-    rep = run_mollifier_sweep(cfg)
+    rep = run_sweep(cfg)
     u = resolve_field("gauss1d")
     A = resolve_potential("linear:alpha=1", 1)
     for row in rep.rows:
@@ -401,7 +400,7 @@ def test_mollifier_sweep_zero_family_aborts_naming_normaliz():
     zero = RadialMollifier(1, lambda r: np.zeros_like(r), 1.0, 1.0)
     fam = MollifierFamily("custom", (zero,) * 3)
     with pytest.raises(ConditionViolation, match=r"\(normaliz\)"):
-        run_mollifier_sweep(_cfg(kind="mollifier"), family=fam)
+        harness._admit_family(fam, 0.1)
 
 
 def test_mollifier_sweep_fixed_width_aborts_naming_fourtheq():
@@ -412,25 +411,14 @@ def test_mollifier_sweep_fixed_width_aborts_naming_fourtheq():
 
     fam = MollifierFamily("gaussian", gaussian_family([2], 1).members * 3)
     with pytest.raises(ConditionViolation, match=r"\(fourtheq\)"):
-        run_mollifier_sweep(_cfg(kind="mollifier"), family=fam)
+        harness._admit_family(fam, 0.1)
 
 
 def test_mollifier_sweep_wide_bbm_aborts_naming_normaliz():
     # s far from 1 leaves the zeroth moment far above 1
     fam = bbm_family([0.3, 0.35, 0.4], r_domain=2.0, dim=1)
     with pytest.raises(ConditionViolation, match=r"\(normaliz\)"):
-        run_mollifier_sweep(_cfg(kind="mollifier"), family=fam)
-
-
-@pytest.mark.parametrize("kind", ["bbm-domain", "operator-limit"])
-def test_mollifier_sweep_refuses_other_kinds_before_compute(monkeypatch, kind):
-    def no_compute(*_args, **_kwargs):
-        raise AssertionError("computed on a config of the wrong kind")
-
-    monkeypatch.setattr(harness, "resolve_field", no_compute)
-    monkeypatch.setattr(harness, "mollified_functionals", no_compute)
-    with pytest.raises(ConfigurationError, match=f"got kind '{kind}'"):
-        run_mollifier_sweep(_cfg(kind=kind))
+        harness._admit_family(fam, 0.1)
 
 
 def test_translation_sweep_report():
@@ -637,8 +625,18 @@ def test_cli_uniform_sweep_on_a_domain_smaller_than_the_support_spends_no_energy
     assert "support of bump1d to lie inside the domain" in capsys.readouterr().err
 
 
+def test_cli_translation_sweep_of_a_field_without_support_spends_no_target_pass(
+        monkeypatch, capsys, tmp_path):
+    # the directional-energy target took one magnetic_gradient pass over the
+    # inflated grid before translation_difference_sq refused gauss1d
+    monkeypatch.setattr(harness, "magnetic_gradient", _no_compute)
+    monkeypatch.setattr(harness, "translation_difference_sq", _no_compute)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_GOOD, "kind": "lemma-translation"}))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+    assert "requires a field with a support domain" in capsys.readouterr().err
 
-def test_default_spec_refuses_a_dimension_other_than_1_2_or_3(monkeypatch, capsys):
+
     # default_spec(5) was the 3D spec and default_spec(True) the 1D one
     for dim in (0, 4, 5, True, 2.0):
         with pytest.raises(ConfigurationError, match="unsupported dimension"):
@@ -825,8 +823,6 @@ def test_threads_below_one_are_refused_before_compute(monkeypatch, capsys, tmp_p
     monkeypatch.setattr(harness, "resolve_field", no_compute)
     with pytest.raises(ConfigurationError, match="threads must be at least 1"):
         run_sweep(_cfg(), threads=threads)
-    with pytest.raises(ConfigurationError, match="threads must be at least 1"):
-        run_mollifier_sweep(_cfg(kind="mollifier"), threads=threads)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_GOOD))
     assert cli.main(["sweep", "--config", str(cfg_path), "--threads", str(threads)]) == 2
@@ -873,15 +869,10 @@ def test_cli_sweep_repeated_parameters_exit_2_before_compute(monkeypatch, capsys
 
 
 def test_mollifier_sweep_rows_carry_each_members_param():
-    # the rows of a hand-built family are labelled, and fitted, by its
-    # members' params, one row per member
-    from bbm_magnetic.functionals import gaussian_family
-
-    members = gaussian_family([2, 4, 8, 16], 1).members
+    # the rows of a family are labelled, and fitted, by its members'
+    # params, one row per member
     cfg = _cfg(kind="mollifier", family={"kind": "gaussian", "indices": [2, 4, 8, 16]})
-    built = run_mollifier_sweep(cfg, family=MollifierFamily("gaussian", members))
-    assert [r.param for r in built.rows] == [2.0, 4.0, 8.0, 16.0]
-    assert render_report(built, "json") == render_report(run_sweep(cfg), "json")
+    assert [r.param for r in run_sweep(cfg).rows] == [2.0, 4.0, 8.0, 16.0]
 
 
 @pytest.mark.parametrize("domain", [interval(-1.0, 1.0), box([0.0, 0.0], [1.0, 1.0]),
@@ -988,7 +979,7 @@ def test_mollifier_check_builds_the_sweeps_default_families(capsys):
     assert cli.main(run + ["gaussian"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [r["param"] for r in rows] == [float(n) for n in harness.DEFAULT_INDICES]
-    sweep = run_mollifier_sweep(_cfg(kind="mollifier", delta=0.1))
+    sweep = run_sweep(_cfg(kind="mollifier", delta=0.1))
     assert rows == sweep.metadata["mollifier_checks"]
     assert cli.main(run + ["bbm"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]

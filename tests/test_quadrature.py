@@ -328,7 +328,7 @@ def test_kernel_weights_integrate_the_ray_interpolant():
         edges = np.linspace(0.0, R[c, m], 401)
         r = (0.5 * (edges[1:] + edges[:-1])[:, None] + 0.5 * np.diff(edges)[:, None] * xi).ravel()
         w = (0.5 * np.diff(edges)[:, None] * wi).ravel()
-        exact = np.sum(w * np.polynomial.polynomial.polyval(r, coeffs) * rho.fn(r) * r)
+        exact = np.sum(w * np.polynomial.polynomial.polyval(r, coeffs) * rho.smooth(r) * r)
         assert_allclose(got[c, m], exact, rtol=1e-12)
 
 
