@@ -396,14 +396,14 @@ def test_mollifier_sweep_bbm_identity_rows():
         assert abs(row.value - ref) / ref < 1e-10
 
 
-def test_mollifier_sweep_zero_family_aborts_naming_normaliz():
+def test_admission_of_a_zero_family_aborts_naming_normaliz():
     zero = RadialMollifier(1, lambda r: np.zeros_like(r), 1.0, 1.0)
     fam = MollifierFamily("custom", (zero,) * 3)
     with pytest.raises(ConditionViolation, match=r"\(normaliz\)"):
         harness._admit_family(fam, 0.1)
 
 
-def test_mollifier_sweep_fixed_width_aborts_naming_fourtheq():
+def test_admission_of_a_fixed_width_family_aborts_naming_fourtheq():
     # normalized kernels of constant width keep their mass beyond delta:
     # (normaliz) holds exactly while the concentration condition fails.
     # gaussian_family refuses a repeated index, so the family is built here.
@@ -414,7 +414,7 @@ def test_mollifier_sweep_fixed_width_aborts_naming_fourtheq():
         harness._admit_family(fam, 0.1)
 
 
-def test_mollifier_sweep_wide_bbm_aborts_naming_normaliz():
+def test_admission_of_a_wide_bbm_family_aborts_naming_normaliz():
     # s far from 1 leaves the zeroth moment far above 1
     fam = bbm_family([0.3, 0.35, 0.4], r_domain=2.0, dim=1)
     with pytest.raises(ConditionViolation, match=r"\(normaliz\)"):
@@ -637,6 +637,7 @@ def test_cli_translation_sweep_of_a_field_without_support_spends_no_target_pass(
     assert "requires a field with a support domain" in capsys.readouterr().err
 
 
+def test_default_spec_refuses_a_dimension_other_than_1_2_or_3(monkeypatch, capsys):
     # default_spec(5) was the 3D spec and default_spec(True) the 1D one
     for dim in (0, 4, 5, True, 2.0):
         with pytest.raises(ConfigurationError, match="unsupported dimension"):
