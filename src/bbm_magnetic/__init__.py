@@ -4,9 +4,7 @@ operator, and numerical verification of their nonlocal-to-local limits."""
 __version__ = "0.1.0"
 
 from .constants import (
-    DimensionalConstants,
     bbm_constant,
-    dimensional_constants,
     fractional_constant,
     fractional_constant_limit,
 )
@@ -36,14 +34,11 @@ from .functionals import (
     mollified_functional,
     mollified_functionals,
     translation_difference_sq,
-    uniform_bound_check,
 )
 from .geometry import (
-    Direction,
     Domain,
     TensorGrid,
     ball,
-    boundary_distance,
     box,
     direction,
     interval,

@@ -22,11 +22,11 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .constants import (check_s_list, dimensional_constants, fractional_constant,
-                        fractional_constant_limit)
+from .constants import bbm_constant, check_s_list, fractional_constant, fractional_constant_limit
 from .corpus import resolve_field, resolve_potential
 from .errors import ConditionViolation, ConfigurationError, IntegrationError, check_positive
 from .functionals import check_mollifier
+from .geometry import sphere_area
 from .harness import (_FAMILY_KEYS, DEFAULT_S_LIST, REPORT_FORMATS, _family_from_descriptor,
                       default_spec, load_config, render_report, run_sweep, write_text)
 from .operator import operator_limit_scan
@@ -52,12 +52,12 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _cmd_constants(args) -> int:
-    consts = dimensional_constants(args.dim)
+    k = bbm_constant(args.dim)
     payload = {
         "dim": args.dim,
-        "K_N": consts.bbm_constant,
-        "Q_N": consts.second_moment,
-        "sphere_area": consts.sphere_area,
+        "K_N": k,
+        "Q_N": 2.0 * k,
+        "sphere_area": sphere_area(args.dim),
         "limit": fractional_constant_limit(args.dim),
     }
     if args.s is not None:

@@ -11,14 +11,11 @@ limit as s -> 1, namely 2 N Gamma(N/2) / pi^{N/2} = 2 / K_N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConfigurationError, is_real
 from .geometry import check_dimension, sphere_area
 
 __all__ = [
-    "DimensionalConstants",
-    "dimensional_constants",
     "bbm_constant",
     "check_fractional_order",
     "check_s_list",
@@ -27,23 +24,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DimensionalConstants:
-    dim: int
-    sphere_area: float
-    second_moment: float  # Q_N
-    bbm_constant: float   # K_N = Q_N / 2
-
-
-def dimensional_constants(dim: int) -> DimensionalConstants:
-    area = sphere_area(dim)
-    q = area / dim
-    return DimensionalConstants(dim, area, q, q / 2.0)
-
-
 def bbm_constant(dim: int) -> float:
     """K_N = |S^{N-1}| / (2N) = Q_N / 2."""
-    return dimensional_constants(dim).bbm_constant
+    return sphere_area(dim) / dim / 2.0
 
 
 def check_fractional_order(s) -> None:

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_text
 from .fields import ScalarField, VectorPotential
 from .geometry import box, check_dimension, interval
 
@@ -160,8 +160,9 @@ _POTENTIALS = {
 def _parse(label: str, entries: dict, what: str) -> tuple[Callable, dict]:
     """The factory of the label's entry and its parameters, defaults filled
     in.  An unknown entry, a parameter the entry does not take, a repeated
-    parameter and a malformed one raise ConfigurationError."""
-    name, _, tail = label.partition(":")
+    parameter, a malformed one and a label that is not a string raise
+    ConfigurationError."""
+    name, _, tail = check_text(label, f"{what} label").partition(":")
     name = name.strip()
     if name not in entries:
         known = [f"{key}:" + ",".join(f"{k}={v:g}" for k, v in defaults.items()) if defaults

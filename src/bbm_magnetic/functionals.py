@@ -1,6 +1,6 @@
 """Energy functionals: magnetic Gagliardo seminorms, local magnetic energy,
-mollified functionals with general radial kernels, and the empirical lemma
-checks (translation differences, uniform (1-s) bounds).
+mollified functionals with general radial kernels, and the translation
+differences of the empirical lemma check.
 
 Every functional returns the quadrature's IntegralResult: the value, its
 two-level error estimate and the evaluated node count.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,7 +65,6 @@ __all__ = [
     "gaussian_family",
     "check_mollifier",
     "translation_difference_sq",
-    "uniform_bound_check",
     "l2_norm_sq",
 ]
 
@@ -192,6 +192,17 @@ class RadialMollifier:
     param: float
     power: float = 0.0
 
+    def __post_init__(self):
+        """Check every field; store the numbers as floats."""
+        check_dimension(self.dim)
+        if not callable(self.smooth):
+            raise ConfigurationError(
+                f"mollifier smooth factor must be callable, got {self.smooth!r}")
+        store = partial(object.__setattr__, self)
+        store("support_radius", check_positive(self.support_radius, "mollifier support radius"))
+        store("param", check_number(self.param, "mollifier parameter"))
+        store("power", check_number(self.power, "mollifier power"))
+
 
 @dataclass(frozen=True)
 class MollifierFamily:
@@ -202,9 +213,15 @@ class MollifierFamily:
     members: tuple[RadialMollifier, ...]
 
     def __post_init__(self):
-        """Refuse an empty family and members of mixed dimension."""
-        if not self.members:
-            raise ConfigurationError("a mollifier family needs at least one member")
+        """Refuse members that are not a nonempty list or tuple of
+        RadialMollifiers of one dimension."""
+        if not isinstance(self.members, (list, tuple)) or not self.members:
+            raise ConfigurationError("a mollifier family needs a list or tuple of at least one "
+                                     f"member, got {self.members!r}")
+        for member in self.members:
+            if not isinstance(member, RadialMollifier):
+                raise ConfigurationError(f"a mollifier family's members must be RadialMollifiers, "
+                                         f"got {member!r}")
         dim = self.members[0].dim
         for member in self.members:
             if member.dim != dim:
@@ -350,7 +367,7 @@ def mollified_functionals(
 
 
 # ---------------------------------------------------------------------------
-# Lemma checks
+# Translation lemma check
 # ---------------------------------------------------------------------------
 
 
@@ -371,41 +388,9 @@ def translation_difference_sq(
     global), and |h| <= 1.
     """
     require_dimension(grid.domain.dimension, u, A)
-    h = np.array(check_coordinates(h, "shift"))
+    h = np.array(check_coordinates(h, "shift", grid.domain.dimension))
     if float(np.linalg.norm(h)) > 1.0:
         raise ConfigurationError("translation check requires |h| <= 1")
     _require_compact(u)
     diff = magnetic_difference(u, A, grid.points + h, grid.points)
     return float(pairwise_sum(grid.weights * np.abs(diff) ** 2))
-
-
-def _uniform_scale(
-    u: ScalarField, A: VectorPotential, d: Domain, spec: QuadratureSpec
-) -> tuple[float, Callable[[float], float]]:
-    """The local energy E on spec's outer grid and the map v -> v / (||u||_2^2 + E),
-    which is 0 when that sum is (a zero field).  A field whose support the
-    domain does not cover is refused before any compute."""
-    require_dimension(d.dimension, u, A)
-    _require_support(u, d)
-    grid = tensor_grid(d, spec.outer_nodes)
-    energy = local_magnetic_energy(u, A, d, grid).value
-    denom = l2_norm_sq(u, grid) + energy
-    return energy, (lambda v: v / denom) if denom > 0.0 else (lambda v: 0.0)
-
-
-def uniform_bound_check(
-    u: ScalarField,
-    A: VectorPotential,
-    d: Domain,
-    s_list: Sequence[float],
-    spec: QuadratureSpec,
-) -> list[tuple[float, float]]:
-    """Ratios (1-s) [u]^2_{s, full space} / (||u||_2^2 + energy) per s.
-
-    Boundedness of these ratios over s, including values near 1, is the
-    empirical form of the uniform (1-s) seminorm bound.
-    """
-    s_vals = check_s_list(s_list)
-    _, scale = _uniform_scale(u, A, d, spec)
-    return [(s, scale((1.0 - s) * full.value))
-            for s, full in zip(s_vals, fullspace_seminorms_sq(u, A, d, s_vals, spec))]

@@ -19,13 +19,11 @@ from .errors import ConfigurationError, check_coordinates, check_integer, check_
 
 __all__ = [
     "Domain",
-    "Direction",
     "TensorGrid",
     "interval",
     "box",
     "ball",
     "direction",
-    "boundary_distance",
     "boundary_distances",
     "check_dimension",
     "gauss_legendre",
@@ -157,26 +155,13 @@ def ball(center, radius: float) -> Domain:
     return Domain("ball", center, radius)
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A unit vector; the constructor rejects vectors off the unit sphere."""
-
-    unit: np.ndarray
-
-    def __post_init__(self):
-        u = np.array(check_coordinates(self.unit, "direction"))
-        object.__setattr__(self, "unit", u)
-        if abs(float(np.linalg.norm(u)) - 1.0) > 1e-14:
-            raise ConfigurationError("direction vector is not unit length")
-
-
-def direction(v) -> Direction:
-    """Normalize a nonzero vector into a Direction."""
+def direction(v) -> np.ndarray:
+    """The unit vector along a nonzero vector."""
     v = np.array(check_coordinates(v, "direction"))
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0 or not np.isfinite(nrm):
         raise ConfigurationError("cannot normalize a zero or non-finite vector")
-    return Direction(v / nrm)
+    return v / nrm
 
 
 def boundary_distances(d: Domain, X: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -198,14 +183,6 @@ def boundary_distances(d: Domain, X: np.ndarray, dirs: np.ndarray) -> np.ndarray
         t_lo = (lo - X[:, None, :]) / dirs[None, :, :]
     t_exit = np.where(dirs[None, :, :] > 0.0, t_hi, np.where(dirs[None, :, :] < 0.0, t_lo, np.inf))
     return np.min(t_exit, axis=-1)
-
-
-def boundary_distance(d: Domain, x, w: Direction) -> float:
-    """Distance R with x + R*w on the boundary and x + t*w interior for t < R."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not bool(d.contains(x)):
-        raise ConfigurationError(f"point {x.tolist()} is not strictly inside the domain")
-    return float(boundary_distances(d, x[None, :], w.unit[None, :])[0, 0])
 
 
 def sphere_rule(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:

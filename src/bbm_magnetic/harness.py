@@ -33,11 +33,11 @@ from .functionals import (
     MollifierFamily,
     _require_compact,
     _require_support,
-    _uniform_scale,
     bbm_family,
     check_mollifier,
     fullspace_seminorms_sq,
     gaussian_family,
+    l2_norm_sq,
     local_magnetic_energy,
     magnetic_seminorms_sq,
     mollified_functionals,
@@ -275,8 +275,6 @@ def _make_rows(params, values, scale_fn, target: float) -> list[SweepRow]:
 def _batches(items: Sequence, threads: int) -> list[Sequence]:
     """items split into at most ``threads`` contiguous, near-equal batches."""
     n = len(items)
-    if n == 0:
-        return []
     count = min(threads, n)
     bounds = [n * k // count for k in range(count + 1)]
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -397,7 +395,7 @@ def _plan_translation(cfg: SweepConfig, u, A) -> _Plan:
     """Translation differences over |h|^2 versus the directional energy."""
     _require_compact(u)  # before the target pass
     d = cfg.domain
-    omega = direction(cfg.direction if cfg.direction else np.eye(d.dimension)[0]).unit
+    omega = direction(cfg.direction if cfg.direction else np.eye(d.dimension)[0])
     # Integrate over the bounding box inflated by the largest shift, so the
     # shifted supports stay covered.
     lo, hi = d.bounding_box()
@@ -413,10 +411,18 @@ def _plan_translation(cfg: SweepConfig, u, A) -> _Plan:
 def _plan_uniform(cfg: SweepConfig, u, A) -> _Plan:
     """(1-s) full-space seminorms over ||u||^2 + E, which must stay bounded."""
     d = cfg.domain
-    energy, scale = _uniform_scale(u, A, d, cfg.spec)
+    _require_support(u, d)  # before the energy pass
+    grid = tensor_grid(d, cfg.spec.outer_nodes)
+    energy = local_magnetic_energy(u, A, d, grid).value
+    denom = l2_norm_sq(u, grid) + energy
+    if not denom > 0.0:  # a corpus field is nonzero: the grid missed its support
+        raise IntegrationError(
+            f"lemma-uniform denominator ||u||^2 + E is 0 on the outer grid of "
+            f"{cfg.spec.outer_nodes} nodes per axis, which misses the support of {u.label}; "
+            "raise quadrature outer_nodes")
     return _Plan(cfg.s_list, cfg.s_list,
                  lambda s_list: fullspace_seminorms_sq(u, A, d, s_list, cfg.spec),
-                 lambda s, v: scale((1.0 - s) * v), scale(bbm_constant(d.dimension) * energy),
+                 lambda s, v: (1.0 - s) * v / denom, bbm_constant(d.dimension) * energy / denom,
                  _one_minus)
 
 

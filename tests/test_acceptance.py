@@ -24,7 +24,6 @@ from bbm_magnetic.functionals import (
     local_magnetic_energy,
     magnetic_seminorm_sq,
     mollified_functional,
-    uniform_bound_check,
 )
 from bbm_magnetic.geometry import box, interval, tensor_grid
 from bbm_magnetic.harness import SweepConfig, default_spec, run_sweep
@@ -152,10 +151,10 @@ def test_criterion_6_translation_bound():
 
 
 def test_criterion_7_uniform_bound():
-    u = resolve_field("bump1d")
-    A = resolve_potential("linear:alpha=1", 1)
-    rep = uniform_bound_check(u, A, D1, [0.5, 0.7, 0.9, 0.99], SPEC1)
-    ratios = [r for _, r in rep]
+    cfg = SweepConfig(kind="lemma-uniform", field_label="bump1d",
+                      potential_label="linear:alpha=1", domain=D1,
+                      s_list=(0.5, 0.7, 0.9, 0.99), spec=SPEC1)
+    ratios = [r.scaled for r in run_sweep(cfg).rows]
     spread = max(ratios) / min(ratios)
     assert spread <= 5.0
     _report(7, f"uniform-bound ratio max/min = {spread:.3f} (<=5)")

@@ -7,12 +7,11 @@ from numpy.testing import assert_allclose
 from bbm_magnetic.constants import (
     bbm_constant,
     check_s_list,
-    dimensional_constants,
     fractional_constant,
     fractional_constant_limit,
 )
 from bbm_magnetic.errors import ConfigurationError
-from bbm_magnetic.geometry import sphere_rule
+from bbm_magnetic.geometry import sphere_area, sphere_rule
 
 
 @pytest.mark.parametrize("dim,expected", [(1, 1.0), (2, math.pi / 2.0), (3, 2.0 * math.pi / 3.0)])
@@ -30,18 +29,11 @@ def test_limit_times_bbm_constant_is_two(dim):
     assert_allclose(fractional_constant_limit(dim) * bbm_constant(dim), 2.0, rtol=1e-12)
 
 
-def test_dimensional_constants_relations():
-    for dim in (1, 2, 3):
-        c = dimensional_constants(dim)
-        assert c.bbm_constant == c.second_moment / 2.0
-        assert_allclose(c.second_moment, c.sphere_area / dim, rtol=1e-14)
-        assert c.bbm_constant > 0.0
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_bbm_constant_is_half_the_second_moment(dim):
-    # one formula: K_N and Q_N agree to the last bit, in 3D too
-    assert bbm_constant(dim) == dimensional_constants(dim).second_moment / 2
+    # one formula, K_N = Q_N / 2 with Q_N = |S^{N-1}| / N, to the last bit in 3D too
+    assert bbm_constant(dim) == sphere_area(dim) / dim / 2
+    assert bbm_constant(dim) > 0.0
 
 
 def test_fractional_constant_half_order():

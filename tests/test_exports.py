@@ -29,7 +29,8 @@ def test_every_package_import_resolves_to_its_module():
 def test_removed_duplicate_state_is_gone():
     from dataclasses import fields
 
-    from bbm_magnetic import corpus, fields as fields_module, functionals, harness, quadrature
+    from bbm_magnetic import (constants, corpus, fields as fields_module, functionals, geometry,
+                              harness, quadrature)
 
     for module, name in ((bbm_magnetic, "FunctionalValue"), (functionals, "FunctionalValue"),
                          (fields_module, "COMPACT"), (fields_module, "UNRESTRICTED"),
@@ -39,7 +40,14 @@ def test_removed_duplicate_state_is_gone():
                          (quadrature, "near_field_hook"), (quadrature, "_layered_radial"),
                          (quadrature, "_layer_counts"), (quadrature, "_block_edges"),
                          (quadrature, "_GEOMETRIC_RATIO"), (functionals, "_seminorm_hook"),
-                         (harness, "run_mollifier_sweep"), (bbm_magnetic, "run_mollifier_sweep")):
+                         (harness, "run_mollifier_sweep"), (bbm_magnetic, "run_mollifier_sweep"),
+                         (functionals, "uniform_bound_check"), (functionals, "_uniform_scale"),
+                         (bbm_magnetic, "uniform_bound_check"), (geometry, "boundary_distance"),
+                         (geometry, "Direction"), (bbm_magnetic, "boundary_distance"),
+                         (bbm_magnetic, "Direction"), (constants, "DimensionalConstants"),
+                         (constants, "dimensional_constants"),
+                         (bbm_magnetic, "DimensionalConstants"),
+                         (bbm_magnetic, "dimensional_constants")):
         assert not hasattr(module, name), name
     assert not {"eps", "near_field"} & {f.name for f in fields(bbm_magnetic.QuadratureSpec)}
     assert not {"near_moment", "fn"} & {f.name for f in fields(bbm_magnetic.RadialMollifier)}

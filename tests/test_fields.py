@@ -281,6 +281,16 @@ def test_unknown_labels_raise():
         resolve_field("modgauss1d:kappa=abc")
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: resolve_field(3), "field label must be a string, got 3"),
+    (lambda: resolve_potential(3, 1), "potential label must be a string, got 3"),
+], ids=["field", "potential"])
+def test_a_label_that_is_not_a_string_is_refused(call, message):
+    # both raised AttributeError: 'int' object has no attribute 'partition'
+    with pytest.raises(ConfigurationError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("label,dim", [("landau", 1), ("const", 2), ("linear", 3)])
 def test_a_potential_refusal_names_the_dimension_asked_for(label, dim):
     # landau in 1D read "potential 'landau' is 2-dimensional", though it has a 3D form

@@ -8,7 +8,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bbm_magnetic import functionals, quadrature
-from bbm_magnetic.constants import bbm_constant
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConfigurationError
 from bbm_magnetic.fields import (
@@ -21,6 +20,7 @@ from bbm_magnetic.fields import (
 )
 from bbm_magnetic.functionals import (
     MollifierFamily,
+    RadialMollifier,
     bbm_family,
     check_mollifier,
     fullspace_seminorm_sq,
@@ -33,7 +33,6 @@ from bbm_magnetic.functionals import (
     mollified_functional,
     mollified_functionals,
     translation_difference_sq,
-    uniform_bound_check,
 )
 from bbm_magnetic.geometry import ball, box, interval, tensor_grid
 from bbm_magnetic.operator import fractional_magnetic_apply, local_magnetic_apply
@@ -180,8 +179,7 @@ def test_fullspace_refuses_a_domain_smaller_than_the_support():
     A = resolve_potential("linear:alpha=1", 1)
     small = interval(-0.5, 0.5)
     for call in (lambda: fullspace_seminorm_sq(u, A, small, 0.5, SPEC1),
-                 lambda: fullspace_seminorms_sq(u, A, small, [0.5, 0.9], SPEC1),
-                 lambda: uniform_bound_check(u, A, small, [0.5, 0.9], SPEC1)):
+                 lambda: fullspace_seminorms_sq(u, A, small, [0.5, 0.9], SPEC1)):
         with pytest.raises(ValueError, match="support of bump1d to lie inside the domain"):
             call()
 
@@ -315,7 +313,6 @@ def test_functionals_reject_dimension_mismatch():
             lambda: fullspace_seminorm_sq(u, A, D1, 0.5, SPEC1),
             lambda: mollified_functional(u, A, D1, member, SPEC1),
             lambda: translation_difference_sq(u, A, [0.1], grid),
-            lambda: uniform_bound_check(u, A, D1, [0.5], SPEC1),
             lambda: fractional_magnetic_apply(u, A, [0.0], 0.5, SPEC1),
             lambda: local_magnetic_apply(u, A, [0.0]),
         ]
@@ -495,39 +492,6 @@ def test_translation_ratio_plateau_and_directional_limit():
     dax = u.gradient(grid.points) - 1j * A(grid.points) * u.value(grid.points)[..., None]
     target = float(np.sum(grid.weights * np.abs(dax[:, 0]) ** 2))
     assert abs(ratios[-1] - target) / target < 0.02
-
-
-def test_uniform_bound_zero_field():
-    u = replace(_zero_field(1), support_domain=D1, support_margin=0.1)
-    A = resolve_potential("zero", 1)
-    rep = uniform_bound_check(u, A, D1, [0.5, 0.9], SPEC1)
-    assert all(r == 0.0 for _, r in rep)
-
-
-def test_uniform_bound_refuses_an_uncovered_zero_field_before_any_compute(monkeypatch):
-    # supported on (-1, 1), the zero field used to give ratios of 0 on the
-    # half-width domain, where the full-space seminorm refuses it
-    def no_compute(*_args, **_kwargs):
-        raise AssertionError("computed on bad input")
-
-    u = replace(_zero_field(1), support_domain=D1, support_margin=0.0)
-    monkeypatch.setattr(functionals, "local_magnetic_energy", no_compute)
-    monkeypatch.setattr(functionals, "l2_norm_sq", no_compute)
-    with pytest.raises(ConfigurationError, match="support of null to lie inside the domain"):
-        uniform_bound_check(u, resolve_potential("zero", 1), interval(-0.5, 0.5), [0.5, 0.9],
-                            SPEC1)
-
-
-def test_uniform_bound_ratios_bounded_and_converge():
-    u = resolve_field("bump1d")
-    A = resolve_potential("linear:alpha=1", 1)
-    rep = uniform_bound_check(u, A, D1, [0.5, 0.7, 0.9, 0.99], SPEC1)
-    ratios = [r for _, r in rep]
-    assert max(ratios) / min(ratios) <= 5.0
-    grid = tensor_grid(D1, 160)
-    denom = l2_norm_sq(u, grid) + local_magnetic_energy(u, A, D1, grid).value
-    expected_limit = bbm_constant(1) * local_magnetic_energy(u, A, D1, grid).value / denom
-    assert abs(ratios[-1] - expected_limit) / expected_limit < 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +679,14 @@ def test_family_builders_refuse_ill_typed_arguments(call, message):
         call()
 
 
+def test_a_translation_shift_of_another_dimension_is_refused():
+    # a 2D shift on a 1D grid raised IndexError
+    u, A = resolve_field("bump1d"), resolve_potential("zero", 1)
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("shift must be a list of 1 numbers, got [0.1, 0.1]")):
+        translation_difference_sq(u, A, [0.1, 0.1], tensor_grid(interval(-1.0, 1.0), 16))
+
+
 @pytest.mark.parametrize("shift", [math.nan, [math.inf], "0.1", ["0.1"], [True], [None]])
 def test_translation_shift_must_be_finite_numbers(shift):
     # nan returned nan, and "0.1" ran as the shift 0.1
@@ -727,6 +699,36 @@ def test_translation_shift_must_be_finite_numbers(shift):
 def test_an_empty_mollifier_family_is_refused():
     with pytest.raises(ConfigurationError, match="at least one member"):
         MollifierFamily("gaussian", ())
+
+
+def _ones(r):
+    return np.ones_like(r)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((1, _ones, -1.0, 2.0), "mollifier support radius must be positive and finite, got -1.0"),
+    ((1, _ones, "1", 2.0), "mollifier support radius must be positive and finite, got '1'"),
+    ((7, _ones, 1.0, 2.0), "unsupported dimension 7; expected 1, 2 or 3"),
+    ((1, _ones, 1.0, None), "mollifier parameter must be a finite number, got None"),
+    ((1, _ones, 1.0, 2.0, math.nan), "mollifier power must be a finite number, got nan"),
+    ((1, 3.0, 1.0, 2.0), "mollifier smooth factor must be callable, got 3.0"),
+], ids=["negative-support", "text-support", "dimension-7", "no-param", "nan-power", "no-smooth"])
+def test_a_radial_mollifier_checks_its_own_fields(args, message):
+    # a negative support gave m0 = 0.0 from check_mollifier, dimension 7 had
+    # its moments computed and a text support raised TypeError
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        RadialMollifier(*args)
+
+
+@pytest.mark.parametrize("members,message", [
+    ((1, 2), "a mollifier family's members must be RadialMollifiers, got 1"),
+    (5, "a mollifier family needs a list or tuple of at least one member, got 5"),
+], ids=["int-members", "int"])
+def test_family_members_that_are_not_radial_mollifiers_are_refused(members, message):
+    # raised AttributeError: 'int' object has no attribute 'dim', and
+    # TypeError: 'int' object is not iterable
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        MollifierFamily("c", members)
 
 
 def test_an_empty_kernel_list_is_refused_before_compute(monkeypatch):

@@ -21,7 +21,7 @@ from bbm_magnetic.functionals import (
     bbm_family,
     magnetic_seminorm_sq,
 )
-from bbm_magnetic.geometry import ball, box, interval
+from bbm_magnetic.geometry import ball, box, interval, tensor_grid
 from bbm_magnetic.harness import (
     SWEEP_KINDS,
     SweepConfig,
@@ -438,6 +438,42 @@ def test_uniform_sweep_report():
     assert max(ratios) / min(ratios) <= 5.0
 
 
+def test_uniform_sweep_ratios_are_three_public_calls_and_converge():
+    spec = QuadratureSpec(outer_nodes=160, angular_nodes=2, radial_nodes=10)
+    s_list = [0.5, 0.7, 0.9, 0.99]
+    rep = run_sweep(_cfg(kind="lemma-uniform", field_label="bump1d", s_list=tuple(s_list),
+                         spec=spec))
+    # the ratio of a hand-built field: the full-space seminorms over ||u||^2 + E
+    u, A = resolve_field("bump1d"), resolve_potential("linear:alpha=1", 1)
+    grid = tensor_grid(D1, spec.outer_nodes)
+    energy = functionals.local_magnetic_energy(u, A, D1, grid).value
+    denom = functionals.l2_norm_sq(u, grid) + energy
+    full = functionals.fullspace_seminorms_sq(u, A, D1, s_list, spec)
+    assert [r.scaled for r in rep.rows] == [(1.0 - s) * f.value / denom
+                                           for s, f in zip(s_list, full)]
+    assert rep.target == bbm_constant(1) * energy / denom
+    ratios = [r.scaled for r in rep.rows]
+    assert max(ratios) / min(ratios) <= 5.0
+    assert abs(ratios[-1] - rep.target) / rep.target < 0.05
+
+
+def test_uniform_sweep_refuses_a_zero_denominator_before_the_seminorm_pass(monkeypatch, capsys,
+                                                                             tmp_path):
+    # the two outer nodes, at +-57.7, miss the bump's support: every row read 0.0
+    monkeypatch.setattr(functionals, "magnetic_seminorms_sq", _no_compute)
+    monkeypatch.setattr(harness, "fullspace_seminorms_sq", _no_compute)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "kind": "lemma-uniform", "field": "bump1d", "potential": "linear:alpha=1",
+        "domain": {"kind": "interval", "center": [0.0], "extents": [100.0]},
+        "quadrature": {"outer_nodes": 2},
+    }))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == (
+        "integration failure: lemma-uniform denominator ||u||^2 + E is 0 on the outer grid of "
+        "2 nodes per axis, which misses the support of bump1d; raise quadrature outer_nodes\n")
+
+
 def test_operator_sweep_report():
     cfg = _cfg(kind="operator-limit", field_label="gauss1d", potential_label="zero",
                s_list=(0.7, 0.8, 0.9), point=(0.0,))
@@ -502,6 +538,8 @@ def test_cli_constants_json():
     assert_allclose(payload["Q_N"], math.pi, rtol=1e-14)
     assert_allclose(payload["limit"], 4.0 / math.pi, rtol=1e-14)
     assert payload["c"] > 0.0
+    # K_N and Q_N are |S^{N-1}| / (2N) and |S^{N-1}| / N to the last bit
+    assert payload["K_N"] == payload["Q_N"] / 2 == payload["sphere_area"] / 2 / 2
 
 
 def test_cli_constants_bad_dim_exits_2():
@@ -615,7 +653,7 @@ def test_cli_uniform_sweep_on_a_domain_smaller_than_the_support_spends_no_energy
         monkeypatch, capsys, tmp_path, kind):
     for module in (functionals, harness):
         monkeypatch.setattr(module, "local_magnetic_energy", _no_compute)
-    monkeypatch.setattr(functionals, "l2_norm_sq", _no_compute)
+        monkeypatch.setattr(module, "l2_norm_sq", _no_compute)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "kind": kind, "field": "bump1d", "potential": "linear:alpha=1",
@@ -891,8 +929,6 @@ def test_config_built_in_code_defaults_to_the_dimensions_spec(domain):
 
 def _s_list_entry_points():
     u, A = resolve_field("bump1d"), resolve_potential("linear:alpha=1", 1)
-    zero = bbm_magnetic.ScalarField(1, lambda p: np.zeros(p.shape[:-1], dtype=complex),
-                                    lambda p: np.zeros(p.shape, dtype=complex))
     spec = default_spec(1)
     return {
         "SweepConfig": lambda s: _cfg(s_list=tuple(s)),
@@ -900,8 +936,6 @@ def _s_list_entry_points():
         "operator_limit_scan": lambda s: operator.operator_limit_scan(u, A, 0.0, s, spec),
         "magnetic_seminorms_sq": lambda s: functionals.magnetic_seminorms_sq(u, A, D1, s, spec),
         "fullspace_seminorms_sq": lambda s: functionals.fullspace_seminorms_sq(u, A, D1, s, spec),
-        # a zero field, whose zero denominator used to return one row per s
-        "uniform_bound_check": lambda s: functionals.uniform_bound_check(zero, A, D1, s, spec),
     }
 
 
