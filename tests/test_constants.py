@@ -11,7 +11,7 @@ from bbm_magnetic.constants import (
     fractional_constant_limit,
 )
 from bbm_magnetic.errors import ConfigurationError
-from bbm_magnetic.geometry import sphere_area, sphere_rule
+from bbm_magnetic.geometry import ball, sphere_area, sphere_rule
 
 
 @pytest.mark.parametrize("dim,expected", [(1, 1.0), (2, math.pi / 2.0), (3, 2.0 * math.pi / 3.0)])
@@ -34,6 +34,16 @@ def test_bbm_constant_is_half_the_second_moment(dim):
     # one formula, K_N = Q_N / 2 with Q_N = |S^{N-1}| / N, to the last bit in 3D too
     assert bbm_constant(dim) == sphere_area(dim) / dim / 2
     assert bbm_constant(dim) > 0.0
+
+
+def test_dimensional_constants_relations():
+    # the second moment Q_N = |S^{N-1}| / N is the volume of the unit ball,
+    # whose closed forms (2, pi, 4 pi / 3) Domain.volume keeps apart
+    for dim in (1, 2, 3):
+        second_moment = sphere_area(dim) / dim
+        assert_allclose(second_moment, ball([0.0] * dim, 1.0).volume(), rtol=1e-14)
+        assert bbm_constant(dim) == second_moment / 2.0
+        assert bbm_constant(dim) > 0.0
 
 
 def test_fractional_constant_half_order():

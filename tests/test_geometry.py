@@ -81,6 +81,30 @@ def test_boundary_distances_box_diagonal():
     assert _distance(d, [0.0, 0.0], w) == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("kind", ["ball", "box"])
+def test_boundary_distances_exit_points_lie_on_the_boundary_in_3d(kind):
+    rng = np.random.default_rng(11)
+    if kind == "ball":
+        d = ball([0.1, -0.2, 0.3], 0.8)
+    else:
+        d = box([0.1, -0.2, 0.3], [0.5, 0.8, 0.3])
+    lo, hi = d.bounding_box()
+    X = lo + (hi - lo) * (0.3 + 0.4 * rng.random((5, 3)))
+    assert np.all(d.contains(X))
+    dirs, _ = sphere_rule(3, 32)
+    R = boundary_distances(d, X, dirs)
+    assert R.shape == (5, len(dirs))
+    assert np.all(R > 0.0)
+    exits = X[:, None, :] + R[:, :, None] * dirs[None, :, :]
+    if kind == "ball":
+        assert_allclose(np.linalg.norm(exits - d.center, axis=-1), 0.8, rtol=1e-13)
+    else:
+        # inside the closed box, and on one of its faces
+        assert np.all(exits >= lo - 1e-13) and np.all(exits <= hi + 1e-13)
+        gap = np.minimum(np.abs(exits - lo), np.abs(exits - hi)).min(axis=-1)
+        assert_allclose(gap, 0.0, atol=1e-13)
+
+
 def _ray_face_exit(lo, hi, x, w):
     # independent oracle: intersect the ray with every face plane, keep the
     # smallest positive parameter whose point lies on the box
