@@ -75,14 +75,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_operator(args) -> int:
-    spec = default_spec(args.dim)  # refuses a dimension other than 1, 2 or 3 first
     u = resolve_field(args.field)
-    A = resolve_potential(args.potential, args.dim)
+    A = resolve_potential(args.potential, u.dim)
     point = np.asarray(_parse_numbers(args.point), dtype=float)
-    if point.size != args.dim:
-        raise ConfigurationError(f"point has {point.size} coordinates, expected {args.dim}")
+    if point.size != u.dim:
+        raise ConfigurationError(f"point has {point.size} coordinates, field {u.label!r} "
+                                 f"is {u.dim}-dimensional")
     s_list = check_s_list(_parse_numbers(args.s_list))
-    samples = operator_limit_scan(u, A, point, s_list, spec)
+    samples = operator_limit_scan(u, A, point, s_list, default_spec(u.dim))
     if args.format == "json":
         rows = [{"s": smp.s, "fractional": [smp.fractional.real, smp.fractional.imag],
                  "local": [smp.local.real, smp.local.imag], "discrepancy": smp.discrepancy}
@@ -136,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("operator", help="fractional vs local operator at a point")
     po.add_argument("--field", required=True)
     po.add_argument("--potential", required=True)
-    po.add_argument("--dim", type=int, required=True)
     po.add_argument("--point", required=True, help="comma-separated coordinates")
     po.add_argument("--s-list", required=True, help="comma-separated s values")
     po.add_argument("--format", choices=REPORT_FORMATS, default="csv")

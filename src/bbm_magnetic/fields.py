@@ -23,8 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .geometry import Domain
+from .errors import ConfigurationError, check_number
+from .geometry import Domain, check_dimension
 
 __all__ = [
     "ScalarField",
@@ -39,6 +39,17 @@ __all__ = [
     "modulus_field",
     "scaled_field",
 ]
+
+
+def _check_closures(obj, kind: str, optional: tuple[str, ...]) -> None:
+    """Refuse a dimension other than 1, 2 or 3, a value that is not callable
+    and an optional closure that is neither callable nor None."""
+    check_dimension(obj.dim)
+    for name in ("value",) + optional:
+        fn = getattr(obj, name)
+        if not (callable(fn) or (fn is None and name != "value")):
+            extra = "" if name == "value" else " or None"
+            raise ConfigurationError(f"{kind} {name} must be callable{extra}, got {fn!r}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +70,18 @@ class ScalarField:
     support_margin: float = 0.0
     label: str = ""
 
+    def __post_init__(self):
+        """Check every field but the label; store the support margin as a float."""
+        _check_closures(self, "field", ("gradient", "hessian"))
+        support = self.support_domain
+        if not (support is None or isinstance(support, Domain) and support.dimension == self.dim):
+            raise ConfigurationError("field support domain must be None or a "
+                                     f"{self.dim}-dimensional Domain, got {support!r}")
+        margin = check_number(self.support_margin, "field support margin")
+        if margin < 0.0:
+            raise ConfigurationError(f"field support margin must be >= 0, got {margin!r}")
+        object.__setattr__(self, "support_margin", margin)
+
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.value(np.asarray(points, dtype=float))
 
@@ -75,6 +98,10 @@ class VectorPotential:
     value: Callable[[np.ndarray], np.ndarray]
     divergence: Optional[Callable[[np.ndarray], np.ndarray]] = None
     label: str = ""
+
+    def __post_init__(self):
+        """Check every field but the label."""
+        _check_closures(self, "potential", ("divergence",))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.value(np.asarray(points, dtype=float))
@@ -228,9 +255,14 @@ def magnetic_density(u: ScalarField, A: VectorPotential, points: np.ndarray) -> 
 
 
 def require_dimension(dim: int, u: ScalarField, A: Optional[VectorPotential] = None) -> None:
-    """Reject a field or potential that does not live in dimension ``dim``."""
-    for kind, obj in (("field", u), ("potential", A)):
-        if obj is not None and obj.dim != dim:
+    """Reject a field or potential that is not one, or that does not live in
+    dimension ``dim``."""
+    for kind, obj, cls in (("field", u, ScalarField), ("potential", A, VectorPotential)):
+        if obj is None and kind == "potential":
+            continue
+        if not isinstance(obj, cls):
+            raise ConfigurationError(f"{kind} must be a {cls.__name__}, got {obj!r}")
+        if obj.dim != dim:
             name = f" {obj.label!r}" if obj.label else ""
             raise ConfigurationError(
                 f"{kind}{name} is {obj.dim}-dimensional, the domain is {dim}-dimensional"

@@ -40,10 +40,9 @@ from .quadrature import (
     IntegralResult,
     QuadratureSpec,
     _Member,
+    _power_member,
     _run_batch,
     _run_two_level,
-    double_integral_singular,
-    double_integrals_singular,
     pairwise_sum,
     radial_integral,
     tail_integral_many,
@@ -70,7 +69,8 @@ __all__ = [
 
 
 def _difference_sq(u: ScalarField, A: VectorPotential) -> Callable:
-    """Squared magnetic difference quotient numerator as a pair integrand."""
+    """Squared magnetic difference quotient numerator as a pair integrand; it is
+    0 on the diagonal and symmetric by construction, so it skips the sampling gate."""
 
     def pair(x, y):
         diff = magnetic_difference(u, A, x, y)
@@ -87,7 +87,7 @@ def magnetic_seminorm_sq(
     """Squared magnetic Gagliardo seminorm over Omega x Omega."""
     check_fractional_order(s)
     require_dimension(d.dimension, u, A)
-    return double_integral_singular(_difference_sq(u, A), d, s, spec)
+    return _run_two_level(_difference_sq(u, A), d, spec, _power_member(s))
 
 
 def magnetic_seminorms_sq(
@@ -97,7 +97,14 @@ def magnetic_seminorms_sq(
     evaluation per engine pass."""
     s_list = check_s_list(s_list)
     require_dimension(d.dimension, u, A)
-    return double_integrals_singular(_difference_sq(u, A), d, s_list, spec)
+    return _run_batch(_difference_sq(u, A), d, spec, [_power_member(s) for s in s_list])
+
+
+def _grid_domain(grid: TensorGrid) -> Domain:
+    """The domain of a TensorGrid; anything else is refused."""
+    if not isinstance(grid, TensorGrid):
+        raise ConfigurationError(f"expected a TensorGrid, got {grid!r}")
+    return grid.domain
 
 
 def local_magnetic_energy(
@@ -106,7 +113,7 @@ def local_magnetic_energy(
     """Tensor-grid quadrature of |grad u - i A u|^2 over the domain, on a
     grid built on that domain."""
     require_dimension(d.dimension, u, A)
-    if grid.domain != d:
+    if _grid_domain(grid) != d:
         raise ConfigurationError("local energy needs a grid built on its own domain")
 
     def energy_on(spec):
@@ -124,7 +131,7 @@ def local_magnetic_energy(
 
 def l2_norm_sq(u: ScalarField, grid: TensorGrid) -> float:
     """Squared L2 norm of u over the grid's domain."""
-    require_dimension(grid.domain.dimension, u)
+    require_dimension(_grid_domain(grid).dimension, u)
     return float(pairwise_sum(grid.weights * np.abs(u.value(grid.points)) ** 2))
 
 
@@ -307,6 +314,8 @@ class MollifierCheck:
 
 
 def check_mollifier(fam: MollifierFamily, delta: float) -> list[MollifierCheck]:
+    if not isinstance(fam, MollifierFamily):
+        raise ConfigurationError(f"check_mollifier needs a MollifierFamily, got {fam!r}")
     delta = check_positive(delta, "delta")
     out = []
     for member in fam.members:
@@ -335,6 +344,8 @@ def _mollifier_member(d: Domain, rho: RadialMollifier) -> _Member:
     """The engine's member for the kernel rho: the ray density of
     rho(|x-y|) / |x-y|^2 times the volume element r^(N-1), against which
     g = f / r^2 is integrated."""
+    if not isinstance(rho, RadialMollifier):
+        raise ConfigurationError(f"a mollifier kernel must be a RadialMollifier, got {rho!r}")
     if rho.dim != d.dimension:
         raise ConfigurationError("mollifier dimension does not match the domain")
     probe = np.linspace(1e-6, rho.support_radius, 64)
@@ -387,7 +398,7 @@ def translation_difference_sq(
     (extension by zero is exact for the built-in corpus, whose closures are
     global), and |h| <= 1.
     """
-    require_dimension(grid.domain.dimension, u, A)
+    require_dimension(_grid_domain(grid).dimension, u, A)
     h = np.array(check_coordinates(h, "shift", grid.domain.dimension))
     if float(np.linalg.norm(h)) > 1.0:
         raise ConfigurationError("translation check requires |h| <= 1")

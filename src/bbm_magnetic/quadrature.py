@@ -50,7 +50,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .constants import check_fractional_order, check_s_list
+from .constants import check_fractional_order
 from .errors import ConfigurationError, IntegrationError, check_integer
 from .geometry import (Domain, antipodal_half, boundary_distances, gauss_legendre, sphere_rule,
                        tensor_grid)
@@ -61,7 +61,6 @@ __all__ = [
     "pairwise_sum",
     "product_rule",
     "double_integral_singular",
-    "double_integrals_singular",
     "radial_angular",
     "radial_integral",
     "tail_integral",
@@ -343,19 +342,6 @@ def _power_member(s: float) -> _Member:
     return (1.0 - 2.0 * s, None)
 
 
-def double_integrals_singular(
-    integrand: Callable, d: Domain, s_list: Sequence[float], spec: QuadratureSpec
-) -> list[IntegralResult]:
-    """double_integral_singular at each s in s_list; the integrand is
-    evaluated once per pass for all.
-
-    The integrand must be symmetric, f(x, y) = f(y, x), as there; an
-    asymmetric one is refused before any pass."""
-    s_list = check_s_list(s_list)
-    _check_diagonal(integrand, d, spec)
-    return _run_batch(integrand, d, spec, [_power_member(s) for s in s_list])
-
-
 def double_integral_singular(
     integrand: Callable, d: Domain, s: float, spec: QuadratureSpec
 ) -> IntegralResult:
@@ -370,8 +356,8 @@ def double_integral_singular(
     ConfigurationError.
     """
     check_fractional_order(s)
-    (res,) = double_integrals_singular(integrand, d, [s], spec)
-    return res
+    _check_diagonal(integrand, d, spec)
+    return _run_two_level(integrand, d, spec, _power_member(s))
 
 
 def tail_integral_many(

@@ -47,7 +47,9 @@ def test_removed_duplicate_state_is_gone():
                          (bbm_magnetic, "Direction"), (constants, "DimensionalConstants"),
                          (constants, "dimensional_constants"),
                          (bbm_magnetic, "DimensionalConstants"),
-                         (bbm_magnetic, "dimensional_constants")):
+                         (bbm_magnetic, "dimensional_constants"),
+                         (quadrature, "double_integrals_singular"),
+                         (bbm_magnetic, "double_integrals_singular")):
         assert not hasattr(module, name), name
     assert not {"eps", "near_field"} & {f.name for f in fields(bbm_magnetic.QuadratureSpec)}
     assert not {"near_moment", "fn"} & {f.name for f in fields(bbm_magnetic.RadialMollifier)}

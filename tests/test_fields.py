@@ -1,4 +1,7 @@
 import ast
+import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from bbm_magnetic.fields import (
     modulus_field,
 )
 from bbm_magnetic.functionals import local_magnetic_energy
-from bbm_magnetic.geometry import box, interval, tensor_grid
+from bbm_magnetic.geometry import ball, box, interval, tensor_grid
 
 FIELDS = ["gauss1d", "bump1d", "modgauss1d:kappa=1", "gauss2d", "bump2d", "gauss3d", "bump3d"]
 POTENTIALS_1D = ["zero", "const:alpha=1", "linear:alpha=1"]
@@ -457,3 +460,43 @@ def test_potentials_refuse_an_unsupported_dimension(dim):
     # resolve_potential("zero", True) built a potential of dimension True
     with pytest.raises(ConfigurationError, match="unsupported dimension"):
         resolve_potential("zero", dim)
+
+
+def _zeros(p):
+    return np.zeros(p.shape[:-1], dtype=complex)
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"dim": 0}, "unsupported dimension 0; expected 1, 2 or 3"),
+    ({"dim": "x"}, "unsupported dimension x; expected 1, 2 or 3"),
+    ({"value": 3}, "field value must be callable, got 3"),
+    ({"gradient": 1.0}, "field gradient must be callable or None, got 1.0"),
+    ({"hessian": "h"}, "field hessian must be callable or None, got 'h'"),
+    ({"support_domain": interval(-0.5, 0.5)},
+     "field support domain must be None or a 2-dimensional Domain, got Domain(kind='interval'"),
+    ({"support_domain": ball([0.0, 0.0, 0.0], 0.5)},
+     "field support domain must be None or a 2-dimensional Domain, got Domain(kind='ball'"),
+    ({"support_domain": "box"}, "field support domain must be None or a 2-dimensional Domain, "
+                                "got 'box'"),
+    ({"support_margin": -0.1}, "field support margin must be >= 0, got -0.1"),
+    ({"support_margin": math.inf}, "field support margin must be a finite number, got inf"),
+    ({"support_margin": "0"}, "field support margin must be a finite number, got '0'"),
+], ids=["dim-0", "dim-text", "value", "gradient", "hessian", "interval-support",
+        "ball-support", "text-support", "negative-margin", "inf-margin", "text-margin"])
+def test_a_scalar_field_checks_its_own_fields(changes, message):
+    # dim 0 and "x" were accepted; the interval support passed the full-space
+    # support check on the unit box by broadcasting, and the 3D ball raised
+    # ValueError there
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        replace(resolve_field("gauss2d"), **changes)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((7, _zeros), "unsupported dimension 7; expected 1, 2 or 3"),
+    ((1, None), "potential value must be callable, got None"),
+    ((1, _zeros, 2.0), "potential divergence must be callable or None, got 2.0"),
+], ids=["dim-7", "no-value", "divergence"])
+def test_a_vector_potential_checks_its_own_fields(args, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        VectorPotential(*args)
+

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from bbm_magnetic import functionals, quadrature
 from bbm_magnetic.corpus import resolve_field, resolve_potential
-from bbm_magnetic.errors import ConfigurationError
+from bbm_magnetic.errors import ConfigurationError, IntegrationError
 from bbm_magnetic.fields import (
     GaugeFunction,
     ScalarField,
@@ -34,7 +34,8 @@ from bbm_magnetic.functionals import (
     mollified_functionals,
     translation_difference_sq,
 )
-from bbm_magnetic.geometry import ball, box, interval, tensor_grid
+from bbm_magnetic.geometry import ball, box, interval, sphere_area, tensor_grid
+from bbm_magnetic.harness import default_spec
 from bbm_magnetic.operator import fractional_magnetic_apply, local_magnetic_apply
 from bbm_magnetic.quadrature import QuadratureSpec, pairwise_sum, tail_integral_many
 
@@ -755,3 +756,92 @@ def test_gaussian_family_refuses_indices_out_of_order(indices):
     # [8, 2] used to build the members 2 and 8, in sorted order
     with pytest.raises(ConfigurationError, match="distinct positive integer indices in increasing"):
         gaussian_family(indices, 1)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda u, A: mollified_functional(u, A, D1, 5, SPEC1),
+     "a mollifier kernel must be a RadialMollifier, got 5"),
+    (lambda u, A: mollified_functionals(u, A, D1, [5], SPEC1),
+     "a mollifier kernel must be a RadialMollifier, got 5"),
+    (lambda u, A: check_mollifier(5, 0.1), "check_mollifier needs a MollifierFamily, got 5"),
+    (lambda u, A: local_magnetic_energy(u, A, D1, 5), "expected a TensorGrid, got 5"),
+    (lambda u, A: l2_norm_sq(u, 5), "expected a TensorGrid, got 5"),
+    (lambda u, A: translation_difference_sq(u, A, [0.1], 5), "expected a TensorGrid, got 5"),
+    (lambda u, A: magnetic_seminorms_sq(5, A, D1, [0.5], SPEC1),
+     "field must be a ScalarField, got 5"),
+    (lambda u, A: fullspace_seminorm_sq(5, A, D1, 0.5, SPEC1),
+     "field must be a ScalarField, got 5"),
+    (lambda u, A: magnetic_seminorm_sq(u, "zero", D1, 0.5, SPEC1),
+     "potential must be a VectorPotential, got 'zero'"),
+], ids=["kernel", "kernel-list", "family", "energy-grid", "l2-grid", "translation-grid",
+        "seminorms-field", "fullspace-field", "seminorm-potential"])
+def test_library_inputs_of_the_wrong_type_are_refused(monkeypatch, call, message):
+    # each raised AttributeError, an internal error (exit 4)
+    monkeypatch.setattr(quadrature, "radial_angular", _no_compute)
+    u, A = resolve_field("bump1d"), resolve_potential("zero", 1)
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        call(u, A)
+
+
+def test_one_nan_field_gets_one_refusal_from_every_functional():
+    # the seminorm's sampling gate said "integrand is NaN on the diagonal",
+    # the mollified functional "integrand produced NaN at y=[0.502...]"
+    gauss = resolve_field("gauss1d")
+    u = replace(gauss, value=lambda p: np.where(p[..., 0] > 0.5, np.nan, 1.0) * gauss.value(p))
+    A, spec = resolve_potential("zero", 1), replace(SPEC1, outer_nodes=32)
+    rho = bbm_family([0.9], 2.0, 1).members[0]
+    messages = set()
+    for call in (lambda: magnetic_seminorm_sq(u, A, D1, 0.9, spec),
+                 lambda: magnetic_seminorms_sq(u, A, D1, [0.9], spec),
+                 lambda: mollified_functional(u, A, D1, rho, spec)):
+        with pytest.raises(IntegrationError, match=r"integrand produced NaN at y=\[") as err:
+            call()
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
+def test_only_the_user_integrand_door_samples_the_integrand(monkeypatch):
+    # the package's own integrand is 0 on the diagonal and symmetric by
+    # construction, so only double_integral_singular runs the sampling gate
+    gate = []
+    monkeypatch.setattr(quadrature, "_check_diagonal", lambda *args: gate.append(args))
+    u, A = resolve_field("gauss1d"), resolve_potential("linear:alpha=1", 1)
+    spec = replace(SPEC1, outer_nodes=16, radial_nodes=4)
+    rho = bbm_family([0.9], 2.0, 1).members[0]
+    magnetic_seminorm_sq(u, A, D1, 0.9, spec)
+    magnetic_seminorms_sq(u, A, D1, [0.9], spec)
+    mollified_functional(u, A, D1, rho, spec)
+    mollified_functionals(u, A, D1, [rho], spec)
+    fullspace_seminorms_sq(resolve_field("bump1d"), A, D1, [0.9], spec)
+    assert gate == []
+    value = quadrature.double_integral_singular(functionals._difference_sq(u, A), D1, 0.9, spec)
+    assert len(gate) == 1
+    assert value == magnetic_seminorm_sq(u, A, D1, 0.9, spec)
+
+
+@pytest.mark.parametrize("label,d,potentials", [
+    ("bump1d", D1, ["linear:alpha=1", "zero"]),
+    ("bump2d", box([0.0, 0.0], [1.0, 1.0]), ["landau", "zero"]),
+    ("bump3d", box([0.0] * 3, [1.0] * 3), ["landau", "zero"]),
+    ("bump3d", ball([0.0] * 3, 1.75), ["landau", "zero"]),
+], ids=["1d", "2d-box", "3d-box", "3d-ball"])
+def test_fullspace_seminorm_tends_to_the_mazya_shaposhnikova_limit(label, d, potentials):
+    # s [u]^2_{s,A}(R^N x R^N) -> |S^(N-1)| ||u||^2 for every A (Maz'ya and
+    # Shaposhnikova, J. Funct. Anal. 195, 2002; magnetic case: Pinamonti,
+    # Squassina and Vecchi, J. Math. Anal. Appl. 449, 2017).  At s = 0.01 the
+    # O(s) term leaves about 1e-2; a quadratic in s through three points
+    # removes it, and its distance to the line through the first two is the
+    # fit's estimate.
+    n = d.dimension
+    u, spec, s_list = resolve_field(label), default_spec(n), [0.01, 0.02, 0.05]
+    target = sphere_area(n) * l2_norm_sq(u, tensor_grid(d, spec.outer_nodes))
+    limits, estimates = [], []
+    for plabel in potentials:
+        A = resolve_potential(plabel, n)
+        values = fullspace_seminorms_sq(u, A, d, s_list, spec)
+        scaled = [s * v.value for s, v in zip(s_list, values)]
+        quadratic = np.polyfit(s_list, scaled, 2)[-1]
+        limits.append(quadratic)
+        estimates.append(abs(np.polyfit(s_list[:2], scaled[:2], 1)[-1] - quadratic))
+        assert abs(quadratic - target) <= 1e-4 * target
+    assert abs(limits[0] - limits[1]) <= min(estimates)

@@ -562,7 +562,7 @@ def test_cli_sweep_missing_config_exits_2(tmp_path):
 
 def test_cli_operator_rows():
     out = _run_cli("operator", "--field", "gauss1d", "--potential", "zero",
-                   "--dim", "1", "--point", "0", "--s-list", "0.5,0.7")
+                   "--point", "0", "--s-list", "0.5,0.7")
     assert out.returncode == 0
     lines = out.stdout.strip().splitlines()
     assert lines[0] == "s,frac_re,frac_im,local_re,local_im,discrepancy"
@@ -570,13 +570,18 @@ def test_cli_operator_rows():
 
 
 def test_cli_operator_dimension_mismatch_exits_2():
+    # the field's label fixes the dimension the point must have
     out = _run_cli("operator", "--field", "gauss1d", "--potential", "zero",
-                   "--dim", "2", "--point", "0,0", "--s-list", "0.7,0.9")
+                   "--point", "0,0", "--s-list", "0.7,0.9")
     assert out.returncode == 2
-    assert "1-dimensional" in out.stderr
+    assert "point has 2 coordinates, field 'gauss1d' is 1-dimensional" in out.stderr
+    out = _run_cli("operator", "--field", "gauss2d", "--potential", "landau",
+                   "--point", "0", "--s-list", "0.7,0.9")
+    assert out.returncode == 2
+    assert "point has 1 coordinates, field 'gauss2d' is 2-dimensional" in out.stderr
 
 
-_OPERATOR = ["operator", "--field", "gauss1d", "--potential", "zero", "--dim", "1"]
+_OPERATOR = ["operator", "--field", "gauss1d", "--potential", "zero"]
 
 
 @pytest.mark.parametrize("args,message", [
@@ -601,11 +606,11 @@ _OPERATOR = ["operator", "--field", "gauss1d", "--potential", "zero", "--dim", "
       "--r-domain", "3"], "unknown family key(s) ['r_domain']"),
     (["mollifier-check", "--family", "bbm", "--dim", "1", "--delta", "0.1",
       "--indices", "2,4"], "unknown family key(s) ['indices']"),
-    (["operator", "--field", "gauss1d", "--potential", "linear:alfa=3", "--dim", "1",
+    (["operator", "--field", "gauss1d", "--potential", "linear:alfa=3",
       "--point", "0", "--s-list", "0.7"], "potential 'linear' takes no parameter 'alfa'"),
-    (["operator", "--field", "gauss1d:kappa=3", "--potential", "zero", "--dim", "1",
+    (["operator", "--field", "gauss1d:kappa=3", "--potential", "zero",
       "--point", "0", "--s-list", "0.7"], "field 'gauss1d' takes no parameter 'kappa'"),
-    (["operator", "--field", "gauss1d", "--potential", "linear:alpha=1,alpha=5", "--dim", "1",
+    (["operator", "--field", "gauss1d", "--potential", "linear:alpha=1,alpha=5",
       "--point", "0", "--s-list", "0.7"], "repeated parameter 'alpha'"),
 ], ids=["nan-point", "inf-point", "empty-s-list", "gaussian-dim-0", "bbm-dim-4",
         "gaussian-non-integer-indices", "bbm-nan-r-domain", "gaussian-inf-delta",
@@ -675,17 +680,11 @@ def test_cli_translation_sweep_of_a_field_without_support_spends_no_target_pass(
     assert "requires a field with a support domain" in capsys.readouterr().err
 
 
-def test_default_spec_refuses_a_dimension_other_than_1_2_or_3(monkeypatch, capsys):
+def test_default_spec_refuses_a_dimension_other_than_1_2_or_3():
     # default_spec(5) was the 3D spec and default_spec(True) the 1D one
     for dim in (0, 4, 5, True, 2.0):
         with pytest.raises(ConfigurationError, match="unsupported dimension"):
             default_spec(dim)
-    # so the operator command refuses --dim 5 before it resolves a label
-    monkeypatch.setattr(cli, "resolve_field", _no_compute)
-    monkeypatch.setattr(cli, "resolve_potential", _no_compute)
-    assert cli.main(["operator", "--field", "gauss1d", "--potential", "zero", "--dim", "5",
-                     "--point", "0,0,0,0,0", "--s-list", "0.9"]) == 2
-    assert "unsupported dimension 5; expected 1, 2 or 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("domain,missing", [

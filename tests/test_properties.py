@@ -1,4 +1,4 @@
-"""Property tests on the 1D and 2D corpus: gauge covariance, scaling
+"""Property tests on the 1D, 2D and 3D corpus: gauge covariance, scaling
 homogeneity, the diamagnetic inequality, and reports that do not depend on
 the thread count."""
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.fields import GaugeFunction, gauge_transform, modulus_field, scaled_field
 from bbm_magnetic.functionals import local_magnetic_energy, magnetic_seminorm_sq
-from bbm_magnetic.geometry import box, interval, tensor_grid
+from bbm_magnetic.geometry import ball, box, interval, tensor_grid
 from bbm_magnetic.harness import SweepConfig, render_report, run_sweep
 from bbm_magnetic.quadrature import QuadratureSpec
 
@@ -24,12 +24,20 @@ D2 = box([0.0, 0.0], [1.0, 1.0])
 SPEC2 = QuadratureSpec(outer_nodes=8, angular_nodes=8, radial_nodes=6)
 GRID2 = tensor_grid(D2, SPEC2.outer_nodes)
 
+# a box and a ball, so both boundary branches are reached in 3D
+D3 = {"box": box([0.0] * 3, [1.0] * 3), "ball": ball([0.0] * 3, 1.0)}
+SPEC3 = QuadratureSpec(outer_nodes=6, angular_nodes=32, radial_nodes=6)
+GRID3 = {kind: tensor_grid(d, SPEC3.outer_nodes) for kind, d in D3.items()}
+PROPERTY3 = settings(derandomize=True, deadline=None, max_examples=12)
+
 FIELDS = st.sampled_from(["gauss1d", "bump1d", "modgauss1d:kappa=1"])
 STRENGTHS = st.floats(-2.0, 2.0)
 POTENTIALS = st.builds(lambda kind, a: f"{kind}:alpha={a!r}",
                        st.sampled_from(["const", "linear"]), STRENGTHS)
 FIELDS2 = st.sampled_from(["gauss2d", "bump2d"])
 LANDAU = st.builds(lambda b: f"landau:beta={b!r}", STRENGTHS)
+FIELDS3 = st.sampled_from(["gauss3d", "bump3d"])
+DOMAINS3 = st.sampled_from(sorted(D3))
 
 
 @PROPERTY
@@ -114,3 +122,27 @@ def test_2d_landau_reports_do_not_depend_on_the_thread_count(s_list, threads):
     one, many = run_sweep(cfg, threads=1), run_sweep(cfg, threads=threads)
     for fmt in ("csv", "json"):
         assert render_report(many, fmt) == render_report(one, fmt)
+
+
+@PROPERTY3
+@given(FIELDS3, LANDAU, DOMAINS3, st.lists(STRENGTHS, min_size=3, max_size=3),
+       st.floats(-math.pi, math.pi), st.floats(0.55, 0.99))
+def test_affine_gauge_covariance_3d(flabel, plabel, kind, b, c, s):
+    u, A = resolve_field(flabel), resolve_potential(plabel, 3)
+    u2, A2 = gauge_transform(u, A, GaugeFunction(b, c))
+    d = D3[kind]
+    v1 = magnetic_seminorm_sq(u, A, d, s, SPEC3).value
+    v2 = magnetic_seminorm_sq(u2, A2, d, s, SPEC3).value
+    assert abs(v1 - v2) <= 1e-10 * v1
+    e1 = local_magnetic_energy(u, A, d, GRID3[kind]).value
+    e2 = local_magnetic_energy(u2, A2, d, GRID3[kind]).value
+    assert abs(e1 - e2) <= 1e-10 * e1
+
+
+@PROPERTY3
+@given(FIELDS3, LANDAU, DOMAINS3, st.floats(0.3, 0.95))
+def test_diamagnetic_inequality_3d(flabel, plabel, kind, s):
+    u, d = resolve_field(flabel), D3[kind]
+    lhs = magnetic_seminorm_sq(modulus_field(u), resolve_potential("zero", 3), d, s, SPEC3).value
+    rhs = magnetic_seminorm_sq(u, resolve_potential(plabel, 3), d, s, SPEC3).value
+    assert lhs <= rhs + 1e-6
