@@ -8,8 +8,9 @@ optional divergence metadata.  Quadrature error is therefore
 entirely the integrator's: there is no interpolation anywhere.
 
 A closure's point array may be a non-contiguous view: the quadrature
-engine stores its inner points coordinate-major and hands over the
-(..., N) view of them.  Closures must neither write into their points nor
+engine stores a block's points coordinate- and node-major, as (N, K, P)
+inner and (N, P) outer arrays, and hands over their (K, P, N) and
+(1, P, N) views.  Closures must neither write into their points nor
 assume C order (for example by reading the raw buffer or the strides);
 index a coordinate as p[..., j].  The view lives in a buffer that the
 engine overwrites with the next block's points, so a closure must not keep
@@ -254,12 +255,11 @@ def magnetic_density(u: ScalarField, A: VectorPotential, points: np.ndarray) -> 
     return np.sum(np.abs(magnetic_gradient(u, A, points)) ** 2, axis=-1)
 
 
-def require_dimension(dim: int, u: ScalarField, A: Optional[VectorPotential] = None) -> None:
-    """Reject a field or potential that is not one, or that does not live in
-    dimension ``dim``."""
-    for kind, obj, cls in (("field", u, ScalarField), ("potential", A, VectorPotential)):
-        if obj is None and kind == "potential":
-            continue
+def require_dimension(dim: int, u: ScalarField, *potential: VectorPotential) -> None:
+    """Reject a field, and the potential when one is passed, that is not one
+    or that does not live in dimension ``dim``."""
+    for kind, obj, cls in zip(("field", "potential"), (u,) + potential,
+                              (ScalarField, VectorPotential)):
         if not isinstance(obj, cls):
             raise ConfigurationError(f"{kind} must be a {cls.__name__}, got {obj!r}")
         if obj.dim != dim:

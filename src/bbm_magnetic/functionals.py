@@ -35,7 +35,7 @@ from .fields import (
     magnetic_difference,
     require_dimension,
 )
-from .geometry import Domain, TensorGrid, check_dimension, tensor_grid
+from .geometry import Domain, TensorGrid, check_dimension, check_domain, tensor_grid
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
@@ -86,7 +86,7 @@ def magnetic_seminorm_sq(
 ) -> IntegralResult:
     """Squared magnetic Gagliardo seminorm over Omega x Omega."""
     check_fractional_order(s)
-    require_dimension(d.dimension, u, A)
+    require_dimension(check_domain(d).dimension, u, A)
     return _run_two_level(_difference_sq(u, A), d, spec, _power_member(s))
 
 
@@ -96,7 +96,7 @@ def magnetic_seminorms_sq(
     """magnetic_seminorm_sq at every s in s_list, from one integrand
     evaluation per engine pass."""
     s_list = check_s_list(s_list)
-    require_dimension(d.dimension, u, A)
+    require_dimension(check_domain(d).dimension, u, A)
     return _run_batch(_difference_sq(u, A), d, spec, [_power_member(s) for s in s_list])
 
 
@@ -112,7 +112,7 @@ def local_magnetic_energy(
 ) -> IntegralResult:
     """Tensor-grid quadrature of |grad u - i A u|^2 over the domain, on a
     grid built on that domain."""
-    require_dimension(d.dimension, u, A)
+    require_dimension(check_domain(d).dimension, u, A)
     if _grid_domain(grid) != d:
         raise ConfigurationError("local energy needs a grid built on its own domain")
 
@@ -162,7 +162,7 @@ def fullspace_seminorms_sq(
 ) -> list[IntegralResult]:
     """fullspace_seminorm_sq at every s in s_list, from one integrand
     evaluation per engine pass."""
-    require_dimension(d.dimension, u, A)
+    require_dimension(check_domain(d).dimension, u, A)
     _require_support(u, d)
     doms = magnetic_seminorms_sq(u, A, d, s_list, spec)
 
@@ -359,7 +359,7 @@ def mollified_functional(
 ) -> IntegralResult:
     """Integral of |u(x) - phase u(y)|^2 / |x-y|^2 * rho(|x-y|) over the
     domain square, for a single nonnegative radial kernel."""
-    require_dimension(d.dimension, u, A)
+    require_dimension(check_domain(d).dimension, u, A)
     return _run_two_level(_difference_sq(u, A), d, spec, _mollifier_member(d, rho))
 
 
@@ -372,7 +372,9 @@ def mollified_functionals(
 ) -> list[IntegralResult]:
     """mollified_functional for every kernel in members, from one integrand
     evaluation per engine pass."""
-    require_dimension(d.dimension, u, A)
+    require_dimension(check_domain(d).dimension, u, A)
+    if not isinstance(members, (list, tuple)):
+        raise ConfigurationError(f"mollifier kernels must be a list or tuple, got {members!r}")
     batch = [_mollifier_member(d, rho) for rho in members]
     return _run_batch(_difference_sq(u, A), d, spec, batch)
 

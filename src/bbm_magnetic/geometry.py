@@ -26,6 +26,7 @@ __all__ = [
     "direction",
     "boundary_distances",
     "check_dimension",
+    "check_domain",
     "gauss_legendre",
     "sphere_rule",
     "antipodal_half",
@@ -135,6 +136,13 @@ class Domain:
         if inner.kind == "ball":
             return bool(np.linalg.norm(rel) + half[0] <= self.extents[0])
         return bool(np.linalg.norm(rel + half) <= self.extents[0])
+
+
+def check_domain(d) -> Domain:
+    """Return d, or raise ConfigurationError unless it is a Domain."""
+    if not isinstance(d, Domain):
+        raise ConfigurationError(f"domain must be a Domain, got {d!r}")
+    return d
 
 
 def interval(a: float, b: float) -> Domain:
@@ -255,7 +263,7 @@ class TensorGrid:
 def tensor_grid(d: Domain, nodes_per_axis: int) -> TensorGrid:
     if check_integer(nodes_per_axis, "tensor grid nodes per axis") < 1:
         raise ConfigurationError("tensor grid needs at least one node per axis")
-    lo, hi = d.bounding_box()
+    lo, hi = check_domain(d).bounding_box()
     xi, wi = gauss_legendre(nodes_per_axis)
     axes_x, axes_w = [], []
     for a, b in zip(lo, hi):

@@ -43,9 +43,9 @@ from .functionals import (
     mollified_functionals,
     translation_difference_sq,
 )
-from .geometry import Domain, ball, box, check_dimension, direction, tensor_grid
+from .geometry import Domain, ball, box, check_dimension, check_domain, direction, tensor_grid
 from .operator import operator_limit_scan
-from .quadrature import IntegralResult, QuadratureSpec, pairwise_sum
+from .quadrature import IntegralResult, QuadratureSpec, check_spec, pairwise_sum
 
 __all__ = [
     "SweepConfig",
@@ -102,8 +102,7 @@ class SweepConfig:
             raise ConfigurationError(f"unknown sweep kind {self.kind!r}; known: {SWEEP_KINDS}")
         check_text(self.field_label, "field")
         check_text(self.potential_label, "potential")
-        if not isinstance(self.domain, Domain):
-            raise ConfigurationError(f"domain must be a Domain, got {self.domain!r}")
+        check_domain(self.domain)
         store("s_list", tuple(check_s_list(self.s_list)))
         if self.family is not None:
             _family_from_descriptor(self.family, self.domain.dimension, self.s_list,
@@ -118,8 +117,7 @@ class SweepConfig:
         store("delta", check_positive(self.delta, "delta"))
         if self.spec is None:
             store("spec", default_spec(self.domain.dimension))
-        elif not isinstance(self.spec, QuadratureSpec):
-            raise ConfigurationError(f"quadrature must be a QuadratureSpec, got {self.spec!r}")
+        check_spec(self.spec)
         if self.domain.dimension == 1 and self.spec.angular_nodes != 2:
             raise ConfigurationError("quadrature angular_nodes must be 2 in 1D, the directions "
                                      f"+1 and -1, got {self.spec.angular_nodes}")

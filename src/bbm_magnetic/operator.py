@@ -30,7 +30,7 @@ from .constants import check_fractional_order, check_s_list, fractional_constant
 from .errors import ConfigurationError, IntegrationError, check_coordinates
 from .fields import ScalarField, VectorPotential, magnetic_difference, require_dimension
 from .geometry import antipodal_half
-from .quadrature import QuadratureSpec, _refuse_nan, product_rule
+from .quadrature import QuadratureSpec, _refuse_nan, check_spec, product_rule
 
 __all__ = [
     "OperatorSample",
@@ -55,12 +55,12 @@ _PANEL_NODES = 16
 
 def local_magnetic_apply(u: ScalarField, A: VectorPotential, x) -> complex:
     """-(grad - iA)^2 u at x, i.e. -Lap u + 2i A . grad u + |A|^2 u + i u div A."""
+    x = np.array(check_coordinates(x, "point"))
+    require_dimension(x.size, u, A)
     if u.hessian is None or u.gradient is None:
         raise ConfigurationError("local magnetic operator needs an analytic gradient and Hessian")
     if A.divergence is None:
         raise ConfigurationError("local magnetic operator needs divergence metadata")
-    x = np.array(check_coordinates(x, "point"))
-    require_dimension(x.size, u, A)
     lap = np.trace(u.hessian(x), axis1=-2, axis2=-1)
     grad = u.gradient(x)
     a = A(x)
@@ -98,7 +98,7 @@ def _fractional_values(
     and closed forms."""
     n = u.dim
     r_far = _FAR_FACTOR * _REF_LENGTH
-    dirs, wdir = antipodal_half(n, spec.angular_nodes)
+    dirs, wdir = antipodal_half(n, check_spec(spec).angular_nodes)
 
     probes = [x[None, :]]
     for scale in (0.5, 1.0, 2.0):

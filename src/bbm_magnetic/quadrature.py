@@ -20,16 +20,20 @@ rule, graded toward 0, times a fixed Lagrange matrix.  Each member's sums
 do not depend on which other members share its batch.
 
 Every ray carries the same number of nodes, so the rays are cut into
-blocks of a fixed number P, in order and without padding, and a block's
-inner points are stored coordinate-major as (N, P, K) arrays.  The node
-count of a result counts these evaluated points.
+blocks of a fixed number P, in order and without padding.  A block is
+stored node-major, its inner points as an (N, K, P) array and its outer
+points as an (N, P) one, so every per-ray broadcast runs over P-long rows
+and a pure power's ray sums are one matrix-vector product over the nodes.
+A block holds at most _CHUNK_BUDGET points (or one ray), so its integrand
+temporaries stay cache-sized.  The node count of a result counts these
+evaluated points.
 
 Each call of the engine allocates one workspace, sized to one block, and
-every block takes its inner points and its contraction plane from the
-front of it.  So a pass touches the same pages from block to block instead
-of freeing and faulting in new ones, and the points handed to the
-integrand (and through it to fields and potentials) are views that the
-next block overwrites: no closure may keep them after it returns.  The
+every block takes its outer and inner points and its contraction plane
+from the front of it.  So a pass touches the same pages from block to
+block instead of freeing and faulting in new ones, and the points handed
+to the integrand (and through it to fields and potentials) are views that
+the next block overwrites: no closure may keep them after it returns.  The
 workspace belongs to one call, so concurrent calls never share it.
 
 The seminorm and mollifier integrands are symmetric, f(x, y) = f(y, x), and
@@ -58,6 +62,7 @@ from .geometry import (Domain, antipodal_half, boundary_distances, gauss_legendr
 __all__ = [
     "QuadratureSpec",
     "IntegralResult",
+    "check_spec",
     "pairwise_sum",
     "product_rule",
     "double_integral_singular",
@@ -67,9 +72,9 @@ __all__ = [
     "two_level",
 ]
 
-# Cap on the integrand points evaluated per block of rays; keeps peak
-# memory modest.
-_CHUNK_BUDGET = 30_000
+# Cap on the integrand points evaluated per block of rays: small enough
+# that one block's integrand temporaries fit in a 2 MB L2 cache.
+_CHUNK_BUDGET = 8_192
 # The fine rule behind every non-power kernel: _FINE_NODES Gauss-Legendre
 # nodes t on [0, 1], moved toward 0 by tau = t**_GRADING.
 _FINE_NODES = 96
@@ -91,6 +96,13 @@ class QuadratureSpec:
             object.__setattr__(self, f.name, check_integer(getattr(self, f.name), f"quadrature {f.name}"))
         if min(self.outer_nodes, self.angular_nodes, self.radial_nodes) < 1:
             raise ConfigurationError("all node counts must be >= 1")
+
+
+def check_spec(spec) -> QuadratureSpec:
+    """Return spec, or raise ConfigurationError unless it is a QuadratureSpec."""
+    if not isinstance(spec, QuadratureSpec):
+        raise ConfigurationError(f"quadrature must be a QuadratureSpec, got {spec!r}")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -158,11 +170,11 @@ def _fine_rule(beta: float) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=64)
 def _fine_lagrange(n: int) -> np.ndarray:
     """ell_k(tau_j) / tau_k^2: the Lagrange basis of the n-node ray rule at
-    the fine nodes tau_j, shape (_FINE_NODES, n), over the squared nodes that
+    the fine nodes tau_j, shape (n, _FINE_NODES), over the squared nodes that
     turn a pair integrand f into g = f / r^2 on the unit ray."""
     tau, w, basis = _legendre01(n)
     fine = np.polynomial.legendre.legvander(2.0 * _fine_rule(0.0)[0] - 1.0, n - 1)
-    lagrange = fine @ (basis * w[:, None]).T / tau**2
+    lagrange = (basis * w[:, None]) @ fine.T / tau[:, None] ** 2
     lagrange.flags.writeable = False
     return lagrange
 
@@ -207,12 +219,12 @@ def radial_angular(
     raises IntegrationError.  The integrand is evaluated once for all the
     members, at the ``nodes`` nodes R tau_k of product_rule on each ray.
 
-    The rays, point-major, are cut into blocks of P rays.  A block's inner
-    points are stored coordinate-major, as an (N, P, K) array, and pair_fn
-    gets the gathered outer points (P, 1, N) and the (P, K, N) view.  With
-    N <= 3, a C-ordered last axis makes every per-coordinate op and
-    last-axis reduction run inner loops of length N; coordinate-major, they
-    run over long contiguous rows, inside user closures too.
+    The rays, point-major, are cut into blocks of P rays, stored node-major:
+    pair_fn gets the outer points as a (1, P, N) view of an (N, P) array and
+    the inner points as a (K, P, N) view of an (N, K, P) array, and returns
+    (K, P) values.  So every per-coordinate op and per-ray broadcast runs
+    over P-long contiguous rows, inside user closures too, where a C-ordered
+    last axis would run loops of length N <= 3.
 
     The points given to pair_fn, and the radii given to the members, are
     views into this call's workspace or temporaries of one block: pair_fn
@@ -226,34 +238,40 @@ def radial_angular(
     # rule of a kernel.
     rules = [product_rule(nodes, beta)[1] / tau**2 if h is None else _fine_rule(beta)
              for beta, h in members]
-    # The workspace: the contraction plane and the N planes of Y, each as
-    # long as one block.  Every block takes its arrays from the front of it,
-    # so the pages a pass touches stay mapped from block to block; the
-    # results are allocated with it, before the first block.
-    work = np.empty((1 + n_dim) * min(rays, R.size) * nodes)
+    # The workspace: the N planes of the gathered outer points, one entry
+    # per ray, then the contraction plane and the N planes of Y, one entry
+    # per point.  Every block takes its arrays from the front of it, so the
+    # pages a pass touches stay mapped from block to block; the results are
+    # allocated with it, before the first block.
+    per_ray = n_dim + (1 + n_dim) * nodes
+    work = np.empty(per_ray * min(rays, R.size))
     sums = [np.empty(R.shape) for _ in members]
     for lo in range(0, R.size, rays):
         hi = min(lo + rays, R.size)
-        shape = (hi - lo, nodes)
-        planes = work[: (1 + n_dim) * (hi - lo) * nodes].reshape((1 + n_dim,) + shape)
+        p = hi - lo
+        xs = work[: n_dim * p].reshape(n_dim, p)
+        planes = work[n_dim * p : per_ray * p].reshape(1 + n_dim, nodes, p)
         contracted, Y = planes[0], planes[1:]
         ci, mi = np.divmod(np.arange(lo, hi), n_dirs)
-        x = X[ci][:, None, :]
+        xs[...] = X[ci].T
         Rb = R[lo:hi]
         for j in range(n_dim):
-            np.multiply((Rb * dirs[mi, j])[:, None], tau, out=Y[j])
-            Y[j] += x[..., j]
-        y = np.moveaxis(Y, 0, -1)
+            np.multiply(tau[:, None], Rb * dirs[mi, j], out=Y[j])
+            Y[j] += xs[j]
+        x, y = np.moveaxis(xs, 0, -1)[None], np.moveaxis(Y, 0, -1)
         vals = pair_fn(x, y)
-        _refuse_nan(vals, y)
+        _refuse_nan(vals.T, y.swapaxes(0, 1))
         for member_sums, (beta, h), rule in zip(sums, members, rules):
+            out = member_sums[lo:hi]
             if h is None:
-                np.multiply(vals, rule, out=contracted)
+                np.matmul(rule, vals, out=out)
             else:
                 fine_tau, v = rule
-                np.matmul(h(Rb[:, None] * fine_tau) * v, _fine_lagrange(nodes), out=contracted)
+                np.matmul(_fine_lagrange(nodes), h(fine_tau[:, None] * Rb) * v[:, None],
+                          out=contracted)
                 np.multiply(vals, contracted, out=contracted)
-            member_sums[lo:hi] = np.sum(contracted, axis=-1) * Rb ** (beta - 1.0)
+                np.sum(contracted, axis=0, out=out)
+            out *= Rb ** (beta - 1.0)
     return [member_sums.reshape(-1, n_dirs) for member_sums in sums], R.size * nodes
 
 
@@ -283,6 +301,7 @@ def two_level(evaluate: Callable, spec: QuadratureSpec, dim: int) -> list[Integr
     at its end raises the thresholds below which freed memory stays in the
     heap, so the other pass reuses its pages instead of returning them to
     the system after each engine block and faulting them in again."""
+    check_spec(spec)
     angular = spec.angular_nodes if dim == 1 else max(8, 2 * (spec.angular_nodes // 4))
     other = replace(spec, outer_nodes=max(4, spec.outer_nodes // 2),
                     radial_nodes=max(2, spec.radial_nodes - 2), angular_nodes=angular)
@@ -356,7 +375,7 @@ def double_integral_singular(
     ConfigurationError.
     """
     check_fractional_order(s)
-    _check_diagonal(integrand, d, spec)
+    _check_diagonal(integrand, d, check_spec(spec))
     return _run_two_level(integrand, d, spec, _power_member(s))
 
 

@@ -773,10 +773,36 @@ def test_gaussian_family_refuses_indices_out_of_order(indices):
      "field must be a ScalarField, got 5"),
     (lambda u, A: magnetic_seminorm_sq(u, "zero", D1, 0.5, SPEC1),
      "potential must be a VectorPotential, got 'zero'"),
+    (lambda u, A: magnetic_seminorm_sq(u, A, 5, 0.5, SPEC1), "domain must be a Domain, got 5"),
+    (lambda u, A: magnetic_seminorm_sq(u, A, D1, 0.5, 5),
+     "quadrature must be a QuadratureSpec, got 5"),
+    (lambda u, A: mollified_functionals(u, A, D1, bbm_family([0.9], 2.0, 1).members, 5),
+     "quadrature must be a QuadratureSpec, got 5"),
+    (lambda u, A: mollified_functionals(u, A, D1, gaussian_family([2, 4], 1), SPEC1),
+     "mollifier kernels must be a list or tuple, got MollifierFamily("),
+    (lambda u, A: fullspace_seminorms_sq(u, A, D1, [0.5], 5),
+     "quadrature must be a QuadratureSpec, got 5"),
+    (lambda u, A: local_magnetic_energy(u, A, 5, tensor_grid(D1, 8)),
+     "domain must be a Domain, got 5"),
+    (lambda u, A: quadrature.double_integral_singular(functionals._difference_sq(u, A), 5,
+                                                      0.5, SPEC1),
+     "domain must be a Domain, got 5"),
+    (lambda u, A: tensor_grid(5, 4), "domain must be a Domain, got 5"),
+    (lambda u, A: magnetic_seminorm_sq(u, None, D1, 0.5, SPEC1),
+     "potential must be a VectorPotential, got None"),
+    (lambda u, A: local_magnetic_energy(u, None, D1, tensor_grid(D1, 8)),
+     "potential must be a VectorPotential, got None"),
+    (lambda u, A: fractional_magnetic_apply(u, A, [0.0], 0.5, 5),
+     "quadrature must be a QuadratureSpec, got 5"),
+    (lambda u, A: local_magnetic_apply(5, A, [0.0]), "field must be a ScalarField, got 5"),
 ], ids=["kernel", "kernel-list", "family", "energy-grid", "l2-grid", "translation-grid",
-        "seminorms-field", "fullspace-field", "seminorm-potential"])
+        "seminorms-field", "fullspace-field", "seminorm-potential", "seminorm-domain",
+        "seminorm-spec", "mollified-spec", "mollified-family", "fullspace-spec", "energy-domain",
+        "double-integral-domain", "tensor-grid-domain", "seminorm-none-potential",
+        "energy-none-potential", "operator-spec", "local-operator-field"])
 def test_library_inputs_of_the_wrong_type_are_refused(monkeypatch, call, message):
-    # each raised AttributeError, an internal error (exit 4)
+    # each raised AttributeError, or TypeError for a None potential or a
+    # family passed as a kernel list: an internal error (exit 4)
     monkeypatch.setattr(quadrature, "radial_angular", _no_compute)
     u, A = resolve_field("bump1d"), resolve_potential("zero", 1)
     with pytest.raises(ConfigurationError, match=re.escape(message)):

@@ -126,6 +126,30 @@ def test_nan_integrand_reported():
     assert json.loads(str(err.value).split("y=")[1]) in nan_points
 
 
+@pytest.mark.parametrize("budget", [None, 1], ids=["default-blocks", "one-ray-blocks"])
+def test_a_2d_nan_is_refused_at_its_first_point_in_ray_order(budget, monkeypatch):
+    # NaN wherever a ray from the right half of the box has climbed half a
+    # unit: later rays of a block meet it at earlier nodes, so only the
+    # (outer point, direction, node) order names the point found here.
+    if budget is not None:
+        monkeypatch.setattr(quadrature, "_CHUNK_BUDGET", budget)
+    spec = QuadratureSpec(outer_nodes=12, angular_nodes=16, radial_nodes=6)
+    X, dirs, R = _engine_inputs(box([0.0, 0.0], [1.0, 1.0]), spec)
+    tau = product_rule(spec.radial_nodes, 0.0)[0]
+
+    def nan_at(x, y):
+        return (x[..., 0] > 0.3) & (y[..., 1] - x[..., 1] > 0.5)
+
+    def bad(x, y):
+        return np.where(nan_at(x, y), np.nan, _sq_diff(x, y))
+
+    first = next(y for c, x in enumerate(X) for m, omega in enumerate(dirs) for t in tau
+                 if nan_at(x, y := x + (R[c, m] * omega) * t))
+    with pytest.raises(IntegrationError) as err:
+        radial_angular(bad, X, R, dirs, spec.radial_nodes, [_power_member(0.5)])
+    assert str(err.value) == f"integrand produced NaN at y={first.tolist()}"
+
+
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.8, 0.95, 0.99, 0.999])
 @pytest.mark.parametrize("nodes", [1, 4, 16, 32])
 def test_product_weights_integrate_every_power_below_the_node_count_exactly(s, nodes):
@@ -256,16 +280,18 @@ def test_pair_fn_gets_x_plus_r_omega_in_coordinate_major_layout(d, nodes, angula
         calls = []
 
         def pair(x, y):
-            calls.append((x, y.copy(), np.moveaxis(y, -1, 0).flags.c_contiguous))
+            coordinate_major = all(np.moveaxis(p, -1, 0).flags.c_contiguous for p in (x, y))
+            calls.append((x.copy(), y.copy(), coordinate_major))
             return np.sum((x - y) ** 2, axis=-1)
 
         _, count = radial_angular(pair, X, R, dirs, spec.radial_nodes, [_power_member(0.5)])
         seen = np.zeros(R.shape, dtype=int)
         for x, y, coordinate_major in calls:
             assert coordinate_major
-            assert x.shape == (y.shape[0], 1, d.dimension)
-            assert y.shape[1] == spec.radial_nodes
-            for xp, yp in zip(x[:, 0], y):
+            # node-major: one (P, N) plane of points per radial node
+            assert x.shape == (1, y.shape[1], d.dimension)
+            assert y.shape[0] == spec.radial_nodes
+            for xp, yp in zip(x[0], y.swapaxes(0, 1)):
                 c = row_of[xp.tobytes()]
                 omega = (yp[0] - xp) / np.linalg.norm(yp[0] - xp)
                 m = int(np.argmin(np.linalg.norm(dirs - omega, axis=1)))
