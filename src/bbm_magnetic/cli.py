@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-import traceback
 from dataclasses import asdict
 
 import numpy as np
@@ -170,6 +169,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"integration failure: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a defect, not bad input: keep it apart from 1-3
+        import traceback  # only on this path: a sweep that succeeds never loads it
+
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

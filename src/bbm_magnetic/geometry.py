@@ -15,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, check_coordinates, check_integer, check_number, is_integer
+from .errors import (ConfigurationError, IntegrationError, check_coordinates, check_integer,
+                     check_number, is_integer)
 
 __all__ = [
     "Domain",
@@ -35,6 +36,15 @@ __all__ = [
 ]
 
 
+# Newton's method for the Gauss-Legendre roots stops one evaluation after a
+# step that moves no root by more than _NEWTON_TOL, so the error left is of
+# the order of its square.  From Tricomi's estimate the third step (the
+# fourth for n = 2, 3, 4) is that small; the iteration gives up when step
+# _NEWTON_STEPS still is not.
+_NEWTON_TOL = 1e-12
+_NEWTON_STEPS = 10
+
+
 def check_dimension(dim: int) -> None:
     """Raise ConfigurationError unless dim is the integer 1, 2 or 3."""
     if not (is_integer(dim) and dim in (1, 2, 3)):
@@ -44,11 +54,53 @@ def check_dimension(dim: int) -> None:
 @lru_cache(maxsize=64)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once
-    per n (the eigenvalue solve behind them dominates small grids)."""
-    xi, wi = np.polynomial.legendre.leggauss(n)
-    xi.flags.writeable = False
-    wi.flags.writeable = False
-    return xi, wi
+    per n: ascending nodes, exactly antisymmetric, with +0.0 in the middle
+    for odd n.
+
+    Newton's method on the three-term recurrence finds the ceil(n/2)
+    nonnegative roots of P_n, started from Tricomi's estimate (Hale and
+    Townsend, SIAM J. Sci. Comput. 35, 2013), and the weights are
+    2 / ((1 - x^2) P_n'(x)^2) at the converged roots; the rest is mirrored.
+    """
+    if check_integer(n, "Gauss-Legendre node count") < 1:
+        raise ConfigurationError("a Gauss-Legendre rule needs at least one node")
+    m = (n + 1) // 2
+    theta = math.pi * (4.0 * np.arange(1, m + 1) - 1.0) / (4.0 * n + 2.0)
+    shrink = 1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)
+    x = shrink * np.cos(theta)  # descending
+    if n % 2:
+        x[-1] = 0.0  # a root of every odd P_n, where the recurrence gives exactly 0
+    p, q, r, dp = (np.empty(m) for _ in range(4))
+    last = math.inf  # the largest change of the last Newton step
+    for _ in range(_NEWTON_STEPS + 1):
+        # p = P_n(x), q = P_{n-1}(x), and dp = P_n'(x) = n (x P_n - P_{n-1}) / (x^2 - 1)
+        q.fill(1.0)
+        p[:] = x
+        for k in range(1, n):
+            np.multiply(x, p, out=r)
+            r *= (2 * k + 1) / (k + 1)
+            q *= k / (k + 1)
+            r -= q
+            p, q, r = r, p, q
+        np.multiply(x, p, out=dp)
+        dp -= q
+        np.multiply(1.0 - x, 1.0 + x, out=r)  # 1 - x^2, exact to rounding near 1
+        dp *= -n
+        dp /= r
+        if last <= _NEWTON_TOL:
+            break  # quadratic convergence: x is exact to rounding, dp evaluated there
+        step = p / dp
+        x -= step
+        last = np.max(np.abs(step))
+    else:
+        raise IntegrationError(f"Gauss-Legendre Newton iteration for n={n} did not converge")
+    w = 2.0 / (r * dp**2)
+    nodes, weights = np.empty(n), np.empty(n)
+    nodes[n - m:], weights[n - m:] = x[::-1], w[::-1]
+    nodes[: n // 2], weights[: n // 2] = -x[: n // 2], w[: n // 2]
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def sphere_area(dim: int) -> float:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -234,17 +233,21 @@ def extrapolate_limit(rows: Sequence[tuple[float, float]]) -> tuple[float, float
 
     t is the small parameter carried to zero (1-s for s-sweeps, 1/n for
     mollifier sweeps, |h| for translation sweeps); returns (L, max residual).
+    The fit is in closed form about the means tm and vm of t and value:
+    C = sum((t - tm) (value - vm)) / sum((t - tm)^2) and L = vm - C tm.
     """
     if len(rows) < 3:
         raise ConfigurationError("extrapolation needs at least 3 rows")
     if len({r[0] for r in rows}) < 2:
         raise ConfigurationError("extrapolation needs rows at two or more distinct t")
-    t = np.array([r[0] for r in rows])
-    v = np.array([r[1] for r in rows])
-    design = np.stack([np.ones_like(t), t], axis=-1)
-    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-    residual = float(np.max(np.abs(design @ coef - v)))
-    return float(coef[0]), residual
+    t = [float(r[0]) for r in rows]
+    v = [float(r[1]) for r in rows]
+    t_mean, v_mean = math.fsum(t) / len(t), math.fsum(v) / len(v)
+    dt = [ti - t_mean for ti in t]
+    slope = (math.fsum(d * (vi - v_mean) for d, vi in zip(dt, v))
+             / math.fsum(d * d for d in dt))
+    limit = v_mean - slope * t_mean
+    return limit, max(abs(limit + slope * ti - vi) for ti, vi in zip(t, v))
 
 
 def _fit_closest(small: list[tuple[float, float]]) -> tuple[float, float]:
@@ -281,6 +284,8 @@ def _batches(items: Sequence, threads: int) -> list[Sequence]:
 def _parallel_map(fn, items, threads: int):
     if threads <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor  # only here: its imports cost memory
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

@@ -128,12 +128,24 @@ def pairwise_sum(values: np.ndarray):
     return a[0]
 
 
+def _legendre_rows(x: np.ndarray, n: int) -> np.ndarray:
+    """P_j(x_k), j < n, shape (x.size, n): numpy's legvander(x, n - 1), in
+    its recurrence order and memory layout, so the two agree bit for bit."""
+    v = np.empty((n, x.size))
+    v[0] = 1.0
+    if n > 1:
+        v[1] = x
+    for j in range(2, n):
+        v[j] = (v[j - 1] * x * (2 * j - 1) - v[j - 2] * (j - 1)) / j
+    return v.T
+
+
 @lru_cache(maxsize=64)
 def _legendre01(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes tau_k and weights w_k on [0, 1], and the matrix
     (2j + 1) P_j(2 tau_k - 1), j < n, which interpolates at those nodes."""
     xi, wi = gauss_legendre(n)
-    basis = np.polynomial.legendre.legvander(xi, n - 1) * (2.0 * np.arange(n) + 1.0)
+    basis = _legendre_rows(xi, n) * (2.0 * np.arange(n) + 1.0)
     out = (0.5 * (xi + 1.0), 0.5 * wi, basis)
     for a in out:
         a.flags.writeable = False
@@ -173,7 +185,7 @@ def _fine_lagrange(n: int) -> np.ndarray:
     the fine nodes tau_j, shape (n, _FINE_NODES), over the squared nodes that
     turn a pair integrand f into g = f / r^2 on the unit ray."""
     tau, w, basis = _legendre01(n)
-    fine = np.polynomial.legendre.legvander(2.0 * _fine_rule(0.0)[0] - 1.0, n - 1)
+    fine = _legendre_rows(2.0 * _fine_rule(0.0)[0] - 1.0, n)
     lagrange = (basis * w[:, None]) @ fine.T / tau[:, None] ** 2
     lagrange.flags.writeable = False
     return lagrange

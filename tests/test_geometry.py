@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bbm_magnetic.constants import bbm_constant
-from bbm_magnetic.errors import ConfigurationError
+from bbm_magnetic import geometry
+from bbm_magnetic.errors import ConfigurationError, IntegrationError
 from bbm_magnetic.geometry import (
     Domain,
     antipodal_half,
@@ -13,6 +14,7 @@ from bbm_magnetic.geometry import (
     boundary_distances,
     box,
     direction,
+    gauss_legendre,
     interval,
     sphere_area,
     sphere_rule,
@@ -209,6 +211,33 @@ def test_sphere_unsupported_dim():
         sphere_rule(4, 8)
 
 
+# Every rule size that a default spec or its coarse rung uses.
+RULE_SIZES = [*range(1, 9), 12, 14, 16, 24, 32, 62, 64, 80, 96, 160]
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_gauss_legendre_rules_from_the_recurrence(n):
+    x, w = gauss_legendre(n)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
+    assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 2.3e-16
+    assert abs(w.sum() - 2.0) <= 1e-14
+    # sum_k w_k P_j(x_k) = 0 for 0 < j < 2n: exact to degree 2n - 1
+    moments = w @ np.polynomial.legendre.legvander(x, 2 * n - 1)[:, 1:]
+    assert np.max(np.abs(moments)) <= 1e-14
+    assert not x.flags.writeable and not w.flags.writeable
+    assert gauss_legendre(n)[0] is x
+
+
+def test_gauss_legendre_refuses_an_unconverged_newton_iteration(monkeypatch):
+    # the first Newton step from Tricomi's estimate still moves the roots
+    monkeypatch.setattr(geometry, "_NEWTON_STEPS", 1)
+    with pytest.raises(IntegrationError, match="n=40 did not converge"):
+        gauss_legendre.__wrapped__(40)
+
+
 def test_tensor_grid_box_weights_exact():
     d = box([0.0, 0.0], [1.0, 0.5])
     g = tensor_grid(d, 6)
@@ -271,8 +300,9 @@ def test_dimension_must_be_an_integer(call):
     (lambda: Domain("box", [0.0, 0.0], [1.0, None]), "domain extents must be a finite number"),
     (lambda: direction(["1", "0"]), "direction must be a finite number"),
     (lambda: interval("0", "1"), "interval start must be a finite number"),
+    (lambda: gauss_legendre(2.5), "Gauss-Legendre node count must be an integer"),
 ], ids=["fractional-nodes", "bool-nodes", "text-count", "float-count", "text-box", "bool-extents",
-        "text-radius", "none-extent", "text-direction", "text-interval"])
+        "text-radius", "none-extent", "text-direction", "text-interval", "fractional-rule"])
 def test_counts_and_domain_vectors_must_be_numbers(call, message):
     # tensor_grid(d, 2.5), sphere_rule(2, "8") and interval("0", "1") raised
     # TypeError; the others were accepted
@@ -289,8 +319,9 @@ def test_counts_and_domain_vectors_must_be_numbers(call, message):
     (lambda: sphere_rule(2, 0), "sphere rule needs count >= 1"),
     (lambda: tensor_grid(box([0.0, 0.0], [1.0, 1.0]), 0),
      "tensor grid needs at least one node per axis"),
+    (lambda: gauss_legendre(0), "a Gauss-Legendre rule needs at least one node"),
 ], ids=["unknown-kind", "2d-interval", "ball-two-extents", "box-extents-dimension",
-        "zero-direction", "no-directions", "no-nodes"])
+        "zero-direction", "no-directions", "no-nodes", "no-rule-nodes"])
 def test_malformed_domains_directions_and_rules_are_refused(call, message):
     with pytest.raises(ConfigurationError, match=message):
         call()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import bbm_magnetic
-from bbm_magnetic import cli, functionals, harness, operator, quadrature
+from bbm_magnetic import cli, functionals, geometry, harness, operator, quadrature
 from bbm_magnetic.constants import bbm_constant, check_fractional_order, check_s_list
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConditionViolation, ConfigurationError, IntegrationError
@@ -74,6 +74,20 @@ def test_extrapolate_constant_data():
 def test_extrapolate_needs_three_rows():
     with pytest.raises(ValueError):
         extrapolate_limit([(0.1, 1.0), (0.05, 2.0)])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_extrapolate_matches_the_least_squares_fit(seed):
+    # the closed-form line against LAPACK's least squares on noisy rows
+    rng = np.random.default_rng(seed)
+    count = rng.integers(3, 8)
+    t = rng.uniform(0.0, 0.5, count)
+    v = rng.uniform(0.5, 2.0) + rng.uniform(-3.0, 3.0) * t + rng.normal(0.0, 0.05, count)
+    design = np.stack([np.ones_like(t), t], axis=-1)
+    coef = np.linalg.lstsq(design, v, rcond=None)[0]
+    limit, resid = extrapolate_limit(list(zip(t, v)))
+    assert abs(limit - coef[0]) <= 1e-13 * abs(coef[0])
+    assert abs(resid - np.max(np.abs(design @ coef - v))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +794,54 @@ def test_cli_sweep_threads_byte_identical(tmp_path):
             outs[(fmt, threads)] = path.read_bytes()
     assert outs[("csv", "1")] == outs[("csv", "8")]
     assert outs[("json", "1")] == outs[("json", "8")]
+
+
+_LAZY_MODULES = ("numpy.polynomial", "concurrent.futures", "logging", "traceback")
+
+
+def test_cli_sweep_on_one_thread_loads_no_pool_logging_or_polynomial_modules(tmp_path):
+    # the modules a sweep process loads beyond numpy's own: the thread pool,
+    # with logging behind it, and numpy.polynomial cost memory and start-up
+    # time that a one-thread sweep never uses
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_GOOD, "s_list": [0.8, 0.9, 0.95],
+                                    "quadrature": {"outer_nodes": 32, "radial_nodes": 8}}))
+    code = ("import sys, numpy; before = set(sys.modules); from bbm_magnetic import cli; "
+            f"rc = cli.main(['sweep', '--config', sys.argv[1], '--threads', '1', "
+            f"'--out', sys.argv[2]]); "
+            f"print(rc, sorted(m for m in {_LAZY_MODULES!r} if m in set(sys.modules) - before))")
+    res = subprocess.run([sys.executable, "-c", code, str(cfg_path), str(tmp_path / "out.csv")],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0", "[]"]
+
+
+_LAPACK = ("eigvalsh", "eigh", "eig", "lstsq", "solve", "svd", "qr", "inv")
+
+
+@pytest.mark.parametrize("kind", [*SWEEP_KINDS, "bbm-domain-ball3d"])
+def test_sweeps_call_no_lapack_routine(monkeypatch, kind):
+    # the Gauss-Legendre rules, the interpolation matrices and the limit fit
+    # come from recurrences and closed forms; the rule caches are emptied so
+    # every rule is built under the patch
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a LAPACK routine ran")
+
+    for name in _LAPACK:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for cached in (geometry.gauss_legendre, quadrature._legendre01, quadrature.product_rule,
+                   quadrature._fine_lagrange):
+        cached.cache_clear()
+    if kind == "bbm-domain-ball3d":
+        raw = {"field": "gauss3d", "potential": "landau", "s_list": [0.9, 0.95, 0.99],
+               "domain": {"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+               "quadrature": {"outer_nodes": 6, "angular_nodes": 32, "radial_nodes": 8}}
+    else:
+        raw = {"kind": kind, "potential": "linear:alpha=1", "domain": _INTERVAL,
+               "quadrature": {"outer_nodes": 24, "radial_nodes": 4}, **_ECHO_CONFIGS[kind]}
+    rep = run_sweep(config_from_dict(raw))
+    assert not any(r.failed for r in rep.rows)
+    assert math.isfinite(rep.extrapolated_limit)
 
 
 def test_cli_sweep_dimension_mismatch_exits_2(tmp_path):

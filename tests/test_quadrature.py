@@ -15,6 +15,7 @@ from bbm_magnetic.geometry import (
     ball,
     boundary_distances,
     box,
+    gauss_legendre,
     interval,
     sphere_rule,
     tensor_grid,
@@ -161,7 +162,22 @@ def test_product_weights_integrate_every_power_below_the_node_count_exactly(s, n
     for j in range(nodes):
         assert abs(w @ tau**j - 1.0 / (beta + j + 1.0)) <= 1e-13 * np.abs(w).sum()
     # beta = 0 is plain Gauss-Legendre on [0, 1]
-    assert np.array_equal(product_rule(nodes, 0.0)[1], 0.5 * np.polynomial.legendre.leggauss(nodes)[1])
+    assert np.array_equal(product_rule(nodes, 0.0)[1], 0.5 * gauss_legendre(nodes)[1])
+
+
+@pytest.mark.parametrize("nodes", [*range(1, 9), 12, 14, 16, 24, 32, 62, 64, 80, 96, 160])
+def test_interpolation_matrices_match_legvander_bit_for_bit(nodes):
+    # the recurrence rows take numpy's legvander order and layout, so the
+    # matrices and the products built on them keep their bits
+    legvander = np.polynomial.legendre.legvander
+    xi = gauss_legendre(nodes)[0]
+    tau, w, basis = quadrature._legendre01(nodes)
+    expected = legvander(xi, nodes - 1) * (2.0 * np.arange(nodes) + 1.0)
+    assert np.array_equal(basis, expected)
+    assert basis.flags.f_contiguous == expected.flags.f_contiguous
+    fine = legvander(2.0 * quadrature._fine_rule(0.0)[0] - 1.0, nodes - 1)
+    assert np.array_equal(quadrature._fine_lagrange(nodes),
+                          (expected * w[:, None]) @ fine.T / tau[:, None] ** 2)
 
 
 def _lagrange_at_zero(tau):
