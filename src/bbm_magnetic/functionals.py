@@ -11,6 +11,10 @@ algebraic identity between the power-kernel mollifier family and
 2(1-s) times the seminorm hold to near machine precision here: identical
 nodes, weights that agree to rounding, identical summation order.
 
+The full-space seminorm takes no domain: a field with a support domain is
+extended by zero, so its value depends on the field alone, and it is
+integrated on that support.
+
 The plural functions (``magnetic_seminorms_sq``, ``fullspace_seminorms_sq``,
 ``mollified_functionals``) evaluate a whole s-list or kernel list from one
 integrand evaluation per engine pass; element k of their result equals the
@@ -135,35 +139,34 @@ def l2_norm_sq(u: ScalarField, grid: TensorGrid) -> float:
     return float(pairwise_sum(grid.weights * np.abs(u.value(grid.points)) ** 2))
 
 
-def _require_support(u: ScalarField, d: Domain) -> None:
-    """Refuse a field whose support the domain does not cover."""
-    if not u.is_compact or not d.covers(u.support_domain, u.support_margin):
-        raise ConfigurationError(
-            f"full-space seminorm requires the support of {u.label or 'the field'} to lie "
-            "inside the domain, since the field is extended by zero outside it"
-        )
+def _require_compact(u: ScalarField) -> Domain:
+    """The support domain of u, outside which u is extended by zero; a field
+    without one is refused."""
+    if not u.is_compact:
+        raise ConfigurationError("extension by zero requires a field with a support domain")
+    return u.support_domain
 
 
 def fullspace_seminorm_sq(
-    u: ScalarField, A: VectorPotential, d: Domain, s: float, spec: QuadratureSpec
+    u: ScalarField, A: VectorPotential, s: float, spec: QuadratureSpec
 ) -> IntegralResult:
-    """Squared seminorm over R^N x R^N for fields vanishing outside the domain.
+    """Squared seminorm over R^N x R^N of a field with a support domain S.
 
-    Splits into the Omega x Omega part plus the exact cross term
-    2 * int |u(x)|^2 * tail(x) dx, since u is extended by zero.
+    u is extended by zero outside S, so the value depends on u alone: the
+    S x S part plus the exact cross term 2 * int_S |u(x)|^2 * tail_S(x) dx.
     """
     check_fractional_order(s)
-    (value,) = fullspace_seminorms_sq(u, A, d, [s], spec)
+    (value,) = fullspace_seminorms_sq(u, A, [s], spec)
     return value
 
 
 def fullspace_seminorms_sq(
-    u: ScalarField, A: VectorPotential, d: Domain, s_list: Sequence[float], spec: QuadratureSpec
+    u: ScalarField, A: VectorPotential, s_list: Sequence[float], spec: QuadratureSpec
 ) -> list[IntegralResult]:
     """fullspace_seminorm_sq at every s in s_list, from one integrand
     evaluation per engine pass."""
-    require_dimension(check_domain(d).dimension, u, A)
-    _require_support(u, d)
+    require_dimension(getattr(u, "dim", None), u, A)  # a non-field is refused by its type
+    d = _require_compact(u)
     doms = magnetic_seminorms_sq(u, A, d, s_list, spec)
 
     def cross_on(sp):  # the cross term at every s
@@ -382,13 +385,6 @@ def mollified_functionals(
 # ---------------------------------------------------------------------------
 # Translation lemma check
 # ---------------------------------------------------------------------------
-
-
-def _require_compact(u: ScalarField) -> None:
-    """Refuse a field with no support domain, which the translation check
-    extends by zero."""
-    if not u.is_compact:
-        raise ConfigurationError("translation check requires a field with a support domain")
 
 
 def translation_difference_sq(

@@ -31,7 +31,6 @@ from .fields import magnetic_gradient, require_dimension
 from .functionals import (
     MollifierFamily,
     _require_compact,
-    _require_support,
     bbm_family,
     check_mollifier,
     fullspace_seminorms_sq,
@@ -331,20 +330,33 @@ def _one_minus(s: float) -> float:
     return 1.0 - s
 
 
-def _energy(cfg: SweepConfig, u, A) -> float:
-    grid = tensor_grid(cfg.domain, cfg.spec.outer_nodes)
-    return local_magnetic_energy(u, A, cfg.domain, grid).value
+def _support(cfg: SweepConfig, u) -> Domain:
+    """The support domain of a compact field, on which the bbm-fullspace,
+    lemma-uniform and lemma-translation passes run.  The config's domain
+    must cover it, shrunk by the field's support margin: the field is
+    extended by zero outside that domain."""
+    support = _require_compact(u)
+    if not cfg.domain.covers(support, u.support_margin):
+        raise ConfigurationError(
+            f"{cfg.kind} requires the support of {u.label or 'the field'} to lie inside the "
+            "domain, since the field is extended by zero outside it")
+    return support
 
 
 def _plan_bbm(cfg: SweepConfig, u, A) -> _Plan:
-    """Scaled seminorms versus the local-energy target K_N * E."""
-    d = cfg.domain
-    if cfg.kind == "bbm-fullspace":
-        _require_support(u, d)  # before the energy pass
-    energy = _energy(cfg, u, A)
-    seminorms = fullspace_seminorms_sq if cfg.kind == "bbm-fullspace" else magnetic_seminorms_sq
-    return _Plan(cfg.s_list, cfg.s_list, lambda s_list: seminorms(u, A, d, s_list, cfg.spec),
-                 lambda s, v: (1.0 - s) * v, bbm_constant(d.dimension) * energy, _one_minus)
+    """Scaled seminorms versus the local-energy target K_N * E; lemma-uniform
+    divides both by ||u||^2 + E, and its ratios must stay bounded."""
+    if cfg.kind == "bbm-domain":
+        d = cfg.domain
+        batch = lambda s_list: magnetic_seminorms_sq(u, A, d, s_list, cfg.spec)
+    else:
+        d = _support(cfg, u)  # before the energy pass
+        batch = lambda s_list: fullspace_seminorms_sq(u, A, s_list, cfg.spec)
+    grid = tensor_grid(d, cfg.spec.outer_nodes)
+    energy = local_magnetic_energy(u, A, d, grid).value
+    denom = l2_norm_sq(u, grid) + energy if cfg.kind == "lemma-uniform" else 1.0
+    return _Plan(cfg.s_list, cfg.s_list, batch, lambda s, v: (1.0 - s) * v / denom,
+                 bbm_constant(d.dimension) * energy / denom, _one_minus)
 
 
 def _family_from_descriptor(
@@ -386,7 +398,7 @@ def _plan_mollifier(cfg: SweepConfig, u, A) -> _Plan:
     d = cfg.domain
     fam = _family_from_descriptor(cfg.family, d.dimension, cfg.s_list, d.diameter())
     checks = _admit_family(fam, cfg.delta)
-    energy = _energy(cfg, u, A)
+    energy = local_magnetic_energy(u, A, d, tensor_grid(d, cfg.spec.outer_nodes)).value
     small = _one_minus if fam.kind == "bbm" else (lambda n: 1.0 / n)
     return _Plan(fam.members, [rho.param for rho in fam.members],
                  lambda members: mollified_functionals(u, A, d, members, cfg.spec),
@@ -395,38 +407,20 @@ def _plan_mollifier(cfg: SweepConfig, u, A) -> _Plan:
 
 
 def _plan_translation(cfg: SweepConfig, u, A) -> _Plan:
-    """Translation differences over |h|^2 versus the directional energy."""
-    _require_compact(u)  # before the target pass
-    d = cfg.domain
-    omega = direction(cfg.direction if cfg.direction else np.eye(d.dimension)[0])
-    # Integrate over the bounding box inflated by the largest shift, so the
-    # shifted supports stay covered.
-    lo, hi = d.bounding_box()
-    grid = tensor_grid(box(d.center, (hi - lo) / 2.0 + max(cfg.h_list)), cfg.spec.outer_nodes)
+    """Translation differences over |h|^2 versus the directional energy, both
+    integrated over the support's bounding box inflated by the largest shift,
+    so that the shifted supports stay covered."""
+    support = _support(cfg, u)  # before the target pass
+    omega = direction(cfg.direction if cfg.direction else np.eye(support.dimension)[0])
+    lo, hi = support.bounding_box()
+    grid = tensor_grid(box(support.center, (hi - lo) / 2.0 + max(cfg.h_list)),
+                       cfg.spec.outer_nodes)
     dens = np.abs(magnetic_gradient(u, A, grid.points) @ omega) ** 2
     h_sorted = tuple(sorted(cfg.h_list))
     return _Plan(h_sorted, h_sorted,
                  lambda hs: [translation_difference_sq(u, A, h * omega, grid) for h in hs],
                  lambda h, v: v / h**2, float(pairwise_sum(grid.weights * dens)),
                  lambda h: h, node_counts=[grid.points.shape[0]])
-
-
-def _plan_uniform(cfg: SweepConfig, u, A) -> _Plan:
-    """(1-s) full-space seminorms over ||u||^2 + E, which must stay bounded."""
-    d = cfg.domain
-    _require_support(u, d)  # before the energy pass
-    grid = tensor_grid(d, cfg.spec.outer_nodes)
-    energy = local_magnetic_energy(u, A, d, grid).value
-    denom = l2_norm_sq(u, grid) + energy
-    if not denom > 0.0:  # a corpus field is nonzero: the grid missed its support
-        raise IntegrationError(
-            f"lemma-uniform denominator ||u||^2 + E is 0 on the outer grid of "
-            f"{cfg.spec.outer_nodes} nodes per axis, which misses the support of {u.label}; "
-            "raise quadrature outer_nodes")
-    return _Plan(cfg.s_list, cfg.s_list,
-                 lambda s_list: fullspace_seminorms_sq(u, A, d, s_list, cfg.spec),
-                 lambda s, v: (1.0 - s) * v / denom, bbm_constant(d.dimension) * energy / denom,
-                 _one_minus)
 
 
 def _plan_operator(cfg: SweepConfig, u, A) -> _Plan:
@@ -444,7 +438,7 @@ _PLANS = {
     "bbm-fullspace": _plan_bbm,
     "mollifier": _plan_mollifier,
     "lemma-translation": _plan_translation,
-    "lemma-uniform": _plan_uniform,
+    "lemma-uniform": _plan_bbm,
     "operator-limit": _plan_operator,
 }
 SWEEP_KINDS = tuple(_PLANS)

@@ -1,7 +1,6 @@
 import math
 import re
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -139,7 +138,7 @@ def test_fullspace_cross_term_estimate_uses_the_engine_coarse_rung():
     u = resolve_field("bump2d")
     A = resolve_potential("landau:beta=1", 2)
     spec = QuadratureSpec(outer_nodes=8, angular_nodes=16, radial_nodes=4)
-    (full,) = fullspace_seminorms_sq(u, A, d, [0.8], spec)
+    (full,) = fullspace_seminorms_sq(u, A, [0.8], spec)
     (dom,) = functionals.magnetic_seminorms_sq(u, A, d, [0.8], spec)
 
     def cross(n, angular):
@@ -163,61 +162,14 @@ def test_local_energy_pure_gauge_zero():
 def test_fullspace_zero_field():
     u = replace(_zero_field(1), support_domain=D1, support_margin=0.1)
     A = resolve_potential("zero", 1)
-    assert fullspace_seminorm_sq(u, A, D1, 0.5, SPEC1).value == 0.0
+    assert fullspace_seminorm_sq(u, A, 0.5, SPEC1).value == 0.0
 
 
 def test_fullspace_requires_compact_field():
     u = resolve_field("gauss1d")
     A = resolve_potential("zero", 1)
-    with pytest.raises(ValueError):
-        fullspace_seminorm_sq(u, A, D1, 0.5, SPEC1)
-
-
-def test_fullspace_refuses_a_domain_smaller_than_the_support():
-    # extended by zero outside the half-width interval, the bump would have
-    # a jump there: its full-space seminorm read 700-2400 times the target
-    u = resolve_field("bump1d")
-    A = resolve_potential("linear:alpha=1", 1)
-    small = interval(-0.5, 0.5)
-    for call in (lambda: fullspace_seminorm_sq(u, A, small, 0.5, SPEC1),
-                 lambda: fullspace_seminorms_sq(u, A, small, [0.5, 0.9], SPEC1)):
-        with pytest.raises(ValueError, match="support of bump1d to lie inside the domain"):
-            call()
-
-
-_BOX_SUPPORT = (box([0.0, 0.0], [1.0, 1.0]), 0.015)
-_BALL_SUPPORT = (ball([0.2, 0.0], 0.5), 0.0)
-
-
-@pytest.mark.parametrize("support,domain,inside", [
-    # the bump2d support: the box of half-width 1, whose outer 0.015 vanish
-    (_BOX_SUPPORT, box([0.0, 0.0], [1.0, 1.0]), True),
-    (_BOX_SUPPORT, box([0.0, 0.0], [0.985, 0.985]), True),
-    (_BOX_SUPPORT, box([0.1, 0.0], [1.0, 1.0]), False),
-    (_BOX_SUPPORT, box([0.0, 0.0], [1.0, 0.9]), False),
-    (_BOX_SUPPORT, ball([0.0, 0.0], 1.4), True),     # corners at 0.985 * sqrt(2)
-    (_BOX_SUPPORT, ball([0.0, 0.0], 1.39), False),
-    (_BALL_SUPPORT, box([0.0, 0.0], [0.7, 0.5]), True),
-    (_BALL_SUPPORT, box([0.0, 0.0], [0.69, 0.5]), False),
-    (_BALL_SUPPORT, ball([0.0, 0.0], 0.7), True),
-    (_BALL_SUPPORT, ball([0.0, 0.0], 0.69), False),
-    ((None, 0.0), box([0.0, 0.0], [1.0, 1.0]), False),
-])
-def test_fullspace_checks_the_support_before_computing(monkeypatch, support, domain, inside):
-    def no_compute(*_args, **_kwargs):
-        raise AssertionError("computed")
-
-    monkeypatch.setattr(functionals, "magnetic_seminorms_sq", no_compute)
-    sup, margin = support
-    u = replace(_zero_field(2), support_domain=sup, support_margin=margin)
-    call = partial(fullspace_seminorms_sq, u, resolve_potential("zero", 2), domain, [0.5],
-                   QuadratureSpec(outer_nodes=4, angular_nodes=8, radial_nodes=2))
-    if inside:
-        with pytest.raises(AssertionError, match="computed"):
-            call()
-    else:
-        with pytest.raises(ValueError, match="to lie inside the domain"):
-            call()
+    with pytest.raises(ValueError, match="requires a field with a support domain"):
+        fullspace_seminorm_sq(u, A, 0.5, SPEC1)
 
 
 def test_mollifier_inputs_must_be_finite():
@@ -237,21 +189,21 @@ def test_fullspace_cross_term_matches_1d_oracle():
     u = resolve_field("bump1d")
     A = resolve_potential("linear:alpha=1", 1)
     dom = magnetic_seminorm_sq(u, A, D1, 0.5, SPEC1).value
-    full = fullspace_seminorm_sq(u, A, D1, 0.5, SPEC1).value
+    full = fullspace_seminorm_sq(u, A, 0.5, SPEC1).value
     assert abs((full - dom) - cross_oracle) / cross_oracle < 1e-5
 
 
 def test_fullspace_node_count_is_the_real_outer_grid_size_on_a_ball():
     # a ball's outer grid masks out the box corners, so the cross term sees
-    # fewer than outer_nodes**N points
-    u = resolve_field("bump2d")
-    A = resolve_potential("landau:beta=1", 2)
+    # fewer than outer_nodes**N points; bump2d vanishes outside this ball too
     d = ball([0.0, 0.0], 1.5)
+    u = replace(resolve_field("bump2d"), support_domain=d, support_margin=0.0)
+    A = resolve_potential("landau:beta=1", 2)
     spec = QuadratureSpec(outer_nodes=8, angular_nodes=16, radial_nodes=4)
     real = tensor_grid(d, spec.outer_nodes).points.shape[0]
     assert real < spec.outer_nodes**2
     dom = magnetic_seminorm_sq(u, A, d, 0.7, spec)
-    full = fullspace_seminorm_sq(u, A, d, 0.7, spec)
+    full = fullspace_seminorm_sq(u, A, 0.7, spec)
     assert full.node_count == dom.node_count + real
 
 
@@ -261,7 +213,7 @@ def test_fullspace_exceeds_domain_seminorm_and_tail_shrinks():
     tails = []
     for s in (0.8, 0.9, 0.95, 0.99):
         dom = magnetic_seminorm_sq(u, A, D1, s, SPEC1).value
-        full = fullspace_seminorm_sq(u, A, D1, s, SPEC1).value
+        full = fullspace_seminorm_sq(u, A, s, SPEC1).value
         assert full > dom
         tails.append((1.0 - s) * (full - dom))
     assert all(b < a for a, b in zip(tails, tails[1:]))
@@ -311,7 +263,7 @@ def test_functionals_reject_dimension_mismatch():
         calls = [
             lambda: magnetic_seminorm_sq(u, A, D1, 0.5, SPEC1),
             lambda: local_magnetic_energy(u, A, D1, grid),
-            lambda: fullspace_seminorm_sq(u, A, D1, 0.5, SPEC1),
+            lambda: fullspace_seminorm_sq(u, A, 0.5, SPEC1),
             lambda: mollified_functional(u, A, D1, member, SPEC1),
             lambda: translation_difference_sq(u, A, [0.1], grid),
             lambda: fractional_magnetic_apply(u, A, [0.0], 0.5, SPEC1),
@@ -605,8 +557,8 @@ def test_batched_fullspace_equals_single_calls():
     u, A = resolve_field("bump1d"), resolve_potential("linear:alpha=1", 1)
     spec = replace(SPEC1, outer_nodes=32)
     s_list = [0.5, 0.9, 0.999]
-    for s, value in zip(s_list, fullspace_seminorms_sq(u, A, D1, s_list, spec)):
-        _assert_same(value, fullspace_seminorm_sq(u, A, D1, s, spec))
+    for s, value in zip(s_list, fullspace_seminorms_sq(u, A, s_list, spec)):
+        _assert_same(value, fullspace_seminorm_sq(u, A, s, spec))
 
 
 def test_local_energy_refuses_a_grid_built_on_another_domain():
@@ -769,7 +721,7 @@ def test_gaussian_family_refuses_indices_out_of_order(indices):
     (lambda u, A: translation_difference_sq(u, A, [0.1], 5), "expected a TensorGrid, got 5"),
     (lambda u, A: magnetic_seminorms_sq(5, A, D1, [0.5], SPEC1),
      "field must be a ScalarField, got 5"),
-    (lambda u, A: fullspace_seminorm_sq(5, A, D1, 0.5, SPEC1),
+    (lambda u, A: fullspace_seminorm_sq(5, A, 0.5, SPEC1),
      "field must be a ScalarField, got 5"),
     (lambda u, A: magnetic_seminorm_sq(u, "zero", D1, 0.5, SPEC1),
      "potential must be a VectorPotential, got 'zero'"),
@@ -780,7 +732,7 @@ def test_gaussian_family_refuses_indices_out_of_order(indices):
      "quadrature must be a QuadratureSpec, got 5"),
     (lambda u, A: mollified_functionals(u, A, D1, gaussian_family([2, 4], 1), SPEC1),
      "mollifier kernels must be a list or tuple, got MollifierFamily("),
-    (lambda u, A: fullspace_seminorms_sq(u, A, D1, [0.5], 5),
+    (lambda u, A: fullspace_seminorms_sq(u, A, [0.5], 5),
      "quadrature must be a QuadratureSpec, got 5"),
     (lambda u, A: local_magnetic_energy(u, A, 5, tensor_grid(D1, 8)),
      "domain must be a Domain, got 5"),
@@ -838,33 +790,33 @@ def test_only_the_user_integrand_door_samples_the_integrand(monkeypatch):
     magnetic_seminorms_sq(u, A, D1, [0.9], spec)
     mollified_functional(u, A, D1, rho, spec)
     mollified_functionals(u, A, D1, [rho], spec)
-    fullspace_seminorms_sq(resolve_field("bump1d"), A, D1, [0.9], spec)
+    fullspace_seminorms_sq(resolve_field("bump1d"), A, [0.9], spec)
     assert gate == []
     value = quadrature.double_integral_singular(functionals._difference_sq(u, A), D1, 0.9, spec)
     assert len(gate) == 1
     assert value == magnetic_seminorm_sq(u, A, D1, 0.9, spec)
 
 
-@pytest.mark.parametrize("label,d,potentials", [
-    ("bump1d", D1, ["linear:alpha=1", "zero"]),
-    ("bump2d", box([0.0, 0.0], [1.0, 1.0]), ["landau", "zero"]),
-    ("bump3d", box([0.0] * 3, [1.0] * 3), ["landau", "zero"]),
-    ("bump3d", ball([0.0] * 3, 1.75), ["landau", "zero"]),
-], ids=["1d", "2d-box", "3d-box", "3d-ball"])
-def test_fullspace_seminorm_tends_to_the_mazya_shaposhnikova_limit(label, d, potentials):
+@pytest.mark.parametrize("label,potentials", [
+    ("bump1d", ["linear:alpha=1", "zero"]),
+    ("bump2d", ["landau", "zero"]),
+    ("bump3d", ["landau", "zero"]),
+], ids=["1d", "2d-box", "3d-box"])
+def test_fullspace_seminorm_tends_to_the_mazya_shaposhnikova_limit(label, potentials):
     # s [u]^2_{s,A}(R^N x R^N) -> |S^(N-1)| ||u||^2 for every A (Maz'ya and
     # Shaposhnikova, J. Funct. Anal. 195, 2002; magnetic case: Pinamonti,
     # Squassina and Vecchi, J. Math. Anal. Appl. 449, 2017).  At s = 0.01 the
     # O(s) term leaves about 1e-2; a quadratic in s through three points
     # removes it, and its distance to the line through the first two is the
     # fit's estimate.
-    n = d.dimension
-    u, spec, s_list = resolve_field(label), default_spec(n), [0.01, 0.02, 0.05]
+    u = resolve_field(label)
+    n, d = u.dim, u.support_domain
+    spec, s_list = default_spec(n), [0.01, 0.02, 0.05]
     target = sphere_area(n) * l2_norm_sq(u, tensor_grid(d, spec.outer_nodes))
     limits, estimates = [], []
     for plabel in potentials:
         A = resolve_potential(plabel, n)
-        values = fullspace_seminorms_sq(u, A, d, s_list, spec)
+        values = fullspace_seminorms_sq(u, A, s_list, spec)
         scaled = [s * v.value for s, v in zip(s_list, values)]
         quadratic = np.polyfit(s_list, scaled, 2)[-1]
         limits.append(quadratic)

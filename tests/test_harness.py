@@ -15,6 +15,7 @@ from bbm_magnetic import cli, functionals, geometry, harness, operator, quadratu
 from bbm_magnetic.constants import bbm_constant, check_fractional_order, check_s_list
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConditionViolation, ConfigurationError, IntegrationError
+from bbm_magnetic.fields import ScalarField
 from bbm_magnetic.functionals import (
     MollifierFamily,
     RadialMollifier,
@@ -328,14 +329,14 @@ _NAN_NOTE = "integrand produced NaN at y=[0.5]"
 
 
 def _fail_batches_holding(monkeypatch, functional, bad):
-    """Make harness.<functional>(u, A, d_or_x, s_list, spec) raise for any
+    """Make harness.<functional>(u, A, [d or x,] s_list, spec) raise for any
     s_list that holds bad."""
     real = getattr(harness, functional)
 
-    def flaky(u, A, where, s_list, spec):
-        if bad in s_list:
+    def flaky(*args):
+        if bad in args[-2]:
             raise IntegrationError(_NAN_NOTE)
-        return real(u, A, where, s_list, spec)
+        return real(*args)
 
     monkeypatch.setattr(harness, functional, flaky)
 
@@ -459,10 +460,10 @@ def test_uniform_sweep_ratios_are_three_public_calls_and_converge():
                          spec=spec))
     # the ratio of a hand-built field: the full-space seminorms over ||u||^2 + E
     u, A = resolve_field("bump1d"), resolve_potential("linear:alpha=1", 1)
-    grid = tensor_grid(D1, spec.outer_nodes)
-    energy = functionals.local_magnetic_energy(u, A, D1, grid).value
+    grid = tensor_grid(u.support_domain, spec.outer_nodes)
+    energy = functionals.local_magnetic_energy(u, A, u.support_domain, grid).value
     denom = functionals.l2_norm_sq(u, grid) + energy
-    full = functionals.fullspace_seminorms_sq(u, A, D1, s_list, spec)
+    full = functionals.fullspace_seminorms_sq(u, A, s_list, spec)
     assert [r.scaled for r in rep.rows] == [(1.0 - s) * f.value / denom
                                            for s, f in zip(s_list, full)]
     assert rep.target == bbm_constant(1) * energy / denom
@@ -471,21 +472,18 @@ def test_uniform_sweep_ratios_are_three_public_calls_and_converge():
     assert abs(ratios[-1] - rep.target) / rep.target < 0.05
 
 
-def test_uniform_sweep_refuses_a_zero_denominator_before_the_seminorm_pass(monkeypatch, capsys,
-                                                                             tmp_path):
-    # the two outer nodes, at +-57.7, miss the bump's support: every row read 0.0
-    monkeypatch.setattr(functionals, "magnetic_seminorms_sq", _no_compute)
-    monkeypatch.setattr(harness, "fullspace_seminorms_sq", _no_compute)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
-        "kind": "lemma-uniform", "field": "bump1d", "potential": "linear:alpha=1",
-        "domain": {"kind": "interval", "center": [0.0], "extents": [100.0]},
-        "quadrature": {"outer_nodes": 2},
-    }))
-    assert cli.main(["sweep", "--config", str(cfg_path)]) == 3
-    assert capsys.readouterr().err == (
-        "integration failure: lemma-uniform denominator ||u||^2 + E is 0 on the outer grid of "
-        "2 nodes per axis, which misses the support of bump1d; raise quadrature outer_nodes\n")
+def test_uniform_sweep_on_a_wide_domain_equals_the_sweep_on_the_support():
+    # the two outer nodes of (-100, 100), at +-57.7, missed the bump's
+    # support: the sweep refused a zero denominator ||u||^2 + E.  Every pass
+    # now runs on the support, whatever domain covers it.
+    raw = {"kind": "lemma-uniform", "field": "bump1d", "potential": "linear:alpha=1",
+           "quadrature": {"outer_nodes": 2}}
+    wide, own = (run_sweep(config_from_dict({**raw, "domain": {"kind": "interval",
+                                                                "extents": [half]}}))
+                 for half in (100.0, 1.0))
+    assert not any(row.failed for row in wide.rows)
+    assert wide.rows == own.rows
+    assert wide.target == own.target
 
 
 def test_operator_sweep_report():
@@ -651,13 +649,17 @@ def test_cli_operator_s_outside_unit_interval_exits_2_before_compute(monkeypatch
     assert "s=1.5 outside (0, 1)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["bbm-fullspace", "lemma-uniform"])
+@pytest.mark.parametrize("kind", ["bbm-fullspace", "lemma-uniform", "lemma-translation"])
 def test_cli_sweep_on_a_domain_smaller_than_the_support_exits_2(monkeypatch, capsys, tmp_path,
                                                                 kind):
+    # the translation sweep integrated over the domain's box, which cut the
+    # support: on (-0.5, 0.5) it exited 0 with a target of 0.1311, not 0.4249
     def no_compute(*_args, **_kwargs):
         raise AssertionError("computed on bad input")
 
     monkeypatch.setattr(functionals, "magnetic_seminorms_sq", no_compute)
+    monkeypatch.setattr(harness, "magnetic_gradient", no_compute)
+    monkeypatch.setattr(harness, "translation_difference_sq", no_compute)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "kind": kind, "field": "bump1d", "potential": "linear:alpha=1",
@@ -692,6 +694,71 @@ def test_cli_translation_sweep_of_a_field_without_support_spends_no_target_pass(
     cfg_path.write_text(json.dumps({**_GOOD, "kind": "lemma-translation"}))
     assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
     assert "requires a field with a support domain" in capsys.readouterr().err
+
+
+_COMPACT_KINDS = ["bbm-fullspace", "lemma-uniform", "lemma-translation"]
+_BOX_SUPPORT = (box([0.0, 0.0], [1.0, 1.0]), 0.015)
+_BALL_SUPPORT = (ball([0.2, 0.0], 0.5), 0.0)
+
+
+@pytest.mark.parametrize("support,domain,inside", [
+    # the bump2d support: the box of half-width 1, whose outer 0.015 vanish
+    (_BOX_SUPPORT, box([0.0, 0.0], [1.0, 1.0]), True),
+    (_BOX_SUPPORT, box([0.0, 0.0], [0.985, 0.985]), True),
+    (_BOX_SUPPORT, box([0.1, 0.0], [1.0, 1.0]), False),
+    (_BOX_SUPPORT, box([0.0, 0.0], [1.0, 0.9]), False),
+    (_BOX_SUPPORT, ball([0.0, 0.0], 1.4), True),     # corners at 0.985 * sqrt(2)
+    (_BOX_SUPPORT, ball([0.0, 0.0], 1.39), False),
+    (_BALL_SUPPORT, box([0.0, 0.0], [0.7, 0.5]), True),
+    (_BALL_SUPPORT, box([0.0, 0.0], [0.69, 0.5]), False),
+    (_BALL_SUPPORT, ball([0.0, 0.0], 0.7), True),
+    (_BALL_SUPPORT, ball([0.0, 0.0], 0.69), False),
+    ((None, 0.0), box([0.0, 0.0], [1.0, 1.0]), False),
+])
+@pytest.mark.parametrize("kind", _COMPACT_KINDS)
+def test_compact_sweeps_check_the_support_before_computing(monkeypatch, kind, support, domain,
+                                                           inside):
+    def no_compute(*_args, **_kwargs):
+        raise AssertionError("computed")
+
+    sup, margin = support
+    null = ScalarField(2, value=lambda p: np.zeros(p.shape[:-1], dtype=complex),
+                       gradient=lambda p: np.zeros(p.shape, dtype=complex),
+                       support_domain=sup, support_margin=margin, label="null")
+    monkeypatch.setattr(harness, "resolve_field", lambda label: null)
+    monkeypatch.setattr(harness, "tensor_grid", no_compute)  # every kind's first pass
+    cfg = SweepConfig(kind, "null", "zero", domain, s_list=(0.5, 0.6, 0.7),
+                      spec=QuadratureSpec(outer_nodes=4, angular_nodes=8, radial_nodes=2))
+    if inside:
+        with pytest.raises(AssertionError, match="computed"):
+            run_sweep(cfg)
+    else:
+        message = "to lie inside the domain" if sup else "requires a field with a support domain"
+        with pytest.raises(ConfigurationError, match=message):
+            run_sweep(cfg)
+
+
+_COVERING_DOMAINS = {
+    "bump2d": [box([0.0] * 2, [1.0] * 2), box([0.0] * 2, [2.0] * 2), ball([0.0] * 2, 1.5)],
+    "bump3d": [box([0.0] * 3, [1.0] * 3), box([0.0] * 3, [1.5] * 3), ball([0.0] * 3, 1.75)],
+}
+
+
+@pytest.mark.parametrize("label", list(_COVERING_DOMAINS))
+@pytest.mark.parametrize("kind", _COMPACT_KINDS)
+def test_compact_sweeps_do_not_depend_on_the_covering_domain(kind, label):
+    # the passes ran on the config's domain: bump3d's full-space seminorm at
+    # s = 0.99 was 1.5e-2 off in ball(0, 1.75), and bump2d's translation
+    # target read 0.04577 on [-2, 2]^2 against 0.05490 on the unit box
+    spec = QuadratureSpec(outer_nodes=4, angular_nodes=8, radial_nodes=2)
+    first, *others = (run_sweep(SweepConfig(kind, label, "landau", d, spec=spec))
+                      for d in _COVERING_DOMAINS[label])
+    assert not any(row.failed for row in first.rows)
+    for rep in others:
+        assert rep.rows == first.rows
+        assert rep.target == first.target
+        assert rep.extrapolated_limit == first.extrapolated_limit
+        assert rep.metadata["node_counts"] == first.metadata["node_counts"]
 
 
 def test_default_spec_refuses_a_dimension_other_than_1_2_or_3():
@@ -761,7 +828,7 @@ def test_a_1d_spec_with_other_than_two_directions_is_refused(monkeypatch, capsys
 def test_uniform_sweep_reports_the_engine_node_counts_per_row():
     u, A = resolve_field("bump1d"), resolve_potential("linear:alpha=1", 1)
     rep = run_sweep(_cfg(kind="lemma-uniform", field_label="bump1d", s_list=(0.5, 0.9)))
-    rows = functionals.fullspace_seminorms_sq(u, A, D1, [0.5, 0.9], FAST_SPEC)
+    rows = functionals.fullspace_seminorms_sq(u, A, [0.5, 0.9], FAST_SPEC)
     assert rep.metadata["node_counts"] == [r.node_count for r in rows]
 
 
@@ -996,7 +1063,7 @@ def _s_list_entry_points():
         "bbm_family": lambda s: bbm_family(s, 2.0, 1),
         "operator_limit_scan": lambda s: operator.operator_limit_scan(u, A, 0.0, s, spec),
         "magnetic_seminorms_sq": lambda s: functionals.magnetic_seminorms_sq(u, A, D1, s, spec),
-        "fullspace_seminorms_sq": lambda s: functionals.fullspace_seminorms_sq(u, A, D1, s, spec),
+        "fullspace_seminorms_sq": lambda s: functionals.fullspace_seminorms_sq(u, A, s, spec),
     }
 
 
@@ -1044,7 +1111,7 @@ def _single_s_entry_points():
     spec = default_spec(1)
     return {
         "magnetic_seminorm_sq": lambda s: functionals.magnetic_seminorm_sq(u, A, D1, s, spec),
-        "fullspace_seminorm_sq": lambda s: functionals.fullspace_seminorm_sq(u, A, D1, s, spec),
+        "fullspace_seminorm_sq": lambda s: functionals.fullspace_seminorm_sq(u, A, s, spec),
         "double_integral_singular": lambda s: quadrature.double_integral_singular(
             lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1]), D1, s, spec),
         "fractional_magnetic_apply": lambda s: operator.fractional_magnetic_apply(
