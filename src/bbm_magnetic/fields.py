@@ -255,9 +255,11 @@ def magnetic_density(u: ScalarField, A: VectorPotential, points: np.ndarray) -> 
     return np.sum(np.abs(magnetic_gradient(u, A, points)) ** 2, axis=-1)
 
 
-def require_dimension(dim: int, u: ScalarField, *potential: VectorPotential) -> None:
+def require_dimension(dim: int, u: ScalarField, *potential: VectorPotential,
+                      by: str = "domain") -> None:
     """Reject a field, and the potential when one is passed, that is not one
-    or that does not live in dimension ``dim``."""
+    or that does not live in dimension ``dim``, which ``by`` set: the
+    domain, the point or the field itself."""
     for kind, obj, cls in zip(("field", "potential"), (u,) + potential,
                               (ScalarField, VectorPotential)):
         if not isinstance(obj, cls):
@@ -265,5 +267,5 @@ def require_dimension(dim: int, u: ScalarField, *potential: VectorPotential) -> 
         if obj.dim != dim:
             name = f" {obj.label!r}" if obj.label else ""
             raise ConfigurationError(
-                f"{kind}{name} is {obj.dim}-dimensional, the domain is {dim}-dimensional"
+                f"{kind}{name} is {obj.dim}-dimensional, the {by} is {dim}-dimensional"
             )

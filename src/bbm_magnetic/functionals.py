@@ -13,7 +13,11 @@ nodes, weights that agree to rounding, identical summation order.
 
 The full-space seminorm takes no domain: a field with a support domain is
 extended by zero, so its value depends on the field alone, and it is
-integrated on that support.
+integrated on that support.  So is the domain seminorm of such a field on
+a domain that covers its support without being it, plus the exact cross
+term between the support and the rest of the domain; the mollified
+functional runs its domain pass for every field, so the identity above
+holds on the fields and domains that take the domain pass.
 
 The plural functions (``magnetic_seminorms_sq``, ``fullspace_seminorms_sq``,
 ``mollified_functionals``) evaluate a whole s-list or kernel list from one
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -90,18 +94,65 @@ def magnetic_seminorm_sq(
 ) -> IntegralResult:
     """Squared magnetic Gagliardo seminorm over Omega x Omega."""
     check_fractional_order(s)
-    require_dimension(check_domain(d).dimension, u, A)
-    return _run_two_level(_difference_sq(u, A), d, spec, _power_member(s))
+    (value,) = magnetic_seminorms_sq(u, A, d, [s], spec)
+    return value
 
 
 def magnetic_seminorms_sq(
     u: ScalarField, A: VectorPotential, d: Domain, s_list: Sequence[float], spec: QuadratureSpec
 ) -> list[IntegralResult]:
     """magnetic_seminorm_sq at every s in s_list, from one integrand
-    evaluation per engine pass."""
+    evaluation per engine pass.
+
+    A compact field whose domain covers its support S, shrunk by the
+    support margin, without being S is integrated on S, by the exact
+    identity [u]^2(Omega x Omega) = [u]^2(S x S) + 2 int_S |u|^2 (tail_S - tail_Omega)."""
     s_list = check_s_list(s_list)
     require_dimension(check_domain(d).dimension, u, A)
+    support = _pass_domain(u, d)
+    if support != d:
+        return _extended_by_zero(u, A, support, s_list, spec, d)
     return _run_batch(_difference_sq(u, A), d, spec, [_power_member(s) for s in s_list])
+
+
+def _pass_domain(u: ScalarField, d: Domain) -> Domain:
+    """Where the seminorm of u over d x d is integrated: the support of a
+    compact field when d covers it, shrunk by its margin, and d otherwise."""
+    support = u.support_domain
+    return support if support is not None and d.covers(support, u.support_margin) else d
+
+
+def _extended_by_zero(
+    u: ScalarField, A: VectorPotential, support: Domain, s_list: list[float],
+    spec: QuadratureSpec, outer: Optional[Domain] = None,
+) -> list[IntegralResult]:
+    """Seminorms over Omega x Omega, for Omega = outer or, when outer is
+    None, R^N, of a field that vanishes outside its support S: the S x S
+    pass plus the exact cross term 2 int_S |u|^2 (tail_S - tail_Omega),
+    where tail_Omega is 0 on R^N."""
+    doms = _run_batch(_difference_sq(u, A), support, spec, [_power_member(s) for s in s_list])
+
+    def cross_on(sp):  # the cross term at every s
+        grid = tensor_grid(support, sp.outer_nodes)
+        X, w = grid.points, grid.weights
+        if outer is not None:  # S may reach past Omega inside its margin, where u vanishes
+            keep = outer.contains(X)
+            X, w = X[keep], w[keep]
+        mass = w * np.abs(u.value(X)) ** 2
+        tails = tail_integral_many(support, X, s_list, sp.angular_nodes)
+        if outer is not None:
+            outside = tail_integral_many(outer, X, s_list, sp.angular_nodes)
+            tails = [t - t_out for t, t_out in zip(tails, outside)]
+        return [2.0 * float(pairwise_sum(mass * t)) for t in tails], X.shape[0]
+
+    return [
+        IntegralResult(
+            dom.value + cross.value,
+            dom.estimated_error + cross.estimated_error,
+            dom.node_count + cross.node_count,
+        )
+        for dom, cross in zip(doms, two_level(cross_on, spec, support.dimension))
+    ]
 
 
 def _grid_domain(grid: TensorGrid) -> Domain:
@@ -165,24 +216,9 @@ def fullspace_seminorms_sq(
 ) -> list[IntegralResult]:
     """fullspace_seminorm_sq at every s in s_list, from one integrand
     evaluation per engine pass."""
-    require_dimension(getattr(u, "dim", None), u, A)  # a non-field is refused by its type
-    d = _require_compact(u)
-    doms = magnetic_seminorms_sq(u, A, d, s_list, spec)
-
-    def cross_on(sp):  # the cross term at every s
-        grid = tensor_grid(d, sp.outer_nodes)
-        mass = grid.weights * np.abs(u.value(grid.points)) ** 2
-        tails = tail_integral_many(d, grid.points, s_list, sp.angular_nodes)
-        return [2.0 * float(pairwise_sum(mass * t)) for t in tails], grid.points.shape[0]
-
-    return [
-        IntegralResult(
-            dom.value + cross.value,
-            dom.estimated_error + cross.estimated_error,
-            dom.node_count + cross.node_count,
-        )
-        for dom, cross in zip(doms, two_level(cross_on, spec, d.dimension))
-    ]
+    require_dimension(getattr(u, "dim", None), u, A, by="field")  # a non-field is refused by its type
+    support = _require_compact(u)
+    return _extended_by_zero(u, A, support, check_s_list(s_list), spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
-"""Convex domains, unit-sphere rules, and tensor quadrature grids.
+"""Convex domains, unit-sphere rules, and outer quadrature grids.
 
 Domains are restricted to intervals, axis-aligned boxes, and balls in
 dimension N <= 3.  Convexity guarantees that a ray from an interior point
 leaves the domain exactly once, which is what makes the directional
 boundary-distance query (and with it the exact exterior tail integral)
 well defined.
+
+tensor_grid gives each domain its outer rule: a Gauss-Legendre tensor grid
+on an interval or a box, and on a disk or a 3D ball a polar product rule,
+Gauss-Legendre in the radius times a sphere rule, whose nodes all lie
+inside the ball and which converges spectrally for smooth integrands.
 """
 
 from __future__ import annotations
@@ -300,10 +305,17 @@ def antipodal_half(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class TensorGrid:
-    """Gauss-Legendre tensor grid on the domain's bounding box.
+    """The outer quadrature rule of a domain, from tensor_grid.
 
-    For balls, nodes outside the domain are dropped (inside-domain mask), so
-    the weight sum approaches |domain| from the masked rule.
+    On an interval or a box it is the Gauss-Legendre tensor grid with
+    ``nodes_per_axis`` nodes on each axis.  On a ball of dimension 2 or 3
+    it is a polar product rule (Stroud, Approximate Calculation of Multiple
+    Integrals, 1971): with n = ``nodes_per_axis``, ceil(n/2) Gauss-Legendre
+    radii on [0, R], whose weights carry the volume element r^(N-1), times
+    sphere_rule(2, n) on a disk or sphere_rule(3, n*n // 4) on a 3D ball.
+    Every node lies inside the domain, and the weights sum to its volume to
+    rounding (on a 3D ball from n = 3, where two radii integrate r^2
+    exactly).  A 1D ball is an interval and gets the interval's rule.
     """
 
     domain: Domain
@@ -313,10 +325,21 @@ class TensorGrid:
 
 
 def tensor_grid(d: Domain, nodes_per_axis: int) -> TensorGrid:
-    if check_integer(nodes_per_axis, "tensor grid nodes per axis") < 1:
+    """The TensorGrid of d at nodes_per_axis."""
+    n = check_integer(nodes_per_axis, "tensor grid nodes per axis")
+    if n < 1:
         raise ConfigurationError("tensor grid needs at least one node per axis")
-    lo, hi = check_domain(d).bounding_box()
-    xi, wi = gauss_legendre(nodes_per_axis)
+    dim = check_domain(d).dimension
+    if d.kind == "ball" and dim > 1:
+        radius = float(d.extents[0])
+        xi, wi = gauss_legendre((n + 1) // 2)
+        r = 0.5 * radius * (xi + 1.0)
+        dirs, wdir = sphere_rule(dim, n if dim == 2 else max(1, n * n // 4))
+        points = (d.center + r[:, None, None] * dirs).reshape(-1, dim)
+        weights = np.outer(0.5 * radius * wi * r ** (dim - 1), wdir).ravel()
+        return TensorGrid(d, n, points, weights)
+    lo, hi = d.bounding_box()
+    xi, wi = gauss_legendre(n)
     axes_x, axes_w = [], []
     for a, b in zip(lo, hi):
         half, mid = (b - a) / 2.0, (b + a) / 2.0
@@ -328,7 +351,4 @@ def tensor_grid(d: Domain, nodes_per_axis: int) -> TensorGrid:
     weights = np.ones(points.shape[0])
     for wm in wmesh:
         weights = weights * wm.ravel()
-    if d.kind == "ball":
-        keep = d.contains(points)
-        points, weights = points[keep], weights[keep]
-    return TensorGrid(d, nodes_per_axis, points, weights)
+    return TensorGrid(d, n, points, weights)

@@ -30,6 +30,7 @@ from .errors import (ConditionViolation, ConfigurationError, IntegrationError, c
 from .fields import magnetic_gradient, require_dimension
 from .functionals import (
     MollifierFamily,
+    _pass_domain,
     _require_compact,
     bbm_family,
     check_mollifier,
@@ -347,8 +348,8 @@ def _plan_bbm(cfg: SweepConfig, u, A) -> _Plan:
     """Scaled seminorms versus the local-energy target K_N * E; lemma-uniform
     divides both by ||u||^2 + E, and its ratios must stay bounded."""
     if cfg.kind == "bbm-domain":
-        d = cfg.domain
-        batch = lambda s_list: magnetic_seminorms_sq(u, A, d, s_list, cfg.spec)
+        d = _pass_domain(u, cfg.domain)  # a compact field inside it: its support
+        batch = lambda s_list: magnetic_seminorms_sq(u, A, cfg.domain, s_list, cfg.spec)
     else:
         d = _support(cfg, u)  # before the energy pass
         batch = lambda s_list: fullspace_seminorms_sq(u, A, s_list, cfg.spec)

@@ -56,7 +56,7 @@ _PANEL_NODES = 16
 def local_magnetic_apply(u: ScalarField, A: VectorPotential, x) -> complex:
     """-(grad - iA)^2 u at x, i.e. -Lap u + 2i A . grad u + |A|^2 u + i u div A."""
     x = np.array(check_coordinates(x, "point"))
-    require_dimension(x.size, u, A)
+    require_dimension(x.size, u, A, by="point")
     if u.hessian is None or u.gradient is None:
         raise ConfigurationError("local magnetic operator needs an analytic gradient and Hessian")
     if A.divergence is None:
@@ -141,7 +141,7 @@ def fractional_magnetic_apply(
     """Principal-value evaluation of the fractional magnetic operator at x."""
     check_fractional_order(s)
     x = np.array(check_coordinates(x, "point"))
-    require_dimension(x.size, u, A)
+    require_dimension(x.size, u, A, by="point")
     (value,) = _fractional_values(u, A, x, [s], spec)
     return value
 

@@ -194,8 +194,9 @@ def test_fullspace_cross_term_matches_1d_oracle():
 
 
 def test_fullspace_node_count_is_the_real_outer_grid_size_on_a_ball():
-    # a ball's outer grid masks out the box corners, so the cross term sees
-    # fewer than outer_nodes**N points; bump2d vanishes outside this ball too
+    # a ball's outer grid is a polar rule, ceil(n/2) radii times n directions
+    # on a disk, so the cross term sees fewer than outer_nodes**N points;
+    # bump2d vanishes outside this ball too
     d = ball([0.0, 0.0], 1.5)
     u = replace(resolve_field("bump2d"), support_domain=d, support_margin=0.0)
     A = resolve_potential("landau:beta=1", 2)
@@ -205,6 +206,63 @@ def test_fullspace_node_count_is_the_real_outer_grid_size_on_a_ball():
     dom = magnetic_seminorm_sq(u, A, d, 0.7, spec)
     full = fullspace_seminorm_sq(u, A, 0.7, spec)
     assert full.node_count == dom.node_count + real
+
+
+def test_fullspace_names_the_field_as_what_set_the_dimension():
+    # it takes no domain, yet the message read "the domain is 1-dimensional"
+    with pytest.raises(ConfigurationError) as info:
+        fullspace_seminorms_sq(resolve_field("bump1d"), resolve_potential("landau", 2), [0.5],
+                               default_spec(1))
+    assert str(info.value) == ("potential 'landau:beta=1' is 2-dimensional, "
+                               "the field is 1-dimensional")
+
+
+# int_0^1 r^4 e^(-2 r^2) dr, by parts from the error function
+_J0 = math.sqrt(math.pi / 8.0) * math.erf(math.sqrt(2.0))
+_J4 = (3.0 * (_J0 - math.exp(-2.0)) / 4.0 - math.exp(-2.0)) / 4.0
+
+
+@pytest.mark.parametrize("label,dim,n,exact,tol", [
+    # |grad u - iAu|^2 = (4 + beta^2/6) r^2 e^(-2 r^2) averaged over the sphere
+    ("gauss3d", 3, 12, (4.0 + 1.0 / 6.0) * 4.0 * math.pi * _J4, 1e-6),
+    # (4 + beta^2/4) r^2 e^(-2 r^2) on the disk: 2 pi (4 + 1/4) (1 - 3 e^-2) / 8
+    ("gauss2d", 2, 24, 2.0 * math.pi * 4.25 * (1.0 - 3.0 * math.exp(-2.0)) / 8.0, 1e-12),
+])
+def test_local_energy_on_a_ball_matches_its_closed_form(label, dim, n, exact, tol):
+    # the masked box grid this rule replaced was 2.8e-2 (3D) and 1.9e-2 (2D) off
+    d = ball([0.0] * dim, 1.0)
+    u, A = resolve_field(label), resolve_potential("landau:beta=1", dim)
+    energy = local_magnetic_energy(u, A, d, tensor_grid(d, n))
+    assert abs(energy.value / exact - 1.0) < tol
+
+
+@pytest.mark.parametrize("d,direct_nodes,tol", [
+    (interval(-2.0, 2.0), 640, 1e-5),
+    # S reaches past the domain inside its margin, where the field vanishes
+    (interval(-0.99, 0.99), 1280, 1e-7),
+], ids=["wide", "cut"])
+def test_a_compact_field_inside_its_domain_is_integrated_on_its_support(d, direct_nodes, tol):
+    # [u]^2(d x d) = [u]^2(S x S) + 2 int_S |u|^2 (tail_S - tail_d) against a
+    # direct pass over d x d, for which the field forgets its support
+    u, A = resolve_field("bump1d"), resolve_potential("linear:alpha=1", 1)
+    s_list, spec = [0.5, 0.9, 0.99], default_spec(1)
+    routed = magnetic_seminorms_sq(u, A, d, s_list, spec)
+    plain = replace(u, support_domain=None, support_margin=0.0)
+    direct = magnetic_seminorms_sq(plain, A, d, s_list, replace(spec, outer_nodes=direct_nodes))
+    for r, v in zip(routed, direct):
+        assert abs(r.value / v.value - 1.0) < tol
+    # the S x S pass's points, then at most one outer grid's for the cross term
+    support_pass = spec.outer_nodes * spec.radial_nodes
+    assert support_pass < routed[0].node_count <= support_pass + spec.outer_nodes
+
+
+def test_a_compact_field_on_its_own_support_takes_the_domain_pass():
+    u, A = resolve_field("bump2d"), resolve_potential("landau", 2)
+    spec = QuadratureSpec(outer_nodes=6, angular_nodes=8, radial_nodes=4)
+    plain = replace(u, support_domain=None, support_margin=0.0)
+    for own, direct in zip(magnetic_seminorms_sq(u, A, u.support_domain, [0.5, 0.9], spec),
+                           magnetic_seminorms_sq(plain, A, u.support_domain, [0.5, 0.9], spec)):
+        _assert_same(own, direct)
 
 
 def test_fullspace_exceeds_domain_seminorm_and_tail_shrinks():

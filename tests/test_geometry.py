@@ -245,10 +245,27 @@ def test_tensor_grid_box_weights_exact():
     assert np.all(g.weights > 0.0)
 
 
-def test_tensor_grid_ball_mask_converges():
-    d = ball([0.0, 0.0], 1.0)
-    err = [abs(tensor_grid(d, n).weights.sum() - d.volume()) for n in (24, 96)]
-    assert err[1] < err[0]
+@pytest.mark.parametrize("d,n,radii,directions", [
+    (ball([0.1, -0.2], 1.3), 24, 12, 24),
+    (ball([0.1, -0.2], 1.3), 7, 4, 7),
+    (ball([0.1, -0.2, 0.3], 0.8), 12, 6, 32),   # sphere_rule(3, 36)
+    (ball([0.1, -0.2, 0.3], 0.8), 5, 3, 8),     # sphere_rule(3, 6)
+])
+def test_tensor_grid_on_a_ball_is_a_polar_product_rule(d, n, radii, directions):
+    # ceil(n/2) Gauss-Legendre radii times a sphere rule: every node inside,
+    # and the weights integrate r^(N-1) exactly, so they sum to the volume
+    g = tensor_grid(d, n)
+    assert g.points.shape == (radii * directions, d.dimension)
+    assert np.all(d.contains(g.points)) and np.all(g.weights > 0.0)
+    assert_allclose(g.weights.sum(), d.volume(), rtol=2e-15)
+    r = np.linalg.norm(g.points - d.center, axis=-1)
+    assert_allclose(g.weights @ r**2, d.dimension / (d.dimension + 2.0) * d.extents[0] ** 2
+                    * d.volume(), rtol=2e-15)
+
+
+def test_tensor_grid_on_a_1d_ball_is_the_interval_rule():
+    a, b = tensor_grid(ball([0.3], 1.5), 9), tensor_grid(Domain("interval", [0.3], [1.5]), 9)
+    assert np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights)
 
 
 @pytest.mark.parametrize("outer,inner,margin,expected", [

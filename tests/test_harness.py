@@ -761,6 +761,17 @@ def test_compact_sweeps_do_not_depend_on_the_covering_domain(kind, label):
         assert rep.metadata["node_counts"] == first.metadata["node_counts"]
 
 
+def test_a_bbm_domain_sweep_of_a_compact_field_takes_its_target_on_the_support():
+    # the seminorms run on the support too, so the wider box adds only the
+    # cross term with its own tail
+    spec = QuadratureSpec(outer_nodes=6, angular_nodes=8, radial_nodes=4)
+    own, wide = (run_sweep(SweepConfig("bbm-domain", "bump2d", "landau", d, spec=spec))
+                 for d in (box([0.0] * 2, [1.0] * 2), box([0.0] * 2, [1.5] * 2)))
+    assert wide.target == own.target
+    assert all(w.value > o.value for w, o in zip(wide.rows, own.rows))
+    assert wide.metadata["node_counts"] == [n + 36 for n in own.metadata["node_counts"]]
+
+
 def test_default_spec_refuses_a_dimension_other_than_1_2_or_3():
     # default_spec(5) was the 3D spec and default_spec(True) the 1D one
     for dim in (0, 4, 5, True, 2.0):
@@ -786,10 +797,10 @@ _J4 = (3.0 * _J2 - math.exp(-2.0)) / 4.0
 
 
 @pytest.mark.parametrize("domain,beta,energy,target_tol,limit_tol", [
-    # E = (4 + beta^2/6) * 4 pi * J4; the masked outer grid leaves the
-    # target 2.8e-2 off
+    # E = (4 + beta^2/6) * 4 pi * J4; the polar outer rule (6 radii times 32
+    # directions) leaves the target 3.6e-7 off and the limit 5.2e-3
     ({"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}, 1.0,
-     (4.0 + 1.0 / 6.0) * 4.0 * math.pi * _J4, 3e-2, 2.5e-2),
+     (4.0 + 1.0 / 6.0) * 4.0 * math.pi * _J4, 1e-5, 1e-2),
     # E = (12 + beta^2/2) I2 I0^2 with I_k = 2 J_k the moments on (-1, 1)
     ({"kind": "box", "center": [0.0, 0.0, 0.0], "extents": [1.0, 1.0, 1.0]}, 2.0,
      (12.0 + 4.0 / 2.0) * 8.0 * _J2 * _J0**2, 1e-10, 4e-3),
