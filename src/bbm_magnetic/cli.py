@@ -26,8 +26,8 @@ from .corpus import resolve_field, resolve_potential
 from .errors import ConditionViolation, ConfigurationError, IntegrationError, check_positive
 from .functionals import check_mollifier
 from .geometry import sphere_area
-from .harness import (_FAMILY_KEYS, DEFAULT_S_LIST, REPORT_FORMATS, _family_from_descriptor,
-                      default_spec, load_config, render_report, run_sweep, write_text)
+from .harness import (_FAMILY_KEYS, REPORT_FORMATS, _family_from_descriptor, default_spec,
+                      load_config, render_report, run_sweep, write_text)
 from .operator import operator_limit_scan
 
 
@@ -106,7 +106,7 @@ def _cmd_mollifier_check(args) -> int:
         desc["s_list"] = _parse_numbers(args.s_list)
     if args.r_domain is not None:
         desc["r_domain"] = args.r_domain
-    fam = _family_from_descriptor(desc, args.dim, DEFAULT_S_LIST, 2.0)
+    fam = _family_from_descriptor(desc, args.dim, 2.0)
     rows = [asdict(c) for c in check_mollifier(fam, args.delta)]
     _write_or_print(json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n", args.out)
     return 0

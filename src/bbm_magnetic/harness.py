@@ -81,39 +81,56 @@ def default_spec(dim: int) -> QuadratureSpec:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One sweep.  Every kind reads the kind, labels, domain and spec; of
+    the six optional fields from ``s_list`` to ``delta`` it reads only those
+    that ``_PLANS`` names for it.  None leaves an optional field unset."""
+
     kind: str
     field_label: str
     potential_label: str
     domain: Domain
-    s_list: tuple[float, ...] = DEFAULT_S_LIST
-    family: Optional[dict] = None
-    h_list: tuple[float, ...] = DEFAULT_H_LIST
-    direction: Optional[tuple[float, ...]] = None
-    point: Optional[tuple[float, ...]] = None
-    delta: float = 0.1
+    s_list: Optional[tuple[float, ...]] = None  # None: DEFAULT_S_LIST
+    family: Optional[dict] = None  # None: the gaussian family with DEFAULT_INDICES
+    h_list: Optional[tuple[float, ...]] = None  # None: DEFAULT_H_LIST
+    direction: Optional[tuple[float, ...]] = None  # None: the first axis
+    point: Optional[tuple[float, ...]] = None  # None: the domain's center
+    delta: Optional[float] = None  # None: 0.1
     spec: Optional[QuadratureSpec] = None  # None: default_spec of the domain's dimension
 
     def __post_init__(self):
-        """Check every field, naming it by its config-file key; store the
-        sequences as tuples of floats and a missing spec as default_spec."""
+        """Check every field, naming it by its config-file key; refuse an
+        optional field the kind does not read, fill in the defaults of those
+        it does, and store the sequences as tuples of floats and a missing
+        spec as default_spec."""
         store = partial(object.__setattr__, self)
         if self.kind not in SWEEP_KINDS:
             raise ConfigurationError(f"unknown sweep kind {self.kind!r}; known: {SWEEP_KINDS}")
+        reads = _PLANS[self.kind][1]
+        unread = [k for k in _OPTIONAL_KEYS if getattr(self, k) is not None and k not in reads]
+        if unread:
+            raise ConfigurationError(f"a {self.kind} sweep does not read config key(s) {unread}; "
+                                     f"its optional keys are {list(reads)}")
+        for key, default in _OPTIONAL_DEFAULTS.items():
+            if key in reads and getattr(self, key) is None:
+                store(key, default)
         check_text(self.field_label, "field")
         check_text(self.potential_label, "potential")
         check_domain(self.domain)
-        store("s_list", tuple(check_s_list(self.s_list)))
+        if self.s_list is not None:
+            store("s_list", tuple(check_s_list(self.s_list)))
         if self.family is not None:
-            _family_from_descriptor(self.family, self.domain.dimension, self.s_list,
-                                    self.domain.diameter())
-        store("h_list", check_numbers(self.h_list, "h_list"))
-        h = self.h_list
-        if not h or any(not 0.0 < v <= 1.0 for v in h) or len(set(h)) < len(h):
-            raise ConfigurationError("h_list must be a nonempty list of distinct shifts in (0, 1]")
+            _family_from_descriptor(self.family, self.domain.dimension, self.domain.diameter())
+        if self.h_list is not None:
+            store("h_list", check_numbers(self.h_list, "h_list"))
+            h = self.h_list
+            if not h or any(not 0.0 < v <= 1.0 for v in h) or len(set(h)) < len(h):
+                raise ConfigurationError(
+                    "h_list must be a nonempty list of distinct shifts in (0, 1]")
         for key in ("direction", "point"):
             if getattr(self, key) is not None:
                 store(key, check_coordinates(getattr(self, key), key, self.domain.dimension))
-        store("delta", check_positive(self.delta, "delta"))
+        if self.delta is not None:
+            store("delta", check_positive(self.delta, "delta"))
         if self.spec is None:
             store("spec", default_spec(self.domain.dimension))
         check_spec(self.spec)
@@ -148,8 +165,11 @@ class SweepReport:
 # Configs
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = ("kind", "field", "potential", "domain", "s_list", "family", "h_list",
-                "direction", "point", "delta", "quadrature")
+# The config keys every kind reads, and the optional ones of which each kind
+# reads its own; None, or a config file's null, leaves an optional key unset.
+_COMMON_KEYS = ("kind", "field", "potential", "domain", "quadrature")
+_OPTIONAL_KEYS = ("s_list", "family", "h_list", "direction", "point", "delta")
+_OPTIONAL_DEFAULTS = {"s_list": DEFAULT_S_LIST, "h_list": DEFAULT_H_LIST, "delta": 0.1}
 # The config keys whose SweepConfig field has another name, and the defaults
 # that only a config file has.
 _FIELD_NAMES = {"field": "field_label", "potential": "potential_label", "quadrature": "spec"}
@@ -201,7 +221,7 @@ def config_from_dict(raw: dict) -> SweepConfig:
     Unknown keys and ill-typed or out-of-range values raise
     ConfigurationError, so a bad config fails before any computation.
     """
-    raw = _section(raw, _CONFIG_KEYS, "config")
+    raw = _section(raw, _COMMON_KEYS + _OPTIONAL_KEYS, "config")
     if "domain" not in raw:
         raise ConfigurationError("config missing required key: 'domain'")
     dom = _domain_from_dict(raw["domain"])
@@ -293,7 +313,8 @@ def _parallel_map(fn, items, threads: int):
 def _metadata(cfg: SweepConfig, node_counts: list[int]) -> dict:
     """The report metadata; its ``config`` is a loadable config that
     reproduces the sweep."""
-    config = {key: getattr(cfg, _FIELD_NAMES.get(key, key)) for key in _CONFIG_KEYS}
+    config = {key: getattr(cfg, _FIELD_NAMES.get(key, key))
+              for key in _COMMON_KEYS + _PLANS[cfg.kind][1]}
     config.update(domain=_domain_to_dict(cfg.domain), quadrature=asdict(cfg.spec))
     return {
         "config": {k: list(v) if isinstance(v, tuple) else v for k, v in config.items()},
@@ -360,11 +381,10 @@ def _plan_bbm(cfg: SweepConfig, u, A) -> _Plan:
                  bbm_constant(d.dimension) * energy / denom, _one_minus)
 
 
-def _family_from_descriptor(
-    desc: Optional[dict], dim: int, s_list: Sequence[float], r_domain: float
-) -> MollifierFamily:
+def _family_from_descriptor(desc: Optional[dict], dim: int, r_domain: float) -> MollifierFamily:
     """The family a descriptor names: gaussian (the default) with DEFAULT_INDICES,
-    or "bbm" with the given s_list and r_domain, unless the descriptor sets them.
+    or "bbm" with DEFAULT_S_LIST and the given r_domain, unless the descriptor
+    sets them.
     Each kind takes only its own keys, and its builder checks their values."""
     desc = {} if desc is None else desc
     kind = desc.get("kind", "gaussian") if isinstance(desc, dict) else "gaussian"
@@ -373,7 +393,7 @@ def _family_from_descriptor(
     desc = _section(desc, _FAMILY_KEYS[kind], "family")  # also refuses a non-object
     if kind == "gaussian":
         return gaussian_family(desc.get("indices", DEFAULT_INDICES), dim)
-    return bbm_family(desc.get("s_list", s_list), desc.get("r_domain", r_domain), dim)
+    return bbm_family(desc.get("s_list", DEFAULT_S_LIST), desc.get("r_domain", r_domain), dim)
 
 
 def _admit_family(fam: MollifierFamily, delta: float) -> list:
@@ -395,11 +415,13 @@ def _admit_family(fam: MollifierFamily, delta: float) -> list:
 
 
 def _plan_mollifier(cfg: SweepConfig, u, A) -> _Plan:
-    """Mollified functionals of an admitted family versus 2 K_N * E."""
+    """Mollified functionals of an admitted family versus 2 K_N * E, with E
+    taken where a bbm-domain sweep takes it."""
     d = cfg.domain
-    fam = _family_from_descriptor(cfg.family, d.dimension, cfg.s_list, d.diameter())
+    fam = _family_from_descriptor(cfg.family, d.dimension, d.diameter())
     checks = _admit_family(fam, cfg.delta)
-    energy = local_magnetic_energy(u, A, d, tensor_grid(d, cfg.spec.outer_nodes)).value
+    e_dom = _pass_domain(u, d)  # a compact field inside d: its support
+    energy = local_magnetic_energy(u, A, e_dom, tensor_grid(e_dom, cfg.spec.outer_nodes)).value
     small = _one_minus if fam.kind == "bbm" else (lambda n: 1.0 / n)
     return _Plan(fam.members, [rho.param for rho in fam.members],
                  lambda members: mollified_functionals(u, A, d, members, cfg.spec),
@@ -434,13 +456,14 @@ def _plan_operator(cfg: SweepConfig, u, A) -> _Plan:
                  lambda s, v: v, 0.0, _one_minus, node_counts=[])
 
 
+# Each sweep kind's plan and the optional config keys it reads.
 _PLANS = {
-    "bbm-domain": _plan_bbm,
-    "bbm-fullspace": _plan_bbm,
-    "mollifier": _plan_mollifier,
-    "lemma-translation": _plan_translation,
-    "lemma-uniform": _plan_bbm,
-    "operator-limit": _plan_operator,
+    "bbm-domain": (_plan_bbm, ("s_list",)),
+    "bbm-fullspace": (_plan_bbm, ("s_list",)),
+    "mollifier": (_plan_mollifier, ("family", "delta")),
+    "lemma-translation": (_plan_translation, ("h_list", "direction")),
+    "lemma-uniform": (_plan_bbm, ("s_list",)),
+    "operator-limit": (_plan_operator, ("s_list", "point")),
 }
 SWEEP_KINDS = tuple(_PLANS)
 
@@ -455,7 +478,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepReport:
     d = cfg.domain
     A = resolve_potential(cfg.potential_label, d.dimension)
     require_dimension(d.dimension, u, A)
-    plan = _PLANS[cfg.kind](cfg, u, A)
+    plan = _PLANS[cfg.kind][0](cfg, u, A)
     batches = _batches(plan.items, threads)
     results = []
     for batch, out in zip(batches, _parallel_map(partial(_attempt, plan.batch), batches, threads)):

@@ -117,10 +117,14 @@ def test_config_from_dict_defaults_and_echo():
     assert cfg.spec.outer_nodes == 32
     assert cfg.spec.angular_nodes == default_spec(1).angular_nodes
     assert cfg.s_list == (0.8, 0.9, 0.95, 0.99)
+    # a null optional key is unset, as None is in code, whether its kind reads it or not
+    assert config_from_dict({**_GOOD, "s_list": None, "h_list": None}) == config_from_dict(_GOOD)
 
 
 _INTERVAL = {"kind": "interval", "center": [0.0], "extents": [1.0]}
 _GOOD = {"kind": "bbm-domain", "field": "gauss1d", "potential": "zero", "domain": _INTERVAL}
+_MOLLIFIER = {"kind": "mollifier"}
+_TRANSLATION = {"kind": "lemma-translation", "field": "bump1d"}
 
 
 @pytest.mark.parametrize("change,message", [
@@ -131,15 +135,16 @@ _GOOD = {"kind": "bbm-domain", "field": "gauss1d", "potential": "zero", "domain"
     ({"format": "yaml"}, "unknown config key"),
     ({"domain": {**_INTERVAL, "radius": 1.0}}, "unknown interval domain key"),
     ({"s_list": "0.9"}, "must be a list of numbers"),
-    ({"family": {"kind": "gaussian", "indices": [2.5]}}, "must be an integer"),
+    ({**_MOLLIFIER, "family": {"kind": "gaussian", "indices": [2.5]}}, "must be an integer"),
     # a key of the other family kind was dropped
-    ({"family": {"kind": "gaussian", "s_list": [0.5]}}, "unknown family key"),
-    ({"family": {"kind": "gaussian", "r_domain": 3}}, "unknown family key"),
-    ({"family": {"indices": [2, 4], "r_domain": 3}}, "unknown family key"),
-    ({"family": {"kind": "bbm", "indices": [2, 4]}}, "unknown family key"),
-    ({"family": {"kind": "bbm", "r_domain": "2"}}, "cutoff radius must be positive and finite"),
-    ({"family": [2, 4]}, "family must be an object"),
-    ({"family": {"kind": ["bbm"]}}, "unknown mollifier family kind"),
+    ({**_MOLLIFIER, "family": {"kind": "gaussian", "s_list": [0.5]}}, "unknown family key"),
+    ({**_MOLLIFIER, "family": {"kind": "gaussian", "r_domain": 3}}, "unknown family key"),
+    ({**_MOLLIFIER, "family": {"indices": [2, 4], "r_domain": 3}}, "unknown family key"),
+    ({**_MOLLIFIER, "family": {"kind": "bbm", "indices": [2, 4]}}, "unknown family key"),
+    ({**_MOLLIFIER, "family": {"kind": "bbm", "r_domain": "2"}},
+     "cutoff radius must be positive and finite"),
+    ({**_MOLLIFIER, "family": [2, 4]}, "family must be an object"),
+    ({**_MOLLIFIER, "family": {"kind": ["bbm"]}}, "unknown mollifier family kind"),
     ({"quadrature": {"geometric_ratio": 0.5}}, "unknown quadrature key"),
 ])
 def test_config_from_dict_rejects_bad_input(change, message):
@@ -214,14 +219,16 @@ _BOX = {"kind": "box", "center": [0.0, 0.0], "extents": [1.0, 1.0]}
      lambda: dataclasses.replace(default_spec(1), outer_nodes=True)),
     ({"quadrature": {"radial_nodes": "16"}},
      lambda: dataclasses.replace(default_spec(1), radial_nodes="16")),
-    ({"delta": "0.1"}, lambda: _cfg(delta="0.1")),
-    ({"h_list": ["a"]}, lambda: _cfg(h_list=("a",))),
+    ({**_MOLLIFIER, "delta": "0.1"}, lambda: _cfg(kind="mollifier", delta="0.1")),
+    ({**_TRANSLATION, "h_list": ["a"]},
+     lambda: _cfg(kind="lemma-translation", field_label="bump1d", h_list=("a",))),
     ({"s_list": ["x"]}, lambda: _cfg(s_list=["x"])),
     ({"s_list": ["0.5"]}, lambda: _cfg(s_list=["0.5"])),
     ({"field": 5}, lambda: _cfg(field_label=5)),
-    ({"domain": _BOX, "direction": [1.0]}, lambda: _cfg(domain=_D2, direction=[1.0])),
-    ({"family": {"kind": "gaussian", "s_list": [0.5]}},
-     lambda: _cfg(family={"kind": "gaussian", "s_list": [0.5]})),
+    ({**_TRANSLATION, "domain": _BOX, "direction": [1.0]},
+     lambda: _cfg(kind="lemma-translation", field_label="bump1d", domain=_D2, direction=[1.0])),
+    ({**_MOLLIFIER, "family": {"kind": "gaussian", "s_list": [0.5]}},
+     lambda: _cfg(kind="mollifier", family={"kind": "gaussian", "s_list": [0.5]})),
 ], ids=["fractional-nodes", "bool-nodes", "text-nodes", "text-delta", "text-shift", "text-s",
         "numeric-text-s", "numeric-field", "short-direction", "other-kind-family-key"])
 def test_configs_built_in_code_are_refused_like_config_files(change, built):
@@ -234,10 +241,10 @@ def test_configs_built_in_code_are_refused_like_config_files(change, built):
 
 def test_point_and_domain_vectors_follow_the_rule_of_the_code_that_reads_them():
     # a 1-D numpy direction or point, which the operator functions take, was refused
-    cfg = _cfg(direction=np.array([-1.0]), point=np.array([0.25]))
-    assert (cfg.direction, cfg.point) == ((-1.0,), (0.25,))
+    assert _cfg(kind="lemma-translation", direction=np.array([-1.0])).direction == (-1.0,)
+    assert _cfg(kind="operator-limit", point=np.array([0.25])).point == (0.25,)
     with pytest.raises(ConfigurationError, match=r"point must be a list of 1 numbers, got \[0.0, 0.0\]"):
-        _cfg(point=np.zeros(2))
+        _cfg(kind="operator-limit", point=np.zeros(2))
     # a config's domain vectors meet Domain's rule, which also takes one number
     one = config_from_dict({**_GOOD, "domain": {"kind": "interval", "center": 0.5, "extents": 2}})
     assert one.domain == interval(-1.5, 2.5)
@@ -267,11 +274,50 @@ def test_threads_must_be_an_integer(monkeypatch):
             run_sweep(_cfg(), threads=threads)
 
 
+# The optional config keys each kind reads; every kind also reads these.
+_COMMON_KEYS = {"kind", "field", "potential", "domain", "quadrature"}
+_READS = {
+    "bbm-domain": {"s_list"},
+    "bbm-fullspace": {"s_list"},
+    "mollifier": {"family", "delta"},
+    "lemma-translation": {"h_list", "direction"},
+    "lemma-uniform": {"s_list"},
+    "operator-limit": {"s_list", "point"},
+}
+# A value each optional key takes in 1D.
+_OPTIONAL_VALUES = {"s_list": [0.5, 0.9], "family": {"kind": "gaussian"},
+                    "h_list": [0.1, 0.05], "direction": [1.0], "point": [0.0], "delta": 0.2}
+_REFUSED = [(kind, key) for kind, reads in _READS.items() for key in _OPTIONAL_VALUES
+            if key not in reads]
+
+
+@pytest.mark.parametrize("kind,key", _REFUSED)
+def test_a_config_key_its_kind_does_not_read_is_refused_before_compute(monkeypatch, capsys,
+                                                                      tmp_path, kind, key):
+    # a bbm-domain config that set h_list, point, direction, delta and family
+    # exited 0 and echoed them all, and a mollifier sweep's bbm family took
+    # the top-level s_list
+    monkeypatch.setattr(cli, "run_sweep", _no_compute)
+    value = _OPTIONAL_VALUES[key]
+    with pytest.raises(ConfigurationError) as in_code:
+        _cfg(kind=kind, **{key: tuple(value) if isinstance(value, list) else value})
+    assert str(in_code.value).startswith(f"a {kind} sweep does not read config key(s) ['{key}']")
+    raw = {**_GOOD, "kind": kind, key: value}
+    with pytest.raises(ConfigurationError) as from_file:
+        config_from_dict(raw)
+    assert str(from_file.value) == str(in_code.value)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {in_code.value}\n"
+
+
 _ECHO_CONFIGS = {
     "bbm-domain": {"field": "gauss1d", "s_list": [0.8, 0.9, 0.95]},
     "bbm-fullspace": {"field": "bump1d", "s_list": [0.8, 0.9, 0.95]},
-    "mollifier": {"field": "gauss1d", "family": {"kind": "bbm", "s_list": [0.9, 0.99, 0.999]}},
-    "lemma-translation": {"field": "bump1d", "direction": [-1.0]},
+    "mollifier": {"field": "gauss1d", "family": {"kind": "bbm", "s_list": [0.9, 0.99, 0.999]},
+                  "delta": 0.2},
+    "lemma-translation": {"field": "bump1d", "h_list": [0.1, 0.05, 0.025], "direction": [-1.0]},
     "lemma-uniform": {"field": "bump1d", "s_list": [0.5, 0.7, 0.9]},
     "operator-limit": {"field": "gauss1d", "point": [0.25], "s_list": [0.7, 0.8, 0.9]},
 }
@@ -279,14 +325,18 @@ _ECHO_CONFIGS = {
 
 @pytest.mark.parametrize("kind", SWEEP_KINDS)
 def test_report_config_echo_loads_as_the_config_that_ran(kind):
-    # an interval centred at 0.3 was echoed with a center of 0.30000000000000004
+    # an interval centred at 0.3 was echoed with a center of 0.30000000000000004;
+    # every kind echoed all eleven config keys, the ones it never read too
     domain = {"kind": "interval", "center": [0.3], "extents": [1.5]}
     raw = {"kind": kind, "potential": "linear:alpha=1", "domain": domain,
            "quadrature": {"outer_nodes": 24, "radial_nodes": 4}, **_ECHO_CONFIGS[kind]}
     cfg = config_from_dict(raw)
-    echo = run_sweep(cfg).metadata["config"]
+    report = render_report(run_sweep(cfg), "json")
+    echo = json.loads(report)["metadata"]["config"]
+    assert set(echo) == _COMMON_KEYS | _READS[kind]
     assert echo["domain"] == domain
     assert config_from_dict(echo) == cfg
+    assert render_report(run_sweep(config_from_dict(echo)), "json") == report
 
 
 def test_bbm_sweep_rows_and_target_consistency():
@@ -398,6 +448,16 @@ def test_mollifier_sweep_gaussian_family_converges():
     errs = [r.rel_err for r in rep.rows]
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert "mollifier_checks" in rep.metadata
+
+
+def test_a_mollifier_sweep_takes_its_target_where_a_bbm_domain_sweep_does():
+    # the mollifier target took the energy on the whole domain's grid, so a
+    # compact field in a wider domain got a target off the bbm-domain one
+    # (bump3d in ball(0, 1.75): 25% low)
+    wide = interval(-2.0, 2.0)
+    bbm = run_sweep(_cfg(field_label="bump1d", domain=wide))
+    mollifier = run_sweep(_cfg(kind="mollifier", field_label="bump1d", domain=wide))
+    assert mollifier.target == 2.0 * bbm.target
 
 
 def test_mollifier_sweep_bbm_identity_rows():
@@ -727,7 +787,8 @@ def test_compact_sweeps_check_the_support_before_computing(monkeypatch, kind, su
                        support_domain=sup, support_margin=margin, label="null")
     monkeypatch.setattr(harness, "resolve_field", lambda label: null)
     monkeypatch.setattr(harness, "tensor_grid", no_compute)  # every kind's first pass
-    cfg = SweepConfig(kind, "null", "zero", domain, s_list=(0.5, 0.6, 0.7),
+    s_list = {} if kind == "lemma-translation" else {"s_list": (0.5, 0.6, 0.7)}
+    cfg = SweepConfig(kind, "null", "zero", domain, **s_list,
                       spec=QuadratureSpec(outer_nodes=4, angular_nodes=8, radial_nodes=2))
     if inside:
         with pytest.raises(AssertionError, match="computed"):
@@ -1158,3 +1219,7 @@ def test_mollifier_check_builds_the_sweeps_default_families(capsys):
     assert cli.main(run + ["bbm"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [r["param"] for r in rows] == list(harness.DEFAULT_S_LIST)
+    # a sweep's bbm family takes the same s values; D1's diameter is the
+    # command's cutoff radius 2.0
+    sweep = run_sweep(_cfg(kind="mollifier", family={"kind": "bbm"}))
+    assert rows == sweep.metadata["mollifier_checks"]
