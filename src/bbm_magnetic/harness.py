@@ -384,8 +384,8 @@ def _plan_bbm(cfg: SweepConfig, u, A) -> _Plan:
 def _family_from_descriptor(desc: Optional[dict], dim: int, r_domain: float) -> MollifierFamily:
     """The family a descriptor names: gaussian (the default) with DEFAULT_INDICES,
     or "bbm" with DEFAULT_S_LIST and the given r_domain, unless the descriptor
-    sets them.
-    Each kind takes only its own keys, and its builder checks their values."""
+    sets them.  Each kind takes only its own keys, and its builder checks
+    their values."""
     desc = {} if desc is None else desc
     kind = desc.get("kind", "gaussian") if isinstance(desc, dict) else "gaussian"
     if kind not in tuple(_FAMILY_KEYS):  # a tuple: kind may be an unhashable JSON value
