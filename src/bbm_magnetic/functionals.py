@@ -8,8 +8,10 @@ two-level error estimate and the evaluated node count.
 The domain seminorm and the mollified functional share one radial-angular
 engine, differing only in the ray weights.  That is what makes the
 algebraic identity between the power-kernel mollifier family and
-2(1-s) times the seminorm hold to near machine precision here: identical
-nodes, weights that agree to rounding, identical summation order.
+2(1-s) times the seminorm hold to near machine precision here: the same
+integrand values on the same nodes, contracted by two rules that agree to
+rounding (the closed-form ray weights, and the kernel's fine rule on the
+interpolant of those values), so the two differ by rounding alone.
 
 The full-space seminorm takes no domain: a field with a support domain is
 extended by zero, so its value depends on the field alone, and it is
@@ -276,10 +278,17 @@ class MollifierFamily:
 
 
 def smoothstep_cutoff(r: np.ndarray, r_domain: float) -> np.ndarray:
-    """C^2 radial cutoff: 1 on [0, r_domain], 0 beyond 2*r_domain."""
+    """C^2 radial cutoff: 1 on [0, r_domain], 0 beyond 2*r_domain.
+
+    The polynomial 1 - t^3 (10 - 15 t + 6 t^2), t = (r - r_domain) / r_domain
+    clipped to [0, 1], is evaluated only beyond r_domain (and at NaN, which
+    it propagates); at t = 0 it is exactly 1.0, which the rest is set to."""
     r = np.asarray(r, dtype=float)
-    t = np.clip((r - r_domain) / r_domain, 0.0, 1.0)
-    return 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
+    cut = np.ones_like(r)
+    beyond = ~(r <= r_domain)
+    t = np.minimum((r[beyond] - r_domain) / r_domain, 1.0)
+    cut[beyond] = 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
+    return cut[()]
 
 
 def bbm_family(s_sequence: Sequence[float], r_domain: float, dim: int) -> MollifierFamily:
@@ -387,7 +396,8 @@ def _mollifier_member(d: Domain, rho: RadialMollifier) -> _Member:
         raise ConfigurationError(f"a mollifier kernel must be a RadialMollifier, got {rho!r}")
     if rho.dim != d.dimension:
         raise ConfigurationError("mollifier dimension does not match the domain")
-    probe = np.linspace(1e-6, rho.support_radius, 64)
+    # the engine evaluates the kernel on every ray, out to the diameter
+    probe = np.linspace(1e-6, max(rho.support_radius, d.diameter()), 64)
     if np.any(rho.smooth(probe) < -1e-15):
         raise ConfigurationError("mollifier kernel must be nonnegative")
     return _ray_density(rho)

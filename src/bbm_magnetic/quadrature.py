@@ -15,9 +15,11 @@ Only the weights depend on s (or on the mollifier kernel); the integrand
 and the nodes do not.  So the engine takes a batch of members, each a ray
 density r^beta h(r), evaluates the integrand once per pass and contracts
 it against every member.  A pure power (h = None) gets the closed-form
-weights; any other kernel gets its per-ray weights from one fixed fine
-rule, graded toward 0, times a fixed Lagrange matrix.  Each member's sums
-do not depend on which other members share its batch.
+weights.  Any other kernel is integrated on one fixed fine rule, graded
+toward 0, whose nodes do not depend on beta: each block takes g to the
+fine nodes once, with a fixed Lagrange matrix, and every kernel member
+weighs those values with h at the fine radii.  Each member's sums do not
+depend on which other members share its batch.
 
 Every ray carries the same number of nodes, so the rays are cut into
 blocks of a fixed number P, in order and without padding.  A block is
@@ -28,13 +30,14 @@ A block holds at most _CHUNK_BUDGET points (or one ray), so its integrand
 temporaries stay cache-sized.  The node count of a result counts these
 evaluated points.
 
-Each call of the engine allocates one workspace, sized to one block, and
-every block takes its outer and inner points and its contraction plane
-from the front of it.  So a pass touches the same pages from block to
-block instead of freeing and faulting in new ones, and the points handed
-to the integrand (and through it to fields and potentials) are views that
-the next block overwrites: no closure may keep them after it returns.  The
-workspace belongs to one call, so concurrent calls never share it.
+Each call of the engine allocates one workspace, sized to one block but
+at least _WORKSPACE_FLOOR, and every block takes its outer and inner
+points, and its fine planes when a member has a kernel, from the front of
+it.  So a pass touches the same pages from block to block instead of
+freeing and faulting in new ones, and the points handed to the integrand
+(and through it to fields and potentials) are views that the next block
+overwrites: no closure may keep them after it returns.  The workspace
+belongs to one call, so concurrent calls never share it.
 
 The seminorm and mollifier integrands are symmetric, f(x, y) = f(y, x), and
 so is the kernel, so the ray along omega from x covers the same pairs as the
@@ -75,6 +78,15 @@ __all__ = [
 # Cap on the integrand points evaluated per block of rays: small enough
 # that one block's integrand temporaries fit in a 2 MB L2 cache.
 _CHUNK_BUDGET = 8_192
+# The least size, in doubles, of an engine call's workspace: 1 MiB.  Freeing
+# it at the end of a pass raises glibc's mmap threshold to its size and the
+# trim threshold to twice that, so the next pass's block temporaries, the
+# integrand's included, are reused in the heap instead of being returned to
+# the system and faulted in again block after block.  A workspace sized to
+# the block alone left that to the heap's earlier history: the same ball3d
+# benchmark sweep faulted 6,653 or 17,148 pages, and took 0.05 or 0.07 s
+# (2-core Xeon, one thread), with the length of the checkout's path.
+_WORKSPACE_FLOOR = 1 << 17
 # The fine rule behind every non-power kernel: _FINE_NODES Gauss-Legendre
 # nodes t on [0, 1], moved toward 0 by tau = t**_GRADING.
 _FINE_NODES = 96
@@ -199,6 +211,16 @@ def _refuse_nan(values: np.ndarray, points: np.ndarray) -> None:
         raise IntegrationError(f"integrand produced NaN at y={bad.tolist()}")
 
 
+def _refuse_nan_kernel(sums: np.ndarray, kernel, radii: np.ndarray) -> None:
+    """Raise IntegrationError if a kernel member's ray sums hold a NaN,
+    naming the first radius at which its kernel is not finite; the kernel
+    values are searched only then, so finite sums cost one pass over P."""
+    if np.isnan(sums).any():
+        bad = np.argwhere(~np.isfinite(np.broadcast_to(kernel, radii.shape)))
+        where = f" at r={float(radii[tuple(bad[0])])!r}" if bad.size else ""
+        raise IntegrationError(f"mollifier kernel sum is NaN{where}")
+
+
 def radial_integral(fn: Callable, lo: float, hi: float, beta: float = 0.0) -> float:
     """int_lo^hi fn(r) (r - lo)^beta dr on the fine rule, graded toward lo;
     fn must be smooth on [lo, hi]."""
@@ -238,32 +260,43 @@ def radial_angular(
     over P-long contiguous rows, inside user closures too, where a C-ordered
     last axis would run loops of length N <= 3.
 
+    A kernel member's ray integral is v @ (h(radii) * G): radii and G are
+    the (_FINE_NODES, P) planes of the fine radii R tau_j and of g at them,
+    computed once per block and shared by every kernel member, and v is its
+    fine rule's weight row.  A NaN in those sums raises IntegrationError
+    naming the radius.
+
     The points given to pair_fn, and the radii given to the members, are
-    views into this call's workspace or temporaries of one block: pair_fn
-    and h must not write into them or keep them after they return.
+    views into this call's workspace: pair_fn and h must not write into
+    them or keep them after they return.  h may return radii itself, so
+    the engine never writes into what h returns.
     """
     n_dim, n_dirs = X.shape[1], dirs.shape[0]
     R = R.ravel()
     tau = product_rule(nodes, 0.0)[0]
     rays = max(1, _CHUNK_BUDGET // nodes)
     # Per member: the closed-form weight row of a pure power, or the fine
-    # rule of a kernel.
-    rules = [product_rule(nodes, beta)[1] / tau**2 if h is None else _fine_rule(beta)
+    # rule's weight row of a kernel.
+    rules = [product_rule(nodes, beta)[1] / tau**2 if h is None else _fine_rule(beta)[1]
              for beta, h in members]
+    # The fine nodes do not depend on beta, so with any kernel member every
+    # block takes g to them once, and every kernel member only weighs those
+    # values.
+    fine = _FINE_NODES if any(h is not None for _, h in members) else 0
     # The workspace: the N planes of the gathered outer points, one entry
-    # per ray, then the contraction plane and the N planes of Y, one entry
-    # per point.  Every block takes its arrays from the front of it, so the
-    # pages a pass touches stay mapped from block to block; the results are
-    # allocated with it, before the first block.
-    per_ray = n_dim + (1 + n_dim) * nodes
-    work = np.empty(per_ray * min(rays, R.size))
+    # per ray, then the N planes of Y, one entry per point, and, with a
+    # kernel member, the fine radii, the fine values of g and the product
+    # plane, one entry per fine node.  Every block takes its arrays from the
+    # front of it, so the pages a pass touches stay mapped from block to
+    # block; the results are allocated with it, before the first block.
+    per_ray = n_dim * (1 + nodes) + 3 * fine
+    work = np.empty(max(per_ray * min(rays, R.size), _WORKSPACE_FLOOR))
     sums = [np.empty(R.shape) for _ in members]
     for lo in range(0, R.size, rays):
         hi = min(lo + rays, R.size)
         p = hi - lo
         xs = work[: n_dim * p].reshape(n_dim, p)
-        planes = work[n_dim * p : per_ray * p].reshape(1 + n_dim, nodes, p)
-        contracted, Y = planes[0], planes[1:]
+        Y = work[n_dim * p : n_dim * (1 + nodes) * p].reshape(n_dim, nodes, p)
         ci, mi = np.divmod(np.arange(lo, hi), n_dirs)
         xs[...] = X[ci].T
         Rb = R[lo:hi]
@@ -273,16 +306,19 @@ def radial_angular(
         x, y = np.moveaxis(xs, 0, -1)[None], np.moveaxis(Y, 0, -1)
         vals = pair_fn(x, y)
         _refuse_nan(vals.T, y.swapaxes(0, 1))
+        if fine:
+            radii, fine_vals, product = work[n_dim * (1 + nodes) * p : per_ray * p].reshape(3, fine, p)
+            np.multiply(_fine_rule(0.0)[0][:, None], Rb, out=radii)
+            np.matmul(_fine_lagrange(nodes).T, vals, out=fine_vals)
         for member_sums, (beta, h), rule in zip(sums, members, rules):
             out = member_sums[lo:hi]
             if h is None:
                 np.matmul(rule, vals, out=out)
             else:
-                fine_tau, v = rule
-                np.matmul(_fine_lagrange(nodes), h(fine_tau[:, None] * Rb) * v[:, None],
-                          out=contracted)
-                np.multiply(vals, contracted, out=contracted)
-                np.sum(contracted, axis=0, out=out)
+                kernel = h(radii)  # may be radii itself, so it is only read
+                np.multiply(kernel, fine_vals, out=product)
+                np.matmul(rule, product, out=out)
+                _refuse_nan_kernel(out, kernel, radii)
             out *= Rb ** (beta - 1.0)
     return [member_sums.reshape(-1, n_dirs) for member_sums in sums], R.size * nodes
 

@@ -31,6 +31,7 @@ from bbm_magnetic.functionals import (
     magnetic_seminorms_sq,
     mollified_functional,
     mollified_functionals,
+    smoothstep_cutoff,
     translation_difference_sq,
 )
 from bbm_magnetic.geometry import ball, box, interval, sphere_area, tensor_grid
@@ -291,16 +292,20 @@ def test_mollified_zero_kernel():
     assert mollified_functional(u, A, D1, rho, SPEC1).value == 0.0
 
 
-def test_bbm_member_identity_with_seminorm():
-    # with psi0 == 1 on [0, diam], the mollified functional is identically
-    # 2(1-s) times the squared seminorm on the same nodes
-    u = resolve_field("gauss1d")
-    A = resolve_potential("linear:alpha=1", 1)
-    fam = bbm_family([0.5, 0.75, 0.9], r_domain=D1.diameter(), dim=1)
-    for member in fam.members:
-        mv = mollified_functional(u, A, D1, member, SPEC1).value
-        sv = 2.0 * (1.0 - member.param) * magnetic_seminorm_sq(u, A, D1, member.param, SPEC1).value
-        assert abs(mv - sv) / sv < 1e-10
+@pytest.mark.parametrize("field,potential,d,spec", [
+    ("gauss1d", "linear:alpha=1", D1, SPEC1),
+    ("gauss2d", "landau", box([0.0, 0.0], [1.0, 1.0]), QuadratureSpec(8, 16, 8)),
+    ("bump3d", "landau", box([0.0] * 3, [1.0] * 3), QuadratureSpec(4, 16, 6)),
+], ids=["interval", "box2d", "box3d"])
+def test_bbm_member_identity_with_seminorm(field, potential, d, spec):
+    # with psi0 == 1 on [0, diam], the mollified functional is 2(1-s) times
+    # the squared seminorm on the same nodes, to rounding
+    u, A = resolve_field(field), resolve_potential(potential, d.dimension)
+    s_list = [0.5, 0.75, 0.9, 0.99]
+    fam = bbm_family(s_list, r_domain=d.diameter(), dim=d.dimension)
+    for s, mv, sv in zip(s_list, mollified_functionals(u, A, d, fam.members, spec),
+                         magnetic_seminorms_sq(u, A, d, s_list, spec)):
+        assert_allclose(mv.value, 2.0 * (1.0 - s) * sv.value, rtol=1e-12)
 
 
 def test_bbm_identity_holds_for_a_field_without_a_gradient():
@@ -421,6 +426,45 @@ def test_mollifier_rejects_negative_kernel():
     A = resolve_potential("zero", 1)
     with pytest.raises(ValueError):
         mollified_functional(u, A, D1, rho, SPEC1)
+
+
+def test_a_kernel_negative_beyond_its_support_radius_is_refused(monkeypatch):
+    # the rays of (-1, 1) reach r = 2, past the support radius 1.5 up to
+    # which the kernel was sampled: it was integrated, to 1.1508
+    monkeypatch.setattr(quadrature, "radial_angular", _no_compute)
+    rho = RadialMollifier(1, lambda r: np.where(r > 1.6, -1.0, 1.0), 1.5, 1.0)
+    u, A = resolve_field("gauss1d"), resolve_potential("zero", 1)
+    with pytest.raises(ConfigurationError, match="mollifier kernel must be nonnegative"):
+        mollified_functional(u, A, D1, rho, SPEC1)
+
+
+def test_a_nan_kernel_value_is_refused():
+    # the NaN was summed: the functional read nan, with no error
+    rho = RadialMollifier(1, lambda r: np.where(r > 1.7, np.nan, 1.0), 1.5, 1.0)
+    u, A = resolve_field("gauss1d"), resolve_potential("zero", 1)
+    for call in (lambda: mollified_functional(u, A, D1, rho, SPEC1),
+                 lambda: mollified_functionals(u, A, D1, [bbm_family([0.9], 2.0, 1).members[0], rho],
+                                               SPEC1)):
+        with pytest.raises(IntegrationError, match=r"mollifier kernel sum is NaN at r=1\.7"):
+            call()
+
+
+def test_smoothstep_cutoff_gives_the_closed_formula_bits():
+    # the closed formula, evaluated everywhere, is the reference for the
+    # cutoff, which evaluates it only beyond r_domain
+    r_domain = 2.0 * math.sqrt(2.0)
+    r = np.concatenate([np.linspace(0.0, 3.0 * r_domain, 3001),
+                        [r_domain, np.nextafter(r_domain, 3.0), 2.0 * r_domain, np.nan]])
+    t = np.clip((r - r_domain) / r_domain, 0.0, 1.0)
+    closed = 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
+    cut = smoothstep_cutoff(r, r_domain)
+    assert cut.tobytes() == closed.tobytes()
+    assert np.isnan(cut[-1])
+    assert smoothstep_cutoff(r[:3000].reshape(60, 50), r_domain).tobytes() == closed[:3000].tobytes()
+    for x, want in zip(r[-4:], closed[-4:]):
+        got = smoothstep_cutoff(float(x), r_domain)
+        assert np.ndim(got) == 0 and isinstance(got, float)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_a_kernel_singular_beyond_the_dimension_is_refused():
@@ -604,10 +648,14 @@ def test_batched_functionals_equal_single_calls(case):
     s_list = [0.6, 0.9, 0.99]
     for k, value in enumerate(magnetic_seminorms_sq(u, A, d, s_list, spec)):
         _assert_same(value, magnetic_seminorm_sq(u, A, d, s_list[k], spec))
-    families = [gaussian_family([2, 8], d.dimension),
-                bbm_family([0.7, 0.95], d.diameter(), d.dimension)]
-    for fam in families:
-        for rho, value in zip(fam.members, mollified_functionals(u, A, d, fam.members, spec)):
+    # a kernel that returns its argument, the fine radii that a block's
+    # kernel members share, runs first and between other kernels
+    identity = RadialMollifier(d.dimension, lambda r: r, d.diameter(), 0.0)
+    kernel_lists = [gaussian_family([2, 8], d.dimension).members,
+                    bbm_family([0.7, 0.95], d.diameter(), d.dimension).members,
+                    (identity, *gaussian_family([2], d.dimension).members, identity)]
+    for kernels in kernel_lists:
+        for rho, value in zip(kernels, mollified_functionals(u, A, d, kernels, spec)):
             _assert_same(value, mollified_functional(u, A, d, rho, spec))
 
 
