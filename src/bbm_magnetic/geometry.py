@@ -271,25 +271,16 @@ def sphere_rule(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     if dim == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if dim == 2:
-        k = np.arange(count)
-        theta = 2.0 * math.pi * k / count
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        wts = np.full(count, 2.0 * math.pi / count)
-        return dirs, wts
+        theta = 2.0 * math.pi * np.arange(count) / count
+        return np.stack([np.cos(theta), np.sin(theta)], axis=-1), np.full(count, 2.0 * math.pi / count)
     # dim == 3: polar count from the total budget, azimuthal twice that.
     n_pol = max(2, int(round(math.sqrt(count / 2.0))))
     n_azi = 2 * n_pol
     t, wt = gauss_legendre(n_pol)  # t = cos(theta)
     phi = 2.0 * math.pi * np.arange(n_azi) / n_azi
     st = np.sqrt(1.0 - t**2)
-    dirs = np.stack(
-        [
-            np.outer(st, np.cos(phi)).ravel(),
-            np.outer(st, np.sin(phi)).ravel(),
-            np.outer(t, np.ones(n_azi)).ravel(),
-        ],
-        axis=-1,
-    )
+    dirs = np.stack([np.outer(st, np.cos(phi)).ravel(), np.outer(st, np.sin(phi)).ravel(),
+                     np.repeat(t, n_azi)], axis=-1)
     wts = np.outer(wt, np.full(n_azi, 2.0 * math.pi / n_azi)).ravel()
     return dirs, wts
 
@@ -347,8 +338,5 @@ def tensor_grid(d: Domain, nodes_per_axis: int) -> TensorGrid:
         axes_w.append(half * wi)
     mesh = np.meshgrid(*axes_x, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*axes_w, indexing="ij")
-    weights = np.ones(points.shape[0])
-    for wm in wmesh:
-        weights = weights * wm.ravel()
+    weights = np.prod([wm.ravel() for wm in np.meshgrid(*axes_w, indexing="ij")], axis=0)
     return TensorGrid(d, n, points, weights)

@@ -225,8 +225,13 @@ def config_from_dict(raw: dict) -> SweepConfig:
     if "domain" not in raw:
         raise ConfigurationError("config missing required key: 'domain'")
     dom = _domain_from_dict(raw["domain"])
-    quad = _section(raw.get("quadrature", {}), [f.name for f in fields(QuadratureSpec)],
-                    "quadrature")
+    quad = _section(raw.get("quadrature", {}), _COUNTS, "quadrature")
+    kind = raw.get("kind", _FILE_DEFAULTS["kind"])
+    counts = _PLANS[kind][2] if kind in SWEEP_KINDS else _COUNTS  # SweepConfig refuses a bad kind
+    unread = [k for k in quad if k not in counts]
+    if unread:
+        raise ConfigurationError(f"a {kind} sweep does not read quadrature key(s) {unread}; "
+                                 f"its quadrature keys are {list(counts)}")
     values = {**_FILE_DEFAULTS, **raw, "domain": dom,
               "quadrature": replace(default_spec(dom.dimension), **quad)}
     return SweepConfig(**{_FIELD_NAMES.get(key, key): value for key, value in values.items()})
@@ -315,7 +320,8 @@ def _metadata(cfg: SweepConfig, node_counts: list[int]) -> dict:
     reproduces the sweep."""
     config = {key: getattr(cfg, _FIELD_NAMES.get(key, key))
               for key in _COMMON_KEYS + _PLANS[cfg.kind][1]}
-    config.update(domain=_domain_to_dict(cfg.domain), quadrature=asdict(cfg.spec))
+    config.update(domain=_domain_to_dict(cfg.domain),
+                  quadrature={k: getattr(cfg.spec, k) for k in _PLANS[cfg.kind][2]})
     return {
         "config": {k: list(v) if isinstance(v, tuple) else v for k, v in config.items()},
         "version": __version__,
@@ -456,14 +462,15 @@ def _plan_operator(cfg: SweepConfig, u, A) -> _Plan:
                  lambda s, v: v, 0.0, _one_minus, node_counts=[])
 
 
-# Each sweep kind's plan and the optional config keys it reads.
+# Each sweep kind's plan, and the optional config keys and quadrature counts it reads.
+_COUNTS = tuple(f.name for f in fields(QuadratureSpec))
 _PLANS = {
-    "bbm-domain": (_plan_bbm, ("s_list",)),
-    "bbm-fullspace": (_plan_bbm, ("s_list",)),
-    "mollifier": (_plan_mollifier, ("family", "delta")),
-    "lemma-translation": (_plan_translation, ("h_list", "direction")),
-    "lemma-uniform": (_plan_bbm, ("s_list",)),
-    "operator-limit": (_plan_operator, ("s_list", "point")),
+    "bbm-domain": (_plan_bbm, ("s_list",), _COUNTS),
+    "bbm-fullspace": (_plan_bbm, ("s_list",), _COUNTS),
+    "mollifier": (_plan_mollifier, ("family", "delta"), _COUNTS),
+    "lemma-translation": (_plan_translation, ("h_list", "direction"), ("outer_nodes",)),
+    "lemma-uniform": (_plan_bbm, ("s_list",), _COUNTS),
+    "operator-limit": (_plan_operator, ("s_list", "point"), ("angular_nodes",)),
 }
 SWEEP_KINDS = tuple(_PLANS)
 

@@ -5,11 +5,11 @@ The fractional operator is evaluated as a principal value: each direction
 omega is paired with its antipode, so the ray integrand
 h(r, omega) = (2u(x) - Phi(x, x+r omega) u(x+r omega) - Phi(x, x-r omega) u(x-r omega)) / r^2
 is smooth at r = 0, and the principal value is C(N, s)/2 times the
-integral of h r^(1-2s) over the sphere and over r in [0, inf).  Along each
-ray, the first panel [0, 6] takes the quadrature's product rule, which
-integrates r^(1-2s) exactly; three Gauss-Legendre panels, growing
-geometrically, reach the far radius 40; beyond it an analytic tail uses the
-field's decay.  h is even in omega, so the directions are the antipodal
+integral of h r^(1-2s) over the sphere and over r in [0, inf).  Each ray
+takes quadrature.ray_rule: a product-rule panel [0, 6], which integrates
+r^(1-2s) exactly, then three Gauss-Legendre panels, growing geometrically,
+to the far radius 40; beyond it an analytic tail uses the field's decay.
+h is even in omega, so the directions are the antipodal
 half of the sphere rule (geometry.antipodal_half): each ray point is
 evaluated once, and an odd-count 2D rule, which has no such half, is
 taken whole.
@@ -30,7 +30,7 @@ from .constants import check_fractional_order, check_s_list, fractional_constant
 from .errors import ConfigurationError, IntegrationError, check_coordinates
 from .fields import ScalarField, VectorPotential, magnetic_difference, require_dimension
 from .geometry import antipodal_half
-from .quadrature import QuadratureSpec, _refuse_nan, check_spec, product_rule
+from .quadrature import QuadratureSpec, _refuse_nan, check_spec, ray_rule
 
 __all__ = [
     "OperatorSample",
@@ -42,15 +42,11 @@ __all__ = [
 # Length that scales the panels, the far radius and the decay probes; the
 # corpus problems live on domains of diameter 2.
 _REF_LENGTH = 2.0
-_FAR_FACTOR = 20.0
 _DECAY_TOL = 1e-10
-# The ray: a product-rule panel [0, _NEAR_FACTOR * _REF_LENGTH] of
-# _NEAR_NODES nodes, then _FAR_PANELS geometric Gauss-Legendre panels of
-# _PANEL_NODES nodes each out to the far radius.
-_NEAR_FACTOR = 3.0
-_NEAR_NODES = 32
-_FAR_PANELS = 3
-_PANEL_NODES = 16
+# The ray's panel edges and node counts: the product-rule panel [0, 3 _REF_LENGTH],
+# then three geometric panels out to the far radius 20 _REF_LENGTH, the last edge.
+_RAY_EDGES = (0.0, *(3.0 * _REF_LENGTH * (20.0 / 3.0) ** (np.arange(4) / 3)).tolist())
+_RAY_NODES = (32, 16, 16, 16)
 
 
 def local_magnetic_apply(u: ScalarField, A: VectorPotential, x) -> complex:
@@ -73,19 +69,6 @@ def local_magnetic_apply(u: ScalarField, A: VectorPotential, x) -> complex:
     )
 
 
-def _ray_rule(s_vals: Sequence[float], r_far: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Radii along a ray and, per s, the weights that integrate
-    h(r) r^(1-2s) over [0, r_far] for a smooth h."""
-    near = _NEAR_FACTOR * _REF_LENGTH
-    edges = near * (r_far / near) ** (np.arange(_FAR_PANELS + 1) / _FAR_PANELS)
-    tau, w = product_rule(_PANEL_NODES, 0.0)
-    far = (edges[:-1, None] + np.diff(edges)[:, None] * tau).ravel()
-    far_w = (np.diff(edges)[:, None] * w).ravel()
-    radii = np.concatenate((near * product_rule(_NEAR_NODES, 0.0)[0], far))
-    return radii, [np.concatenate((near ** (2.0 - 2.0 * s) * product_rule(_NEAR_NODES, 1.0 - 2.0 * s)[1],
-                                   far_w * far ** (1.0 - 2.0 * s))) for s in s_vals]
-
-
 def _fractional_values(
     u: ScalarField,
     A: VectorPotential,
@@ -97,7 +80,7 @@ def _fractional_values(
     evaluation of the ray integrand for all: s enters only the ray weights
     and closed forms."""
     n = u.dim
-    r_far = _FAR_FACTOR * _REF_LENGTH
+    r_far = _RAY_EDGES[-1]
     dirs, wdir = antipodal_half(n, check_spec(spec).angular_nodes)
 
     probes = [x[None, :]]
@@ -106,7 +89,8 @@ def _fractional_values(
         probes.append(x[None, :] - scale * _REF_LENGTH * np.eye(n))
     u_scale = max(float(np.max(np.abs(u.value(np.vstack(probes))))), 1e-300)
 
-    radii, weights = _ray_rule(s_vals, r_far)
+    rules = [ray_rule(_RAY_EDGES, _RAY_NODES, 1.0 - 2.0 * s) for s in s_vals]
+    radii = rules[0][0]
     # the ray nodes, then the far rim, along omega and -omega: (2, M, K + 1, N)
     step = dirs[:, None, :] * np.append(radii, r_far)[:, None]
     y = x + np.stack((step, -step))
@@ -127,8 +111,8 @@ def _fractional_values(
     far_sum = 0.5 * complex(wdir @ (far_diff[0] + far_diff[1]))
     ray = 0.5 * (wdir @ ((diffs[0, :, :-1] + diffs[1, :, :-1]) / radii**2))
     # one dot product per s, so a value does not depend on the rest of the list
-    return [fractional_constant(n, s) * (complex(ray @ row) + far_sum * r_far ** (-2.0 * s) / (2.0 * s))
-            for s, row in zip(s_vals, weights)]
+    return [fractional_constant(n, s) * (complex(ray @ w) + far_sum * r_far ** (-2.0 * s) / (2.0 * s))
+            for s, (_, w) in zip(s_vals, rules)]
 
 
 def fractional_magnetic_apply(

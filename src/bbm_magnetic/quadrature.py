@@ -9,7 +9,9 @@ One product-integration rule (Sloan and Smith, SIAM J. Numer. Anal. 19,
 1982) integrates it: the same Gauss-Legendre nodes tau_k on every ray, and
 weights that integrate the singular factor tau^(1-2s) exactly against the
 interpolant of g.  Nothing is cut off, and nothing is restored by a Taylor
-term, so the rule stays accurate as s -> 1 and needs no gradient.
+term, so the rule stays accurate as s -> 1 and needs no gradient.  It is
+ray_rule's one-panel case; the operator takes its composite case (Atkinson,
+The Numerical Solution of Integral Equations of the Second Kind, CUP 1997).
 
 Only the weights depend on s (or on the mollifier kernel); the integrand
 and the nodes do not.  So the engine takes a batch of members, each a ray
@@ -68,6 +70,7 @@ __all__ = [
     "check_spec",
     "pairwise_sum",
     "product_rule",
+    "ray_rule",
     "double_integral_singular",
     "radial_angular",
     "radial_integral",
@@ -183,6 +186,19 @@ def product_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return tau, weights
 
 
+def ray_rule(edges: Sequence[float], nodes: Sequence[int], beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Radii and weights of int_0^edges[-1] F(r) r^beta dr, F smooth and
+    edges[0] = 0: product_rule on [0, edges[1]], exact in r^beta, then
+    Gauss-Legendre on F r^beta on each later panel; panel i has nodes[i]
+    nodes.  ray_rule((0.0, 1.0), (n,), beta) is product_rule(n, beta)."""
+    radii, weights = [], []
+    for i, (lo, hi, n) in enumerate(zip(edges, edges[1:], nodes)):
+        tau, w = product_rule(n, 0.0 if i else beta)
+        radii.append(lo + (hi - lo) * tau)
+        weights.append((hi - lo) * w * radii[-1] ** beta if i else (hi - lo) ** (beta + 1.0) * w)
+    return np.concatenate(radii), np.concatenate(weights)
+
+
 def _fine_rule(beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of int_0^1 F(tau) tau^beta dtau for a smooth F, on
     the fine rule: with tau = t^q, that is q int_0^1 F(t^q) t^(q(beta+1)-1) dt,
@@ -211,14 +227,22 @@ def _refuse_nan(values: np.ndarray, points: np.ndarray) -> None:
         raise IntegrationError(f"integrand produced NaN at y={bad.tolist()}")
 
 
-def _refuse_nan_kernel(sums: np.ndarray, kernel, radii: np.ndarray) -> None:
-    """Raise IntegrationError if a kernel member's ray sums hold a NaN,
-    naming the first radius at which its kernel is not finite; the kernel
-    values are searched only then, so finite sums cost one pass over P."""
-    if np.isnan(sums).any():
-        bad = np.argwhere(~np.isfinite(np.broadcast_to(kernel, radii.shape)))
-        where = f" at r={float(radii[tuple(bad[0])])!r}" if bad.size else ""
-        raise IntegrationError(f"mollifier kernel sum is NaN{where}")
+def _check_kernel(sums: np.ndarray, kernel, radii: np.ndarray) -> None:
+    """Raise IntegrationError if a kernel member's ray sums are NaN or
+    infinite, naming the first radius at which its kernel is not finite, and
+    ConfigurationError if the kernel is negative, naming the first such
+    radius; the kernel values are searched only then, so finite sums of a
+    nonnegative kernel cost one pass over P and one over the kernel."""
+    finite = np.isfinite(sums).all()
+    if not finite or np.min(kernel) < 0.0:
+        kernel = np.broadcast_to(kernel, radii.shape)
+        bad = np.argwhere(kernel < 0.0 if finite else ~np.isfinite(kernel))
+        bad = tuple(bad[0]) if bad.size else None
+        where = "" if bad is None else f" at r={float(radii[bad])!r}"
+        if not finite:
+            what = "NaN" if np.isnan(sums).any() else "infinite"
+            raise IntegrationError(f"mollifier kernel sum is {what}{where}")
+        raise ConfigurationError(f"mollifier kernel must be nonnegative, got {kernel[bad]:g}{where}")
 
 
 def radial_integral(fn: Callable, lo: float, hi: float, beta: float = 0.0) -> float:
@@ -263,8 +287,8 @@ def radial_angular(
     A kernel member's ray integral is v @ (h(radii) * G): radii and G are
     the (_FINE_NODES, P) planes of the fine radii R tau_j and of g at them,
     computed once per block and shared by every kernel member, and v is its
-    fine rule's weight row.  A NaN in those sums raises IntegrationError
-    naming the radius.
+    fine rule's weight row.  A NaN or infinite sum raises IntegrationError,
+    and a negative kernel value ConfigurationError, naming the radius.
 
     The points given to pair_fn, and the radii given to the members, are
     views into this call's workspace: pair_fn and h must not write into
@@ -318,7 +342,7 @@ def radial_angular(
                 kernel = h(radii)  # may be radii itself, so it is only read
                 np.multiply(kernel, fine_vals, out=product)
                 np.matmul(rule, product, out=out)
-                _refuse_nan_kernel(out, kernel, radii)
+                _check_kernel(out, kernel, radii)
             out *= Rb ** (beta - 1.0)
     return [member_sums.reshape(-1, n_dirs) for member_sums in sums], R.size * nodes
 

@@ -77,6 +77,26 @@ def spectral_fractional_gaussian(s, x, xi_max=40.0, nodes=800):
     return float(np.dot(wq, vals)) / math.sqrt(math.pi)
 
 
+def landau_fractional_gaussian_2d(s, x, a, radius=30.0, radial=300, angular=256):
+    """(-Delta)^s_A of exp(-|y|^2) at x in 2D, for a linear antisymmetric
+    potential A with a = A(x).  The midpoint phase at x is then
+    e^{i (x-y).a} and x.a = 0, so the operator is the classical fractional
+    Laplacian of e^{-i y.a} exp(-|y|^2), whose Fourier transform is a
+    shifted Gaussian: (2pi)^-2 int |eta - a|^(2s) pi e^(-|eta|^2/4)
+    e^(i eta.x) d eta.  The integral is taken in polar coordinates about a,
+    with rho = radius t^2 on Gauss-Legendre nodes in t and the trapezoid
+    rule in angle."""
+    t, w = np.polynomial.legendre.leggauss(radial)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    rho = radius * t**2
+    theta = 2.0 * math.pi * np.arange(angular) / angular
+    eta = np.asarray(a, dtype=float) + rho[:, None, None] * np.stack((np.cos(theta), np.sin(theta)), -1)
+    ring = np.exp(-np.sum(eta * eta, -1) / 4.0 + 1j * (eta @ np.asarray(x, dtype=float))).mean(1)
+    # d eta = rho d rho d theta and d rho = 2 radius t dt; the angle mean is
+    # the theta integral over 2 pi, so the factors are (2 pi)^-2 pi 2 pi = 1/2
+    return 0.5 * complex((2.0 * radius * t * w * rho ** (2.0 * s + 1.0)) @ ring)
+
+
 def gauss1d_energy_closed_form():
     """int_{-1}^{1} 4 x^2 e^{-2x^2} dx in closed form."""
     return -2.0 * math.exp(-2.0) + math.sqrt(math.pi / 2.0) * math.erf(math.sqrt(2.0))

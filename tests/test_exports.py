@@ -30,7 +30,7 @@ def test_removed_duplicate_state_is_gone():
     from dataclasses import fields
 
     from bbm_magnetic import (constants, corpus, fields as fields_module, functionals, geometry,
-                              harness, quadrature)
+                              harness, operator, quadrature)
 
     for module, name in ((bbm_magnetic, "FunctionalValue"), (functionals, "FunctionalValue"),
                          (fields_module, "COMPACT"), (fields_module, "UNRESTRICTED"),
@@ -49,7 +49,11 @@ def test_removed_duplicate_state_is_gone():
                          (bbm_magnetic, "DimensionalConstants"),
                          (bbm_magnetic, "dimensional_constants"),
                          (quadrature, "double_integrals_singular"),
-                         (bbm_magnetic, "double_integrals_singular")):
+                         (bbm_magnetic, "double_integrals_singular"),
+                         # the operator's own ray rule, now quadrature.ray_rule's composite case
+                         (operator, "_ray_rule"), (operator, "_NEAR_FACTOR"),
+                         (operator, "_NEAR_NODES"), (operator, "_FAR_PANELS"),
+                         (operator, "_PANEL_NODES"), (operator, "_FAR_FACTOR")):
         assert not hasattr(module, name), name
     assert not {"eps", "near_field"} & {f.name for f in fields(bbm_magnetic.QuadratureSpec)}
     assert not {"near_moment", "fn"} & {f.name for f in fields(bbm_magnetic.RadialMollifier)}

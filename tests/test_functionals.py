@@ -428,14 +428,23 @@ def test_mollifier_rejects_negative_kernel():
         mollified_functional(u, A, D1, rho, SPEC1)
 
 
-def test_a_kernel_negative_beyond_its_support_radius_is_refused(monkeypatch):
+def test_a_kernel_negative_beyond_its_support_radius_is_refused():
     # the rays of (-1, 1) reach r = 2, past the support radius 1.5 up to
     # which the kernel was sampled: it was integrated, to 1.1508
-    monkeypatch.setattr(quadrature, "radial_angular", _no_compute)
     rho = RadialMollifier(1, lambda r: np.where(r > 1.6, -1.0, 1.0), 1.5, 1.0)
     u, A = resolve_field("gauss1d"), resolve_potential("zero", 1)
     with pytest.raises(ConfigurationError, match="mollifier kernel must be nonnegative"):
         mollified_functional(u, A, D1, rho, SPEC1)
+
+
+def test_a_kernel_negative_between_the_sign_probes_is_refused():
+    # a dip of width 0.025 fell between the 64 points that the sign was
+    # sampled at: the functional read -0.1870, with no error
+    rho = RadialMollifier(1, lambda r: np.where((r > 0.51) & (r < 0.535), -50.0, 1.0), 1.0, 1.0)
+    u, A = resolve_field("gauss1d"), resolve_potential("zero", 1)
+    with pytest.raises(ConfigurationError,
+                       match=r"mollifier kernel must be nonnegative, got -50 at r=0\.5[123]"):
+        mollified_functional(u, A, D1, rho, default_spec(1))
 
 
 def test_a_nan_kernel_value_is_refused():
@@ -447,6 +456,14 @@ def test_a_nan_kernel_value_is_refused():
                                                SPEC1)):
         with pytest.raises(IntegrationError, match=r"mollifier kernel sum is NaN at r=1\.7"):
             call()
+
+
+def test_an_infinite_kernel_value_is_refused():
+    # the infinite sums were kept: the functional read inf, its estimate nan
+    rho = RadialMollifier(1, lambda r: np.where(r > 1.7, np.inf, 1.0), 1.5, 1.0)
+    u, A = resolve_field("gauss1d"), resolve_potential("zero", 1)
+    with pytest.raises(IntegrationError, match=r"mollifier kernel sum is infinite at r=1\.7"):
+        mollified_functional(u, A, D1, rho, default_spec(1))
 
 
 def test_smoothstep_cutoff_gives_the_closed_formula_bits():
@@ -465,6 +482,14 @@ def test_smoothstep_cutoff_gives_the_closed_formula_bits():
         got = smoothstep_cutoff(float(x), r_domain)
         assert np.ndim(got) == 0 and isinstance(got, float)
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_smoothstep_cutoff_is_nonnegative_just_below_its_outer_radius():
+    # the polynomial rounds below 0 there, to -1.55e-15 at r_domain = 1, so
+    # the engine's sign check would refuse a bbm kernel whose rays reach it
+    for r_domain in (1.0, 2.0, 2.0 * math.sqrt(2.0)):
+        r = np.linspace(np.nextafter(2.0 * r_domain, 0.0) - 1e-10 * r_domain, 2.0 * r_domain, 200_000)
+        assert smoothstep_cutoff(r, r_domain).min() >= 0.0
 
 
 def test_a_kernel_singular_beyond_the_dimension_is_refused():

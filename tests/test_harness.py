@@ -289,6 +289,36 @@ _OPTIONAL_VALUES = {"s_list": [0.5, 0.9], "family": {"kind": "gaussian"},
                     "h_list": [0.1, 0.05], "direction": [1.0], "point": [0.0], "delta": 0.2}
 _REFUSED = [(kind, key) for kind, reads in _READS.items() for key in _OPTIONAL_VALUES
             if key not in reads]
+# The quadrature counts each kind reads, at small 1D values; the other kinds
+# read all three.
+_COUNTS = {"outer_nodes": 24, "angular_nodes": 2, "radial_nodes": 4}
+_COUNT_READS = {"lemma-translation": {"outer_nodes"}, "operator-limit": {"angular_nodes"}}
+
+
+def _counts_read(kind):
+    return {k: v for k, v in _COUNTS.items() if k in _COUNT_READS.get(kind, _COUNTS)}
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+@pytest.mark.parametrize("count", list(_COUNTS))
+def test_a_quadrature_count_its_kind_does_not_read_is_refused_before_compute(
+        monkeypatch, capsys, tmp_path, kind, count):
+    # an operator-limit sweep with outer_nodes 3 and radial_nodes 1, and a
+    # lemma-translation sweep with radial_nodes 1, wrote the default CSV
+    monkeypatch.setattr(cli, "run_sweep", _no_compute)
+    raw = {**_GOOD, "kind": kind, "quadrature": {count: _COUNTS[count]}}
+    if count in _counts_read(kind):
+        assert getattr(config_from_dict(raw).spec, count) == _COUNTS[count]
+        return
+    message = (f"a {kind} sweep does not read quadrature key(s) ['{count}']; "
+               f"its quadrature keys are {list(_COUNT_READS[kind])}")
+    with pytest.raises(ConfigurationError) as refused:
+        config_from_dict(raw)
+    assert str(refused.value) == message
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 @pytest.mark.parametrize("kind,key", _REFUSED)
@@ -329,11 +359,12 @@ def test_report_config_echo_loads_as_the_config_that_ran(kind):
     # every kind echoed all eleven config keys, the ones it never read too
     domain = {"kind": "interval", "center": [0.3], "extents": [1.5]}
     raw = {"kind": kind, "potential": "linear:alpha=1", "domain": domain,
-           "quadrature": {"outer_nodes": 24, "radial_nodes": 4}, **_ECHO_CONFIGS[kind]}
+           "quadrature": _counts_read(kind), **_ECHO_CONFIGS[kind]}
     cfg = config_from_dict(raw)
     report = render_report(run_sweep(cfg), "json")
     echo = json.loads(report)["metadata"]["config"]
     assert set(echo) == _COMMON_KEYS | _READS[kind]
+    assert echo["quadrature"] == _counts_read(kind)
     assert echo["domain"] == domain
     assert config_from_dict(echo) == cfg
     assert render_report(run_sweep(config_from_dict(echo)), "json") == report
@@ -977,7 +1008,7 @@ def test_sweeps_call_no_lapack_routine(monkeypatch, kind):
                "quadrature": {"outer_nodes": 6, "angular_nodes": 32, "radial_nodes": 8}}
     else:
         raw = {"kind": kind, "potential": "linear:alpha=1", "domain": _INTERVAL,
-               "quadrature": {"outer_nodes": 24, "radial_nodes": 4}, **_ECHO_CONFIGS[kind]}
+               "quadrature": _counts_read(kind), **_ECHO_CONFIGS[kind]}
     rep = run_sweep(config_from_dict(raw))
     assert not any(r.failed for r in rep.rows)
     assert math.isfinite(rep.extrapolated_limit)

@@ -13,9 +13,10 @@ from bbm_magnetic.operator import (
     local_magnetic_apply,
     operator_limit_scan,
 )
-from bbm_magnetic.quadrature import QuadratureSpec
+from bbm_magnetic.harness import default_spec
+from bbm_magnetic.quadrature import QuadratureSpec, ray_rule
 
-from .oracles import spectral_fractional_gaussian
+from .oracles import landau_fractional_gaussian_2d, spectral_fractional_gaussian
 
 SPEC = QuadratureSpec(outer_nodes=1, angular_nodes=2, radial_nodes=10)
 SPEC_2D = QuadratureSpec(outer_nodes=1, angular_nodes=16, radial_nodes=6)
@@ -260,14 +261,25 @@ def test_principal_value_matches_the_spectral_oracle_as_s_nears_one(x):
 def test_the_ray_rule_integrates_the_singular_power_exactly():
     # h(r) = 1 integrates to r_far^(2-2s) / (2-2s) over [0, r_far]; a
     # polynomial of degree below the panel node counts is exact too
-    r_far = operator._FAR_FACTOR * operator._REF_LENGTH
-    s_vals = [0.3, 0.9, 0.999]
-    radii, weights = operator._ray_rule(s_vals, r_far)
-    assert radii.size == operator._NEAR_NODES + operator._FAR_PANELS * operator._PANEL_NODES
-    for s, row in zip(s_vals, weights):
+    r_far = operator._RAY_EDGES[-1]
+    for s in [0.3, 0.9, 0.999]:
+        radii, row = ray_rule(operator._RAY_EDGES, operator._RAY_NODES, 1.0 - 2.0 * s)
+        assert radii.size == sum(operator._RAY_NODES)
         exact = r_far ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
         assert_allclose(row @ np.ones_like(radii), exact, rtol=1e-12)
         assert_allclose(row @ radii**2, r_far ** (4.0 - 2.0 * s) / (4.0 - 2.0 * s), rtol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1.0, 4.0])
+@pytest.mark.parametrize("x", [(0.4, -0.3), (1.0, 0.5)])
+def test_the_2d_landau_operator_matches_its_fourier_reference(beta, x):
+    # away from x = 0, where A vanishes and the field has no effect; the
+    # reference agrees with itself at 500 x 384 nodes to about 1e-13
+    a = (-0.5 * beta * x[1], 0.5 * beta * x[0])  # landau:beta at x, in the symmetric gauge
+    u, A = resolve_field("gauss2d"), resolve_potential(f"landau:beta={beta:g}", 2)
+    for s in (0.3, 0.6, 0.9, 0.99):
+        ref = landau_fractional_gaussian_2d(s, x, a)
+        assert abs(fractional_magnetic_apply(u, A, x, s, default_spec(2)) - ref) <= 1e-9 * abs(ref)
 
 
 def test_nan_on_the_annulus_raises():
@@ -319,5 +331,5 @@ def test_the_operator_evaluates_each_ray_point_once(angular):
                               [0.1, -0.2], 0.8, spec)
     ray = max(calls, key=len)
     assert len(np.unique(ray, axis=0)) == len(ray)
-    per_ray = operator._NEAR_NODES + operator._FAR_PANELS * operator._PANEL_NODES + 1  # + rim
+    per_ray = sum(operator._RAY_NODES) + 1  # + rim
     assert len(ray) == 2 * (angular if angular % 2 else angular // 2) * per_ray

@@ -30,6 +30,7 @@ from bbm_magnetic.quadrature import (
     pairwise_sum,
     product_rule,
     radial_angular,
+    ray_rule,
     tail_integral,
     two_level,
 )
@@ -163,6 +164,33 @@ def test_product_weights_integrate_every_power_below_the_node_count_exactly(s, n
         assert abs(w @ tau**j - 1.0 / (beta + j + 1.0)) <= 1e-13 * np.abs(w).sum()
     # beta = 0 is plain Gauss-Legendre on [0, 1]
     assert np.array_equal(product_rule(nodes, 0.0)[1], 0.5 * gauss_legendre(nodes)[1])
+
+
+@pytest.mark.parametrize("beta", [-0.998, -0.5, 0.0, 0.4, 1.0, 2.5])
+@pytest.mark.parametrize("nodes", [1, 4, 16, 64])
+def test_a_one_panel_ray_rule_is_the_product_rule_bit_for_bit(beta, nodes):
+    # the engine's power weights are the builder's one-panel case
+    radii, weights = ray_rule((0.0, 1.0), (nodes,), beta)
+    tau, w = product_rule(nodes, beta)
+    assert radii.tobytes() == tau.tobytes() and weights.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("beta", [-0.6, 0.0, 0.4, 1.0, 2.0])
+def test_a_panel_ray_rule_integrates_each_panels_polynomials_exactly(beta):
+    # int r^(beta + j) over panel i, for j below its node count: exact on the
+    # product-rule panel for any beta, and on the Gauss-Legendre panels,
+    # which take F r^beta as one function, for an integer beta
+    edges, nodes = (0.0, 0.7, 1.5, 4.0), (5, 3, 4)
+    radii, weights = ray_rule(edges, nodes, beta)
+    ends = np.cumsum((0, *nodes))
+    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        if i and beta != round(beta):
+            continue
+        r, w = radii[ends[i]:ends[i + 1]], weights[ends[i]:ends[i + 1]]
+        assert np.all((lo < r) & (r < hi))
+        for j in range(nodes[i]):
+            exact = (hi ** (beta + j + 1.0) - lo ** (beta + j + 1.0)) / (beta + j + 1.0)
+            assert abs(w @ r**j - exact) <= 1e-14 * np.abs(w) @ r**j
 
 
 @pytest.mark.parametrize("nodes", [*range(1, 9), 12, 14, 16, 24, 32, 62, 64, 80, 96, 160])
