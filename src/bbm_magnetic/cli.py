@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from functools import cache
 
 import numpy as np
 
@@ -112,6 +113,7 @@ def _cmd_mollifier_check(args) -> int:
     return 0
 
 
+@cache  # parse_args leaves the parser as it was, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="bbm-magnetic",

@@ -517,7 +517,8 @@ def render_report(r: SweepReport, fmt: str) -> str:
         lines += [",".join(repr(getattr(row, c)) for c in _CSV_COLUMNS) for row in r.rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps(asdict(r), indent=2, sort_keys=True) + "\n"
+        rows = [vars(row) for row in r.rows]  # asdict's deep copies are not needed
+        return json.dumps(dict(vars(r), rows=rows), indent=2, sort_keys=True) + "\n"
     raise ConfigurationError(f"unknown report format {fmt!r}; known: {REPORT_FORMATS}")
 
 

@@ -39,7 +39,9 @@ it.  So a pass touches the same pages from block to block instead of
 freeing and faulting in new ones, and the points handed to the integrand
 (and through it to fields and potentials) are views that the next block
 overwrites: no closure may keep them after it returns.  The workspace
-belongs to one call, so concurrent calls never share it.
+belongs to one call, so concurrent calls never share it.  The seminorm and
+mollifier integrand, fields.magnetic_difference_sq, takes one tangent per
+point, in place of the phase's cosine and sine.
 
 The seminorm and mollifier integrands are symmetric, f(x, y) = f(y, x), and
 so is the kernel, so the ray along omega from x covers the same pairs as the
@@ -240,18 +242,24 @@ def _check_kernel(sums: np.ndarray, kernel, radii: np.ndarray) -> None:
         bad = tuple(bad[0]) if bad.size else None
         where = "" if bad is None else f" at r={float(radii[bad])!r}"
         if not finite:
-            what = "NaN" if np.isnan(sums).any() else "infinite"
-            raise IntegrationError(f"mollifier kernel sum is {what}{where}")
+            nan = np.isnan(sums if bad is None else kernel[bad]).any()
+            raise IntegrationError(f"mollifier kernel sum is {'NaN' if nan else 'infinite'}{where}")
         raise ConfigurationError(f"mollifier kernel must be nonnegative, got {kernel[bad]:g}{where}")
 
 
 def radial_integral(fn: Callable, lo: float, hi: float, beta: float = 0.0) -> float:
     """int_lo^hi fn(r) (r - lo)^beta dr on the fine rule, graded toward lo;
-    fn must be smooth on [lo, hi]."""
+    fn, a kernel's ray density, must be smooth on [lo, hi] and is checked
+    as the engine checks a kernel (_check_kernel)."""
     if hi <= lo:
         return 0.0
     tau, v = _fine_rule(beta)
-    return float((hi - lo) ** (beta + 1.0) * (v @ fn(lo + (hi - lo) * tau)))
+    radii = lo + (hi - lo) * tau
+    kernel = fn(radii)
+    with np.errstate(invalid="ignore"):  # an infinite value: a NaN sum, refused below
+        value = (hi - lo) ** (beta + 1.0) * (v @ kernel)
+    _check_kernel(value, kernel, radii)
+    return float(value)
 
 
 # A batch member: the ray density r^beta * h(r) that g(r) = f(x, x + r omega) / r^2
@@ -327,7 +335,7 @@ def radial_angular(
         for j in range(n_dim):
             np.multiply(tau[:, None], Rb * dirs[mi, j], out=Y[j])
             Y[j] += xs[j]
-        x, y = np.moveaxis(xs, 0, -1)[None], np.moveaxis(Y, 0, -1)
+        x, y = xs.T[None], Y.transpose(1, 2, 0)  # (1, P, N) and (K, P, N) views
         vals = pair_fn(x, y)
         _refuse_nan(vals.T, y.swapaxes(0, 1))
         if fine:
@@ -340,8 +348,9 @@ def radial_angular(
                 np.matmul(rule, vals, out=out)
             else:
                 kernel = h(radii)  # may be radii itself, so it is only read
-                np.multiply(kernel, fine_vals, out=product)
-                np.matmul(rule, product, out=out)
+                with np.errstate(invalid="ignore"):  # an infinite kernel: NaN sums, refused below
+                    np.multiply(kernel, fine_vals, out=product)
+                    np.matmul(rule, product, out=out)
                 _check_kernel(out, kernel, radii)
             out *= Rb ** (beta - 1.0)
     return [member_sums.reshape(-1, n_dirs) for member_sums in sums], R.size * nodes

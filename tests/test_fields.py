@@ -14,6 +14,7 @@ from bbm_magnetic.fields import (
     VectorPotential,
     gauge_transform,
     magnetic_difference,
+    magnetic_difference_sq,
     magnetic_gradient,
     midpoint_phase,
     modulus_field,
@@ -344,6 +345,69 @@ def test_magnetic_difference_is_gauge_covariant_and_vanishes_on_the_diagonal():
                     rtol=0.0, atol=1e-13)
     assert np.all(magnetic_difference(u, A, x, x) == 0.0)
     assert_allclose(diff, u(x) - midpoint_phase(A, x, y) * u(y), rtol=0.0, atol=0.0)
+
+
+# Every corpus field with every potential of its dimension.
+_FIELD_POTENTIAL_PAIRS = (
+    [(f, p) for f in ("gauss1d", "bump1d", "modgauss1d:kappa=1") for p in POTENTIALS_1D]
+    + [(f, p) for f in ("gauss2d", "bump2d", "gauss3d", "bump3d") for p in ("zero", "landau:beta=1")]
+)
+
+
+def _distinct_pairs(dim, seed):
+    # Beyond [-1, 1] too, so the bumps' zero branch is exercised.
+    rng = np.random.default_rng(seed)
+    x, y = (-1.3 + 2.6 * rng.random((2000, dim)) for _ in range(2))
+    keep = np.linalg.norm(x - y, axis=-1) >= 1e-3
+    return x[keep], y[keep]
+
+
+@pytest.mark.parametrize("label,pot", _FIELD_POTENTIAL_PAIRS, ids=str)
+def test_magnetic_difference_sq_is_the_squared_magnetic_difference(label, pot):
+    u = resolve_field(label)
+    A = resolve_potential(pot, u.dim)
+    x, y = _distinct_pairs(u.dim, 17)
+    sq = magnetic_difference_sq(u, A, x, y)
+    ref = np.abs(magnetic_difference(u, A, x, y)) ** 2
+    # 1e-12 relative, but where the difference cancels (|u(x)| = |u(y)| under
+    # a pure gauge), both forms carry the rounding of the field values
+    scale = (np.abs(u(x)) + np.abs(u(y))) ** 2
+    assert np.all(np.abs(sq - ref) <= 1e-12 * ref + 1e-15 * scale)
+    assert np.all(magnetic_difference_sq(u, A, x, x) == 0.0)
+    # the engine integrates each pair along one direction only
+    assert_allclose(magnetic_difference_sq(u, A, y, x), sq, rtol=1e-14, atol=0.0)
+    g = GaugeFunction(np.linspace(0.7, -1.3, u.dim), 0.4)
+    ug, Ag = gauge_transform(u, A, g)
+    assert np.all(np.abs(magnetic_difference_sq(ug, Ag, x, y) - sq) <= 1e-12 * sq + 1e-15 * scale)
+    # the engine's layout: a (1, P, N) outer and a (K, P, N) inner view
+    outer, inner = x[None, :40], y[:200].reshape(5, 40, u.dim)
+    assert _same_bits(magnetic_difference_sq(u, A, _coordinate_major(outer), _coordinate_major(inner)),
+                      magnetic_difference_sq(u, A, outer, inner))
+    assert _same_bits(magnetic_difference_sq(u, A, x[0], y[0]), sq[0])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is double here")
+def test_magnetic_difference_sq_near_the_diagonal_against_long_double():
+    # modgauss1d under A = 3x at |x - y| from 1e-6 to 2, against the same
+    # formula in long double; the bounds are the complex form's errors,
+    # |u(x) - exp(i theta) u(y)|^2 with theta's cosine and sine, on these pairs
+    u, A = resolve_field("modgauss1d:kappa=1"), resolve_potential("linear:alpha=3", 1)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 1.0, 20_000)
+    y = x + np.exp(rng.uniform(np.log(1e-6), np.log(2.0), x.size)) * rng.choice([-1.0, 1.0], x.size)
+    xl, yl = x.astype(np.longdouble), y.astype(np.longdouble)
+
+    def ul(p):
+        return np.exp(1j * p.astype(np.clongdouble) - p * p)
+
+    theta = (xl - yl) * 3 * (xl + yl) / 2
+    ref = np.abs(ul(xl) - np.exp(1j * theta.astype(np.clongdouble)) * ul(yl)) ** 2
+    sq = magnetic_difference_sq(u, A, x[:, None], y[:, None])
+    err = (np.abs(sq - ref) / ref).astype(float)
+    assert np.median(err) <= 2.8e-14
+    assert np.quantile(err, 0.99) <= 1.1e-10
+    assert err.max() <= 5.4e-10
 
 
 # Each label's closures as the corpus wrote them when it had one factory

@@ -459,11 +459,40 @@ def test_a_nan_kernel_value_is_refused():
 
 
 def test_an_infinite_kernel_value_is_refused():
-    # the infinite sums were kept: the functional read inf, its estimate nan
+    # the infinite sums were kept: the functional read inf, its estimate nan;
+    # at SPEC1 inf - inf in the sums stopped on numpy's invalid-value warning
     rho = RadialMollifier(1, lambda r: np.where(r > 1.7, np.inf, 1.0), 1.5, 1.0)
     u, A = resolve_field("gauss1d"), resolve_potential("zero", 1)
-    with pytest.raises(IntegrationError, match=r"mollifier kernel sum is infinite at r=1\.7"):
-        mollified_functional(u, A, D1, rho, default_spec(1))
+    for spec in (default_spec(1), SPEC1):
+        with pytest.raises(IntegrationError, match=r"mollifier kernel sum is infinite at r=1\.7"):
+            mollified_functional(u, A, D1, rho, spec)
+
+
+def test_the_moment_report_checks_the_kernel_values_it_integrates():
+    # a negative kernel gave m0 = -1.0, and a non-finite one nan or inf
+    # moments, with no error
+    fam = MollifierFamily("custom", (RadialMollifier(1, lambda r: -np.ones_like(r), 1.0, 1.0),))
+    with pytest.raises(ConfigurationError,
+                       match=r"mollifier kernel must be nonnegative, got -1 at r=2\.4"):
+        check_mollifier(fam, 0.1)
+    for bad, what in ((np.inf, "infinite"), (np.nan, "NaN")):
+        rho = RadialMollifier(1, lambda r, _b=bad: np.where(r > 0.7, _b, 1.0), 1.0, 1.0)
+        with pytest.raises(IntegrationError, match=rf"mollifier kernel sum is {what} at r=0\.7"):
+            check_mollifier(MollifierFamily("custom", (rho,)), 0.1)
+
+
+def test_family_kernels_give_their_formulas_bits():
+    # the references are the written-out formulas, built with temporaries
+    r = np.random.default_rng(41).uniform(0.0, 3.0, (96, 50))
+    for member in gaussian_family([1, 3, 16], 2).members:
+        amp, width = 2.0 / (math.gamma(1.0) * (1.0 / member.param) ** 2), 1.0 / member.param
+        assert member.smooth(r).tobytes() == (amp * np.exp(-((r / width) ** 2))).tobytes()
+        assert member.smooth(0.5) == amp * np.exp(-((0.5 / width) ** 2))
+    # a plane within r_domain: the cutoff is 1 there, but NaN still propagates
+    inside = np.minimum(r, 2.0)
+    assert smoothstep_cutoff(inside, 2.0).tobytes() == np.ones_like(r).tobytes()
+    inside[3, 7] = np.nan
+    assert np.isnan(smoothstep_cutoff(inside, 2.0)).sum() == 1
 
 
 def test_smoothstep_cutoff_gives_the_closed_formula_bits():

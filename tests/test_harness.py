@@ -603,6 +603,14 @@ def test_json_round_trip_identity():
     assert render_report(back, "json") == blob
 
 
+def test_json_report_is_the_dataclass_dump():
+    # render_report reads the report's own dicts, which asdict deep-copied
+    rep = run_sweep(_cfg(kind="mollifier", family={"kind": "gaussian", "indices": [2, 4, 6, 8, 12]}))
+    assert rep.metadata["mollifier_checks"]
+    expected = json.dumps(dataclasses.asdict(rep), indent=2, sort_keys=True) + "\n"
+    assert render_report(rep, "json") == expected
+
+
 def test_emit_report_bytes_stable(tmp_path):
     cfg = _cfg(s_list=(0.8, 0.9, 0.95))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -643,6 +651,16 @@ def test_cli_constants_json():
     assert payload["c"] > 0.0
     # K_N and Q_N are |S^{N-1}| / (2N) and |S^{N-1}| / N to the last bit
     assert payload["K_N"] == payload["Q_N"] / 2 == payload["sphere_area"] / 2 / 2
+
+
+def test_one_cli_parser_serves_every_call(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # a flag given to one call is not left for the next
+    outs = []
+    for extra in (["--s", "0.9"], []):
+        assert cli.main(["constants", "--dim", "2", *extra]) == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    assert "s" in outs[0] and "s" not in outs[1]
 
 
 def test_cli_constants_bad_dim_exits_2():
