@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, check_text
 from .fields import ScalarField, VectorPotential
-from .geometry import box, check_dimension, interval
+from .geometry import box, check_dimension
 
 __all__ = ["resolve_field", "resolve_potential"]
 
@@ -61,7 +61,7 @@ def _bump(dim: int) -> ScalarField:
         derivative([0 * unit[0]], ()),
         derivative(list(unit), (dim,)),
         derivative([a + b for a in unit for b in unit], (dim, dim)),
-        support_domain=interval(-1.0, 1.0) if dim == 1 else box([0.0] * dim, [1.0] * dim),
+        support_domain=box([0.0] * dim, [1.0] * dim),
         support_margin=_BUMP_MARGIN,
         label=f"bump{dim}d",
     )

@@ -119,9 +119,9 @@ class Domain:
     """A bounded convex domain: interval, axis-aligned box, or ball.
 
     ``extents`` holds per-axis half-widths for intervals and boxes, and the
-    single radius for balls.  Two domains are equal when their kind, center
-    and extents are.
-    """
+    single radius for balls; a 1D box or ball is stored as its interval.  Two
+    domains are equal when their kind, center and extents are; in 1D, when
+    they are one set."""
 
     kind: str
     center: np.ndarray
@@ -145,6 +145,8 @@ class Domain:
             raise ConfigurationError("box extents must match the dimension")
         if not np.all(extents > 0.0):
             raise ConfigurationError("all extents must be strictly positive")
+        if n == 1:
+            object.__setattr__(self, "kind", "interval")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Domain):
@@ -165,7 +167,7 @@ class Domain:
         if self.kind == "ball":
             r = float(self.extents[0])
             n = self.dimension
-            return {1: 2.0 * r, 2: math.pi * r**2, 3: 4.0 * math.pi * r**3 / 3.0}[n]
+            return {2: math.pi * r**2, 3: 4.0 * math.pi * r**3 / 3.0}[n]
         return float(np.prod(2.0 * self.extents))
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +255,7 @@ def boundary_distances(d: Domain, X: np.ndarray, dirs: np.ndarray) -> np.ndarray
 def sphere_rule(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes and weights on S^{dim-1} as plain arrays.
 
-    dim=1: the two points {+1, -1}, weight 1 each.
+    dim=1: the two points {+1, -1}, weight 1 each; count must be 2.
     dim=2: uniform angles (trapezoid rule, spectrally accurate for periodic
     integrands), weight 2*pi/count.
     dim=3: product rule, Gauss-Legendre in cos(theta) times uniform azimuth.
@@ -269,6 +271,9 @@ def sphere_rule(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     if check_integer(count, "sphere rule count") < 1:
         raise ConfigurationError("sphere rule needs count >= 1")
     if dim == 1:
+        if count != 2:
+            raise ConfigurationError("quadrature angular_nodes must be 2 in 1D, the directions "
+                                     f"+1 and -1, got {count}")
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if dim == 2:
         theta = 2.0 * math.pi * np.arange(count) / count
@@ -306,7 +311,7 @@ class TensorGrid:
     sphere_rule(2, n) on a disk or sphere_rule(3, n*n // 4) on a 3D ball.
     Every node lies inside the domain, and the weights sum to its volume to
     rounding (on a 3D ball from n = 3, where two radii integrate r^2
-    exactly).  A 1D ball is an interval and gets the interval's rule.
+    exactly).  A 1D box or ball is an interval (see Domain) and gets its rule.
     """
 
     domain: Domain
@@ -321,7 +326,7 @@ def tensor_grid(d: Domain, nodes_per_axis: int) -> TensorGrid:
     if n < 1:
         raise ConfigurationError("tensor grid needs at least one node per axis")
     dim = check_domain(d).dimension
-    if d.kind == "ball" and dim > 1:
+    if d.kind == "ball":
         radius = float(d.extents[0])
         xi, wi = gauss_legendre((n + 1) // 2)
         r = 0.5 * radius * (xi + 1.0)

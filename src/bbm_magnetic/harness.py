@@ -26,7 +26,7 @@ from . import __version__
 from .constants import bbm_constant, check_s_list
 from .corpus import resolve_field, resolve_potential
 from .errors import (ConditionViolation, ConfigurationError, IntegrationError, check_coordinates,
-                     check_integer, check_numbers, check_positive, check_text)
+                     check_integer, check_number, check_numbers, check_positive, check_text)
 from .fields import magnetic_gradient, require_dimension
 from .functionals import (
     MollifierFamily,
@@ -42,7 +42,8 @@ from .functionals import (
     mollified_functionals,
     translation_difference_sq,
 )
-from .geometry import Domain, ball, box, check_dimension, check_domain, direction, tensor_grid
+from .geometry import (Domain, ball, box, check_dimension, check_domain, direction, sphere_rule,
+                       tensor_grid)
 from .operator import operator_limit_scan
 from .quadrature import IntegralResult, QuadratureSpec, check_spec, pairwise_sum
 
@@ -133,10 +134,7 @@ class SweepConfig:
             store("delta", check_positive(self.delta, "delta"))
         if self.spec is None:
             store("spec", default_spec(self.domain.dimension))
-        check_spec(self.spec)
-        if self.domain.dimension == 1 and self.spec.angular_nodes != 2:
-            raise ConfigurationError("quadrature angular_nodes must be 2 in 1D, the directions "
-                                     f"+1 and -1, got {self.spec.angular_nodes}")
+        sphere_rule(self.domain.dimension, check_spec(self.spec).angular_nodes)  # 1D: 2 only
 
 
 @dataclass(frozen=True)
@@ -263,10 +261,10 @@ def extrapolate_limit(rows: Sequence[tuple[float, float]]) -> tuple[float, float
     """
     if len(rows) < 3:
         raise ConfigurationError("extrapolation needs at least 3 rows")
-    if len({r[0] for r in rows}) < 2:
+    t = [check_number(r[0], "extrapolation t") for r in rows]
+    v = [check_number(r[1], "extrapolation value") for r in rows]
+    if len(set(t)) < 2:
         raise ConfigurationError("extrapolation needs rows at two or more distinct t")
-    t = [float(r[0]) for r in rows]
-    v = [float(r[1]) for r in rows]
     t_mean, v_mean = math.fsum(t) / len(t), math.fsum(v) / len(v)
     dt = [ti - t_mean for ti in t]
     slope = (math.fsum(d * (vi - v_mean) for d, vi in zip(dt, v))

@@ -62,9 +62,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .constants import check_fractional_order
-from .errors import ConfigurationError, IntegrationError, check_integer
-from .geometry import (Domain, antipodal_half, boundary_distances, gauss_legendre, sphere_rule,
-                       tensor_grid)
+from .errors import ConfigurationError, IntegrationError, check_coordinates, check_integer
+from .geometry import (Domain, antipodal_half, boundary_distances, check_domain, gauss_legendre,
+                       sphere_rule, tensor_grid)
 
 __all__ = [
     "QuadratureSpec",
@@ -477,7 +477,7 @@ def tail_integral_many(
 def tail_integral(d: Domain, x, s: float, angular_nodes: int) -> float:
     """tail_integral_many at the single point x, which must be interior."""
     check_fractional_order(s)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.array(check_coordinates(x, "point", check_domain(d).dimension))
     if not bool(d.contains(x)):
         raise ConfigurationError(f"tail integral diverges: {x.tolist()} is not interior")
     return float(tail_integral_many(d, x[None, :], [s], angular_nodes)[0][0])

@@ -97,6 +97,30 @@ def landau_fractional_gaussian_2d(s, x, a, radius=30.0, radial=300, angular=256)
     return 0.5 * complex((2.0 * radius * t * w * rho ** (2.0 * s + 1.0)) @ ring)
 
 
+def linear_gauge_gaussian_seminorm_sq(s, a, M, directions=256):
+    """[u]^2_{s,A} over R^N x R^N of u = exp(-a|x|^2) with A(x) = M x, N = 1
+    or 2, in closed form up to one smooth integral over the sphere:
+
+        (pi/2a)^(N/2) Gamma(1-s)/s int_{S^(N-1)} c(omega)^s domega,
+        c(omega) = a/2 + |M^T omega|^2 / (8a).
+
+    With x - y = r omega and m = (x + y)/2, the phase is r omega . M m, and
+    the m-integral of |u(x) - e^{i phase} u(y)|^2 is (pi/2a)^(N/2) times
+    2 (1 - exp(-c(omega) r^2)); its r-integral against r^(-1-2s) is
+    c^s Gamma(1-s)/s.  S^0 is {+1, -1}; on the circle the trapezoid rule in
+    the angle converges spectrally (c^s is smooth and periodic)."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    n = M.shape[0]
+    if n == 1:
+        omega, w = np.array([[1.0], [-1.0]]), np.ones(2)
+    else:
+        theta = 2.0 * math.pi * np.arange(directions) / directions
+        omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        w = np.full(directions, 2.0 * math.pi / directions)
+    c = 0.5 * a + np.sum((omega @ M) ** 2, axis=-1) / (8.0 * a)
+    return (math.pi / (2.0 * a)) ** (n / 2.0) * math.gamma(1.0 - s) / s * float(w @ c**s)
+
+
 def gauss1d_energy_closed_form():
     """int_{-1}^{1} 4 x^2 e^{-2x^2} dx in closed form."""
     return -2.0 * math.exp(-2.0) + math.sqrt(math.pi / 2.0) * math.erf(math.sqrt(2.0))

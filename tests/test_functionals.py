@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bbm_magnetic import functionals, quadrature
+from bbm_magnetic import functionals, operator, quadrature
 from bbm_magnetic.corpus import resolve_field, resolve_potential
 from bbm_magnetic.errors import ConfigurationError, IntegrationError
 from bbm_magnetic.fields import (
@@ -36,10 +36,12 @@ from bbm_magnetic.functionals import (
 )
 from bbm_magnetic.geometry import ball, box, interval, sphere_area, tensor_grid
 from bbm_magnetic.harness import default_spec
-from bbm_magnetic.operator import fractional_magnetic_apply, local_magnetic_apply
+from bbm_magnetic.operator import (fractional_magnetic_apply, local_magnetic_apply,
+                                   operator_limit_scan)
 from bbm_magnetic.quadrature import QuadratureSpec, pairwise_sum, tail_integral_many
 
-from .oracles import brute_gagliardo_1d, gauss1d_energy_closed_form
+from .oracles import (brute_gagliardo_1d, gauss1d_energy_closed_form,
+                      linear_gauge_gaussian_seminorm_sq)
 
 D1 = interval(-1.0, 1.0)
 SPEC1 = QuadratureSpec(outer_nodes=160, angular_nodes=2, radial_nodes=10)
@@ -87,7 +89,8 @@ def test_fields_without_a_gradient_get_the_same_bits(d, label, potential):
     # the seminorms or of the mollified functionals
     u, A = resolve_field(label), resolve_potential(potential, d.dimension)
     bare = replace(u, gradient=None, hessian=None)
-    spec = QuadratureSpec(outer_nodes=12, angular_nodes=8, radial_nodes=8)
+    spec = QuadratureSpec(outer_nodes=12, angular_nodes=2 if d.dimension == 1 else 8,
+                          radial_nodes=8)
     s_list = [0.6, 0.99]
     for with_grad, without in zip(magnetic_seminorms_sq(u, A, d, s_list, spec),
                                   magnetic_seminorms_sq(bare, A, d, s_list, spec)):
@@ -96,6 +99,50 @@ def test_fields_without_a_gradient_get_the_same_bits(d, label, potential):
                + bbm_family(s_list, d.diameter(), d.dimension).members)
     assert (mollified_functionals(u, A, d, members, spec)
             == mollified_functionals(bare, A, d, members, spec))
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: magnetic_seminorms_sq(resolve_field("gauss1d"), resolve_potential("zero", 1), D1,
+                                       [0.9], spec),
+    lambda spec: fullspace_seminorms_sq(resolve_field("bump1d"), resolve_potential("zero", 1),
+                                        [0.9], spec),
+    lambda spec: mollified_functionals(resolve_field("gauss1d"), resolve_potential("zero", 1), D1,
+                                       gaussian_family([2], 1).members, spec),
+    lambda spec: quadrature.double_integral_singular(
+        lambda x, y: np.sum((x - y) ** 2, axis=-1), D1, 0.9, spec),
+    lambda spec: quadrature.tail_integral(D1, [0.0], 0.9, spec.angular_nodes),
+    lambda spec: operator_limit_scan(resolve_field("gauss1d"), resolve_potential("zero", 1),
+                                     [0.0], [0.9], spec),
+], ids=["seminorms", "fullspace", "mollified", "double-integral", "tail", "operator"])
+@pytest.mark.parametrize("angular", [1, 8])
+def test_a_1d_spec_with_other_than_two_directions_is_refused_before_any_pass(
+        call, angular, monkeypatch):
+    # each took the two directions whatever the count, which a config file may not set
+    for module, name in [(quadrature, "radial_angular"), (quadrature, "boundary_distances"),
+                         (operator, "ray_rule"), (operator, "magnetic_difference")]:
+        monkeypatch.setattr(module, name, _no_compute)
+    spec = QuadratureSpec(outer_nodes=8, angular_nodes=angular, radial_nodes=8)
+    with pytest.raises(ConfigurationError, match=r"^quadrature angular_nodes must be 2 in 1D, "
+                       rf"the directions \+1 and -1, got {angular}$"):
+        call(spec)
+
+
+# exp(-|x|^2) is below 3e-16 beyond half-width 6, so the box of half-width 6
+# as its support domain changes the seminorm by less than rounding.
+@pytest.mark.parametrize("dim,potential,M,spec,rtol", [
+    (1, "linear:alpha=0", [[0.0]], default_spec(1), 4e-9),
+    (1, "linear:alpha=1", [[1.0]], default_spec(1), 4e-9),
+    (1, "linear:alpha=3", [[3.0]], default_spec(1), 4e-9),
+    (2, "landau:beta=1", [[0.0, -0.5], [0.5, 0.0]], QuadratureSpec(32, 64, 32), 1.5e-4),
+    (2, "landau:beta=4", [[0.0, -2.0], [2.0, 0.0]], QuadratureSpec(32, 64, 32), 1.5e-4),
+], ids=["1d-alpha=0", "1d-alpha=1", "1d-alpha=3", "2d-beta=1", "2d-beta=4"])
+def test_fullspace_seminorms_of_a_gaussian_match_the_closed_form(dim, potential, M, spec, rtol):
+    # largest errors seen: 2.8e-9 in 1D, 9.4e-5 in 2D (at beta = 1)
+    s_list = [0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99]
+    u = replace(resolve_field(f"gauss{dim}d"), support_domain=box([0.0] * dim, [6.0] * dim))
+    got = fullspace_seminorms_sq(u, resolve_potential(potential, dim), s_list, spec)
+    exact = [linear_gauge_gaussian_seminorm_sq(s, 1.0, M) for s in s_list]
+    assert_allclose([r.value for r in got], exact, rtol=rtol)
 
 
 def test_local_energy_constant_field_zero_potential():

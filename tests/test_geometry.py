@@ -153,13 +153,21 @@ def test_chord_property_ball():
 
 
 def test_sphere_nodes_dim1():
-    dirs, wts = sphere_rule(1, 5)
+    dirs, wts = sphere_rule(1, 2)
     assert dirs.shape == (2, 1)
     assert set(dirs[:, 0].tolist()) == {1.0, -1.0}
     assert wts.tolist() == [1.0, 1.0]
 
 
-@pytest.mark.parametrize("dim,count,area", [(1, 1, 2.0), (2, 8, 2 * math.pi), (3, 128, 4 * math.pi)])
+@pytest.mark.parametrize("count", [1, 3, 5, 8])
+def test_a_1d_sphere_rule_of_other_than_two_directions_is_refused(count):
+    # sphere_rule(1, n) returned the two directions whatever n
+    with pytest.raises(ConfigurationError, match=r"^quadrature angular_nodes must be 2 in 1D, "
+                       rf"the directions \+1 and -1, got {count}$"):
+        sphere_rule(1, count)
+
+
+@pytest.mark.parametrize("dim,count,area", [(1, 2, 2.0), (2, 8, 2 * math.pi), (3, 128, 4 * math.pi)])
 def test_sphere_weights_sum_to_area(dim, count, area):
     _, wts = sphere_rule(dim, count)
     assert_allclose(wts.sum(), area, rtol=1e-12)
@@ -268,6 +276,20 @@ def test_tensor_grid_on_a_1d_ball_is_the_interval_rule():
     assert np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights)
 
 
+@pytest.mark.parametrize("d", [box([0.3], [1.5]), ball([0.3], 1.5), Domain("ball", 0.3, 1.5)],
+                         ids=["box", "ball", "ball-by-kind"])
+def test_a_1d_box_or_ball_is_stored_as_the_interval_of_its_set(d):
+    # each compared unequal to that interval, and the ball took its own
+    # volume and boundary-distance formulas
+    same = Domain("interval", [0.3], [1.5])
+    assert d.kind == "interval" and d == same
+    assert d.volume() == same.volume() == 3.0 and d.diameter() == 3.0
+    X, dirs = np.array([[0.0], [1.2]]), sphere_rule(1, 2)[0]
+    R = boundary_distances(d, X, dirs)
+    assert np.array_equal(R, boundary_distances(same, X, dirs))
+    assert_allclose(R, [[1.8, 1.2], [0.6, 2.4]], rtol=1e-15)
+
+
 @pytest.mark.parametrize("outer,inner,margin,expected", [
     (box([0.0, 0.0], [1.0, 1.0]), box([0.0, 0.0], [1.0, 1.0]), 0.0, True),
     (box([0.0, 0.0], [1.0, 1.0]), box([0.2, 0.0], [1.0, 1.0]), 0.0, False),
@@ -290,7 +312,7 @@ def test_domains_compare_by_kind_center_and_extents():
     assert interval(-1.0, 1.0) == interval(-1.0, 1.0)
     assert interval(-1.0, 1.0) != interval(-3.0, 3.0)
     assert box([0.0, 0.0], [1.0, 1.0]) != box([0.0, 0.1], [1.0, 1.0])
-    assert box([0.0], [1.0]) != interval(-1.0, 1.0)  # same numbers, other kind
+    assert box([0.0], [1.0]) == interval(-1.0, 1.0) == ball([0.0], 1.0)  # one set in 1D
     assert ball([0.0, 0.0], 1.0) != box([0.0, 0.0], [1.0, 1.0])
     assert ball([0.0, 0.0], 1.0) != "ball"
 

@@ -77,6 +77,18 @@ def test_extrapolate_needs_three_rows():
         extrapolate_limit([(0.1, 1.0), (0.05, 2.0)])
 
 
+@pytest.mark.parametrize("rows,message", [
+    ([(math.inf, 1.0), (0.1, 1.0), (0.2, 1.0)], "extrapolation t must be a finite number, got inf"),
+    ([("a", 1.0), (0.1, 1.0), (0.2, 1.0)], "extrapolation t must be a finite number, got 'a'"),
+    ([(0.0, math.nan), (0.1, 1.0), (0.2, 1.0)],
+     "extrapolation value must be a finite number, got nan"),
+], ids=["infinite-t", "text-t", "nan-value"])
+def test_extrapolate_refuses_a_row_that_is_not_two_finite_numbers(rows, message):
+    # fsum's or float's plain ValueError, and (nan, nan) with no error for a NaN value
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        extrapolate_limit(rows)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_extrapolate_matches_the_least_squares_fit(seed):
     # the closed-form line against LAPACK's least squares on noisy rows
@@ -930,8 +942,9 @@ def test_3d_landau_sweeps_approach_the_closed_form_energy(domain, beta, energy, 
     assert config_from_dict(json.loads(json.dumps(report.metadata["config"]))) == cfg
 
 def test_a_1d_spec_with_other_than_two_directions_is_refused(monkeypatch, capsys, tmp_path):
-    # sphere_rule(1, n) is the two directions whatever n; 999 used to run the
-    # default's points and echo 999 into metadata.config
+    # the config takes sphere_rule's refusal of a 1D count other than 2, as
+    # library calls do; 999 used to run the default's points and echo 999
+    # into metadata.config
     monkeypatch.setattr(quadrature, "radial_angular", _no_compute)
     message = "quadrature angular_nodes must be 2 in 1D, the directions +1 and -1, got 999"
     with pytest.raises(ConfigurationError) as in_code:
@@ -944,6 +957,20 @@ def test_a_1d_spec_with_other_than_two_directions_is_refused(monkeypatch, capsys
     # other dimensions take any direction count
     _cfg(domain=_D2, potential_label="landau", field_label="gauss2d",
          spec=dataclasses.replace(FAST_SPEC, angular_nodes=7))
+
+
+def test_the_three_spellings_of_a_1d_domain_give_one_report():
+    # a 1D box or ball was echoed as such, and bump1d took the routed pass
+    # on it, whose cross term is 0, with 544 nodes per row against 512
+    spellings = [{"kind": "interval"}, {"kind": "box", "center": [0.0], "extents": [1.0]},
+                 {"kind": "ball", "center": [0.0], "radius": 1.0}]
+    reports = [render_report(run_sweep(config_from_dict(
+        {"field": "bump1d", "potential": "linear:alpha=1", "domain": domain,
+         "s_list": [0.8, 0.9, 0.95], "quadrature": {"outer_nodes": 32, "radial_nodes": 16}})),
+        "json") for domain in spellings]
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(reports[0])["metadata"]["config"]["domain"] == {
+        "kind": "interval", "center": [0.0], "extents": [1.0]}
 
 
 def test_uniform_sweep_reports_the_engine_node_counts_per_row():

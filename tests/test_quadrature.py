@@ -252,6 +252,19 @@ def test_tail_integral_closed_form_1d(s):
         assert_allclose(tail_integral(D1, [x], s, 2), exact, rtol=1e-12)
 
 
+@pytest.mark.parametrize("x,message", [
+    ([0.0], "point must be a list of 2 numbers, got [0.0]"),
+    ([0.0, 0.0, 0.0], "point must be a list of 2 numbers, got [0.0, 0.0, 0.0]"),
+    ("a", "point must be a list of 2 numbers, got ['a']"),
+], ids=["one-coordinate", "three-coordinates", "text"])
+def test_tail_integral_refuses_a_point_of_another_dimension(x, message):
+    # one coordinate was broadcast to (0, 0), and the others raised numpy's
+    # plain ValueError, which the CLI takes for a defect
+    with pytest.raises(ConfigurationError) as refused:
+        tail_integral(box([0.0, 0.0], [1.0, 1.0]), x, 0.5, 16)
+    assert str(refused.value) == message
+
+
 def test_tail_integral_boundary_rejected():
     with pytest.raises(ValueError):
         tail_integral(D1, [1.0], 0.5, 2)
